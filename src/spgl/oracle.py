@@ -45,6 +45,7 @@ __all__ = [
     "LinearizedSubproblem",
     "OracleSolution",
     "numerical_update",
+    "project_to_ball",
     "solve_exact_sampled",
     "solve_numeric",
 ]
@@ -346,6 +347,58 @@ def _kl_target_params(mu, theta, mu_tilde, sigma):
     return 0.5 * float(np.sum(terms))
 
 
+def project_to_ball(kl, z0, z, eps):
+    """Pull ``z`` back inside the ball ``kl <= eps`` along the ray from its
+    centre ``z0``.
+
+    ``kl`` must be zero at ``z0`` and non-decreasing along the ray; flat
+    stretches (where the exact solver clips its log-scales) are allowed.  A
+    point already inside the ball is returned unchanged.  Otherwise the
+    feasible end ``lo`` of a bracket ``[lo, hi]`` on the ray parameter is
+    returned, with ``kl <= eps (1 - 1e-12)``.  The bracket shrinks by Illinois
+    regula falsi on ``log kl`` against ``log t`` -- the KL grows like ``t**2``
+    near the centre, so that secant is nearly exact -- aimed at the middle of
+    the accepted band, with bisection whenever the secant point leaves the
+    bracket.  It stops once ``kl(lo)`` is within ``1e-12 eps`` of
+    ``eps (1 - 1e-12)``, once ``kl(hi) - kl(lo) <= 1e-10 eps`` (the rounding
+    noise of ``kl`` at small ``eps``), or once ``hi - lo <= 1e-15 hi``.
+    """
+    k = kl(z)
+    if k <= eps:
+        return z
+    target = eps * (1.0 - 1e-12)
+    floor = eps * (1.0 - 2e-12)
+    w_aim = math.log(eps * (1.0 - 1.5e-12))
+    lo, k_lo, w_lo = 0.0, 0.0, -math.inf
+    hi, k_hi, w_hi = 1.0, k, math.log(k)
+    # local exponent of kl in t, used while lo has no finite log-KL
+    power = 2.0
+    side = 0
+    for _ in range(100):
+        if k_lo >= floor or k_hi - k_lo <= 1e-10 * eps or hi - lo <= 1e-15 * hi:
+            break
+        if w_lo > -math.inf:
+            t = hi * (lo / hi) ** ((w_hi - w_aim) / (w_hi - w_lo))
+        else:
+            t = hi * math.exp((w_aim - w_hi) / power)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        k = kl(z0 + t * (z - z0))
+        w = math.log(k) if k > 0.0 else -math.inf
+        if k <= target:
+            if side < 0:
+                w_hi = w_aim + 0.5 * (w_hi - w_aim)
+            lo, k_lo, w_lo, side = t, k, w, -1
+        else:
+            slope = (math.log(k_hi) - w) / math.log(hi / t)
+            if 0.0 < slope < math.inf:
+                power = slope
+            if side > 0 and w_lo > -math.inf:
+                w_lo = w_aim + 0.5 * (w_lo - w_aim)
+            hi, k_hi, w_hi, side = t, k, w, 1
+    return z0 + lo * (z - z0)
+
+
 def solve_exact_sampled(
     batch: RolloutBatch,
     dist: ContextDistribution,
@@ -362,9 +415,12 @@ def solve_exact_sampled(
     the exact step-KL constraint; ``mode="convergence"`` minimizes the exact
     KL to the target under both the sampled performance constraint and the
     step-KL constraint.  Scales are optimized in log space, which keeps them
-    positive.  Gradient steps that leave the feasible set are halved until
-    they re-enter; the best feasible iterate is always returned, with a
-    warning flag when no restart's step size collapsed within the budget.
+    positive.  Each gradient trial point is first pulled back onto the KL
+    ball along the ray from the old parameters by :func:`project_to_ball`, a
+    bracketed secant solve that needs a handful of KL evaluations; trial steps
+    that still leave the feasible set are halved until they re-enter.  The
+    best feasible iterate is always returned, with a warning flag when no
+    restart's step size collapsed within the budget.
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
@@ -430,21 +486,6 @@ def solve_exact_sampled(
             z = z0 + 0.7 * (z - z0)
         starts.append(z)
 
-    def project_to_ball(z):
-        """Pull a trial point back inside the KL ball along the ray from the
-        ball center (the old parameters): the step KL grows monotonically
-        along that ray, so bisection lands on the boundary."""
-        if step_kl(z) <= eps:
-            return z
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if step_kl(z0 + mid * (z - z0)) > eps * (1.0 - 1e-12):
-                hi = mid
-            else:
-                lo = mid
-        return z0 + lo * (z - z0)
-
     best_z = z0.copy()
     best_f = f(z0) if feasible(z0) else math.inf
     any_converged = False
@@ -463,7 +504,7 @@ def solve_exact_sampled(
         def try_direction(direction, a, depth=40):
             nonlocal z, fz, alpha
             for _ in range(depth):
-                z_try = project_to_ball(z + a * direction)
+                z_try = project_to_ball(step_kl, z0, z + a * direction, eps)
                 if feasible(z_try):
                     f_try = f(z_try)
                     if f_try < fz - 1e-15:

@@ -131,6 +131,15 @@ class TestRunTraining:
         csv_b = records_to_csv(b.records, config.target.d)
         assert csv_a.encode() == csv_b.encode()
 
+    def test_numerical_mode_respects_trust_region_and_is_deterministic(self, synth_config):
+        config = synth_config(iterations=5)
+        eps = config.curriculum.epsilon
+        a = run_training(config, seed=4, curriculum_mode="numerical")
+        b = run_training(config, seed=4, curriculum_mode="numerical")
+        assert len(a.records) == 5
+        assert all(r.kl_step <= eps + 1e-9 for r in a.records)
+        assert records_to_csv(a.records, 2).encode() == records_to_csv(b.records, 2).encode()
+
     def test_different_seeds_differ(self, synth_config):
         config = synth_config(iterations=15)
         a = run_training(config, seed=1)

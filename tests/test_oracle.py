@@ -1,6 +1,7 @@
 """Numerical solver tests: dual-bisection subproblem solutions with KKT
-certificates, infeasibility detection, and the exact sampled solver's
-feasibility / consistency / dominance properties."""
+certificates, infeasibility detection, the exact solver's ray projection onto
+the KL ball, and the exact sampled solver's feasibility / consistency /
+dominance properties."""
 
 import math
 
@@ -11,7 +12,9 @@ from spgl.gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_
 from spgl.oracle import (
     InfeasibleSubproblem,
     LinearizedSubproblem,
+    _kl_params,
     numerical_update,
+    project_to_ball,
     solve_exact_sampled,
     solve_numeric,
 )
@@ -109,6 +112,84 @@ class TestSolveNumeric:
                 kwargs["performance"] = (a, offset)
             sol = solve_numeric(LinearizedSubproblem(**kwargs))
             assert sol.max_residual <= 1e-10
+
+
+def ray_kl(rng, d, theta_min=1e-6):
+    """Step KL around a random centre in the exact solver's (mu, log theta)
+    coordinates, with its clip of log theta to [log theta_min, 50]."""
+    sigma = rng.uniform(0.05, 2.0, d)
+    mu0 = rng.normal(size=d)
+    theta0 = np.exp(rng.uniform(-3.0, 3.0, d))
+    log_theta_min = math.log(theta_min)
+
+    def kl(z):
+        theta = np.exp(np.clip(z[d:], log_theta_min, 50.0))
+        return _kl_params(z[:d], theta, mu0, theta0, sigma)
+
+    return kl, np.concatenate([mu0, np.log(theta0)])
+
+
+def counting(kl):
+    """``kl`` wrapped to record each call in the returned list."""
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return kl(z)
+
+    return counted, calls
+
+
+class TestProjectToBall:
+    MAX_KL_EVALS = 15
+
+    def rays(self, rng, d):
+        """Random rays; mean-only and scale-only rays; rays whose log-scales
+        run past both clip bounds (the KL is flat beyond them)."""
+        for _ in range(4):
+            yield rng.normal(size=2 * d) * 10.0 ** rng.uniform(-2.0, 2.5)
+        mean_only = rng.normal(size=2 * d) * 10.0 ** rng.uniform(-2.0, 2.5)
+        mean_only[d:] = 0.0
+        yield mean_only
+        scale_only = rng.normal(size=2 * d) * 10.0 ** rng.uniform(-2.0, 2.5)
+        scale_only[:d] = 0.0
+        yield scale_only
+        for _ in range(2):
+            crossing = rng.normal(size=2 * d)
+            crossing[d:] = rng.choice([-80.0, 80.0], size=d)
+            yield crossing
+
+    def test_random_rays_land_on_the_boundary(self):
+        rng = np.random.default_rng(0)
+        left = 0
+        for _ in range(150):
+            d = int(rng.choice([1, 2, 3, 5]))
+            eps = 10.0 ** rng.uniform(-6.0, 0.0)
+            kl, z0 = ray_kl(rng, d)
+            for step in self.rays(rng, d):
+                counted, evals = counting(kl)
+                z = z0 + step
+                projected = project_to_ball(counted, z0, z, eps)
+                assert len(evals) <= self.MAX_KL_EVALS
+                if kl(z) <= eps:
+                    assert projected is z
+                    continue
+                left += 1
+                k = kl(projected)
+                assert k <= eps * (1.0 - 1e-12)
+                assert eps - k <= 1e-9 * eps
+        assert left > 1000
+
+    def test_point_inside_is_returned_unchanged(self):
+        rng = np.random.default_rng(1)
+        for d in (1, 2, 3, 5):
+            kl, z0 = ray_kl(rng, d)
+            for eps in (1e-6, 1e-3, 1.0):
+                z = z0 + 1e-3 * math.sqrt(eps) * rng.normal(size=2 * d)
+                assert kl(z) <= eps
+                counted, evals = counting(kl)
+                assert project_to_ball(counted, z0, z, eps) is z
+                assert len(evals) == 1
 
 
 def exact_setting(seed=0, d=2, k=16, width=2.0):
