@@ -18,25 +18,16 @@ from .gaussian import (
 )
 from .learner import LearnerConfig, PolicyParameters, improve, rollout
 from .oracle import LinearizedSubproblem, solve_exact_sampled, solve_numeric
-from .stats import (
-    ContextRollout,
-    CurriculumStats,
-    RolloutBatch,
-    compute_geometry_stats,
-    compute_value_stats,
-)
+from .stats import ContextRollout, CurriculumStats, RolloutBatch, compute_stats
 from .update import (
     CurriculumConfig,
-    DegenerateUpdate,
     InfeasiblePerformanceConstraint,
     MultiplierSolution,
     UpdateReport,
-    convergence_mu_step,
-    convergence_theta_step,
     performance_step,
     should_run_performance_step,
-    solve_mu_multipliers,
-    solve_theta_multipliers,
+    solve_mu_block,
+    solve_theta_block,
     update,
 )
 

@@ -35,6 +35,9 @@ __all__ = [
 
 CURRICULUM_MODES = ("default", "spgl", "numerical")
 ENVIRONMENTS = ("point_mass", "synthetic", "lunar_lander", "ball_catching")
+# Curriculum options that no longer exist; a file that still sets one fails
+# loudly rather than silently running a different algorithm.
+REMOVED_CURRICULUM_KEYS = ("standardize_values", "combined_step")
 
 
 class ConfigError(ValueError):
@@ -130,14 +133,15 @@ def load_config(path) -> ExperimentConfig:
     if initial_mu.shape != target.mu_tilde.shape or initial_theta.shape != target.mu_tilde.shape:
         raise ConfigError("initial and target context dimensions differ")
 
+    for key in REMOVED_CURRICULUM_KEYS:
+        if parser.has_option("curriculum", key):
+            raise ConfigError(f"[curriculum] {key} is no longer supported")
     curriculum = CurriculumConfig(
         epsilon=_get(parser, "curriculum", "epsilon", float, required=True),
         v_lower=_get(parser, "curriculum", "v_lower", float, required=True),
         k_contexts=_get(parser, "curriculum", "k_contexts", int, default=64),
         update_period=_get(parser, "curriculum", "update_period", int, default=1),
         theta_min=_get(parser, "curriculum", "theta_min", float, default=1e-6),
-        standardize_values=_get(parser, "curriculum", "standardize_values", bool, default=False),
-        combined_step=_get(parser, "curriculum", "combined_step", bool, default=False),
     )
 
     learner = LearnerConfig(

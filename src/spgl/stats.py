@@ -1,15 +1,13 @@
 """Batch statistics that linearize the curriculum subproblems.
 
-From a batch of per-context return estimates these functions compute the
-coefficients used by both closed-form update steps:
+From a batch of per-context return estimates :func:`compute_stats` computes
+the coefficients used by both closed-form update steps:
 
 * ``u_bar``   -- value-weighted mean context offset; ``Sigma^-1 u_bar`` is the
   gradient of the importance-weighted value objective with respect to ``mu``.
 * ``v_bar``   -- plain batch mean value (the performance-condition statistic).
 * ``psi_bar`` -- gradient of the importance-weighted value objective with
   respect to the covariance scales ``theta``.
-* ``h``       -- diagonal curvature of the step KL divergence in ``theta``
-  (``1/theta^2`` for the diagonal family).
 * ``omega``   -- gradient of the KL-to-target with respect to ``theta``.
 
 The gradient definitions are normative: each is covered by a central
@@ -29,9 +27,7 @@ __all__ = [
     "CurriculumStats",
     "RolloutBatch",
     "Trajectory",
-    "compute_geometry_stats",
     "compute_stats",
-    "compute_value_stats",
 ]
 
 
@@ -112,22 +108,14 @@ class CurriculumStats:
     u_bar: np.ndarray
     v_bar: float
     psi_bar: np.ndarray
-    h_diag: np.ndarray
     omega: np.ndarray
 
     def __post_init__(self):
-        for name in ("u_bar", "psi_bar", "h_diag", "omega"):
+        for name in ("u_bar", "psi_bar", "omega"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        if np.any(self.h_diag <= 0.0):
-            raise ValueError("h_diag must be positive definite")
-
-    @property
-    def h_matrix(self) -> np.ndarray:
-        """Curvature as a full (diagonal) matrix."""
-        return np.diag(self.h_diag)
 
 
 def _check_snapshot(batch: RolloutBatch, dist: ContextDistribution) -> None:
@@ -143,65 +131,30 @@ def _check_snapshot(batch: RolloutBatch, dist: ContextDistribution) -> None:
         )
 
 
-def compute_value_stats(
-    batch: RolloutBatch,
-    dist: ContextDistribution,
-    standardize_values: bool = False,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Value statistics ``(u_bar, v_bar, psi_bar)`` of a batch.
+def compute_stats(
+    batch: RolloutBatch, dist: ContextDistribution, target: TargetSpec
+) -> CurriculumStats:
+    """All curriculum statistics for one update.
 
-    ``v_bar`` is always the raw mean return (the performance threshold is in
-    raw return units).  With ``standardize_values`` the values entering the
-    gradient statistics ``u_bar``/``psi_bar`` are shifted and scaled to zero
-    mean, unit variance; off by default.
-
+    ``u_bar``, ``v_bar`` and ``psi_bar`` come from the raw batch returns (the
+    performance threshold is in raw return units); ``omega`` is the exact
+    gradient of :func:`spgl.gaussian.kl_to_target` with respect to ``theta``.
     The batch summation order is fixed, so results are bit-reproducible.
     """
     _check_snapshot(batch, dist)
-    contexts = batch.contexts()
-    values = batch.values()
-    v_bar = float(np.mean(values))
-
-    grad_values = values
-    if standardize_values:
-        std = float(np.std(values))
-        grad_values = (values - v_bar) / (std if std > 0.0 else 1.0)
-
-    theta = dist.theta
-    sigma = dist.target.sigma_tilde_diag
-    delta = contexts - dist.mu
-    u_bar = np.mean(grad_values[:, None] * delta, axis=0)
-    psi_terms = delta**2 / (theta**2 * sigma) - 1.0 / theta
-    psi_bar = 0.5 * np.mean(grad_values[:, None] * psi_terms, axis=0)
-    return u_bar, v_bar, psi_bar
-
-
-def compute_geometry_stats(
-    dist: ContextDistribution, target: TargetSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Geometry statistics ``(h_diag, omega)`` at the current parameters.
-
-    ``h_diag`` is ``1/theta^2``: the diagonal covariance family makes the
-    curvature of the step KL in ``theta`` diagonal.  ``omega`` is the exact
-    gradient of :func:`spgl.gaussian.kl_to_target` with respect to ``theta``.
-    """
     if target.d != dist.d:
         raise ValueError("target dimension mismatch")
+    contexts = batch.contexts()
+    values = batch.values()
     theta = dist.theta
-    sigma = target.sigma_tilde_diag
-    delta = target.mu_tilde - dist.mu
-    h_diag = 1.0 / theta**2
-    omega = 0.5 * (1.0 / theta - 1.0 / theta**2 - delta**2 / (theta**2 * sigma))
-    return h_diag, omega
+    sigma = dist.target.sigma_tilde_diag
 
+    delta = contexts - dist.mu
+    u_bar = np.mean(values[:, None] * delta, axis=0)
+    psi_terms = delta**2 / (theta**2 * sigma) - 1.0 / theta
+    psi_bar = 0.5 * np.mean(values[:, None] * psi_terms, axis=0)
 
-def compute_stats(
-    batch: RolloutBatch,
-    dist: ContextDistribution,
-    target: TargetSpec,
-    standardize_values: bool = False,
-) -> CurriculumStats:
-    """All curriculum statistics for one update."""
-    u_bar, v_bar, psi_bar = compute_value_stats(batch, dist, standardize_values)
-    h_diag, omega = compute_geometry_stats(dist, target)
-    return CurriculumStats(u_bar=u_bar, v_bar=v_bar, psi_bar=psi_bar, h_diag=h_diag, omega=omega)
+    sigma_target = target.sigma_tilde_diag
+    gap = target.mu_tilde - dist.mu
+    omega = 0.5 * (1.0 / theta - 1.0 / theta**2 - gap**2 / (theta**2 * sigma_target))
+    return CurriculumStats(u_bar=u_bar, v_bar=float(np.mean(values)), psi_bar=psi_bar, omega=omega)

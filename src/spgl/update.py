@@ -31,7 +31,6 @@ import numpy as np
 from .gaussian import (
     ContextDistribution,
     TargetSpec,
-    importance_ratio,
     kl_between,
     kl_to_target,
     mean_shift_kl,
@@ -41,17 +40,14 @@ from .stats import CurriculumStats, RolloutBatch, compute_stats
 __all__ = [
     "CurriculumConfig",
     "CurriculumError",
-    "DegenerateUpdate",
     "InfeasiblePerformanceConstraint",
     "MultiplierSolution",
     "UpdateReport",
-    "convergence_mu_step",
-    "convergence_theta_step",
     "mu_kkt_residuals",
     "performance_step",
     "should_run_performance_step",
-    "solve_mu_multipliers",
-    "solve_theta_multipliers",
+    "solve_mu_block",
+    "solve_theta_block",
     "theta_kkt_residuals",
     "update",
 ]
@@ -72,10 +68,6 @@ class CurriculumError(RuntimeError):
     """Base class for curriculum update failures."""
 
 
-class DegenerateUpdate(CurriculumError):
-    """Raised when neither block has an informative gradient direction."""
-
-
 class InfeasiblePerformanceConstraint(CurriculumError):
     """Raised when no point of the trust region meets the performance bound."""
 
@@ -90,9 +82,6 @@ class CurriculumConfig:
         k_contexts: Batch size K.
         update_period: Curriculum update period in training iterations.
         theta_min: Positivity floor for covariance scales.
-        standardize_values: Standardize values inside the gradient statistics.
-        combined_step: Run a convergence phase after a performance phase in
-            the same update (off by default: one step kind per update).
     """
 
     epsilon: float
@@ -100,8 +89,6 @@ class CurriculumConfig:
     k_contexts: int = 64
     update_period: int = 1
     theta_min: float = 1e-6
-    standardize_values: bool = False
-    combined_step: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -223,40 +210,39 @@ def _performance_budget_split(dist, stats, eps):
 
 
 def performance_step(
-    dist: ContextDistribution, stats: CurriculumStats, config: CurriculumConfig
-) -> ContextDistribution:
-    """Apply both value-ascent blocks under the joint trust region.
+    dist: ContextDistribution, stats: CurriculumStats, eps: float, theta_min: float
+) -> tuple[np.ndarray, np.ndarray, bool, bool]:
+    """Apply both value-ascent blocks under the joint trust region ``eps``.
 
     Each block moves to its boundary: the mean to
     ``mu + sqrt(2 e_mu) u_bar / ||u_bar||`` and the scales to
-    ``theta + 2 sqrt(e_theta) H^-1 psi_bar / ||psi_bar||`` (norms in the block
-    metrics), with the budgets ``e_mu + e_theta = epsilon`` split so the
+    ``theta + 2 sqrt(e_theta) theta^2 psi_bar / ||psi_bar||`` (norms in the
+    block metrics), with the budgets ``e_mu + e_theta = eps`` split so the
     composed move maximizes the joint linearized gain.  A block whose gradient
-    norm falls below ``1e-10`` is left unchanged and cedes its budget; if both
-    are degenerate the step has no informative direction and
-    :class:`DegenerateUpdate` is raised.
+    norm falls below ``1e-10`` is left unchanged and cedes its budget.
+
+    Returns ``(mu_new, theta_new, moved, backtracked)``: ``moved`` is False
+    when neither block has an informative direction (the update is then
+    degenerate), ``backtracked`` when the scale step was shortened to keep
+    every scale at or above ``theta_min``.
     """
-    eps_mu, eps_theta = _performance_budget_split(dist, stats, config.epsilon)
-    if eps_mu == 0.0 and math.sqrt(
-        float(np.sum(stats.psi_bar**2 * dist.theta**2))
-    ) < DEGENERATE_NORM:
-        raise DegenerateUpdate("both value gradients are numerically zero")
-    mu_new = dist.mu
-    theta_new = dist.theta
+    eps_mu, eps_theta = _performance_budget_split(dist, stats, eps)
+    mu_new, theta_new = dist.mu, dist.theta
+    mu_moved = theta_moved = backtracked = False
     if eps_mu > 0.0:
-        mu_new, _ = _mu_performance_block(dist, stats.u_bar, eps_mu)
+        mu_new, mu_moved = _mu_performance_block(dist, stats.u_bar, eps_mu)
     if eps_theta > 0.0:
-        theta_new, _, _ = _theta_performance_block(
-            dist, stats.psi_bar, eps_theta, config.theta_min
+        theta_new, theta_moved, backtracked = _theta_performance_block(
+            dist, stats.psi_bar, eps_theta, theta_min
         )
-    return dist.with_params(mu=mu_new, theta=theta_new)
+    return mu_new, theta_new, mu_moved or theta_moved, backtracked
 
 
 # ---------------------------------------------------------------------------
 # convergence step, mean block
 
 
-def _solve_mu_block(dist, target, stats, eps, v_lower, tol=CASE_TOL):
+def solve_mu_block(dist, target, stats, eps, v_lower, tol=CASE_TOL):
     """Minimize the (quadratic) distance to the target mean inside the trust
     region, subject to the linearized performance constraint.
 
@@ -327,35 +313,11 @@ def _solve_mu_block(dist, target, stats, eps, v_lower, tol=CASE_TOL):
     return np.asarray(mu_new, dtype=float), MultiplierSolution(lam1, lam2, case)
 
 
-def solve_mu_multipliers(
-    stats: CurriculumStats,
-    dist: ContextDistribution,
-    target: TargetSpec,
-    config: CurriculumConfig,
-) -> MultiplierSolution:
-    """Multipliers of the mean convergence block at the configured radius."""
-    _, solution = _solve_mu_block(dist, target, stats, config.epsilon, config.v_lower)
-    return solution
-
-
-def convergence_mu_step(
-    dist: ContextDistribution,
-    stats: CurriculumStats,
-    target: TargetSpec,
-    config: CurriculumConfig,
-) -> np.ndarray:
-    """New mean of the convergence step: ``mu + (mu_tilde - mu + lambda_1
-    u_bar) / lambda_2``; exactly the target mean when both constraints are
-    inactive."""
-    mu_new, _ = _solve_mu_block(dist, target, stats, config.epsilon, config.v_lower)
-    return mu_new
-
-
 # ---------------------------------------------------------------------------
 # convergence step, scale block
 
 
-def _solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
+def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
     """Descend the KL-to-target gradient in ``theta`` inside the trust region,
     subject to the linearized performance constraint.
 
@@ -432,13 +394,15 @@ def _solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
                 # point is the metric projection of the center onto the face.
                 lam3 = inner_po / norm_psi_sq
                 residual = omega - lam3 * psi
-                colinear = math.sqrt(float(np.sum(residual**2 * h_inv))) <= 1e-9 * max(
-                    norm_om, 1.0
-                )
+                residual_sq = float(np.sum(residual**2 * h_inv))
+                colinear = math.sqrt(residual_sq) <= 1e-9 * max(norm_om, 1.0)
                 if lam3 >= -slack and colinear:
                     consider(theta - b * h_inv * psi / norm_psi_sq, lam3, 0.0, PERF_ACTIVE)
                 denom = 4.0 * eps * norm_psi_sq - b * b
-                numer = max(norm_om_sq * norm_psi_sq - inner_po**2, 0.0)
+                # ||omega||^2 ||psi||^2 - <psi, omega>^2 written through the
+                # residual: the difference form cancels when omega is nearly
+                # parallel to psi_bar, and the ball then misses eps.
+                numer = norm_psi_sq * residual_sq
                 if denom > 0.0:
                     lam4 = math.sqrt(numer / denom)
                     if lam4 > DEGENERATE_NORM:
@@ -469,28 +433,6 @@ def _solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
     if jump_feasible(tol) and kl_score(ones) <= kl_score(theta_new):
         return ones, MultiplierSolution(0.0, 0.0, BOTH_INACTIVE), False
     return theta_new, MultiplierSolution(lam3, lam4, case), backtracked
-
-
-def solve_theta_multipliers(
-    stats: CurriculumStats, dist: ContextDistribution, config: CurriculumConfig
-) -> MultiplierSolution:
-    """Multipliers of the scale convergence block at the configured radius."""
-    _, solution, _ = _solve_theta_block(
-        dist, stats, config.epsilon, config.v_lower, config.theta_min
-    )
-    return solution
-
-
-def convergence_theta_step(
-    dist: ContextDistribution, stats: CurriculumStats, config: CurriculumConfig
-) -> np.ndarray:
-    """New scales of the convergence step: all ones when both constraints are
-    inactive, otherwise ``theta + H^-1 (lambda_3 psi_bar - omega) / lambda_4``
-    with positivity backtracking."""
-    theta_new, _, _ = _solve_theta_block(
-        dist, stats, config.epsilon, config.v_lower, config.theta_min
-    )
-    return theta_new
 
 
 # ---------------------------------------------------------------------------
@@ -596,44 +538,6 @@ def _backtrack_joint_kl(dist, mu_new, theta_new, eps):
     return candidate, kl_between(candidate, dist), True
 
 
-def _reweighted_stats(batch, mid_dist, target, standardize):
-    """Batch statistics against an intermediate distribution, with values
-    importance-reweighted from the generating distribution."""
-    contexts = batch.contexts()
-    values = batch.values() * importance_ratio(mid_dist, batch.source_distribution, contexts)
-    theta = mid_dist.theta
-    sigma = mid_dist.target.sigma_tilde_diag
-    delta = contexts - mid_dist.mu
-
-    grad_values = values
-    v_bar = float(np.mean(values))
-    if standardize:
-        std = float(np.std(values))
-        grad_values = (values - v_bar) / (std if std > 0.0 else 1.0)
-
-    u_bar = np.mean(grad_values[:, None] * delta, axis=0)
-    psi_bar = 0.5 * np.mean(
-        grad_values[:, None] * (delta**2 / (theta**2 * sigma) - 1.0 / theta), axis=0
-    )
-    h_diag = 1.0 / theta**2
-    om_delta = target.mu_tilde - mid_dist.mu
-    omega = 0.5 * (1.0 / theta - 1.0 / theta**2 - om_delta**2 / (theta**2 * sigma))
-    return CurriculumStats(u_bar=u_bar, v_bar=v_bar, psi_bar=psi_bar, h_diag=h_diag, omega=omega)
-
-
-def _performance_phase(dist, stats, eps, theta_min):
-    eps_mu, eps_theta = _performance_budget_split(dist, stats, eps)
-    mu_new, theta_new = dist.mu, dist.theta
-    mu_moved = theta_moved = backtracked = False
-    if eps_mu > 0.0:
-        mu_new, mu_moved = _mu_performance_block(dist, stats.u_bar, eps_mu)
-    if eps_theta > 0.0:
-        theta_new, theta_moved, backtracked = _theta_performance_block(
-            dist, stats.psi_bar, eps_theta, theta_min
-        )
-    return mu_new, theta_new, mu_moved or theta_moved, backtracked
-
-
 def _convergence_budget_split(dist, target, stats, eps):
     """Mean share of the joint radius for the convergence step.
 
@@ -659,13 +563,11 @@ def _convergence_phase(dist, target, stats, eps, v_lower, theta_min):
     block receives everything the mean block did not spend (jump cases leave
     most of it)."""
     eps_mu = max(_convergence_budget_split(dist, target, stats, eps), 1e-6 * eps)
-    mu_new, mu_sol = _solve_mu_block(dist, target, stats, eps_mu, v_lower)
+    mu_new, mu_sol = solve_mu_block(dist, target, stats, eps_mu, v_lower)
     precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
     spent = 0.5 * float(np.sum((mu_new - dist.mu) ** 2 * precision))
     eps_theta = max(eps - spent, 1e-18)
-    theta_new, theta_sol, backtracked = _solve_theta_block(
-        dist, stats, eps_theta, v_lower, theta_min
-    )
+    theta_new, theta_sol, backtracked = solve_theta_block(dist, stats, eps_theta, v_lower, theta_min)
     return mu_new, theta_new, mu_sol, theta_sol, backtracked
 
 
@@ -686,20 +588,14 @@ def update(
     expansion undershot the true divergence).  A degenerate performance step
     leaves the distribution unchanged and flags the report.
     """
-    stats = compute_stats(batch, dist, target, config.standardize_values)
+    stats = compute_stats(batch, dist, target)
     kl_before = kl_to_target(dist)
-
-    n_phases = 2 if config.combined_step and should_run_performance_step(stats, config) else 1
-    phase_eps = config.epsilon / n_phases
-
     mu_sol = theta_sol = None
-    degenerate = False
-    theta_backtracked = False
 
     if should_run_performance_step(stats, config):
         kind = "performance"
-        mu_new, theta_new, moved, theta_backtracked = _performance_phase(
-            dist, stats, phase_eps, config.theta_min
+        mu_new, theta_new, moved, theta_backtracked = performance_step(
+            dist, stats, config.epsilon, config.theta_min
         )
         if not moved:
             report = UpdateReport(
@@ -715,15 +611,6 @@ def update(
                 trust_region_backtracked=False,
             )
             return dist, report
-        if n_phases == 2:
-            mid = dist.with_params(mu=mu_new, theta=theta_new)
-            mid_stats = _reweighted_stats(batch, mid, target, config.standardize_values)
-            if not should_run_performance_step(mid_stats, config):
-                m2, t2, mu_sol, theta_sol, bt2 = _convergence_phase(
-                    mid, target, mid_stats, phase_eps, config.v_lower, config.theta_min
-                )
-                mu_new, theta_new = m2, t2
-                theta_backtracked = theta_backtracked or bt2
     else:
         kind = "convergence"
         mu_new, theta_new, mu_sol, theta_sol, theta_backtracked = _convergence_phase(
@@ -736,7 +623,7 @@ def update(
 
     report = UpdateReport(
         kind=kind,
-        degenerate=degenerate,
+        degenerate=False,
         mu_solution=mu_sol,
         theta_solution=theta_sol,
         kl_step=kl_step,

@@ -19,13 +19,13 @@ import numpy as np
 
 from .gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between, kl_to_target
 from .oracle import LinearizedSubproblem, numerical_update, solve_numeric
-from .stats import ContextRollout, CurriculumStats, RolloutBatch, compute_geometry_stats, compute_value_stats
+from .stats import ContextRollout, CurriculumStats, RolloutBatch, compute_stats
 from .update import (
     BOTH_INACTIVE,
     CurriculumConfig,
-    _solve_mu_block,
-    _solve_theta_block,
     mu_kkt_residuals,
+    solve_mu_block,
+    solve_theta_block,
     theta_kkt_residuals,
     update,
 )
@@ -122,12 +122,11 @@ def _rel_scalar_error(candidate, reference):
     return abs(candidate - reference) / max(1.0, abs(reference))
 
 
-def _make_stats(d, u_bar=None, v_bar=0.0, psi_bar=None, h_diag=None, omega=None):
+def _make_stats(d, u_bar=None, v_bar=0.0, psi_bar=None, omega=None):
     return CurriculumStats(
         u_bar=np.zeros(d) if u_bar is None else u_bar,
         v_bar=v_bar,
         psi_bar=np.zeros(d) if psi_bar is None else psi_bar,
-        h_diag=np.ones(d) if h_diag is None else h_diag,
         omega=np.zeros(d) if omega is None else omega,
     )
 
@@ -234,7 +233,7 @@ def run_oracle_suite(
             if b + math.sqrt(2.0 * eps * float(np.sum(u_bar**2 * precision))) >= 1e-8:
                 break
         stats = _make_stats(d, u_bar=u_bar, v_bar=b)
-        mu_new, mu_sol = _solve_mu_block(dist, target, stats, eps, 0.0)
+        mu_new, mu_sol = solve_mu_block(dist, target, stats, eps, 0.0)
         mu_new = _perturbed(mu_new, perturb, rng)
         counts[f"mu:{mu_sol.active_case}"] += 1
         oracle = solve_numeric(
@@ -275,8 +274,8 @@ def run_oracle_suite(
                 break
         else:
             continue
-        stats = _make_stats(d, psi_bar=psi_bar, v_bar=b, h_diag=h_diag, omega=omega)
-        theta_new, th_sol, backtracked = _solve_theta_block(dist, stats, eps, 0.0, 1e-12)
+        stats = _make_stats(d, psi_bar=psi_bar, v_bar=b, omega=omega)
+        theta_new, th_sol, backtracked = solve_theta_block(dist, stats, eps, 0.0, 1e-12)
         if th_sol.active_case == BOTH_INACTIVE or backtracked:
             continue
         theta_new = _perturbed(theta_new, perturb, rng)
@@ -345,8 +344,9 @@ def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
             candidate = dist.with_params(mu=mu, theta=theta)
             return float(np.mean(values * importance_ratio(candidate, dist, contexts)))
 
-        u_bar, _, psi_bar = compute_value_stats(batch, dist)
-        h_diag, omega = compute_geometry_stats(dist, dist.target)
+        stats = compute_stats(batch, dist, dist.target)
+        u_bar, psi_bar, omega = stats.u_bar, stats.psi_bar, stats.omega
+        h_diag = 1.0 / dist.theta**2
         precision = 1.0 / dist.covariance_diag()
 
         checks = []

@@ -25,16 +25,15 @@ from spgl.config import load_config, preset_path
 from spgl.gaussian import ContextDistribution, TargetSpec
 from spgl.harness import evaluate_run, run_training, verify
 from spgl.oracle import InfeasibleSubproblem, LinearizedSubproblem, solve_numeric
-from spgl.stats import CurriculumStats
+from spgl.stats import ContextRollout, CurriculumStats, RolloutBatch
 from spgl.update import (
     BOTH_INACTIVE,
     CurriculumConfig,
-    DegenerateUpdate,
     InfeasiblePerformanceConstraint,
-    convergence_theta_step,
     performance_step,
-    solve_mu_multipliers,
-    solve_theta_multipliers,
+    solve_mu_block,
+    solve_theta_block,
+    update,
 )
 
 
@@ -49,7 +48,6 @@ def make_stats(d, **kw):
         u_bar=kw.get("u_bar", np.zeros(d)),
         v_bar=kw.get("v_bar", 0.0),
         psi_bar=kw.get("psi_bar", np.zeros(d)),
-        h_diag=kw.get("h_diag", np.ones(d)),
         omega=kw.get("omega", np.zeros(d)),
     )
 
@@ -207,23 +205,33 @@ def test_criterion_7_byte_identical_csv(tmp_path):
 def test_criterion_8_degenerate_cases():
     checks = []
 
-    # zero value gradient leaves the mean unmoved; both gradients zero raise
+    # zero value gradient leaves the mean unmoved; with both gradients zero
+    # nothing moves and the update is a flagged no-op
     target = TargetSpec(mu_tilde=np.zeros(1), sigma_tilde_diag=np.ones(1))
     dist = ContextDistribution(mu=np.array([0.4]), theta=np.array([1.0]), target=target)
-    config = CurriculumConfig(epsilon=0.05, v_lower=10.0)
-    stepped = performance_step(dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([-0.5])), config)
-    checks.append(("u-guard", stepped.mu[0] == 0.4))
-    try:
-        performance_step(dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([1e-12])), config)
-        checks.append(("degenerate-raise", False))
-    except DegenerateUpdate:
-        checks.append(("degenerate-raise", True))
+    mu, _, _, _ = performance_step(
+        dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([-0.5])), 0.05, 1e-6
+    )
+    checks.append(("u-guard", mu[0] == 0.4))
+    _, _, moved, _ = performance_step(
+        dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([1e-12])), 0.05, 1e-6
+    )
+    flat = RolloutBatch(
+        rollouts=tuple(
+            ContextRollout(context=np.array([c]), value_estimate=0.0, episode_length=1, success=False)
+            for c in (0.9, -0.1)
+        ),
+        source_distribution=dist,
+    )
+    unchanged, flat_report = update(dist, flat, target, CurriculumConfig(epsilon=0.05, v_lower=10.0))
+    checks.append(
+        ("degenerate-no-op", moved is False and unchanged is dist and flat_report.degenerate)
+    )
 
     # omega = 0 at the target: the scale step is the identity
     at_target = ContextDistribution.at_target(target)
-    config_c = CurriculumConfig(epsilon=0.05, v_lower=0.0)
-    theta_new = convergence_theta_step(
-        at_target, make_stats(1, v_bar=10.0, psi_bar=np.array([0.3])), config_c
+    theta_new, _, _ = solve_theta_block(
+        at_target, make_stats(1, v_bar=10.0, psi_bar=np.array([0.3])), 0.05, 0.0, 1e-6
     )
     checks.append(("omega-zero-identity", bool(np.array_equal(theta_new, at_target.theta))))
 
@@ -231,15 +239,10 @@ def test_criterion_8_degenerate_cases():
     near = ContextDistribution(mu=np.array([0.05]), theta=np.array([0.97]), target=target)
     stats_near = make_stats(
         1, v_bar=50.0, u_bar=np.array([0.2]), psi_bar=np.array([0.1]),
-        h_diag=1.0 / near.theta**2,
         omega=0.5 * (1.0 / near.theta - 1.0 / near.theta**2 - (target.mu_tilde - near.mu) ** 2 / near.theta**2),
     )
-    mu_sol = solve_mu_multipliers(stats_near, near, target, config_c)
-    theta_sol = solve_theta_multipliers(stats_near, near, config_c)
-    from spgl.update import convergence_mu_step
-
-    mu_new = convergence_mu_step(near, stats_near, target, config_c)
-    theta_jump = convergence_theta_step(near, stats_near, config_c)
+    mu_new, mu_sol = solve_mu_block(near, target, stats_near, 0.05, 0.0)
+    theta_jump, theta_sol, _ = solve_theta_block(near, stats_near, 0.05, 0.0, 1e-6)
     checks.append(
         (
             "both-inactive-jump",
@@ -252,19 +255,18 @@ def test_criterion_8_degenerate_cases():
 
     # positivity backtracking keeps the floor and the direction
     low = ContextDistribution(mu=np.zeros(1), theta=np.array([0.02]), target=target)
-    config_floor = CurriculumConfig(epsilon=0.2, v_lower=10.0, theta_min=0.01)
-    stepped = performance_step(low, make_stats(1, psi_bar=np.array([-1.0]), h_diag=1.0 / low.theta**2), config_floor)
-    checks.append(("theta-floor", stepped.theta[0] == pytest.approx(0.01, abs=1e-15)))
+    _, theta_floor, _, _ = performance_step(low, make_stats(1, psi_bar=np.array([-1.0])), 0.2, 0.01)
+    checks.append(("theta-floor", theta_floor[0] == pytest.approx(0.01, abs=1e-15)))
 
     # infeasible performance constraint is reported, closed form and oracle
     infeasible_stats = make_stats(1, v_bar=-100.0, u_bar=np.array([1e-4]), psi_bar=np.array([1e-4]), omega=np.array([0.3]))
     try:
-        solve_mu_multipliers(infeasible_stats, dist, target, CurriculumConfig(epsilon=0.01, v_lower=0.0))
+        solve_mu_block(dist, target, infeasible_stats, 0.01, 0.0)
         checks.append(("mu-infeasible", False))
     except InfeasiblePerformanceConstraint:
         checks.append(("mu-infeasible", True))
     try:
-        solve_theta_multipliers(infeasible_stats, dist, CurriculumConfig(epsilon=0.01, v_lower=0.0))
+        solve_theta_block(dist, infeasible_stats, 0.01, 0.0, 1e-6)
         checks.append(("theta-infeasible", False))
     except InfeasiblePerformanceConstraint:
         checks.append(("theta-infeasible", True))

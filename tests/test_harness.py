@@ -87,6 +87,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.ini")
 
+    @pytest.mark.parametrize("key", ["standardize_values", "combined_step"])
+    def test_removed_curriculum_keys_rejected(self, tmp_path, key):
+        path = tmp_path / "old.ini"
+        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        path.write_text(text.replace("[evaluation]", f"{key} = false\n\n[evaluation]"))
+        with pytest.raises(ConfigError, match=rf"\[curriculum\] {key} is no longer supported"):
+            load_config(path)
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(

@@ -1,19 +1,17 @@
 """Batch-statistic tests.  The gradient statistics are normative: each one is
 checked with central finite differences against the objective it linearizes
-(importance-weighted batch value for u_bar/psi_bar, KL-to-target for omega,
-step KL for the curvature h)."""
+(importance-weighted batch value for u_bar/psi_bar, KL-to-target for omega),
+and the scale-block curvature ``h = 1/theta^2`` that the update solves with is
+checked against the step KL."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from spgl.gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between, kl_to_target
-from spgl.stats import (
-    ContextRollout,
-    RolloutBatch,
-    compute_geometry_stats,
-    compute_stats,
-    compute_value_stats,
-)
+from spgl.stats import ContextRollout, RolloutBatch, compute_stats
+from spgl.update import performance_step
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -69,47 +67,39 @@ class TestValueStats:
     def test_hand_example(self):
         dist = make_dist([0.0], [1.0])
         batch = make_batch(dist, [[1.0], [-1.0]], [2.0, 1.0])
-        u_bar, v_bar, _ = compute_value_stats(batch, dist)
-        assert u_bar[0] == pytest.approx(0.5)
-        assert v_bar == pytest.approx(1.5)
+        stats = compute_stats(batch, dist, dist.target)
+        assert stats.u_bar[0] == pytest.approx(0.5)
+        assert stats.v_bar == pytest.approx(1.5)
 
     def test_symmetric_contexts_cancel(self):
         dist = make_dist([0.5, -1.0], [1.0, 2.0])
         offsets = np.array([[0.3, -0.7], [-0.3, 0.7]])
         batch = make_batch(dist, dist.mu + offsets, [2.0, 2.0])
-        u_bar, _, _ = compute_value_stats(batch, dist)
-        assert np.allclose(u_bar, 0.0, atol=1e-15)
+        stats = compute_stats(batch, dist, dist.target)
+        assert np.allclose(stats.u_bar, 0.0, atol=1e-15)
 
     def test_psi_bar_single_context_value(self):
         # duplicated context keeps the batch size valid without changing the
         # mean statistics
         dist = make_dist([0.0], [1.0])
         batch = make_batch(dist, [[0.0], [0.0]], [1.0, 1.0])
-        _, _, psi_bar = compute_value_stats(batch, dist)
-        assert psi_bar[0] == pytest.approx(-0.5)
+        stats = compute_stats(batch, dist, dist.target)
+        assert stats.psi_bar[0] == pytest.approx(-0.5)
 
     def test_snapshot_mismatch_rejected(self):
         dist = make_dist([0.0], [1.0])
         batch = make_batch(dist, [[0.1], [0.2]], [1.0, 2.0])
         other = dist.with_params(mu=np.array([0.5]))
         with pytest.raises(ValueError):
-            compute_value_stats(batch, other)
-
-    def test_standardize_flag_keeps_v_bar_raw(self):
-        dist = make_dist([0.0], [1.0])
-        batch = make_batch(dist, [[1.0], [-1.0]], [2.0, 1.0])
-        u_raw, v_raw, _ = compute_value_stats(batch, dist)
-        u_std, v_std, _ = compute_value_stats(batch, dist, standardize_values=True)
-        assert v_std == v_raw
-        assert not np.allclose(u_std, u_raw)
+            compute_stats(batch, other, other.target)
 
     def test_bit_reproducible(self):
         rng = np.random.default_rng(11)
         dist, batch = random_instance(rng, 3)
-        first = compute_value_stats(batch, dist)
-        second = compute_value_stats(batch, dist)
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
+        first = compute_stats(batch, dist, dist.target)
+        second = compute_stats(batch, dist, dist.target)
+        for name in ("u_bar", "v_bar", "psi_bar", "omega"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_batch_requires_two_rollouts(self):
         dist = make_dist([0.0], [1.0])
@@ -119,21 +109,25 @@ class TestValueStats:
 
 class TestGeometryStats:
     def test_unit_curvature(self):
+        # at theta = 1 the scale ball is Euclidean with radius 2 sqrt(eps),
+        # whatever the target variance
         dist = make_dist([0.0], [1.0], sigma=[0.37])
-        h_diag, _ = compute_geometry_stats(dist, dist.target)
-        assert h_diag[0] == pytest.approx(1.0)
+        stats = compute_stats(make_batch(dist, [[0.0], [0.0]], [1.0, 1.0]), dist, dist.target)
+        _, theta, _, _ = performance_step(dist, stats, 0.01, 1e-6)
+        assert theta[0] == pytest.approx(1.0 - 2.0 * 0.1, abs=1e-12)
 
     def test_omega_zero_at_target(self):
         target = TargetSpec(mu_tilde=np.array([1.0, -2.0]), sigma_tilde_diag=np.array([0.5, 2.0]))
         dist = ContextDistribution.at_target(target)
-        _, omega = compute_geometry_stats(dist, target)
+        batch = make_batch(dist, [[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
+        omega = compute_stats(batch, dist, target).omega
         assert np.allclose(omega, 0.0, atol=1e-15)
 
     def test_omega_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            dist, _ = random_instance(rng, 2)
-            _, omega = compute_geometry_stats(dist, dist.target)
+            dist, batch = random_instance(rng, 2)
+            omega = compute_stats(batch, dist, dist.target).omega
             fd = np.zeros(dist.d)
             for j in range(dist.d):
                 bump = np.zeros(dist.d)
@@ -149,7 +143,7 @@ class TestGradientConsistency:
         rng = np.random.default_rng(13)
         for _ in range(10):
             dist, batch = random_instance(rng, 3)
-            u_bar, _, _ = compute_value_stats(batch, dist)
+            u_bar = compute_stats(batch, dist, dist.target).u_bar
             precision = 1.0 / dist.covariance_diag()
             analytic = precision * u_bar
             fd = np.zeros(dist.d)
@@ -165,7 +159,7 @@ class TestGradientConsistency:
         rng = np.random.default_rng(14)
         for _ in range(10):
             dist, batch = random_instance(rng, 3)
-            _, _, psi_bar = compute_value_stats(batch, dist)
+            psi_bar = compute_stats(batch, dist, dist.target).psi_bar
             fd = np.zeros(dist.d)
             for j in range(dist.d):
                 bump = np.zeros(dist.d)
@@ -176,27 +170,17 @@ class TestGradientConsistency:
             assert np.linalg.norm(psi_bar - fd) <= FD_RTOL * max(np.linalg.norm(fd), 1e-8)
 
     def test_h_matches_step_kl_to_second_order(self):
+        # the scale block steps to the model ball 0.25 * sum(h * delta^2) = eps;
+        # the true step KL must agree with it to second order
         rng = np.random.default_rng(15)
         for _ in range(10):
-            dist, _ = random_instance(rng, 3)
-            h_diag, _ = compute_geometry_stats(dist, dist.target)
-            direction = rng.normal(size=dist.d)
-            direction /= np.linalg.norm(direction)
-            for norm in (1e-2, 1e-3):
-                delta = norm * direction
-                model = 0.25 * float(np.sum(delta**2 * h_diag))
-                actual = kl_between(dist.with_params(theta=dist.theta + delta), dist)
-                assert abs(model - actual) <= 10.0 * norm * max(actual, 1e-12)
-
-    def test_stats_bundle_matches_parts(self):
-        rng = np.random.default_rng(16)
-        dist, batch = random_instance(rng, 2)
-        stats = compute_stats(batch, dist, dist.target)
-        u_bar, v_bar, psi_bar = compute_value_stats(batch, dist)
-        h_diag, omega = compute_geometry_stats(dist, dist.target)
-        assert np.array_equal(stats.u_bar, u_bar)
-        assert stats.v_bar == v_bar
-        assert np.array_equal(stats.psi_bar, psi_bar)
-        assert np.array_equal(stats.h_diag, h_diag)
-        assert np.array_equal(stats.omega, omega)
-        assert np.array_equal(stats.h_matrix, np.diag(h_diag))
+            dist, batch = random_instance(rng, 3)
+            stats = dataclasses.replace(
+                compute_stats(batch, dist, dist.target), u_bar=np.zeros(dist.d)
+            )
+            for eps in (1e-4, 1e-6):
+                _, theta, moved, _ = performance_step(dist, stats, eps, 1e-9)
+                rel_step = float(np.max(np.abs(theta / dist.theta - 1.0)))
+                actual = kl_between(dist.with_params(theta=theta), dist)
+                assert moved
+                assert abs(actual - eps) <= 10.0 * rel_step * eps
