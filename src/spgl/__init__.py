@@ -16,9 +16,9 @@ from .gaussian import (
     log_density,
     sample,
 )
-from .learner import LearnerConfig, PolicyParameters, improve, rollout
+from .learner import Episodes, LearnerConfig, PolicyParameters, collect_rollouts, improve
 from .oracle import LinearizedSubproblem, solve_exact_sampled, solve_numeric
-from .stats import ContextRollout, CurriculumStats, RolloutBatch, compute_stats
+from .stats import CurriculumStats, RolloutBatch, compute_stats
 from .update import (
     CurriculumConfig,
     InfeasiblePerformanceConstraint,

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--warnings-as-errors",
         action="store_true",
-        help="exit 3 when degenerate curriculum updates occurred",
+        help="exit 3 when degenerate or failed curriculum updates occurred",
     )
 
     ev = sub.add_parser("eval", help="evaluate a saved policy on the target distribution")
@@ -147,8 +147,12 @@ def _cmd_train(args) -> int:
             f"final eval: return {ev.mean_return:.3f} +- {ev.return_se:.3f}, "
             f"success {ev.success_rate:.1f}% +- {ev.success_se:.1f}"
         )
-    if args.warnings_as_errors and result.degenerate_updates > 0:
-        print(f"{result.degenerate_updates} degenerate updates occurred", file=sys.stderr)
+    if args.warnings_as_errors and (result.degenerate_updates or result.failed_updates):
+        print(
+            f"{result.degenerate_updates} degenerate and {result.failed_updates} failed "
+            "updates occurred",
+            file=sys.stderr,
+        )
         return EXIT_WARNINGS
     return EXIT_OK
 

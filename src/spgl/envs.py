@@ -7,53 +7,34 @@ Two environments live here:
   ``[gate_position, gate_width, friction]`` parameterizes the wall opening and
   the floor drag.  Crashing into the wall ends the episode; reaching the goal
   pays a bonus.
-* :class:`SyntheticEnv` -- an analytic single-shot environment whose episode
-  return is a known function of the context alone.  It removes policy noise
-  entirely, which makes curriculum behaviour observable in isolation.
+* :class:`SyntheticEnv` -- an analytic one-step environment whose episode
+  return is a known function of the context alone.  It has no actions and no
+  observations, which removes policy noise entirely and makes curriculum
+  behaviour observable in isolation.
 
-All dynamics are pure functions of (state, action, context); the batched
-array API and the scalar API share one code path, so rollouts vectorized
-across contexts are bit-identical to sequential ones.
+Both run ``K`` episodes at once, one row each, behind one batched protocol:
+
+* ``reset(contexts) -> state``, an array of shape ``(K, S)``;
+* ``observe(state) -> observations``, shape ``(K, n)``;
+* ``step(state, actions, t) -> (state, rewards, terminated, success)``.
+
+The context is part of the state, so a caller that stops finished rows masks
+the whole state with a single ``np.where``.  Rows never interact: stepping a
+batch equals stepping each row alone, bit for bit.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EnvState",
     "PointMassEnv",
     "PointMassParams",
-    "StepOutcome",
     "SyntheticEnv",
     "synthetic_value",
 ]
-
-
-@dataclass(frozen=True)
-class EnvState:
-    """Kinematic state of the point mass."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    time_step: int
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one environment transition."""
-
-    state: EnvState
-    reward: float
-    terminated: bool
-    success: bool
-
-    def __post_init__(self):
-        if self.success and not self.terminated:
-            raise ValueError("success implies terminated")
 
 
 @dataclass(frozen=True)
@@ -82,12 +63,12 @@ class PointMassEnv:
 
     The wall sits at ``y = 0`` across the whole arena except the open gate
     interval.  Crossing the wall plane outside the gate terminates the episode
-    with a penalty.  The start and goal are context-independent.
+    with a penalty.  The start and goal are context-independent.  A state row
+    is ``[x, y, vx, vy, *clamped context]``.
     """
 
     context_dim = 3
     action_dim = 2
-    action_independent = False
 
     def __init__(self, params: PointMassParams | None = None, context_visible: bool = False):
         self.params = params or PointMassParams()
@@ -101,7 +82,7 @@ class PointMassEnv:
     def horizon(self) -> int:
         return self.params.horizon
 
-    def clamp_contexts(self, contexts: np.ndarray, warn: bool = True) -> np.ndarray:
+    def clamp_contexts(self, contexts: np.ndarray) -> np.ndarray:
         """Clamp raw context draws to physically meaningful values."""
         contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
         if contexts.shape[-1] != self.context_dim:
@@ -109,59 +90,25 @@ class PointMassEnv:
         clamped = contexts.copy()
         clamped[:, 1] = np.maximum(clamped[:, 1], self.params.min_gate_width)
         clamped[:, 2] = np.maximum(clamped[:, 2], 0.0)
-        if warn and not np.array_equal(clamped, contexts):
-            warnings.warn(
-                "context clamped to physical bounds (gate width, friction)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return clamped
 
-    # -- scalar API -------------------------------------------------------
+    def reset(self, contexts: np.ndarray) -> np.ndarray:
+        """Start states: the fixed start at rest, then the clamped context."""
+        contexts = self.clamp_contexts(contexts)
+        kinematics = np.tile(np.array([*self.params.start, 0.0, 0.0]), (contexts.shape[0], 1))
+        return np.concatenate([kinematics, contexts], axis=1)
 
-    def reset(self, context: np.ndarray, rng=None) -> EnvState:
-        """Start state; identical for every context (the start is fixed)."""
-        self.clamp_contexts(context)
-        return EnvState(
-            position=np.array(self.params.start, dtype=float),
-            velocity=np.zeros(2),
-            time_step=0,
-        )
-
-    def step(self, state: EnvState, action: np.ndarray, context: np.ndarray) -> StepOutcome:
-        """One transition; all inputs are sanitized rather than rejected."""
-        context = self.clamp_contexts(context, warn=False)
-        pos = state.position[None, :].copy()
-        vel = state.velocity[None, :].copy()
-        action = np.asarray(action, dtype=float)[None, :]
-        t = np.array([state.time_step])
-        new_pos, new_vel, reward, terminated, success = self._step_arrays(
-            pos, vel, action, context, t
-        )
-        new_state = EnvState(position=new_pos[0], velocity=new_vel[0], time_step=state.time_step + 1)
-        return StepOutcome(
-            state=new_state,
-            reward=float(reward[0]),
-            terminated=bool(terminated[0]),
-            success=bool(success[0]),
-        )
-
-    def observe(self, state: EnvState, context: np.ndarray) -> np.ndarray:
-        return self.observe_arrays(
-            state.position[None, :], state.velocity[None, :], np.atleast_2d(context)
-        )[0]
-
-    # -- array API (one code path shared with the scalar wrappers) --------
-
-    def observe_arrays(self, positions, velocities, contexts) -> np.ndarray:
+    def observe(self, state: np.ndarray) -> np.ndarray:
         """Policy observations, normalized to O(1) ranges."""
-        parts = [positions / self.params.arena_half_width, velocities / 5.0]
+        parts = [state[:, 0:2] / self.params.arena_half_width, state[:, 2:4] / 5.0]
         if self.context_visible:
-            parts.append(np.atleast_2d(contexts) / np.array([4.0, 4.0, 2.0]))
+            parts.append(state[:, 4:] / np.array([4.0, 4.0, 2.0]))
         return np.concatenate(parts, axis=1)
 
-    def _step_arrays(self, pos, vel, actions, contexts, t):
+    def step(self, state: np.ndarray, actions: np.ndarray, t: int):
+        """One transition of every row; out-of-range actions are clipped."""
         p = self.params
+        pos, vel, contexts = state[:, 0:2], state[:, 2:4], state[:, 4:]
         actions = np.clip(actions, -p.action_limit, p.action_limit)
         friction = contexts[:, 2:3]
         new_vel = vel + p.dt * (actions - friction * vel)
@@ -194,7 +141,7 @@ class PointMassEnv:
             + np.where(crash, p.crash_penalty, 0.0)
         )
         terminated = crash | success | (t + 1 >= p.horizon)
-        return new_pos, new_vel, reward, terminated, success
+        return np.concatenate([new_pos, new_vel, contexts], axis=1), reward, terminated, success
 
 
 def synthetic_value(context, difficulty_center, width: float, peak: float = 10.0) -> float:
@@ -211,12 +158,13 @@ def synthetic_value(context, difficulty_center, width: float, peak: float = 10.0
 
 
 class SyntheticEnv:
-    """Analytic environment: the episode return is a known bump function of
-    the context, independent of any action.  An episode counts as a success
-    when its return reaches half the peak."""
+    """Analytic one-step environment: the episode return is a known bump
+    function of the context, and there is nothing to act on or observe.  An
+    episode counts as a success when its return reaches half the peak.  A
+    state row is the context itself."""
 
-    action_independent = True
-    action_dim = 2
+    action_dim = 0
+    observation_dim = 0
     horizon = 1
 
     def __init__(self, difficulty_center, width: float, peak: float = 10.0):
@@ -233,13 +181,16 @@ class SyntheticEnv:
         return self.difficulty_center.size
 
     @property
-    def observation_dim(self) -> int:
-        # no interactive state; a constant placeholder observation
-        return 1
-
-    @property
     def success_threshold(self) -> float:
         return 0.5 * self.peak
 
-    def value(self, context) -> float:
-        return synthetic_value(context, self.difficulty_center, self.width, self.peak)
+    def reset(self, contexts: np.ndarray) -> np.ndarray:
+        return np.atleast_2d(np.asarray(contexts, dtype=float))
+
+    def observe(self, state: np.ndarray) -> np.ndarray:
+        return np.zeros((state.shape[0], 0))
+
+    def step(self, state: np.ndarray, actions: np.ndarray, t: int):
+        values = synthetic_value(state, self.difficulty_center, self.width, self.peak)
+        done = np.ones(state.shape[0], dtype=bool)
+        return state, values, done, values >= self.success_threshold

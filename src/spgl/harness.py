@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .config import ConfigError, ExperimentConfig
+from .config import CURRICULUM_MODES, ConfigError, ExperimentConfig
 from .gaussian import ContextDistribution, kl_to_target, sample
 from .learner import LearnerConfig, collect_rollouts, improve, init_policy
 from .oracle import numerical_update
 from .stats import RolloutBatch
-from .update import update
+from .update import CurriculumError, update
 from .verification import VerifyReport, run_fd_suite, run_oracle_suite, run_timing_suite
 
 __all__ = [
@@ -60,6 +60,7 @@ class TrainingResult:
     policy: object
     distribution: ContextDistribution
     degenerate_updates: int
+    failed_updates: int
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,10 @@ def run_training(
     ``curriculum_mode`` overrides the config's mode: ``default`` always
     samples from the target and never updates, ``spgl`` applies the
     closed-form update, ``numerical`` the exact-solver baseline.
+
+    An update that raises :class:`~spgl.update.CurriculumError` keeps the
+    distribution, warns, and is recorded with step kind ``failed``, so one
+    bad update never loses the run.
     """
     if not config.runnable:
         raise ConfigError(
@@ -114,6 +119,8 @@ def run_training(
             "(its environment needs an external engine)"
         )
     mode = curriculum_mode or config.curriculum_mode
+    if mode not in CURRICULUM_MODES:
+        raise ConfigError(f"unknown curriculum mode '{mode}'")
     env = config.make_environment()
     if env.context_dim != config.target.d:
         raise ConfigError("environment context dimension does not match the target spec")
@@ -128,29 +135,38 @@ def run_training(
     context_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
     records = []
-    degenerate = 0
+    degenerate = failed = 0
     for i in range(1, config.iterations + 1):
         contexts = sample(dist, context_rng, config.curriculum.k_contexts)
-        rollouts = collect_rollouts(policy, env, contexts, config.learner, seed, i)
-        batch = RolloutBatch(rollouts=tuple(rollouts), source_distribution=dist)
-        policy = improve(policy, batch, config.learner)
+        episodes = collect_rollouts(policy, env, contexts, config.learner, seed, i)
+        batch = RolloutBatch(episodes.contexts, episodes.values, dist)
+        policy = improve(policy, episodes, config.learner)
 
         if i % config.curriculum.update_period == 0:
-            if mode == "spgl":
-                dist, report = update(dist, batch, target, config.curriculum)
-                step_kind, active_case, kl_step = report.kind, report.active_case, report.kl_step
-                degenerate += int(report.degenerate)
-            elif mode == "numerical":
-                dist, report = numerical_update(
-                    dist, batch, target, config.curriculum, seed=seed + i
-                )
-                step_kind, active_case, kl_step = report.kind, report.active_case, report.kl_step
-            else:
+            if mode == "default":
                 step_kind, active_case, kl_step = "default", "-", 0.0
+            else:
+                try:
+                    if mode == "spgl":
+                        dist, report = update(dist, batch, target, config.curriculum)
+                    else:
+                        dist, report = numerical_update(
+                            dist, batch, target, config.curriculum, seed=seed + i
+                        )
+                except CurriculumError as exc:
+                    warnings.warn(
+                        f"curriculum update failed at iteration {i}, distribution kept: {exc}",
+                        RuntimeWarning,
+                    )
+                    failed += 1
+                    step_kind, active_case, kl_step = "failed", "-", 0.0
+                else:
+                    step_kind, active_case, kl_step = report.kind, report.active_case, report.kl_step
+                    degenerate += int(report.degenerate)
             record = IterationRecord(
                 iteration=i,
-                mean_return=float(np.mean(batch.values())),
-                success_rate=batch.success_rate(),
+                mean_return=float(np.mean(batch.values)),
+                success_rate=100.0 * np.count_nonzero(episodes.successes) / len(episodes.successes),
                 kl_to_target=kl_to_target(dist),
                 kl_step=kl_step,
                 step_kind=step_kind,
@@ -163,7 +179,11 @@ def run_training(
                 progress(record)
 
     return TrainingResult(
-        records=tuple(records), policy=policy, distribution=dist, degenerate_updates=degenerate
+        records=tuple(records),
+        policy=policy,
+        distribution=dist,
+        degenerate_updates=degenerate,
+        failed_updates=failed,
     )
 
 
@@ -188,11 +208,11 @@ def evaluate(
     target_dist = ContextDistribution.at_target(target)
     contexts = sample(target_dist, rng, n_episodes)
     eval_seed = int(rng.integers(2**31))
-    rollouts = collect_rollouts(
+    episodes = collect_rollouts(
         policy, env, contexts, learner_config, eval_seed, 0, deterministic=deterministic
     )
-    returns = np.array([r.value_estimate for r in rollouts])
-    successes = np.array([100.0 * r.success for r in rollouts])
+    returns = episodes.values
+    successes = 100.0 * episodes.successes
     if n_episodes == 1:
         warnings.warn("single-episode evaluation; standard errors are zero", RuntimeWarning)
         return EvalResult(float(returns[0]), float(successes[0]), 0.0, 0.0)

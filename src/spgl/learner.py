@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stats import ContextRollout, Trajectory
-
 __all__ = [
+    "Episodes",
     "LearnerConfig",
     "PolicyParameters",
     "collect_rollouts",
@@ -26,7 +25,6 @@ __all__ = [
     "load_policy",
     "policy_features",
     "policy_log_prob",
-    "rollout",
     "save_policy",
 ]
 
@@ -78,19 +76,12 @@ def feature_dim(observation_dim: int) -> int:
 
 
 def policy_features(observations: np.ndarray) -> np.ndarray:
-    """Degree-<=2 polynomial features: constant, linear and pairwise terms.
-
-    Accepts ``(n,)`` or ``(k, n)`` observations; returns ``(F,)`` or ``(k, F)``.
-    """
-    obs = np.atleast_2d(np.asarray(observations, dtype=float))
+    """Degree-<=2 polynomial features of ``(k, n)`` observations: constant,
+    linear and pairwise terms, shape ``(k, F)``."""
+    obs = np.asarray(observations, dtype=float)
     k, n = obs.shape
     iu, ju = np.triu_indices(n)
-    feats = np.concatenate(
-        [np.ones((k, 1)), obs, obs[:, iu] * obs[:, ju]], axis=1
-    )
-    if np.ndim(observations) == 1:
-        return feats[0]
-    return feats
+    return np.concatenate([np.ones((k, 1)), obs, obs[:, iu] * obs[:, ju]], axis=1)
 
 
 def init_policy(observation_dim: int, action_dim: int = 2, noise: float = 0.8) -> PolicyParameters:
@@ -110,58 +101,32 @@ def policy_log_prob(policy: PolicyParameters, features: np.ndarray, actions: np.
 
 
 def _rollout_rng(master_seed: int, iteration: int, index: int) -> np.random.Generator:
-    """Per-rollout generator, stable under any execution order."""
+    """Per-episode generator, stable under any execution order."""
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(iteration), int(index)]))
 
 
-def rollout(policy, env, context, rng, config: LearnerConfig) -> ContextRollout:
-    """One full episode under a fixed context.
+@dataclass(frozen=True)
+class Episodes:
+    """K episodes, one row each.
 
-    The value estimate is the discounted Monte Carlo return.  Environments
-    whose return does not depend on actions short-circuit to their analytic
-    value with an empty trajectory.
+    Attributes:
+        contexts: Raw context draws, shape ``(K, d)``; curriculum importance
+            weights are defined against these, not the clamped ones.
+        values: Discounted Monte Carlo returns, shape ``(K,)``.
+        successes: Whether each episode ended in success, shape ``(K,)``.
+        lengths: Steps taken per episode, shape ``(K,)``.
+        features: Policy features per step, shape ``(K, T, F)``.
+        actions: Executed actions per step, shape ``(K, T, A)``.
+
+    Histories are zero past ``lengths``.
     """
-    context = np.asarray(context, dtype=float)
-    if getattr(env, "action_independent", False):
-        value = float(env.value(context))
-        return ContextRollout(
-            context=context,
-            value_estimate=value,
-            episode_length=1,
-            success=value >= env.success_threshold,
-            trajectory=None,
-        )
 
-    state = env.reset(context, rng)
-    noise_std = policy.action_noise
-    features_seq, actions_seq, rewards_seq = [], [], []
-    value = 0.0
-    discount = 1.0
-    success = False
-    for _ in range(env.horizon):
-        feats = policy_features(env.observe(state, context))
-        action = feats @ policy.weights.T + noise_std * rng.standard_normal(env.action_dim)
-        outcome = env.step(state, action, context)
-        features_seq.append(feats)
-        actions_seq.append(action)
-        rewards_seq.append(outcome.reward)
-        value += discount * outcome.reward
-        discount *= config.gamma
-        state = outcome.state
-        if outcome.terminated:
-            success = outcome.success
-            break
-    return ContextRollout(
-        context=context,
-        value_estimate=value,
-        episode_length=len(rewards_seq),
-        success=success,
-        trajectory=Trajectory(
-            features=np.array(features_seq),
-            actions=np.array(actions_seq),
-            rewards=np.array(rewards_seq),
-        ),
-    )
+    contexts: np.ndarray
+    values: np.ndarray
+    successes: np.ndarray
+    lengths: np.ndarray
+    features: np.ndarray
+    actions: np.ndarray
 
 
 def collect_rollouts(
@@ -172,30 +137,20 @@ def collect_rollouts(
     master_seed: int,
     iteration: int,
     deterministic: bool = False,
-) -> list[ContextRollout]:
-    """One episode per context, vectorized across the batch.
+) -> Episodes:
+    """One episode per context, stepped together until every row is done.
 
-    Per-rollout noise comes from generators derived from
-    ``(master_seed, iteration, index)``, so results do not depend on batch
-    size or execution order and match :func:`rollout` run with the same
-    derived generator.  With ``deterministic`` the mean action is executed
-    (evaluation mode).
+    Per-episode noise comes from generators derived from
+    ``(master_seed, iteration, index)``, so an episode does not depend on the
+    other rows of the batch or on execution order.  With ``deterministic``
+    the mean action is executed (evaluation mode).
     """
     contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
     k = contexts.shape[0]
-    if getattr(env, "action_independent", False):
-        return [
-            rollout(policy, env, contexts[i], _rollout_rng(master_seed, iteration, i), config)
-            for i in range(k)
-        ]
-
-    # dynamics run on clamped contexts; the rollouts keep the raw draws, which
-    # is what curriculum importance weights are defined against
-    raw_contexts = contexts
-    contexts = env.clamp_contexts(contexts, warn=False)
     horizon = env.horizon
     action_dim = env.action_dim
-    if deterministic:
+    # without actions there is no noise to draw, so no generators are built
+    if deterministic or action_dim == 0:
         noise = np.zeros((k, horizon, action_dim))
         noise_std = np.zeros(action_dim)
     else:
@@ -207,8 +162,7 @@ def collect_rollouts(
         )
         noise_std = policy.action_noise
 
-    positions = np.tile(np.array(env.params.start, dtype=float), (k, 1))
-    velocities = np.zeros((k, 2))
+    state = env.reset(contexts)
     alive = np.ones(k, dtype=bool)
     values = np.zeros(k)
     discount = 1.0
@@ -216,73 +170,48 @@ def collect_rollouts(
     successes = np.zeros(k, dtype=bool)
     feats_hist = np.zeros((k, horizon, feature_dim(env.observation_dim)))
     actions_hist = np.zeros((k, horizon, action_dim))
-    rewards_hist = np.zeros((k, horizon))
 
     for t in range(horizon):
         if not np.any(alive):
             break
-        feats = policy_features(env.observe_arrays(positions, velocities, contexts))
+        feats = policy_features(env.observe(state))
         actions = feats @ policy.weights.T + noise_std * noise[:, t, :]
-        t_arr = np.full(k, t)
-        new_pos, new_vel, rewards, terminated, success = env._step_arrays(
-            positions.copy(), velocities.copy(), actions, contexts, t_arr
-        )
-        positions = np.where(alive[:, None], new_pos, positions)
-        velocities = np.where(alive[:, None], new_vel, velocities)
+        new_state, rewards, terminated, success = env.step(state, actions, t)
+        state = np.where(alive[:, None], new_state, state)
         values += np.where(alive, discount * rewards, 0.0)
         feats_hist[alive, t] = feats[alive]
         actions_hist[alive, t] = actions[alive]
-        rewards_hist[alive, t] = rewards[alive]
         lengths += alive.astype(int)
         successes |= alive & success
         alive &= ~terminated
         discount *= config.gamma
 
-    rollouts = []
-    for i in range(k):
-        n = lengths[i]
-        rollouts.append(
-            ContextRollout(
-                context=raw_contexts[i],
-                value_estimate=float(values[i]),
-                episode_length=int(n),
-                success=bool(successes[i]),
-                trajectory=Trajectory(
-                    features=feats_hist[i, :n].copy(),
-                    actions=actions_hist[i, :n].copy(),
-                    rewards=rewards_hist[i, :n].copy(),
-                ),
-            )
-        )
-    return rollouts
+    return Episodes(contexts, values, successes, lengths, feats_hist, actions_hist)
 
 
-def improve(policy: PolicyParameters, batch, config: LearnerConfig) -> PolicyParameters:
+def improve(policy: PolicyParameters, episodes: Episodes, config: LearnerConfig) -> PolicyParameters:
     """One likelihood-ratio policy-gradient step with a mean-return baseline.
 
-    Exploration noise is held fixed; only the mean weights move.  Rollouts
-    without trajectories (analytic environments) contribute no gradient, and
+    Exploration noise is held fixed; only the mean weights move.  Episodes
+    without actions (analytic environments) leave the policy unchanged, and
     a non-finite gradient skips the step with a warning.
     """
-    rollouts = batch.rollouts if hasattr(batch, "rollouts") else tuple(batch)
-    with_traj = [r for r in rollouts if r.trajectory is not None and r.episode_length > 0]
-    if not with_traj:
+    if episodes.actions.size == 0:
         return policy
 
-    returns = np.array([r.value_estimate for r in rollouts])
-    baseline = float(np.mean(returns))
+    advantages = episodes.values - float(np.mean(episodes.values))
     var = policy.action_noise**2
 
     new_policy = policy
     for _ in range(config.iterations_per_update):
         grad = np.zeros_like(new_policy.weights)
-        for r in with_traj:
-            adv = r.value_estimate - baseline
-            traj = r.trajectory
-            mean = traj.features @ new_policy.weights.T
-            score = (traj.actions - mean) / var
-            grad += adv * score.T @ traj.features
-        grad /= len(rollouts)
+        for adv, feats, actions, n in zip(
+            advantages, episodes.features, episodes.actions, episodes.lengths
+        ):
+            mean = feats[:n] @ new_policy.weights.T
+            score = (actions[:n] - mean) / var
+            grad += adv * score.T @ feats[:n]
+        grad /= len(advantages)
         if not np.all(np.isfinite(grad)):
             warnings.warn("non-finite policy gradient; step skipped", RuntimeWarning)
             return new_policy

@@ -424,8 +424,8 @@ def solve_exact_sampled(
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
-    contexts = batch.contexts()
-    values = batch.values()
+    contexts = batch.contexts
+    values = batch.values
     sigma = target.sigma_tilde_diag
     d = dist.d
     mu0 = dist.mu
@@ -567,7 +567,7 @@ def numerical_update(
     Uses the same dispatch rule as the closed-form update, then hands the
     selected subproblem to :func:`solve_exact_sampled`.
     """
-    values = batch.values()
+    values = batch.values
     v_bar = float(np.mean(values))
     mode = "performance" if v_bar < config.v_lower else "convergence"
     kl_before = kl_to_target(dist)

@@ -23,82 +23,40 @@ import numpy as np
 from .gaussian import ContextDistribution, TargetSpec
 
 __all__ = [
-    "ContextRollout",
     "CurriculumStats",
     "RolloutBatch",
-    "Trajectory",
     "compute_stats",
 ]
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Per-step data of one episode, kept for policy improvement.
+class RolloutBatch:
+    """K return estimates with their contexts, plus a snapshot of the
+    distribution that drew the contexts.
 
     Attributes:
-        features: Policy input features per step, shape ``(T, F)``.
-        actions: Executed actions per step, shape ``(T, A)``.
-        rewards: Immediate rewards per step, shape ``(T,)``.
+        contexts: Context draws, shape ``(K, d)``; fixed order.
+        values: Return estimates, shape ``(K,)``; finite.
+        source_distribution: The generating distribution.
     """
 
-    features: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-
-
-@dataclass(frozen=True)
-class ContextRollout:
-    """One episode outcome under a fixed context.
-
-    ``value_estimate`` is the discounted Monte Carlo return from the initial
-    state, standing in for a learned value function.  ``trajectory`` is
-    optional; curriculum updates never read it.
-    """
-
-    context: np.ndarray
-    value_estimate: float
-    episode_length: int
-    success: bool
-    trajectory: Trajectory | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.value_estimate):
-            raise ValueError("value_estimate must be finite")
-        if self.episode_length < 0:
-            raise ValueError("episode_length must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RolloutBatch:
-    """K rollouts plus a snapshot of the distribution that generated them."""
-
-    rollouts: tuple[ContextRollout, ...]
+    contexts: np.ndarray
+    values: np.ndarray
     source_distribution: ContextDistribution
 
     def __post_init__(self):
-        object.__setattr__(self, "rollouts", tuple(self.rollouts))
-        if len(self.rollouts) < 2:
+        contexts = np.asarray(self.contexts, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if contexts.ndim != 2 or contexts.shape[1] != self.source_distribution.d:
+            raise ValueError("rollout context dimension mismatch")
+        if contexts.shape[0] < 2:
             raise ValueError("a rollout batch needs at least two rollouts")
-        d = self.source_distribution.d
-        for r in self.rollouts:
-            if np.asarray(r.context).shape != (d,):
-                raise ValueError("rollout context dimension mismatch")
-
-    @property
-    def k(self) -> int:
-        return len(self.rollouts)
-
-    def contexts(self) -> np.ndarray:
-        """Stacked contexts, shape ``(K, d)``; fixed order."""
-        return np.stack([np.asarray(r.context, dtype=float) for r in self.rollouts])
-
-    def values(self) -> np.ndarray:
-        """Return estimates, shape ``(K,)``; fixed order."""
-        return np.array([r.value_estimate for r in self.rollouts], dtype=float)
-
-    def success_rate(self) -> float:
-        """Share of successful rollouts, in percent."""
-        return 100.0 * sum(r.success for r in self.rollouts) / self.k
+        if values.shape != contexts.shape[:1]:
+            raise ValueError("a rollout batch needs one value per context")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("return estimates must be finite")
+        object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -144,8 +102,8 @@ def compute_stats(
     _check_snapshot(batch, dist)
     if target.d != dist.d:
         raise ValueError("target dimension mismatch")
-    contexts = batch.contexts()
-    values = batch.values()
+    contexts = batch.contexts
+    values = batch.values
     theta = dist.theta
     sigma = dist.target.sigma_tilde_diag
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between, kl_to_target
 from .oracle import LinearizedSubproblem, numerical_update, solve_numeric
-from .stats import ContextRollout, CurriculumStats, RolloutBatch, compute_stats
+from .stats import CurriculumStats, RolloutBatch, compute_stats
 from .update import (
     BOTH_INACTIVE,
     CurriculumConfig,
@@ -322,11 +322,7 @@ def _fd_batch(rng, d):
     dist = ContextDistribution(mu=mu, theta=theta, target=target)
     contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, d))
     values = rng.normal(1.0, 2.0, 16)
-    rollouts = tuple(
-        ContextRollout(context=c, value_estimate=float(v), episode_length=1, success=False)
-        for c, v in zip(contexts, values)
-    )
-    return dist, RolloutBatch(rollouts=rollouts, source_distribution=dist)
+    return dist, RolloutBatch(contexts, values, dist)
 
 
 def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
@@ -337,8 +333,8 @@ def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
     for i in range(instances):
         d = DIMENSIONS[i % len(DIMENSIONS)]
         dist, batch = _fd_batch(rng, d)
-        contexts = batch.contexts()
-        values = batch.values()
+        contexts = batch.contexts
+        values = batch.values
 
         def sampled(mu=None, theta=None):
             candidate = dist.with_params(mu=mu, theta=theta)
@@ -398,11 +394,7 @@ def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
 def _timing_batch(rng, dist, center, k):
     contexts = dist.mu + rng.standard_normal((k, dist.d)) * np.sqrt(dist.covariance_diag())
     values = 10.0 * np.exp(-0.5 * np.sum((contexts - center) ** 2, axis=1) / 4.0)
-    rollouts = tuple(
-        ContextRollout(context=c, value_estimate=float(v), episode_length=1, success=False)
-        for c, v in zip(contexts, values)
-    )
-    return RolloutBatch(rollouts=rollouts, source_distribution=dist)
+    return RolloutBatch(contexts, values, dist)
 
 
 def run_timing_suite(seed: int, updates: int = 50, d: int = 3, k: int = 64) -> VerifyReport:

@@ -25,7 +25,7 @@ from spgl.config import load_config, preset_path
 from spgl.gaussian import ContextDistribution, TargetSpec
 from spgl.harness import evaluate_run, run_training, verify
 from spgl.oracle import InfeasibleSubproblem, LinearizedSubproblem, solve_numeric
-from spgl.stats import ContextRollout, CurriculumStats, RolloutBatch
+from spgl.stats import CurriculumStats, RolloutBatch
 from spgl.update import (
     BOTH_INACTIVE,
     CurriculumConfig,
@@ -216,13 +216,7 @@ def test_criterion_8_degenerate_cases():
     _, _, moved, _ = performance_step(
         dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([1e-12])), 0.05, 1e-6
     )
-    flat = RolloutBatch(
-        rollouts=tuple(
-            ContextRollout(context=np.array([c]), value_estimate=0.0, episode_length=1, success=False)
-            for c in (0.9, -0.1)
-        ),
-        source_distribution=dist,
-    )
+    flat = RolloutBatch([[0.9], [-0.1]], [0.0, 0.0], dist)
     unchanged, flat_report = update(dist, flat, target, CurriculumConfig(epsilon=0.05, v_lower=10.0))
     checks.append(
         ("degenerate-no-op", moved is False and unchanged is dist and flat_report.degenerate)

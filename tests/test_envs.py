@@ -1,12 +1,13 @@
 """Environment tests: dynamics identities, wall/gate/goal rules, clamping,
-determinism, and the analytic synthetic values."""
+determinism, row independence of the batched protocol, and the analytic
+synthetic values."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spgl.envs import EnvState, PointMassEnv, SyntheticEnv, synthetic_value
+from spgl.envs import PointMassEnv, SyntheticEnv, synthetic_value
 
 
 @pytest.fixture
@@ -18,126 +19,135 @@ EASY = np.array([0.0, 4.0, 0.0])
 TARGETISH = np.array([2.5, 0.7, 0.1])
 
 
+def state_of(position, velocity, context):
+    """One point-mass state row ``[x, y, vx, vy, *context]``, as a batch of one."""
+    return np.concatenate([position, velocity, context])[None, :].astype(float)
+
+
+def step_one(env, position, velocity, action, context, t=0):
+    """Step a single row; returns (position, velocity, reward, terminated, success)."""
+    state, reward, terminated, success = env.step(
+        state_of(position, velocity, context), np.asarray(action, dtype=float)[None, :], t
+    )
+    return state[0, 0:2], state[0, 2:4], reward[0], terminated[0], success[0]
+
+
 class TestReset:
     def test_fixed_start_state(self, env):
         state = env.reset(TARGETISH)
-        assert np.array_equal(state.position, [0.0, 3.0])
-        assert np.array_equal(state.velocity, [0.0, 0.0])
-        assert state.time_step == 0
+        assert state.shape == (1, 7)
+        assert np.array_equal(state[0, 0:2], [0.0, 3.0])
+        assert np.array_equal(state[0, 2:4], [0.0, 0.0])
+        assert np.array_equal(state[0, 4:], TARGETISH)
 
     def test_start_is_context_independent(self, env):
-        a = env.reset(EASY)
-        b = env.reset(TARGETISH)
-        assert np.array_equal(a.position, b.position)
+        state = env.reset(np.array([EASY, TARGETISH]))
+        assert np.array_equal(state[0, :4], state[1, :4])
 
-    def test_negative_gate_width_clamped_with_warning(self, env):
-        with pytest.warns(RuntimeWarning):
-            clamped = env.clamp_contexts(np.array([0.0, -1.0, 0.5]))
+    def test_negative_gate_width_clamped(self, env):
+        clamped = env.clamp_contexts(np.array([0.0, -1.0, 0.5]))
         assert clamped[0, 1] == 0.05
+        assert env.reset(np.array([0.0, -1.0, 0.5]))[0, 5] == 0.05
 
     def test_negative_friction_clamped(self, env):
-        clamped = env.clamp_contexts(np.array([0.0, 1.0, -2.0]), warn=False)
+        clamped = env.clamp_contexts(np.array([0.0, 1.0, -2.0]))
         assert clamped[0, 2] == 0.0
 
 
 class TestStep:
     def test_zero_action_zero_friction_keeps_velocity(self, env):
-        state = EnvState(position=np.array([0.0, 2.0]), velocity=np.array([0.5, -0.3]), time_step=0)
-        out = env.step(state, np.zeros(2), EASY)
-        assert np.allclose(out.state.velocity, [0.5, -0.3])
+        _, vel, _, _, _ = step_one(env, [0.0, 2.0], [0.5, -0.3], np.zeros(2), EASY)
+        assert np.allclose(vel, [0.5, -0.3])
 
     def test_friction_decays_velocity(self, env):
-        context = np.array([0.0, 4.0, 2.0])
-        state = EnvState(position=np.array([0.0, 2.0]), velocity=np.array([3.0, 0.0]), time_step=0)
+        state = state_of([0.0, 2.0], [3.0, 0.0], [0.0, 4.0, 2.0])
         speeds = []
-        for _ in range(20):
-            out = env.step(state, np.zeros(2), context)
-            speeds.append(float(np.linalg.norm(out.state.velocity)))
-            state = out.state
+        for t in range(20):
+            state, _, _, _ = env.step(state, np.zeros((1, 2)), t)
+            speeds.append(float(np.linalg.norm(state[0, 2:4])))
         assert all(b <= a + 1e-12 for a, b in zip(speeds, speeds[1:]))
 
     def test_pass_through_gate_center(self, env):
-        context = np.array([1.0, 0.8, 0.0])
-        state = EnvState(position=np.array([1.0, 0.04]), velocity=np.array([0.0, -2.0]), time_step=0)
-        out = env.step(state, np.zeros(2), context)
-        assert out.state.position[1] < 0.0
-        assert not out.terminated
+        pos, _, _, terminated, _ = step_one(env, [1.0, 0.04], [0.0, -2.0], np.zeros(2), [1.0, 0.8, 0.0])
+        assert pos[1] < 0.0
+        assert not terminated
 
     def test_crash_outside_gate(self, env):
-        context = np.array([2.5, 0.7, 0.0])
-        state = EnvState(position=np.array([0.0, 0.04]), velocity=np.array([0.0, -2.0]), time_step=0)
-        out = env.step(state, np.zeros(2), context)
-        assert out.terminated
-        assert not out.success
-        assert out.state.position[1] == 0.0
+        pos, _, _, terminated, success = step_one(
+            env, [0.0, 0.04], [0.0, -2.0], np.zeros(2), [2.5, 0.7, 0.0]
+        )
+        assert terminated
+        assert not success
+        assert pos[1] == 0.0
 
     def test_crash_from_below(self, env):
-        context = np.array([2.5, 0.7, 0.0])
-        state = EnvState(position=np.array([0.0, -0.04]), velocity=np.array([0.0, 2.0]), time_step=0)
-        out = env.step(state, np.zeros(2), context)
-        assert out.terminated and not out.success
+        _, _, _, terminated, success = step_one(
+            env, [0.0, -0.04], [0.0, 2.0], np.zeros(2), [2.5, 0.7, 0.0]
+        )
+        assert terminated and not success
 
     def test_success_at_goal(self, env):
-        state = EnvState(position=np.array([0.0, -2.9]), velocity=np.array([0.0, -1.0]), time_step=0)
-        out = env.step(state, np.zeros(2), EASY)
-        assert out.success and out.terminated
-        assert out.reward > env.params.success_bonus * 0.9
+        _, _, reward, terminated, success = step_one(env, [0.0, -2.9], [0.0, -1.0], np.zeros(2), EASY)
+        assert success and terminated
+        assert reward > env.params.success_bonus * 0.9
 
     def test_horizon_termination(self, env):
-        state = EnvState(position=np.array([0.0, 2.0]), velocity=np.zeros(2), time_step=env.params.horizon - 1)
-        out = env.step(state, np.zeros(2), EASY)
-        assert out.terminated and not out.success
+        _, _, _, terminated, success = step_one(
+            env, [0.0, 2.0], np.zeros(2), np.zeros(2), EASY, t=env.params.horizon - 1
+        )
+        assert terminated and not success
 
     def test_action_clamped_in_cost(self, env):
-        state = EnvState(position=np.array([0.0, 2.0]), velocity=np.zeros(2), time_step=0)
-        big = env.step(state, np.array([1e6, 0.0]), EASY)
-        capped = env.step(state, np.array([env.params.action_limit, 0.0]), EASY)
-        assert big.reward == pytest.approx(capped.reward)
+        _, _, big, _, _ = step_one(env, [0.0, 2.0], np.zeros(2), [1e6, 0.0], EASY)
+        _, _, capped, _, _ = step_one(env, [0.0, 2.0], np.zeros(2), [env.params.action_limit, 0.0], EASY)
+        assert big == pytest.approx(capped)
 
     def test_arena_bounds_hold(self, env):
-        state = EnvState(position=np.array([3.9, 2.0]), velocity=np.array([50.0, 0.0]), time_step=0)
-        out = env.step(state, np.array([10.0, 0.0]), EASY)
-        assert out.state.position[0] <= env.params.arena_half_width
-        assert out.state.velocity[0] == 0.0
+        pos, vel, _, _, _ = step_one(env, [3.9, 2.0], [50.0, 0.0], [10.0, 0.0], EASY)
+        assert pos[0] <= env.params.arena_half_width
+        assert vel[0] == 0.0
+
+    def test_step_keeps_the_context(self, env):
+        state, _, _, _ = env.step(env.reset(TARGETISH), np.array([[3.0, -4.0]]), 0)
+        assert np.array_equal(state[0, 4:], TARGETISH)
 
     def test_deterministic_trajectories(self, env):
-        actions = np.random.default_rng(0).uniform(-10, 10, size=(30, 2))
+        actions = np.random.default_rng(0).uniform(-10, 10, size=(30, 1, 2))
 
         def run():
             state = env.reset(TARGETISH)
             log = []
-            for a in actions:
-                out = env.step(state, a, TARGETISH)
-                log.append((out.state.position.copy(), out.reward, out.terminated))
-                state = out.state
-                if out.terminated:
+            for t, a in enumerate(actions):
+                state, reward, terminated, _ = env.step(state, a, t)
+                log.append((state.copy(), reward.copy(), terminated.copy()))
+                if terminated[0]:
                     break
             return log
 
         first, second = run(), run()
         assert len(first) == len(second)
-        for (p1, r1, t1), (p2, r2, t2) in zip(first, second):
-            assert np.array_equal(p1, p2) and r1 == r2 and t1 == t2
+        for (s1, r1, t1), (s2, r2, t2) in zip(first, second):
+            assert np.array_equal(s1, s2) and np.array_equal(r1, r2) and np.array_equal(t1, t2)
 
-    def test_batched_matches_scalar(self, env):
+    def test_rows_are_independent(self, env):
+        # stepping K rows together equals stepping each row alone, bit for bit
         rng = np.random.default_rng(1)
-        contexts = np.column_stack(
-            [rng.uniform(-2, 2, 5), rng.uniform(0.1, 3, 5), rng.uniform(0, 1, 5)]
-        )
-        positions = rng.uniform(-3, 3, (5, 2))
-        velocities = rng.uniform(-2, 2, (5, 2))
-        actions = rng.uniform(-10, 10, (5, 2))
-        t = np.zeros(5, dtype=int)
-        bp, bv, br, bt, bs = env._step_arrays(
-            positions.copy(), velocities.copy(), actions, contexts, t
-        )
-        for i in range(5):
-            state = EnvState(position=positions[i], velocity=velocities[i], time_step=0)
-            out = env.step(state, actions[i], contexts[i])
-            assert np.array_equal(out.state.position, bp[i])
-            assert np.array_equal(out.state.velocity, bv[i])
-            assert out.reward == br[i]
-            assert out.terminated == bt[i]
+        for _ in range(200):
+            k = int(rng.integers(2, 9))
+            contexts = np.column_stack(
+                [rng.uniform(-2, 2, k), rng.uniform(-0.5, 3, k), rng.uniform(-0.5, 1, k)]
+            )
+            state = env.reset(contexts)
+            state[:, 0:2] = rng.uniform(-3, 3, (k, 2))
+            state[:, 1] = np.where(rng.random(k) < 0.5, rng.uniform(-0.1, 0.1, k), state[:, 1])
+            state[:, 2:4] = rng.uniform(-5, 5, (k, 2))
+            actions = rng.uniform(-15, 15, (k, 2))
+            t = int(rng.integers(0, env.horizon))
+            batch = env.step(state, actions, t)
+            for i in range(k):
+                alone = env.step(state[i : i + 1], actions[i : i + 1], t)
+                for together, single in zip(batch, alone):
+                    assert np.array_equal(together[i : i + 1], single)
 
 
 class TestSynthetic:
@@ -156,10 +166,29 @@ class TestSynthetic:
     def test_monotone_in_distance(self):
         env = SyntheticEnv(difficulty_center=np.zeros(2), width=1.5)
         distances = np.linspace(0.0, 4.0, 20)
-        values = [env.value(np.array([d, 0.0])) for d in distances]
+        contexts = np.column_stack([distances, np.zeros(20)])
+        _, values, _, _ = env.step(env.reset(contexts), np.zeros((20, 0)), 0)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_success_threshold(self):
         env = SyntheticEnv(difficulty_center=np.zeros(1), width=1.0)
-        assert env.value(np.zeros(1)) >= env.success_threshold
-        assert env.value(np.array([3.0])) < env.success_threshold
+        _, values, terminated, success = env.step(env.reset([[0.0], [3.0]]), np.zeros((2, 0)), 0)
+        assert values[0] >= env.success_threshold > values[1]
+        assert list(success) == [True, False]
+        assert terminated.all()
+
+    def test_one_step_protocol_without_actions_or_observations(self):
+        env = SyntheticEnv(difficulty_center=np.zeros(3), width=2.0)
+        state = env.reset(np.ones((4, 3)))
+        assert env.horizon == 1 and env.action_dim == 0 and env.observation_dim == 0
+        assert env.observe(state).shape == (4, 0)
+
+    def test_batched_values_match_per_row_values(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            d = int(rng.integers(1, 5))
+            env = SyntheticEnv(rng.normal(0.0, 2.0, d), width=float(rng.uniform(0.1, 5.0)))
+            contexts = rng.normal(0.0, 3.0, (int(rng.integers(2, 65)), d))
+            _, values, _, _ = env.step(env.reset(contexts), np.zeros((len(contexts), 0)), 0)
+            for c, v in zip(contexts, values):
+                assert v == synthetic_value(c, env.difficulty_center, env.width, env.peak)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from spgl.config import load_config, preset_path
-from spgl.harness import records_to_csv, run_training
+from spgl.harness import records_to_csv, run_multi_seed, run_training, summary_to_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,7 +44,15 @@ GOLDEN_RUNS = {
 }
 
 
+# The summary golden pins the multi-seed comparison and the deterministic
+# final evaluation, which no training CSV reaches.
+SUMMARY_GOLDEN = "point_mass_setup1_summary_it10"
+
+
 def render(name: str) -> str:
+    if name == SUMMARY_GOLDEN:
+        summaries, _ = run_multi_seed(_preset("point_mass_setup1", 10), seeds=(0, 1))
+        return summary_to_csv(summaries)
     config = GOLDEN_RUNS[name]()
     result = run_training(config, seed=0)
     return records_to_csv(result.records, config.target.d)
@@ -54,6 +62,11 @@ def render(name: str) -> str:
 def test_training_csv_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.csv").read_bytes()
     assert render(name).encode() == expected
+
+
+def test_summary_csv_matches_golden():
+    expected = (GOLDEN_DIR / f"{SUMMARY_GOLDEN}.csv").read_bytes()
+    assert render(SUMMARY_GOLDEN).encode() == expected
 
 
 def test_selfpaced_variant_survives_near_colinear_scale_gradients():
@@ -67,6 +80,6 @@ def test_selfpaced_variant_survives_near_colinear_scale_gradients():
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for golden in sorted(GOLDEN_RUNS):
+    for golden in sorted(GOLDEN_RUNS) + [SUMMARY_GOLDEN]:
         (GOLDEN_DIR / f"{golden}.csv").write_bytes(render(golden).encode())
         print(f"wrote {GOLDEN_DIR / golden}.csv")

@@ -5,12 +5,14 @@ evaluation statistics, verification wiring and the CLI surface."""
 import numpy as np
 import pytest
 
-from spgl.cli import main
+import spgl.harness
+from spgl.cli import EXIT_WARNINGS, main
 from spgl.config import ConfigError, available_presets, load_config, preset_path
 from spgl.harness import evaluate, records_to_csv, run_multi_seed, run_training, verify
 from spgl.envs import PointMassEnv
 from spgl.gaussian import TargetSpec
 from spgl.learner import init_policy
+from spgl.update import CurriculumError
 
 
 SYNTH_CONFIG = """
@@ -154,6 +156,36 @@ class TestRunTraining:
         b = run_training(config, seed=2)
         assert records_to_csv(a.records, 2) != records_to_csv(b.records, 2)
 
+    def test_failed_update_is_a_recorded_no_op(self, synth_config, monkeypatch):
+        config = synth_config(iterations=6)
+        clean = run_training(config, seed=1)
+        real_update = spgl.harness.update
+        seen = []
+
+        def flaky_update(dist, batch, target, curriculum):
+            seen.append(dist)
+            if len(seen) == 3:
+                raise CurriculumError("no KKT case matched the scale subproblem")
+            return real_update(dist, batch, target, curriculum)
+
+        monkeypatch.setattr(spgl.harness, "update", flaky_update)
+        with pytest.warns(RuntimeWarning, match="iteration 3.*no KKT case matched"):
+            result = run_training(config, seed=1)
+
+        assert len(result.records) == config.iterations
+        assert result.failed_updates == 1
+        failed, before = result.records[2], result.records[1]
+        assert (failed.step_kind, failed.active_case, failed.kl_step) == ("failed", "-", 0.0)
+        assert np.array_equal(failed.mu, before.mu) and np.array_equal(failed.theta, before.theta)
+        # the next update runs from the kept distribution
+        assert len(seen) == config.iterations and seen[3] is seen[2]
+        assert result.records[3].step_kind != "failed"
+        assert records_to_csv(result.records[:2], 2) == records_to_csv(clean.records[:2], 2)
+
+    def test_unknown_curriculum_mode_rejected(self, synth_config):
+        with pytest.raises(ConfigError, match="unknown curriculum mode"):
+            run_training(synth_config(iterations=2), seed=1, curriculum_mode="spg")
+
     def test_csv_schema(self, synth_config):
         config = synth_config(iterations=4)
         result = run_training(config, seed=1)
@@ -274,6 +306,22 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("curriculum,")
         assert "spgl" in text and "default" in text
+
+    def test_warnings_as_errors_flags_failed_updates(self, tmp_path, monkeypatch, capsys):
+        def failing_update(*args):
+            raise CurriculumError("no KKT case matched the mean subproblem")
+
+        monkeypatch.setattr(spgl.harness, "update", failing_update)
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=3, period=1))
+        out = tmp_path / "curve.csv"
+        argv = ["train", "--config", str(config_path), "--out", str(out), "--quiet"]
+        with pytest.warns(RuntimeWarning, match="curriculum update failed"):
+            assert main(argv) == 0
+            assert main(argv + ["--warnings-as-errors"]) == EXIT_WARNINGS
+        assert "3 failed" in capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(",failed,-," in row for row in rows)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "missing.ini"), "--quiet"])

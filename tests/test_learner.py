@@ -1,11 +1,15 @@
-"""Learner tests: rollout determinism and identities, the likelihood-ratio
+"""Learner tests: batched rollout determinism and identities, the likelihood-ratio
 gradient against finite differences, and a learning smoke test on easy
 point-mass contexts."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from spgl.envs import PointMassEnv, SyntheticEnv
+from spgl.envs import PointMassEnv, SyntheticEnv, synthetic_value
+from spgl.gaussian import TargetSpec
+from spgl.harness import evaluate
 from spgl.learner import (
     LearnerConfig,
     collect_rollouts,
@@ -13,11 +17,8 @@ from spgl.learner import (
     init_policy,
     load_policy,
     policy_log_prob,
-    rollout,
     save_policy,
 )
-from spgl.stats import RolloutBatch
-from spgl.gaussian import ContextDistribution, TargetSpec
 
 
 EASY = np.array([0.0, 4.0, 0.0])
@@ -37,42 +38,51 @@ def make_policy(env, scale=0.0, seed=0):
 class TestRollout:
     def test_synthetic_value_is_exact(self):
         env = SyntheticEnv(difficulty_center=np.zeros(2), width=1.0)
-        policy = init_policy(4)
-        config = LearnerConfig()
-        r = rollout(policy, env, np.array([1.0, 0.0]), np.random.default_rng(0), config)
-        assert r.value_estimate == env.value(np.array([1.0, 0.0]))
-        assert r.trajectory is None
+        policy = make_policy(env)
+        contexts = np.random.default_rng(0).normal(0.0, 1.5, (16, 2))
+        episodes = collect_rollouts(policy, env, contexts, LearnerConfig(), 0, 0)
+        for c, v, ok in zip(contexts, episodes.values, episodes.successes):
+            assert v == synthetic_value(c, env.difficulty_center, env.width, env.peak)
+            assert ok == (v >= env.success_threshold)
+        assert np.array_equal(episodes.lengths, np.ones(16, dtype=int))
+        assert episodes.actions.shape == (16, 1, 0)
 
     def test_gamma_zero_keeps_first_reward(self):
         env = PointMassEnv()
-        policy = make_policy(env)
-        config = LearnerConfig(gamma=0.0)
-        r = rollout(policy, env, EASY, np.random.default_rng(1), config)
-        assert r.value_estimate == pytest.approx(r.trajectory.rewards[0])
+        policy = make_policy(env, scale=0.1)
+        contexts = np.array([EASY, [1.0, 2.0, 0.3]])
+        episodes = collect_rollouts(policy, env, contexts, LearnerConfig(gamma=0.0), 1, 0)
+        _, rewards, _, _ = env.step(env.reset(contexts), episodes.actions[:, 0], 0)
+        assert np.array_equal(episodes.values, rewards)
 
     def test_seeded_repeatability(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
         config = LearnerConfig()
-        a = rollout(policy, env, EASY, np.random.default_rng(7), config)
-        b = rollout(policy, env, EASY, np.random.default_rng(7), config)
-        assert a.value_estimate == b.value_estimate
-        assert np.array_equal(a.trajectory.actions, b.trajectory.actions)
+        contexts = np.array([EASY, EASY])
+        a = collect_rollouts(policy, env, contexts, config, master_seed=7, iteration=0)
+        b = collect_rollouts(policy, env, contexts, config, master_seed=7, iteration=0)
+        c = collect_rollouts(policy, env, contexts, config, master_seed=8, iteration=0)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.actions, b.actions)
+        # each row draws its own noise, and the seed changes it
+        assert not np.array_equal(a.actions[0], a.actions[1])
+        assert not np.array_equal(a.actions, c.actions)
 
-    def test_collect_matches_single_rollout(self):
-        # same derived generators, same trajectories; the scalar and batched
-        # paths may differ by BLAS-kernel rounding, never more
+    def test_collect_matches_prefix_batches(self):
+        # row i of a K-batch equals row i of the batch of its first i + 1
+        # contexts; feats @ W.T may round differently with K, never more
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
         config = LearnerConfig()
-        contexts = np.array([EASY, [1.0, 2.0, 0.3], [-1.0, 1.0, 0.1]])
-        batch = collect_rollouts(policy, env, contexts, config, master_seed=5, iteration=3)
-        for i, r in enumerate(batch):
-            rng = np.random.default_rng(np.random.SeedSequence([5, 3, i]))
-            single = rollout(policy, env, contexts[i], rng, config)
-            assert single.value_estimate == pytest.approx(r.value_estimate, rel=1e-9)
-            assert single.episode_length == r.episode_length
-            assert np.allclose(single.trajectory.actions, r.trajectory.actions, atol=1e-9)
+        contexts = np.array([EASY, [1.0, 2.0, 0.3], [-1.0, 1.0, 0.1], [2.5, 0.7, 0.1]])
+        full = collect_rollouts(policy, env, contexts, config, master_seed=5, iteration=3)
+        for i in range(len(contexts)):
+            prefix = collect_rollouts(policy, env, contexts[: i + 1], config, 5, 3)
+            assert prefix.values[i] == pytest.approx(full.values[i], rel=1e-9)
+            assert prefix.lengths[i] == full.lengths[i]
+            assert prefix.successes[i] == full.successes[i]
+            assert np.allclose(prefix.actions[i], full.actions[i], atol=1e-9)
 
     def test_collect_is_bit_reproducible(self):
         env = PointMassEnv()
@@ -81,27 +91,36 @@ class TestRollout:
         contexts = np.array([EASY, [1.0, 2.0, 0.3]])
         a = collect_rollouts(policy, env, contexts, config, master_seed=9, iteration=1)
         b = collect_rollouts(policy, env, contexts, config, master_seed=9, iteration=1)
-        for ra, rb in zip(a, b):
-            assert ra.value_estimate == rb.value_estimate
-            assert np.array_equal(ra.trajectory.actions, rb.trajectory.actions)
+        for name in ("values", "successes", "lengths", "features", "actions"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_histories_are_zero_past_lengths(self):
+        env = PointMassEnv()
+        policy = make_policy(env, scale=0.3, seed=2)
+        # a narrow, offset gate crashes some rows early
+        contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY])
+        episodes = collect_rollouts(policy, env, contexts, LearnerConfig(), 3, 0)
+        assert episodes.features.shape == (4, env.horizon, episodes.features.shape[2])
+        assert episodes.lengths.min() < env.horizon
+        for feats, actions, n in zip(episodes.features, episodes.actions, episodes.lengths):
+            assert 1 <= n <= env.horizon
+            assert not np.any(feats[n:]) and not np.any(actions[n:])
+            assert np.all(feats[:n, 0] == 1.0)
+
+    def test_raw_contexts_are_kept(self):
+        env = PointMassEnv()
+        raw = np.array([[0.0, -1.0, -0.5], EASY])
+        episodes = collect_rollouts(make_policy(env), env, raw, LearnerConfig(), 0, 0)
+        assert np.array_equal(episodes.contexts, raw)
 
     def test_return_bounds(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.3)
-        config = LearnerConfig()
-        for i in range(5):
-            r = rollout(policy, env, EASY, np.random.default_rng(i), config)
-            horizon = env.params.horizon
-            upper = horizon * 1.0 + env.params.success_bonus
-            lower = horizon * (-env.params.action_cost * 2 * env.params.action_limit**2) + env.params.crash_penalty
-            assert lower <= r.value_estimate <= upper
-
-
-def frozen_batch(env, policy, contexts, config, seed=0):
-    rollouts = collect_rollouts(policy, env, contexts, config, master_seed=seed, iteration=0)
-    target = TargetSpec(mu_tilde=np.zeros(3), sigma_tilde_diag=np.ones(3))
-    dist = ContextDistribution(mu=np.zeros(3), theta=np.ones(3), target=target)
-    return RolloutBatch(rollouts=tuple(rollouts), source_distribution=dist)
+        episodes = collect_rollouts(policy, env, np.tile(EASY, (5, 1)), LearnerConfig(), 0, 0)
+        horizon = env.params.horizon
+        upper = horizon * 1.0 + env.params.success_bonus
+        lower = horizon * (-env.params.action_cost * 2 * env.params.action_limit**2) + env.params.crash_penalty
+        assert np.all((lower <= episodes.values) & (episodes.values <= upper))
 
 
 class TestImprove:
@@ -109,49 +128,40 @@ class TestImprove:
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
         config = LearnerConfig()
-        batch = frozen_batch(env, policy, np.array([EASY, EASY]), config)
+        episodes = collect_rollouts(policy, env, np.array([EASY, EASY]), config, 0, 0)
         # identical seeds per index differ, so force equal return estimates
-        rollouts = tuple(
-            type(r)(context=r.context, value_estimate=1.0, episode_length=r.episode_length,
-                    success=r.success, trajectory=r.trajectory)
-            for r in batch.rollouts
-        )
-        batch = RolloutBatch(rollouts=rollouts, source_distribution=batch.source_distribution)
-        new_policy = improve(policy, batch, config)
+        episodes = dataclasses.replace(episodes, values=np.ones(2))
+        new_policy = improve(policy, episodes, config)
         assert np.allclose(new_policy.weights, policy.weights, atol=1e-12)
 
     def test_synthetic_env_leaves_parameters_unchanged(self):
         env = SyntheticEnv(difficulty_center=np.zeros(3), width=2.0)
-        policy = init_policy(4)
+        policy = make_policy(env)
         config = LearnerConfig()
-        rollouts = collect_rollouts(
+        episodes = collect_rollouts(
             policy, env, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), config, 0, 0
         )
-        target = TargetSpec(mu_tilde=np.zeros(3), sigma_tilde_diag=np.ones(3))
-        dist = ContextDistribution(mu=np.zeros(3), theta=np.ones(3), target=target)
-        batch = RolloutBatch(rollouts=tuple(rollouts), source_distribution=dist)
-        new_policy = improve(policy, batch, config)
-        assert np.array_equal(new_policy.weights, policy.weights)
+        assert improve(policy, episodes, config) is policy
 
     def test_gradient_matches_finite_differences(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.05)
         config = LearnerConfig(learning_rate=1.0)
         contexts = np.tile(EASY, (6, 1))
-        batch = frozen_batch(env, policy, contexts, config, seed=3)
-
-        returns = np.array([r.value_estimate for r in batch.rollouts])
-        baseline = float(np.mean(returns))
+        episodes = collect_rollouts(policy, env, contexts, config, 3, 0)
+        baseline = float(np.mean(episodes.values))
 
         def surrogate(weights):
             probe = type(policy)(weights=weights, log_action_noise=policy.log_action_noise)
             total = 0.0
-            for r in batch.rollouts:
-                logp = policy_log_prob(probe, r.trajectory.features, r.trajectory.actions)
-                total += (r.value_estimate - baseline) * float(np.sum(logp))
-            return total / len(batch.rollouts)
+            for value, feats, actions, n in zip(
+                episodes.values, episodes.features, episodes.actions, episodes.lengths
+            ):
+                logp = policy_log_prob(probe, feats[:n], actions[:n])
+                total += (value - baseline) * float(np.sum(logp))
+            return total / len(episodes.values)
 
-        new_policy = improve(policy, batch, config)
+        new_policy = improve(policy, episodes, config)
         grad = new_policy.weights - policy.weights  # lr = 1, no clip expected below
 
         fd = np.zeros_like(policy.weights)
@@ -177,17 +187,14 @@ class TestImprove:
         gains = []
         for seed in range(5):
             policy = make_policy(env)
-            target = TargetSpec(mu_tilde=np.zeros(3), sigma_tilde_diag=np.ones(3))
-            dist = ContextDistribution(mu=np.zeros(3), theta=np.ones(3), target=target)
             first = last = None
             for it in range(50):
-                rollouts = collect_rollouts(policy, env, contexts, config, seed, it)
-                batch = RolloutBatch(rollouts=tuple(rollouts), source_distribution=dist)
-                mean_return = float(np.mean([r.value_estimate for r in rollouts]))
+                episodes = collect_rollouts(policy, env, contexts, config, seed, it)
+                mean_return = float(np.mean(episodes.values))
                 if first is None:
                     first = mean_return
                 last = mean_return
-                policy = improve(policy, batch, config)
+                policy = improve(policy, episodes, config)
             gains.append(last / max(first, 1e-9))
         assert float(np.median(gains)) >= 1.10
 
@@ -201,3 +208,16 @@ class TestPersistence:
         loaded = load_policy(path)
         assert np.array_equal(loaded.weights, policy.weights)
         assert np.array_equal(loaded.log_action_noise, policy.log_action_noise)
+
+    def test_synthetic_policy_roundtrip_evaluates(self, tmp_path):
+        # an analytic environment has no actions, so its policy is (0, 1)
+        env = SyntheticEnv(difficulty_center=np.zeros(2), width=1.0)
+        policy = make_policy(env)
+        assert policy.weights.shape == (0, 1)
+        path = tmp_path / "policy.npz"
+        save_policy(policy, path)
+        loaded = load_policy(path)
+        assert loaded.weights.shape == (0, 1) and loaded.log_action_noise.shape == (0,)
+        target = TargetSpec(mu_tilde=np.zeros(2), sigma_tilde_diag=np.ones(2))
+        ev = evaluate(loaded, target, env, 8, np.random.default_rng(0))
+        assert 0.0 < ev.mean_return <= env.peak

@@ -18,16 +18,8 @@ from spgl.oracle import (
     solve_exact_sampled,
     solve_numeric,
 )
-from spgl.stats import ContextRollout, RolloutBatch
+from spgl.stats import RolloutBatch
 from spgl.update import CurriculumConfig, update
-
-
-def make_batch(dist, contexts, values):
-    rollouts = tuple(
-        ContextRollout(context=np.asarray(c, float), value_estimate=float(v), episode_length=1, success=False)
-        for c, v in zip(contexts, values)
-    )
-    return RolloutBatch(rollouts=rollouts, source_distribution=dist)
 
 
 class TestSolveNumeric:
@@ -198,7 +190,7 @@ def exact_setting(seed=0, d=2, k=16, width=2.0):
     dist = ContextDistribution(mu=np.zeros(d), theta=np.full(d, 1.5), target=target)
     contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(k, d))
     values = 10.0 * np.exp(-0.5 * np.sum((contexts - 0.5) ** 2, axis=1) / width**2)
-    return dist, target, make_batch(dist, contexts, values)
+    return dist, target, RolloutBatch(contexts, values, dist)
 
 
 class TestSolveExactSampled:
@@ -209,8 +201,8 @@ class TestSolveExactSampled:
         assert result.kl_step <= config.epsilon + 1e-8
 
         closed_dist, _ = update(dist, batch, target, config)
-        ratios = importance_ratio(closed_dist, dist, batch.contexts())
-        closed_value = float(np.mean(batch.values() * ratios))
+        ratios = importance_ratio(closed_dist, dist, batch.contexts)
+        closed_value = float(np.mean(batch.values * ratios))
         assert result.sampled_value >= closed_value - 1e-4
 
     def test_small_radius_matches_closed_form(self):
@@ -232,7 +224,7 @@ class TestSolveExactSampled:
         target = TargetSpec(mu_tilde=np.zeros(d), sigma_tilde_diag=np.ones(d))
         dist = ContextDistribution(mu=np.full(d, 0.3), theta=np.ones(d), target=target)
         contexts = np.tile(dist.mu, (8, 1))
-        batch = make_batch(dist, contexts, [2.0] * 8)
+        batch = RolloutBatch(contexts, [2.0] * 8, dist)
         config = CurriculumConfig(epsilon=0.01, v_lower=100.0, k_contexts=8)
         result = solve_exact_sampled(batch, dist, target, config, "performance", seed=4)
         assert np.allclose(result.distribution.mu, dist.mu, atol=1e-5)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spgl.gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between, kl_to_target
-from spgl.stats import ContextRollout, RolloutBatch, compute_stats
+from spgl.stats import RolloutBatch, compute_stats
 from spgl.update import performance_step
 
 FD_STEP = 1e-5
@@ -28,20 +28,6 @@ def make_dist(mu, theta, mu_tilde=None, sigma=None):
     return ContextDistribution(mu=mu, theta=theta, target=target)
 
 
-def make_batch(dist, contexts, values, successes=None):
-    contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-    rollouts = tuple(
-        ContextRollout(
-            context=c,
-            value_estimate=float(v),
-            episode_length=1,
-            success=bool(successes[i]) if successes is not None else False,
-        )
-        for i, (c, v) in enumerate(zip(contexts, values))
-    )
-    return RolloutBatch(rollouts=rollouts, source_distribution=dist)
-
-
 def random_instance(rng, d):
     sigma = rng.uniform(0.2, 2.0, d)
     mu_tilde = rng.normal(0.0, 1.0, d)
@@ -52,21 +38,21 @@ def random_instance(rng, d):
         dist.mu, np.sqrt(dist.covariance_diag()), size=(16, d)
     )
     values = rng.normal(1.0, 2.0, 16)
-    return dist, make_batch(dist, contexts, values)
+    return dist, RolloutBatch(contexts, values, dist)
 
 
 def sampled_objective(batch, dist, mu=None, theta=None):
     """The importance-weighted batch value as a function of the candidate
     parameters; the quantity u_bar and psi_bar linearize."""
     candidate = dist.with_params(mu=mu, theta=theta)
-    ratios = importance_ratio(candidate, dist, batch.contexts())
-    return float(np.mean(batch.values() * ratios))
+    ratios = importance_ratio(candidate, dist, batch.contexts)
+    return float(np.mean(batch.values * ratios))
 
 
 class TestValueStats:
     def test_hand_example(self):
         dist = make_dist([0.0], [1.0])
-        batch = make_batch(dist, [[1.0], [-1.0]], [2.0, 1.0])
+        batch = RolloutBatch([[1.0], [-1.0]], [2.0, 1.0], dist)
         stats = compute_stats(batch, dist, dist.target)
         assert stats.u_bar[0] == pytest.approx(0.5)
         assert stats.v_bar == pytest.approx(1.5)
@@ -74,7 +60,7 @@ class TestValueStats:
     def test_symmetric_contexts_cancel(self):
         dist = make_dist([0.5, -1.0], [1.0, 2.0])
         offsets = np.array([[0.3, -0.7], [-0.3, 0.7]])
-        batch = make_batch(dist, dist.mu + offsets, [2.0, 2.0])
+        batch = RolloutBatch(dist.mu + offsets, [2.0, 2.0], dist)
         stats = compute_stats(batch, dist, dist.target)
         assert np.allclose(stats.u_bar, 0.0, atol=1e-15)
 
@@ -82,13 +68,13 @@ class TestValueStats:
         # duplicated context keeps the batch size valid without changing the
         # mean statistics
         dist = make_dist([0.0], [1.0])
-        batch = make_batch(dist, [[0.0], [0.0]], [1.0, 1.0])
+        batch = RolloutBatch([[0.0], [0.0]], [1.0, 1.0], dist)
         stats = compute_stats(batch, dist, dist.target)
         assert stats.psi_bar[0] == pytest.approx(-0.5)
 
     def test_snapshot_mismatch_rejected(self):
         dist = make_dist([0.0], [1.0])
-        batch = make_batch(dist, [[0.1], [0.2]], [1.0, 2.0])
+        batch = RolloutBatch([[0.1], [0.2]], [1.0, 2.0], dist)
         other = dist.with_params(mu=np.array([0.5]))
         with pytest.raises(ValueError):
             compute_stats(batch, other, other.target)
@@ -103,8 +89,26 @@ class TestValueStats:
 
     def test_batch_requires_two_rollouts(self):
         dist = make_dist([0.0], [1.0])
-        with pytest.raises(ValueError):
-            make_batch(dist, [[0.0]], [1.0])
+        with pytest.raises(ValueError, match="at least two"):
+            RolloutBatch([[0.0]], [1.0], dist)
+
+    def test_batch_rejects_context_dimension_mismatch(self):
+        dist = make_dist([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="dimension"):
+            RolloutBatch([[0.0], [1.0]], [1.0, 2.0], dist)
+        with pytest.raises(ValueError, match="dimension"):
+            RolloutBatch([0.0, 1.0], [1.0, 2.0], dist)
+
+    def test_batch_rejects_value_count_mismatch(self):
+        dist = make_dist([0.0], [1.0])
+        with pytest.raises(ValueError, match="one value per context"):
+            RolloutBatch([[0.0], [1.0]], [1.0, 2.0, 3.0], dist)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch_rejects_non_finite_values(self, bad):
+        dist = make_dist([0.0], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            RolloutBatch([[0.0], [1.0]], [1.0, bad], dist)
 
 
 class TestGeometryStats:
@@ -112,14 +116,14 @@ class TestGeometryStats:
         # at theta = 1 the scale ball is Euclidean with radius 2 sqrt(eps),
         # whatever the target variance
         dist = make_dist([0.0], [1.0], sigma=[0.37])
-        stats = compute_stats(make_batch(dist, [[0.0], [0.0]], [1.0, 1.0]), dist, dist.target)
+        stats = compute_stats(RolloutBatch([[0.0], [0.0]], [1.0, 1.0], dist), dist, dist.target)
         _, theta, _, _ = performance_step(dist, stats, 0.01, 1e-6)
         assert theta[0] == pytest.approx(1.0 - 2.0 * 0.1, abs=1e-12)
 
     def test_omega_zero_at_target(self):
         target = TargetSpec(mu_tilde=np.array([1.0, -2.0]), sigma_tilde_diag=np.array([0.5, 2.0]))
         dist = ContextDistribution.at_target(target)
-        batch = make_batch(dist, [[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0])
+        batch = RolloutBatch([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0], dist)
         omega = compute_stats(batch, dist, target).omega
         assert np.allclose(omega, 0.0, atol=1e-15)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spgl.gaussian import ContextDistribution, TargetSpec, kl_between, kl_to_target, mean_shift_kl
-from spgl.stats import ContextRollout, CurriculumStats, RolloutBatch
+from spgl.stats import CurriculumStats, RolloutBatch
 from spgl.update import (
     BOTH_ACTIVE,
     BOTH_INACTIVE,
@@ -43,14 +43,6 @@ def make_stats(d, u_bar=None, v_bar=0.0, psi_bar=None, omega=None):
         psi_bar=np.zeros(d) if psi_bar is None else np.atleast_1d(np.asarray(psi_bar, float)),
         omega=np.zeros(d) if omega is None else np.atleast_1d(np.asarray(omega, float)),
     )
-
-
-def make_batch(dist, contexts, values):
-    rollouts = tuple(
-        ContextRollout(context=np.asarray(c, float), value_estimate=float(v), episode_length=1, success=False)
-        for c, v in zip(contexts, values)
-    )
-    return RolloutBatch(rollouts=rollouts, source_distribution=dist)
 
 
 class TestDispatch:
@@ -284,7 +276,7 @@ class TestFullUpdate:
         dist = make_dist(list(mu), list(theta), mu_tilde=list(mu_tilde))
         rng = np.random.default_rng(4)
         contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(8, dist.d))
-        batch = make_batch(dist, contexts, v_values)
+        batch = RolloutBatch(contexts, v_values, dist)
         return dist, batch
 
     def test_dispatch_to_performance(self):
@@ -305,7 +297,7 @@ class TestFullUpdate:
 
     def test_degenerate_batch_returns_unchanged(self):
         dist = make_dist([0.0], [1.0])
-        batch = make_batch(dist, [[0.5], [-0.5]], [0.0, 0.0])
+        batch = RolloutBatch([[0.5], [-0.5]], [0.0, 0.0], dist)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=2)
         new_dist, report = update(dist, batch, dist.target, config)
         assert report.degenerate
@@ -321,7 +313,7 @@ class TestFullUpdate:
             values = 8.0 * np.exp(-0.25 * np.sum((contexts - 1.0) ** 2, axis=1)) + rng.normal(
                 0, 0.3, 16
             )
-            batch = make_batch(dist, contexts, values)
+            batch = RolloutBatch(contexts, values, dist)
             new_dist, report = update(dist, batch, dist.target, config)
             assert report.kl_step <= eps + 1e-12
             assert report.kl_step_mean_part <= eps + 1e-10
@@ -347,7 +339,7 @@ class TestFullUpdate:
         for step in range(200):
             contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, 2))
             values = 10.0 * np.exp(-np.sum((contexts - target.mu_tilde) ** 2, axis=1) / (2 * 50.0**2))
-            batch = make_batch(dist, contexts, values)
+            batch = RolloutBatch(contexts, values, dist)
             dist, report = update(dist, batch, target, config)
             assert report.kind == "convergence"
             kl_trace.append(kl_to_target(dist))
