@@ -138,7 +138,7 @@ def _cmd_train(args) -> int:
     result = run_training(config, seed, curriculum_mode=mode, progress=progress)
     out = Path(args.out or f"{config.name}_{mode}_seed{seed}.csv")
     out.write_text(records_to_csv(result.records, config.target.d))
-    ev = evaluate_run(config, result, seed)
+    ev = evaluate_run(config, [result], [seed])[0]
     if args.save_policy:
         save_policy(result.policy, args.save_policy)
     if not args.quiet:
@@ -164,7 +164,7 @@ def _cmd_eval(args) -> int:
     env = config.make_environment()
     episodes = args.episodes or config.eval_episodes
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10_000]))
-    ev = evaluate(policy, config.target, env, episodes, rng, config.learner)
+    ev = evaluate([policy], config.target, env, episodes, [rng], config.learner)[0]
     print(
         f"return {ev.mean_return:.6g} +- {ev.return_se:.3g}, "
         f"success {ev.success_rate:.6g}% +- {ev.success_se:.3g} "

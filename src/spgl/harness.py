@@ -1,6 +1,7 @@
-"""Training harness: the full loop of context sampling, rollouts, policy
-improvement and curriculum updates, plus evaluation, multi-seed aggregation
-and the randomized verification entry point.
+"""Training harness: the lock-step loop of context sampling, rollouts,
+policy improvement and curriculum updates over one or more runs, plus
+batched evaluation, multi-seed aggregation and the randomized verification
+entry point.
 
 Determinism contract: a (config, seed) pair fixes every random draw, the
 iteration order and the CSV float formatting, so repeated runs produce
@@ -12,14 +13,14 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from .config import CURRICULUM_MODES, ConfigError, ExperimentConfig
 from .gaussian import ContextDistribution, kl_to_target, sample
-from .learner import LearnerConfig, collect_rollouts, improve, init_policy
+from .learner import LearnerConfig, PolicyParameters, collect_rollouts, improve, init_policy
 from .oracle import numerical_update
 from .stats import RolloutBatch
 from .update import CurriculumError, update
@@ -30,9 +31,11 @@ __all__ = [
     "IterationRecord",
     "TrainingResult",
     "evaluate",
+    "evaluate_run",
     "records_to_csv",
     "run_multi_seed",
     "run_training",
+    "train_runs",
     "verify",
 ]
 
@@ -97,138 +100,216 @@ def records_to_csv(records, d: int) -> str:
     return out.getvalue()
 
 
-def run_training(
-    config: ExperimentConfig,
-    seed: int,
-    curriculum_mode: str | None = None,
-    progress=None,
-) -> TrainingResult:
-    """Run one training loop and return the per-update records.
+@dataclass
+class _Run:
+    """Mutable state of one run inside the lock-step loop."""
 
-    ``curriculum_mode`` overrides the config's mode: ``default`` always
+    mode: str
+    seed: int
+    dist: ContextDistribution
+    policy: PolicyParameters
+    context_rng: np.random.Generator
+    records: list = field(default_factory=list)
+    degenerate: int = 0
+    failed: int = 0
+
+
+def train_runs(config: ExperimentConfig, runs, progress=None) -> list[TrainingResult]:
+    """Train ``(curriculum_mode, seed)`` runs of one config in lock-step.
+
+    Each iteration every run samples its own contexts from its own
+    generator, one :func:`~spgl.learner.collect_rollouts` call steps the
+    episodes of all runs together, and each run then improves its policy
+    and updates its curriculum in turn.  A run's draws, rollouts and updates
+    never read another run's state, so every run's results are bit-identical
+    to the same run trained alone.
+
+    ``curriculum_mode`` selects the run's curriculum: ``default`` always
     samples from the target and never updates, ``spgl`` applies the
     closed-form update, ``numerical`` the exact-solver baseline.
 
     An update that raises :class:`~spgl.update.CurriculumError` keeps the
-    distribution, warns, and is recorded with step kind ``failed``, so one
-    bad update never loses the run.
+    run's distribution, warns, and is recorded with step kind ``failed``, so
+    one bad update never loses a run.  ``progress`` receives every record,
+    run by run within an iteration.
     """
     if not config.runnable:
         raise ConfigError(
             f"preset '{config.name}' is not runnable in this build "
             "(its environment needs an external engine)"
         )
-    mode = curriculum_mode or config.curriculum_mode
-    if mode not in CURRICULUM_MODES:
-        raise ConfigError(f"unknown curriculum mode '{mode}'")
+    if not runs:
+        raise ConfigError("training needs at least one run")
+    for mode, _ in runs:
+        if mode not in CURRICULUM_MODES:
+            raise ConfigError(f"unknown curriculum mode '{mode}'")
     env = config.make_environment()
     if env.context_dim != config.target.d:
         raise ConfigError("environment context dimension does not match the target spec")
 
     target = config.target
-    dist = (
-        ContextDistribution.at_target(target)
-        if mode == "default"
-        else config.initial_distribution()
-    )
-    policy = init_policy(env.observation_dim, env.action_dim)
-    context_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    states = [
+        _Run(
+            mode=mode,
+            seed=seed,
+            dist=(
+                ContextDistribution.at_target(target)
+                if mode == "default"
+                else config.initial_distribution()
+            ),
+            policy=init_policy(env.observation_dim, env.action_dim),
+            context_rng=np.random.default_rng(np.random.SeedSequence([seed, 0])),
+        )
+        for mode, seed in runs
+    ]
 
-    records = []
-    degenerate = failed = 0
     for i in range(1, config.iterations + 1):
-        contexts = sample(dist, context_rng, config.curriculum.k_contexts)
-        episodes = collect_rollouts(policy, env, contexts, config.learner, seed, i)
-        batch = RolloutBatch(episodes.contexts, episodes.values, dist)
-        policy = improve(policy, episodes, config.learner)
+        _lockstep_iteration(states, env, i, config, progress)
 
-        if i % config.curriculum.update_period == 0:
-            if mode == "default":
-                step_kind, active_case, kl_step = "default", "-", 0.0
-            else:
-                try:
-                    if mode == "spgl":
-                        dist, report = update(dist, batch, target, config.curriculum)
-                    else:
-                        dist, report = numerical_update(
-                            dist, batch, target, config.curriculum, seed=seed + i
-                        )
-                except CurriculumError as exc:
-                    warnings.warn(
-                        f"curriculum update failed at iteration {i}, distribution kept: {exc}",
-                        RuntimeWarning,
-                    )
-                    failed += 1
-                    step_kind, active_case, kl_step = "failed", "-", 0.0
-                else:
-                    step_kind, active_case, kl_step = report.kind, report.active_case, report.kl_step
-                    degenerate += int(report.degenerate)
-            record = IterationRecord(
-                iteration=i,
-                mean_return=float(np.mean(batch.values)),
-                success_rate=100.0 * np.count_nonzero(episodes.successes) / len(episodes.successes),
-                kl_to_target=kl_to_target(dist),
-                kl_step=kl_step,
-                step_kind=step_kind,
-                active_case=active_case,
-                mu=np.array(dist.mu),
-                theta=np.array(dist.theta),
-            )
-            records.append(record)
-            if progress is not None:
-                progress(record)
+    return [
+        TrainingResult(
+            records=tuple(run.records),
+            policy=run.policy,
+            distribution=run.dist,
+            degenerate_updates=run.degenerate,
+            failed_updates=run.failed,
+        )
+        for run in states
+    ]
 
-    return TrainingResult(
-        records=tuple(records),
-        policy=policy,
-        distribution=dist,
-        degenerate_updates=degenerate,
-        failed_updates=failed,
+
+def _lockstep_iteration(states, env, i: int, config: ExperimentConfig, progress) -> None:
+    """Iteration ``i`` of every run.  The stacked histories of all runs die
+    with this call, so they are never held while the next iteration
+    collects its own."""
+    contexts = np.stack(
+        [sample(run.dist, run.context_rng, config.curriculum.k_contexts) for run in states]
     )
+    all_episodes = collect_rollouts(
+        [run.policy for run in states],
+        env,
+        contexts,
+        config.learner,
+        [run.seed for run in states],
+        i,
+    )
+    for run, episodes in zip(states, all_episodes):
+        batch = RolloutBatch(episodes.contexts, episodes.values, run.dist)
+        run.policy = improve(run.policy, episodes, config.learner)
+        if i % config.curriculum.update_period != 0:
+            continue
+        step_kind, active_case, kl_step = _curriculum_step(run, batch, i, config)
+        record = IterationRecord(
+            iteration=i,
+            mean_return=float(np.mean(batch.values)),
+            success_rate=100.0 * np.count_nonzero(episodes.successes) / len(episodes.successes),
+            kl_to_target=kl_to_target(run.dist),
+            kl_step=kl_step,
+            step_kind=step_kind,
+            active_case=active_case,
+            mu=np.array(run.dist.mu),
+            theta=np.array(run.dist.theta),
+        )
+        run.records.append(record)
+        if progress is not None:
+            progress(record)
+
+
+def _curriculum_step(run: _Run, batch: RolloutBatch, i: int, config: ExperimentConfig):
+    """Apply the run's curriculum update in place; returns the record's
+    ``(step_kind, active_case, kl_step)``."""
+    if run.mode == "default":
+        return "default", "-", 0.0
+    try:
+        if run.mode == "spgl":
+            run.dist, report = update(run.dist, batch, config.target, config.curriculum)
+        else:
+            run.dist, report = numerical_update(
+                run.dist, batch, config.target, config.curriculum, seed=run.seed + i
+            )
+    except CurriculumError as exc:
+        warnings.warn(
+            f"curriculum update failed at iteration {i} of the {run.mode} run with seed "
+            f"{run.seed}, distribution kept: {exc}",
+            RuntimeWarning,
+        )
+        run.failed += 1
+        return "failed", "-", 0.0
+    run.degenerate += int(report.degenerate)
+    return report.kind, report.active_case, report.kl_step
+
+
+def run_training(
+    config: ExperimentConfig,
+    seed: int,
+    curriculum_mode: str | None = None,
+    progress=None,
+) -> TrainingResult:
+    """Run one training loop and return the per-update records: the one-run
+    call of :func:`train_runs`, in the config's curriculum mode unless
+    ``curriculum_mode`` overrides it."""
+    mode = curriculum_mode or config.curriculum_mode
+    return train_runs(config, [(mode, seed)], progress)[0]
 
 
 def evaluate(
-    policy,
+    policies,
     target,
     env,
     n_episodes: int,
-    rng: np.random.Generator,
+    rngs,
     learner_config: LearnerConfig | None = None,
     deterministic: bool = True,
-) -> EvalResult:
-    """Mean return and success rate (percent) over episodes with contexts
-    drawn from the target distribution, with standard errors.
+) -> list[EvalResult]:
+    """Mean return and success rate (percent) of each policy over episodes
+    with contexts drawn from the target distribution, with standard errors.
 
-    Evaluation executes the mean action by default; pass
-    ``deterministic=False`` to keep the exploration noise.
+    Policy ``r`` draws its contexts and its rollout seed from ``rngs[r]``,
+    and all policies' episodes are stepped in one batch.  Evaluation
+    executes the mean action by default; pass ``deterministic=False`` to
+    keep the exploration noise.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     learner_config = learner_config or LearnerConfig()
     target_dist = ContextDistribution.at_target(target)
-    contexts = sample(target_dist, rng, n_episodes)
-    eval_seed = int(rng.integers(2**31))
-    episodes = collect_rollouts(
-        policy, env, contexts, learner_config, eval_seed, 0, deterministic=deterministic
+    contexts = np.stack([sample(target_dist, rng, n_episodes) for rng in rngs])
+    eval_seeds = [int(rng.integers(2**31)) for rng in rngs]
+    all_episodes = collect_rollouts(
+        policies, env, contexts, learner_config, eval_seeds, 0, deterministic=deterministic
     )
-    returns = episodes.values
-    successes = 100.0 * episodes.successes
     if n_episodes == 1:
         warnings.warn("single-episode evaluation; standard errors are zero", RuntimeWarning)
+    return [_eval_result(episodes) for episodes in all_episodes]
+
+
+def _eval_result(episodes) -> EvalResult:
+    returns = episodes.values
+    successes = 100.0 * episodes.successes
+    n = len(returns)
+    if n == 1:
         return EvalResult(float(returns[0]), float(successes[0]), 0.0, 0.0)
     return EvalResult(
         mean_return=float(np.mean(returns)),
         success_rate=float(np.mean(successes)),
-        return_se=float(np.std(returns, ddof=1) / math.sqrt(n_episodes)),
-        success_se=float(np.std(successes, ddof=1) / math.sqrt(n_episodes)),
+        return_se=float(np.std(returns, ddof=1) / math.sqrt(n)),
+        success_se=float(np.std(successes, ddof=1) / math.sqrt(n)),
     )
 
 
-def evaluate_run(config: ExperimentConfig, result: TrainingResult, seed: int) -> EvalResult:
-    """Final evaluation of a finished run, on the target distribution."""
+def evaluate_run(config: ExperimentConfig, results, seeds) -> list[EvalResult]:
+    """Final evaluation of finished runs on the target distribution; run
+    ``r`` is evaluated with generators derived from ``seeds[r]``."""
     env = config.make_environment()
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 10_000]))
-    return evaluate(result.policy, config.target, env, config.eval_episodes, rng, config.learner)
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 10_000])) for seed in seeds]
+    return evaluate(
+        [result.policy for result in results],
+        config.target,
+        env,
+        config.eval_episodes,
+        rngs,
+        config.learner,
+    )
 
 
 @dataclass(frozen=True)
@@ -245,25 +326,21 @@ class ModeSummary:
 def run_multi_seed(
     config: ExperimentConfig, seeds, modes=("default", "spgl"), progress=None
 ) -> tuple[list[ModeSummary], dict]:
-    """Train every curriculum mode on every seed and aggregate final
-    evaluations, with Welch's t-test p-values against the spgl row
-    (descriptive, not gating)."""
-    per_mode_returns = {}
-    per_mode_success = {}
-    per_mode_kl = {}
+    """Train every curriculum mode on every seed, all runs in lock-step, and
+    aggregate their final evaluations, made in one batch, with Welch's t-test
+    p-values against the spgl row (descriptive, not gating)."""
+    runs = [(mode, seed) for mode in modes for seed in seeds]
+    results = train_runs(config, runs, progress)
+    evals = evaluate_run(config, results, [seed for _, seed in runs])
+    per_mode_returns = {mode: [] for mode in modes}
+    per_mode_success = {mode: [] for mode in modes}
+    per_mode_kl = {mode: [] for mode in modes}
     all_records = {}
-    for mode in modes:
-        returns, successes, kls = [], [], []
-        for seed in seeds:
-            result = run_training(config, seed, curriculum_mode=mode, progress=progress)
-            ev = evaluate_run(config, result, seed)
-            returns.append(ev.mean_return)
-            successes.append(ev.success_rate)
-            kls.append(result.records[-1].kl_to_target if result.records else 0.0)
-            all_records[(mode, seed)] = result.records
-        per_mode_returns[mode] = returns
-        per_mode_success[mode] = successes
-        per_mode_kl[mode] = kls
+    for (mode, seed), result, ev in zip(runs, results, evals):
+        per_mode_returns[mode].append(ev.mean_return)
+        per_mode_success[mode].append(ev.success_rate)
+        per_mode_kl[mode].append(result.records[-1].kl_to_target if result.records else 0.0)
+        all_records[(mode, seed)] = result.records
 
     summaries = []
     spgl_returns = per_mode_returns.get("spgl")

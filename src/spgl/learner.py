@@ -9,6 +9,7 @@ batch; value estimates are plain discounted Monte Carlo returns.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -75,12 +76,21 @@ def feature_dim(observation_dim: int) -> int:
     return 1 + observation_dim + observation_dim * (observation_dim + 1) // 2
 
 
+@functools.cache
+def _upper_pairs(n: int):
+    """Index pairs ``i <= j`` of the pairwise feature terms, built once per
+    ``n`` and shared read-only."""
+    iu, ju = np.triu_indices(n)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def policy_features(observations: np.ndarray) -> np.ndarray:
     """Degree-<=2 polynomial features of ``(k, n)`` observations: constant,
     linear and pairwise terms, shape ``(k, F)``."""
     obs = np.asarray(observations, dtype=float)
     k, n = obs.shape
-    iu, ju = np.triu_indices(n)
+    iu, ju = _upper_pairs(n)
     return np.concatenate([np.ones((k, 1)), obs, obs[:, iu] * obs[:, ju]], axis=1)
 
 
@@ -130,52 +140,66 @@ class Episodes:
 
 
 def collect_rollouts(
-    policy,
+    policies,
     env,
     contexts: np.ndarray,
     config: LearnerConfig,
-    master_seed: int,
+    master_seeds,
     iteration: int,
     deterministic: bool = False,
-) -> Episodes:
-    """One episode per context, stepped together until every row is done.
+) -> list[Episodes]:
+    """One episode per context for each of R runs, all ``R * K`` rows stepped
+    together until every row is done; returns one :class:`Episodes` per run.
 
-    Per-episode noise comes from generators derived from
-    ``(master_seed, iteration, index)``, so an episode does not depend on the
-    other rows of the batch or on execution order.  With ``deterministic``
-    the mean action is executed (evaluation mode).
+    ``policies`` holds one policy per run, ``contexts`` has shape
+    ``(R, K, d)`` and ``master_seeds`` one seed per run.  Episode ``i`` of
+    run ``r`` draws its noise from a generator derived from
+    ``(master_seeds[r], iteration, i)``, and each run's action product is a
+    ``(K, F) @ (F, A)`` matrix product as if the run were stepped alone, so a
+    run's episodes do not depend on the other runs, the other rows of its
+    batch or the execution order.  With ``deterministic`` the mean action is
+    executed (evaluation mode).
     """
-    contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-    k = contexts.shape[0]
+    contexts = np.asarray(contexts, dtype=float)
+    if contexts.ndim != 3 or not len(policies) == len(master_seeds) == contexts.shape[0]:
+        raise ValueError("collect_rollouts needs (R, K, d) contexts, R policies and R seeds")
+    runs, k, d = contexts.shape
+    rows = runs * k
     horizon = env.horizon
     action_dim = env.action_dim
+    weights_t = np.stack([p.weights for p in policies]).transpose(0, 2, 1)
     # without actions there is no noise to draw, so no generators are built
     if deterministic or action_dim == 0:
-        noise = np.zeros((k, horizon, action_dim))
-        noise_std = np.zeros(action_dim)
+        noise = np.zeros((runs, k, horizon, action_dim))
+        noise_std = np.zeros((runs, 1, action_dim))
     else:
-        noise = np.stack(
+        noise = np.array(
             [
-                _rollout_rng(master_seed, iteration, i).standard_normal((horizon, action_dim))
-                for i in range(k)
+                [
+                    _rollout_rng(seed, iteration, i).standard_normal((horizon, action_dim))
+                    for i in range(k)
+                ]
+                for seed in master_seeds
             ]
         )
-        noise_std = policy.action_noise
+        noise_std = np.stack([p.action_noise for p in policies])[:, None, :]
 
-    state = env.reset(contexts)
-    alive = np.ones(k, dtype=bool)
-    values = np.zeros(k)
+    state = env.reset(contexts.reshape(rows, d))
+    alive = np.ones(rows, dtype=bool)
+    values = np.zeros(rows)
     discount = 1.0
-    lengths = np.zeros(k, dtype=int)
-    successes = np.zeros(k, dtype=bool)
-    feats_hist = np.zeros((k, horizon, feature_dim(env.observation_dim)))
-    actions_hist = np.zeros((k, horizon, action_dim))
+    lengths = np.zeros(rows, dtype=int)
+    successes = np.zeros(rows, dtype=bool)
+    n_features = feature_dim(env.observation_dim)
+    feats_hist = np.zeros((rows, horizon, n_features))
+    actions_hist = np.zeros((rows, horizon, action_dim))
 
     for t in range(horizon):
         if not np.any(alive):
             break
         feats = policy_features(env.observe(state))
-        actions = feats @ policy.weights.T + noise_std * noise[:, t, :]
+        actions = np.matmul(feats.reshape(runs, k, n_features), weights_t)
+        actions = (actions + noise_std * noise[:, :, t, :]).reshape(rows, action_dim)
         new_state, rewards, terminated, success = env.step(state, actions, t)
         state = np.where(alive[:, None], new_state, state)
         values += np.where(alive, discount * rewards, 0.0)
@@ -186,7 +210,20 @@ def collect_rollouts(
         alive &= ~terminated
         discount *= config.gamma
 
-    return Episodes(contexts, values, successes, lengths, feats_hist, actions_hist)
+    def per_run(a):
+        return a.reshape(runs, k, *a.shape[1:])
+
+    return [
+        Episodes(*run)
+        for run in zip(
+            contexts,
+            per_run(values),
+            per_run(successes),
+            per_run(lengths),
+            per_run(feats_hist),
+            per_run(actions_hist),
+        )
+    ]
 
 
 def improve(policy: PolicyParameters, episodes: Episodes, config: LearnerConfig) -> PolicyParameters:

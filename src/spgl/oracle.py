@@ -447,14 +447,13 @@ def solve_exact_sampled(
         mu, theta = unpack(z)
         return _kl_params(mu, theta, mu0, theta0, sigma)
 
-    def feasible(z):
-        if step_kl(z) > eps + 1e-9:
-            return False
-        if mode == "convergence" and sampled(z) < config.v_lower - 1e-9 * max(
+    def meets_performance(z):
+        return mode == "performance" or not sampled(z) < config.v_lower - 1e-9 * max(
             1.0, abs(config.v_lower)
-        ):
-            return False
-        return True
+        )
+
+    def feasible(z):
+        return not step_kl(z) > eps + 1e-9 and meets_performance(z)
 
     if mode == "performance":
         f = lambda z: -sampled(z)
@@ -504,8 +503,10 @@ def solve_exact_sampled(
         def try_direction(direction, a, depth=40):
             nonlocal z, fz, alpha
             for _ in range(depth):
+                # the projection returns a point with step KL <= eps, so
+                # only the performance constraint is left to check
                 z_try = project_to_ball(step_kl, z0, z + a * direction, eps)
-                if feasible(z_try):
+                if meets_performance(z_try):
                     f_try = f(z_try)
                     if f_try < fz - 1e-15:
                         z, fz = z_try, f_try

@@ -23,7 +23,7 @@ import pytest
 from spgl.cli import main
 from spgl.config import load_config, preset_path
 from spgl.gaussian import ContextDistribution, TargetSpec
-from spgl.harness import evaluate_run, run_training, verify
+from spgl.harness import evaluate_run, run_training, train_runs, verify
 from spgl.oracle import InfeasibleSubproblem, LinearizedSubproblem, solve_numeric
 from spgl.stats import CurriculumStats, RolloutBatch
 from spgl.update import (
@@ -143,13 +143,14 @@ def test_criterion_5_point_mass_trend():
     seeds = [0, 1, 2, 3, 4]
     success = {"spgl": [], "default": []}
     final_kl = []
-    for mode in ("spgl", "default"):
-        for seed in seeds:
-            result = run_training(config, seed, curriculum_mode=mode)
-            ev = evaluate_run(config, result, seed)
-            success[mode].append(ev.success_rate)
-            if mode == "spgl":
-                final_kl.append(result.records[-1].kl_to_target)
+    # all ten runs train in lock-step and are evaluated in one batch
+    runs = [(mode, seed) for mode in ("spgl", "default") for seed in seeds]
+    results = train_runs(config, runs)
+    evals = evaluate_run(config, results, [seed for _, seed in runs])
+    for (mode, _), result, ev in zip(runs, results, evals):
+        success[mode].append(ev.success_rate)
+        if mode == "spgl":
+            final_kl.append(result.records[-1].kl_to_target)
     elapsed = time.perf_counter() - start
     spgl_median = float(np.median(success["spgl"]))
     default_median = float(np.median(success["default"]))

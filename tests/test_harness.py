@@ -1,6 +1,9 @@
 """Harness tests: config parsing and presets, training-loop contracts
-(record counts, default-mode identities, byte-identical determinism),
-evaluation statistics, verification wiring and the CLI surface."""
+(record counts, default-mode identities, byte-identical determinism,
+lock-step runs equal to the same runs alone), evaluation statistics,
+verification wiring and the CLI surface."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +11,15 @@ import pytest
 import spgl.harness
 from spgl.cli import EXIT_WARNINGS, main
 from spgl.config import ConfigError, available_presets, load_config, preset_path
-from spgl.harness import evaluate, records_to_csv, run_multi_seed, run_training, verify
+from spgl.harness import (
+    evaluate,
+    evaluate_run,
+    records_to_csv,
+    run_multi_seed,
+    run_training,
+    train_runs,
+    verify,
+)
 from spgl.envs import PointMassEnv
 from spgl.gaussian import TargetSpec
 from spgl.learner import init_policy
@@ -213,24 +224,120 @@ class TestEvaluate:
         policy = init_policy(env.observation_dim, env.action_dim)
         target = TargetSpec(mu_tilde=np.array([0.0, 4.0, 0.0]), sigma_tilde_diag=np.full(3, 1e-4))
         with pytest.warns(RuntimeWarning):
-            result = evaluate(policy, target, env, 1, np.random.default_rng(0))
+            (result,) = evaluate([policy], target, env, 1, [np.random.default_rng(0)])
         assert result.return_se == 0.0 and result.success_se == 0.0
 
     def test_seeded_repeatability(self):
         env = PointMassEnv()
         policy = init_policy(env.observation_dim, env.action_dim)
         target = TargetSpec(mu_tilde=np.array([0.0, 4.0, 0.0]), sigma_tilde_diag=np.full(3, 1e-4))
-        a = evaluate(policy, target, env, 10, np.random.default_rng(5))
-        b = evaluate(policy, target, env, 10, np.random.default_rng(5))
+        a = evaluate([policy], target, env, 10, [np.random.default_rng(5)])
+        b = evaluate([policy], target, env, 10, [np.random.default_rng(5)])
         assert a == b
 
     def test_success_rate_is_percentage(self, synth_config):
         config = synth_config(iterations=5)
         env = config.make_environment()
         policy = init_policy(env.observation_dim, env.action_dim)
-        result = evaluate(policy, config.target, env, 16, np.random.default_rng(1))
+        (result,) = evaluate([policy], config.target, env, 16, [np.random.default_rng(1)])
         assert result.success_rate == 100.0
         assert result.success_se == 0.0
+
+
+# default and spgl runs on two seeds, stepped in lock-step
+LOCKSTEP_RUNS = [("default", 0), ("spgl", 0), ("default", 1), ("spgl", 1)]
+
+
+@pytest.fixture(scope="module")
+def point_mass_short():
+    config = load_config(preset_path("point_mass_setup1"))
+    return dataclasses.replace(config, iterations=10)
+
+
+@pytest.fixture(scope="module")
+def runs_alone(point_mass_short):
+    return {
+        (mode, seed): run_training(point_mass_short, seed, curriculum_mode=mode)
+        for mode, seed in LOCKSTEP_RUNS
+    }
+
+
+def run_bytes(config, result):
+    """Everything a finished run hands on, as bytes."""
+    return (
+        records_to_csv(result.records, config.target.d).encode(),
+        result.policy.weights.tobytes(),
+        result.policy.log_action_noise.tobytes(),
+        result.distribution.mu.tobytes(),
+        result.distribution.theta.tobytes(),
+        result.degenerate_updates,
+        result.failed_updates,
+    )
+
+
+class TestLockStep:
+    def test_each_run_equals_the_run_alone(self, point_mass_short, runs_alone):
+        together = train_runs(point_mass_short, LOCKSTEP_RUNS)
+        assert len(together) == len(LOCKSTEP_RUNS)
+        for run, result in zip(LOCKSTEP_RUNS, together):
+            alone = runs_alone[run]
+            assert len(result.records) == point_mass_short.iterations
+            assert run_bytes(point_mass_short, result) == run_bytes(point_mass_short, alone), run
+
+    def test_batched_evaluation_equals_each_run_alone(self, point_mass_short, runs_alone):
+        results = [runs_alone[run] for run in LOCKSTEP_RUNS]
+        seeds = [seed for _, seed in LOCKSTEP_RUNS]
+        together = evaluate_run(point_mass_short, results, seeds)
+        for result, seed, ev in zip(results, seeds, together):
+            (alone,) = evaluate_run(point_mass_short, [result], [seed])
+            assert ev == alone
+        # a run's evaluation does not depend on its place in the batch
+        assert evaluate_run(point_mass_short, results[::-1], seeds[::-1]) == together[::-1]
+
+    def test_failed_update_leaves_other_runs_unchanged(
+        self, point_mass_short, runs_alone, monkeypatch
+    ):
+        real_update = spgl.harness.update
+        calls = []
+
+        def flaky_update(dist, batch, target, curriculum):
+            # the two spgl runs update in turn: call 5 is (spgl, 0) at iteration 3
+            calls.append(dist)
+            if len(calls) == 5:
+                raise CurriculumError("no KKT case matched the scale subproblem")
+            return real_update(dist, batch, target, curriculum)
+
+        monkeypatch.setattr(spgl.harness, "update", flaky_update)
+        with pytest.warns(RuntimeWarning, match="iteration 3 of the spgl run with seed 0"):
+            together = train_runs(point_mass_short, LOCKSTEP_RUNS)
+
+        by_run = dict(zip(LOCKSTEP_RUNS, together))
+        hit = by_run.pop(("spgl", 0))
+        assert hit.failed_updates == 1 and hit.records[2].step_kind == "failed"
+        alone = runs_alone[("spgl", 0)]
+        assert records_to_csv(hit.records[:2], 3) == records_to_csv(alone.records[:2], 3)
+        for run, result in by_run.items():
+            assert run_bytes(point_mass_short, result) == run_bytes(
+                point_mass_short, runs_alone[run]
+            ), run
+
+    def test_progress_sees_every_record_run_by_run(self, synth_config):
+        config = synth_config(iterations=3)
+        seen = []
+        results = train_runs(config, [("spgl", 1), ("default", 2)], progress=seen.append)
+        assert [r.iteration for r in seen] == [1, 1, 2, 2, 3, 3]
+        assert seen[0::2] == list(results[0].records)
+        assert seen[1::2] == list(results[1].records)
+
+    def test_no_runs_rejected(self, synth_config, tmp_path):
+        with pytest.raises(ConfigError, match="at least one run"):
+            train_runs(synth_config(iterations=2), [])
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        out = tmp_path / "summary.csv"
+        argv = ["train", "--config", str(config_path), "--seeds", ",", "--out", str(out)]
+        assert main(argv + ["--quiet"]) == 1
+        assert not out.exists()
 
 
 class TestMultiSeed:
@@ -306,6 +413,28 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("curriculum,")
         assert "spgl" in text and "default" in text
+
+    def test_multi_seed_curves_equal_single_runs(self, tmp_path):
+        # the per-run curves of a multi-seed comparison are the curves of
+        # the same (curriculum, seed) trained alone, byte for byte
+        config_path = tmp_path / "pm.ini"
+        preset = preset_path("point_mass_setup1").read_text()
+        config_path.write_text(
+            preset.replace("iterations = 600", "iterations = 4").replace(
+                "episodes = 50", "episodes = 4"
+            )
+        )
+        out = tmp_path / "summary.csv"
+        argv = ["train", "--config", str(config_path), "--quiet"]
+        assert main(argv + ["--seeds", "0,1", "--compare", "default,spgl", "--out", str(out)]) == 0
+        for mode in ("default", "spgl"):
+            for seed in (0, 1):
+                single = tmp_path / f"single_{mode}_{seed}.csv"
+                run_argv = ["--seed", str(seed), "--curriculum", mode, "--out", str(single)]
+                assert main(argv + run_argv) == 0
+                curve = tmp_path / f"summary_{mode}_seed{seed}.csv"
+                assert curve.read_bytes() == single.read_bytes()
+                assert len(curve.read_text().splitlines()) == 1 + 4
 
     def test_warnings_as_errors_flags_failed_updates(self, tmp_path, monkeypatch, capsys):
         def failing_update(*args):

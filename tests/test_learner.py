@@ -24,6 +24,12 @@ from spgl.learner import (
 EASY = np.array([0.0, 4.0, 0.0])
 
 
+def collect_one(policy, env, contexts, config, master_seed, iteration, **kwargs):
+    """The episodes of one run collected alone."""
+    contexts = np.asarray(contexts, dtype=float)[None]
+    return collect_rollouts([policy], env, contexts, config, [master_seed], iteration, **kwargs)[0]
+
+
 def make_policy(env, scale=0.0, seed=0):
     policy = init_policy(env.observation_dim, env.action_dim)
     if scale:
@@ -40,7 +46,7 @@ class TestRollout:
         env = SyntheticEnv(difficulty_center=np.zeros(2), width=1.0)
         policy = make_policy(env)
         contexts = np.random.default_rng(0).normal(0.0, 1.5, (16, 2))
-        episodes = collect_rollouts(policy, env, contexts, LearnerConfig(), 0, 0)
+        episodes = collect_one(policy, env, contexts, LearnerConfig(), 0, 0)
         for c, v, ok in zip(contexts, episodes.values, episodes.successes):
             assert v == synthetic_value(c, env.difficulty_center, env.width, env.peak)
             assert ok == (v >= env.success_threshold)
@@ -51,7 +57,7 @@ class TestRollout:
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
         contexts = np.array([EASY, [1.0, 2.0, 0.3]])
-        episodes = collect_rollouts(policy, env, contexts, LearnerConfig(gamma=0.0), 1, 0)
+        episodes = collect_one(policy, env, contexts, LearnerConfig(gamma=0.0), 1, 0)
         _, rewards, _, _ = env.step(env.reset(contexts), episodes.actions[:, 0], 0)
         assert np.array_equal(episodes.values, rewards)
 
@@ -60,9 +66,9 @@ class TestRollout:
         policy = make_policy(env, scale=0.1)
         config = LearnerConfig()
         contexts = np.array([EASY, EASY])
-        a = collect_rollouts(policy, env, contexts, config, master_seed=7, iteration=0)
-        b = collect_rollouts(policy, env, contexts, config, master_seed=7, iteration=0)
-        c = collect_rollouts(policy, env, contexts, config, master_seed=8, iteration=0)
+        a = collect_one(policy, env, contexts, config, master_seed=7, iteration=0)
+        b = collect_one(policy, env, contexts, config, master_seed=7, iteration=0)
+        c = collect_one(policy, env, contexts, config, master_seed=8, iteration=0)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.actions, b.actions)
         # each row draws its own noise, and the seed changes it
@@ -76,21 +82,55 @@ class TestRollout:
         policy = make_policy(env, scale=0.1)
         config = LearnerConfig()
         contexts = np.array([EASY, [1.0, 2.0, 0.3], [-1.0, 1.0, 0.1], [2.5, 0.7, 0.1]])
-        full = collect_rollouts(policy, env, contexts, config, master_seed=5, iteration=3)
+        full = collect_one(policy, env, contexts, config, master_seed=5, iteration=3)
         for i in range(len(contexts)):
-            prefix = collect_rollouts(policy, env, contexts[: i + 1], config, 5, 3)
+            prefix = collect_one(policy, env, contexts[: i + 1], config, 5, 3)
             assert prefix.values[i] == pytest.approx(full.values[i], rel=1e-9)
             assert prefix.lengths[i] == full.lengths[i]
             assert prefix.successes[i] == full.successes[i]
             assert np.allclose(prefix.actions[i], full.actions[i], atol=1e-9)
+
+    def test_run_blocks_match_runs_alone(self):
+        # block r of an R-run call equals run r collected alone, bit for bit,
+        # with a different policy, seed and context set per run
+        env = PointMassEnv()
+        config = LearnerConfig()
+        rng = np.random.default_rng(11)
+        policies = [make_policy(env, scale=0.3, seed=s) for s in range(3)]
+        seeds = [4, 9, 4]
+        contexts = np.stack(
+            [rng.uniform([-3.0, 0.0, 0.0], [3.0, 3.0, 1.0], (6, 3)) for _ in range(3)]
+        )
+        contexts[1, :] = EASY
+        # run 0 pushes hard toward a narrow gate at the far right: it crashes
+        weights = policies[0].weights.copy()
+        weights[1, 0] = -10.0
+        policies[0] = type(policies[0])(weights, policies[0].log_action_noise)
+        contexts[0, :, :2] = [3.5, 0.1]
+        together = collect_rollouts(policies, env, contexts, config, seeds, 2)
+        assert len(together) == 3
+        assert together[0].lengths.max() < env.horizon == together[1].lengths.max()
+        for policy, ctx, seed, block in zip(policies, contexts, seeds, together):
+            alone = collect_one(policy, env, ctx, config, seed, 2)
+            for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
+                a, b = getattr(block, name), getattr(alone, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_stacked_shapes_are_checked(self):
+        env = PointMassEnv()
+        policy = make_policy(env)
+        with pytest.raises(ValueError, match=r"\(R, K, d\)"):
+            collect_rollouts([policy], env, np.array([EASY, EASY]), LearnerConfig(), [0], 0)
+        with pytest.raises(ValueError, match="R seeds"):
+            collect_rollouts([policy], env, np.array([[EASY, EASY]]), LearnerConfig(), [0, 1], 0)
 
     def test_collect_is_bit_reproducible(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
         config = LearnerConfig()
         contexts = np.array([EASY, [1.0, 2.0, 0.3]])
-        a = collect_rollouts(policy, env, contexts, config, master_seed=9, iteration=1)
-        b = collect_rollouts(policy, env, contexts, config, master_seed=9, iteration=1)
+        a = collect_one(policy, env, contexts, config, master_seed=9, iteration=1)
+        b = collect_one(policy, env, contexts, config, master_seed=9, iteration=1)
         for name in ("values", "successes", "lengths", "features", "actions"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -99,7 +139,7 @@ class TestRollout:
         policy = make_policy(env, scale=0.3, seed=2)
         # a narrow, offset gate crashes some rows early
         contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY])
-        episodes = collect_rollouts(policy, env, contexts, LearnerConfig(), 3, 0)
+        episodes = collect_one(policy, env, contexts, LearnerConfig(), 3, 0)
         assert episodes.features.shape == (4, env.horizon, episodes.features.shape[2])
         assert episodes.lengths.min() < env.horizon
         for feats, actions, n in zip(episodes.features, episodes.actions, episodes.lengths):
@@ -110,13 +150,13 @@ class TestRollout:
     def test_raw_contexts_are_kept(self):
         env = PointMassEnv()
         raw = np.array([[0.0, -1.0, -0.5], EASY])
-        episodes = collect_rollouts(make_policy(env), env, raw, LearnerConfig(), 0, 0)
+        episodes = collect_one(make_policy(env), env, raw, LearnerConfig(), 0, 0)
         assert np.array_equal(episodes.contexts, raw)
 
     def test_return_bounds(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.3)
-        episodes = collect_rollouts(policy, env, np.tile(EASY, (5, 1)), LearnerConfig(), 0, 0)
+        episodes = collect_one(policy, env, np.tile(EASY, (5, 1)), LearnerConfig(), 0, 0)
         horizon = env.params.horizon
         upper = horizon * 1.0 + env.params.success_bonus
         lower = horizon * (-env.params.action_cost * 2 * env.params.action_limit**2) + env.params.crash_penalty
@@ -128,7 +168,7 @@ class TestImprove:
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
         config = LearnerConfig()
-        episodes = collect_rollouts(policy, env, np.array([EASY, EASY]), config, 0, 0)
+        episodes = collect_one(policy, env, np.array([EASY, EASY]), config, 0, 0)
         # identical seeds per index differ, so force equal return estimates
         episodes = dataclasses.replace(episodes, values=np.ones(2))
         new_policy = improve(policy, episodes, config)
@@ -138,7 +178,7 @@ class TestImprove:
         env = SyntheticEnv(difficulty_center=np.zeros(3), width=2.0)
         policy = make_policy(env)
         config = LearnerConfig()
-        episodes = collect_rollouts(
+        episodes = collect_one(
             policy, env, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), config, 0, 0
         )
         assert improve(policy, episodes, config) is policy
@@ -148,7 +188,7 @@ class TestImprove:
         policy = make_policy(env, scale=0.05)
         config = LearnerConfig(learning_rate=1.0)
         contexts = np.tile(EASY, (6, 1))
-        episodes = collect_rollouts(policy, env, contexts, config, 3, 0)
+        episodes = collect_one(policy, env, contexts, config, 3, 0)
         baseline = float(np.mean(episodes.values))
 
         def surrogate(weights):
@@ -189,7 +229,7 @@ class TestImprove:
             policy = make_policy(env)
             first = last = None
             for it in range(50):
-                episodes = collect_rollouts(policy, env, contexts, config, seed, it)
+                episodes = collect_one(policy, env, contexts, config, seed, it)
                 mean_return = float(np.mean(episodes.values))
                 if first is None:
                     first = mean_return
@@ -219,5 +259,5 @@ class TestPersistence:
         loaded = load_policy(path)
         assert loaded.weights.shape == (0, 1) and loaded.log_action_noise.shape == (0,)
         target = TargetSpec(mu_tilde=np.zeros(2), sigma_tilde_diag=np.ones(2))
-        ev = evaluate(loaded, target, env, 8, np.random.default_rng(0))
+        (ev,) = evaluate([loaded], target, env, 8, [np.random.default_rng(0)])
         assert 0.0 < ev.mean_return <= env.peak

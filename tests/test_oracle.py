@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import spgl.oracle
 from spgl.gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between
 from spgl.oracle import (
     InfeasibleSubproblem,
@@ -259,6 +260,32 @@ class TestSolveExactSampled:
         b = solve_exact_sampled(batch, dist, target, config, "performance", seed=8)
         assert np.array_equal(a.distribution.mu, b.distribution.mu)
         assert np.array_equal(a.distribution.theta, b.distribution.theta)
+
+
+    @pytest.mark.parametrize(
+        "mode, eps, width",
+        [("performance", 0.05, 2.0), ("performance", 1e-6, 2.0), ("convergence", 0.05, 50.0)],
+    )
+    def test_every_trial_point_is_inside_the_ball(self, monkeypatch, mode, eps, width):
+        # trial points come only from the ray projection, and the solver
+        # trusts it for the step KL: every projected point, the accepted ones
+        # among them, must satisfy the solver's own step-KL test
+        real_project = spgl.oracle.project_to_ball
+        kls = []
+
+        def checked_project(kl, z0, z, eps):
+            point = real_project(kl, z0, z, eps)
+            kls.append(kl(point))
+            return point
+
+        monkeypatch.setattr(spgl.oracle, "project_to_ball", checked_project)
+        dist, target, batch = exact_setting(seed=9, width=width)
+        v_lower = 5.0 if mode == "convergence" else 100.0
+        config = CurriculumConfig(epsilon=eps, v_lower=v_lower, k_contexts=16)
+        result = solve_exact_sampled(batch, dist, target, config, mode, seed=10)
+        assert len(kls) > 100
+        assert max(kls) <= eps + 1e-9
+        assert result.kl_step <= eps + 1e-9
 
 
 class TestNumericalUpdate:
