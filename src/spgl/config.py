@@ -5,10 +5,8 @@ Sections: ``[experiment]`` (environment, curriculum mode, iteration budget),
 ``[initial]`` (context distribution parameters), ``[curriculum]``,
 ``[learner]`` and ``[evaluation]``.
 
-Shipped presets live in ``spgl/presets``; the two point-mass setups and the
-synthetic convergence run are directly runnable, while the presets whose
-environments need external engines carry ``runnable = false`` and are
-rejected at load time with a clear error.
+Shipped presets live in ``spgl/presets``: the two point-mass setups and the
+synthetic convergence run.
 """
 
 from __future__ import annotations
@@ -34,10 +32,14 @@ __all__ = [
 ]
 
 CURRICULUM_MODES = ("default", "spgl", "numerical")
-ENVIRONMENTS = ("point_mass", "synthetic", "lunar_lander", "ball_catching")
-# Curriculum options that no longer exist; a file that still sets one fails
-# loudly rather than silently running a different algorithm.
-REMOVED_CURRICULUM_KEYS = ("standardize_values", "combined_step")
+ENVIRONMENTS = ("point_mass", "synthetic")
+# Options that no longer exist, as (section, key); a file that still sets one
+# fails loudly rather than silently running a different algorithm.
+REMOVED_KEYS = (
+    ("curriculum", "standardize_values"),
+    ("curriculum", "combined_step"),
+    ("learner", "iterations_per_update"),
+)
 
 
 class ConfigError(ValueError):
@@ -50,7 +52,6 @@ class ExperimentConfig:
 
     name: str
     environment: str
-    runnable: bool
     curriculum_mode: str
     iterations: int
     seed: int
@@ -72,13 +73,8 @@ class ExperimentConfig:
             overrides = {k: v for k, v in opts.items() if k in param_fields}
             params = PointMassParams(**overrides) if overrides else PointMassParams()
             return PointMassEnv(params=params, context_visible=self.learner.context_visible)
-        if self.environment == "synthetic":
-            center = opts.get("difficulty_center", self.target.mu_tilde)
-            return SyntheticEnv(difficulty_center=center, width=opts.get("width", 50.0))
-        raise ConfigError(
-            f"environment '{self.environment}' has no native implementation; "
-            "this preset documents its published parameters only"
-        )
+        center = opts.get("difficulty_center", self.target.mu_tilde)
+        return SyntheticEnv(difficulty_center=center, width=opts.get("width", 50.0))
 
 
 def _parse_vector(raw: str, name: str) -> np.ndarray:
@@ -133,9 +129,9 @@ def load_config(path) -> ExperimentConfig:
     if initial_mu.shape != target.mu_tilde.shape or initial_theta.shape != target.mu_tilde.shape:
         raise ConfigError("initial and target context dimensions differ")
 
-    for key in REMOVED_CURRICULUM_KEYS:
-        if parser.has_option("curriculum", key):
-            raise ConfigError(f"[curriculum] {key} is no longer supported")
+    for section, key in REMOVED_KEYS:
+        if parser.has_option(section, key):
+            raise ConfigError(f"[{section}] {key} is no longer supported")
     curriculum = CurriculumConfig(
         epsilon=_get(parser, "curriculum", "epsilon", float, required=True),
         v_lower=_get(parser, "curriculum", "v_lower", float, required=True),
@@ -147,7 +143,6 @@ def load_config(path) -> ExperimentConfig:
     learner = LearnerConfig(
         gamma=_get(parser, "learner", "gamma", float, default=0.99),
         learning_rate=_get(parser, "learner", "learning_rate", float, default=0.05),
-        iterations_per_update=_get(parser, "learner", "iterations_per_update", int, default=1),
         context_visible=_get(parser, "environment", "context_visible", bool, default=False),
     )
 
@@ -166,7 +161,6 @@ def load_config(path) -> ExperimentConfig:
     config = ExperimentConfig(
         name=_get(parser, "experiment", "name", str, default=path.stem),
         environment=environment,
-        runnable=_get(parser, "experiment", "runnable", bool, default=True),
         curriculum_mode=curriculum_mode,
         iterations=_get(parser, "experiment", "iterations", int, default=200),
         seed=_get(parser, "experiment", "seed", int, default=0),

@@ -8,9 +8,14 @@ variances per dimension.  At ``mu == mu_tilde`` and ``theta == 1`` the two
 distributions coincide.
 
 All covariances here are diagonal, which keeps every density, importance
-ratio and KL divergence in closed form as simple vector expressions.
-Distributions are immutable after construction and safe to share across
-threads; sampling takes an explicit seeded generator owned by the caller.
+ratio and KL divergence in closed form as simple vector expressions.  Each
+formula exists once, as an array-level function on raw parameters
+(:func:`log_density_params`, :func:`kl_params`, :func:`kl_to_target_params`);
+the distribution-level functions check the family and call them, and the
+closed-form update, its joint-KL backtrack and the exact solver in
+:mod:`spgl.oracle` call them directly.  Distributions are immutable after
+construction and safe to share across threads; sampling takes an explicit
+seeded generator owned by the caller.
 """
 
 from __future__ import annotations
@@ -26,8 +31,11 @@ __all__ = [
     "TargetSpec",
     "importance_ratio",
     "kl_between",
+    "kl_params",
     "kl_to_target",
+    "kl_to_target_params",
     "log_density",
+    "log_density_params",
     "mean_shift_kl",
     "sample",
 ]
@@ -148,6 +156,29 @@ def sample(dist: ContextDistribution, rng: np.random.Generator, k: int) -> np.nd
     return dist.mu + rng.standard_normal((k, dist.d)) * std
 
 
+def log_density_params(c: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray | float:
+    """Log density of ``N(mu, diag(var))`` at ``c``: a scalar for one context
+    ``(d,)``, a ``(k,)`` array for a batch ``(k, d)``."""
+    quad = np.sum((c - mu) ** 2 / var, axis=-1)
+    return -0.5 * quad - 0.5 * np.sum(np.log(2.0 * np.pi * var))
+
+
+def kl_params(mu1, theta1, mu0, theta0, sigma) -> float:
+    """``KL(N(mu1, theta1 sigma) || N(mu0, theta0 sigma))`` on raw arrays:
+    ``0.5 * sum(r - 1 - ln(r) + (mu1 - mu0)^2 / (theta0 * sigma))`` with
+    ``r = theta1 / theta0``."""
+    ratio = theta1 / theta0
+    terms = ratio - 1.0 - np.log(ratio) + (mu1 - mu0) ** 2 / (theta0 * sigma)
+    return 0.5 * float(np.sum(terms))
+
+
+def kl_to_target_params(mu, theta, mu_tilde, sigma) -> float:
+    """``KL(N(mu_tilde, sigma) || N(mu, theta sigma))`` on raw arrays:
+    ``0.5 * sum((mu - mu_tilde)^2 / (theta * sigma) + 1/theta + ln(theta) - 1)``."""
+    terms = (mu - mu_tilde) ** 2 / (theta * sigma) + 1.0 / theta + np.log(theta) - 1.0
+    return 0.5 * float(np.sum(terms))
+
+
 def log_density(dist: ContextDistribution, c: np.ndarray) -> np.ndarray | float:
     """Log of the Gaussian density at ``c``.
 
@@ -157,10 +188,7 @@ def log_density(dist: ContextDistribution, c: np.ndarray) -> np.ndarray | float:
     c = np.asarray(c, dtype=float)
     if c.shape[-1] != dist.d:
         raise ValueError("context dimension mismatch")
-    var = dist.covariance_diag()
-    log_norm = 0.5 * dist.d * np.log(2.0 * np.pi) + 0.5 * np.sum(np.log(var))
-    quad = 0.5 * np.sum((c - dist.mu) ** 2 / var, axis=-1)
-    return -quad - log_norm
+    return log_density_params(c, dist.mu, dist.covariance_diag())
 
 
 def importance_ratio(
@@ -177,27 +205,21 @@ def importance_ratio(
 
 
 def kl_to_target(dist: ContextDistribution) -> float:
-    """KL divergence from the target to the sampling distribution.
-
-    Closed form for the scaled-covariance family:
-    ``0.5 * sum((mu - mu_tilde)^2 / (theta * sigma) + 1/theta + ln(theta) - 1)``.
-    Zero exactly when ``mu == mu_tilde`` and ``theta == 1``.
+    """KL divergence from the target to the sampling distribution
+    (:func:`kl_to_target_params`).  Zero exactly when ``mu == mu_tilde`` and
+    ``theta == 1``.
     """
-    sigma = dist.target.sigma_tilde_diag
-    delta = dist.mu - dist.target.mu_tilde
-    terms = delta**2 / (dist.theta * sigma) + 1.0 / dist.theta + np.log(dist.theta) - 1.0
-    return 0.5 * float(np.sum(terms))
+    target = dist.target
+    return kl_to_target_params(dist.mu, dist.theta, target.mu_tilde, target.sigma_tilde_diag)
 
 
 def kl_between(new_dist: ContextDistribution, old_dist: ContextDistribution) -> float:
     """KL divergence ``KL(new || old)`` between two members of the family."""
     if not new_dist.same_family(old_dist):
         raise ValueError("kl_between requires a common target spec")
-    sigma = old_dist.target.sigma_tilde_diag
-    ratio = new_dist.theta / old_dist.theta
-    delta = new_dist.mu - old_dist.mu
-    terms = ratio - 1.0 - np.log(ratio) + delta**2 / (old_dist.theta * sigma)
-    return 0.5 * float(np.sum(terms))
+    return kl_params(
+        new_dist.mu, new_dist.theta, old_dist.mu, old_dist.theta, old_dist.target.sigma_tilde_diag
+    )
 
 
 def mean_shift_kl(new_dist: ContextDistribution, old_dist: ContextDistribution) -> float:
@@ -205,6 +227,8 @@ def mean_shift_kl(new_dist: ContextDistribution, old_dist: ContextDistribution) 
     in the old precision metric.  For mean-only updates this equals
     :func:`kl_between` exactly.
     """
-    sigma = old_dist.target.sigma_tilde_diag
-    delta = new_dist.mu - old_dist.mu
-    return 0.5 * float(np.sum(delta**2 / (old_dist.theta * sigma)))
+    if not new_dist.same_family(old_dist):
+        raise ValueError("mean_shift_kl requires a common target spec")
+    return kl_params(
+        new_dist.mu, old_dist.theta, old_dist.mu, old_dist.theta, old_dist.target.sigma_tilde_diag
+    )

@@ -133,11 +133,6 @@ def train_runs(config: ExperimentConfig, runs, progress=None) -> list[TrainingRe
     one bad update never loses a run.  ``progress`` receives every record,
     run by run within an iteration.
     """
-    if not config.runnable:
-        raise ConfigError(
-            f"preset '{config.name}' is not runnable in this build "
-            "(its environment needs an external engine)"
-        )
     if not runs:
         raise ConfigError("training needs at least one run")
     for mode, _ in runs:

@@ -25,7 +25,6 @@ __all__ = [
     "init_policy",
     "load_policy",
     "policy_features",
-    "policy_log_prob",
     "save_policy",
 ]
 
@@ -39,7 +38,6 @@ class LearnerConfig:
 
     gamma: float = 0.99
     learning_rate: float = 0.05
-    iterations_per_update: int = 1
     context_visible: bool = False
 
     def __post_init__(self):
@@ -47,8 +45,6 @@ class LearnerConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.iterations_per_update < 1:
-            raise ValueError("iterations_per_update must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,14 +96,6 @@ def init_policy(observation_dim: int, action_dim: int = 2, noise: float = 0.8) -
         weights=np.zeros((action_dim, feature_dim(observation_dim))),
         log_action_noise=np.full(action_dim, np.log(noise)),
     )
-
-
-def policy_log_prob(policy: PolicyParameters, features: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Per-step log densities of the executed actions."""
-    mean = features @ policy.weights.T
-    var = policy.action_noise**2
-    quad = np.sum((actions - mean) ** 2 / var, axis=-1)
-    return -0.5 * quad - 0.5 * np.sum(np.log(2.0 * np.pi * var))
 
 
 def _rollout_rng(master_seed: int, iteration: int, index: int) -> np.random.Generator:
@@ -239,24 +227,21 @@ def improve(policy: PolicyParameters, episodes: Episodes, config: LearnerConfig)
     advantages = episodes.values - float(np.mean(episodes.values))
     var = policy.action_noise**2
 
-    new_policy = policy
-    for _ in range(config.iterations_per_update):
-        grad = np.zeros_like(new_policy.weights)
-        for adv, feats, actions, n in zip(
-            advantages, episodes.features, episodes.actions, episodes.lengths
-        ):
-            mean = feats[:n] @ new_policy.weights.T
-            score = (actions[:n] - mean) / var
-            grad += adv * score.T @ feats[:n]
-        grad /= len(advantages)
-        if not np.all(np.isfinite(grad)):
-            warnings.warn("non-finite policy gradient; step skipped", RuntimeWarning)
-            return new_policy
-        norm = float(np.linalg.norm(grad))
-        if norm > GRAD_CLIP:
-            grad *= GRAD_CLIP / norm
-        new_policy = replace(new_policy, weights=new_policy.weights + config.learning_rate * grad)
-    return new_policy
+    grad = np.zeros_like(policy.weights)
+    for adv, feats, actions, n in zip(
+        advantages, episodes.features, episodes.actions, episodes.lengths
+    ):
+        mean = feats[:n] @ policy.weights.T
+        score = (actions[:n] - mean) / var
+        grad += adv * score.T @ feats[:n]
+    grad /= len(advantages)
+    if not np.all(np.isfinite(grad)):
+        warnings.warn("non-finite policy gradient; step skipped", RuntimeWarning)
+        return policy
+    norm = float(np.linalg.norm(grad))
+    if norm > GRAD_CLIP:
+        grad *= GRAD_CLIP / norm
+    return replace(policy, weights=policy.weights + config.learning_rate * grad)
 
 
 def save_policy(policy: PolicyParameters, path) -> None:

@@ -13,6 +13,11 @@ Two solvers live here:
   exact KL trust region with a multi-start projected-gradient loop.  It plays
   the role of a conventional numerical self-paced baseline and measures the
   linearization error of the closed forms.
+
+The exact solver's densities and KLs are the array-level functions of
+:mod:`spgl.gaussian`, and its ray projection onto the KL ball is
+:func:`spgl.update.project_to_ball`, the solve that also backtracks the
+closed-form update's joint KL.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from .gaussian import (
     ContextDistribution,
     TargetSpec,
     kl_between,
+    kl_params,
     kl_to_target,
+    kl_to_target_params,
+    log_density_params,
     mean_shift_kl,
 )
 from .stats import RolloutBatch
@@ -37,6 +45,7 @@ from .update import (
     PROXIMITY_ACTIVE,
     CurriculumConfig,
     UpdateReport,
+    project_to_ball,
 )
 
 __all__ = [
@@ -45,7 +54,6 @@ __all__ = [
     "LinearizedSubproblem",
     "OracleSolution",
     "numerical_update",
-    "project_to_ball",
     "solve_exact_sampled",
     "solve_numeric",
 ]
@@ -323,80 +331,10 @@ class ExactSolveResult:
     warning: bool
 
 
-def _log_density_params(contexts, mu, var):
-    quad = np.sum((contexts - mu) ** 2 / var, axis=-1)
-    return -0.5 * quad - 0.5 * np.sum(np.log(2.0 * np.pi * var))
-
-
 def _sampled_value(contexts, values, mu0, var0, mu, var):
-    log_ratio = _log_density_params(contexts, mu, var) - _log_density_params(
-        contexts, mu0, var0
-    )
+    log_ratio = log_density_params(contexts, mu, var) - log_density_params(contexts, mu0, var0)
     ratio = np.exp(np.clip(log_ratio, -math.log(1e30), math.log(1e30)))
     return float(np.mean(values * ratio))
-
-
-def _kl_params(mu1, theta1, mu0, theta0, sigma):
-    ratio = theta1 / theta0
-    terms = ratio - 1.0 - np.log(ratio) + (mu1 - mu0) ** 2 / (theta0 * sigma)
-    return 0.5 * float(np.sum(terms))
-
-
-def _kl_target_params(mu, theta, mu_tilde, sigma):
-    terms = (mu - mu_tilde) ** 2 / (theta * sigma) + 1.0 / theta + np.log(theta) - 1.0
-    return 0.5 * float(np.sum(terms))
-
-
-def project_to_ball(kl, z0, z, eps):
-    """Pull ``z`` back inside the ball ``kl <= eps`` along the ray from its
-    centre ``z0``.
-
-    ``kl`` must be zero at ``z0`` and non-decreasing along the ray; flat
-    stretches (where the exact solver clips its log-scales) are allowed.  A
-    point already inside the ball is returned unchanged.  Otherwise the
-    feasible end ``lo`` of a bracket ``[lo, hi]`` on the ray parameter is
-    returned, with ``kl <= eps (1 - 1e-12)``.  The bracket shrinks by Illinois
-    regula falsi on ``log kl`` against ``log t`` -- the KL grows like ``t**2``
-    near the centre, so that secant is nearly exact -- aimed at the middle of
-    the accepted band, with bisection whenever the secant point leaves the
-    bracket.  It stops once ``kl(lo)`` is within ``1e-12 eps`` of
-    ``eps (1 - 1e-12)``, once ``kl(hi) - kl(lo) <= 1e-10 eps`` (the rounding
-    noise of ``kl`` at small ``eps``), or once ``hi - lo <= 1e-15 hi``.
-    """
-    k = kl(z)
-    if k <= eps:
-        return z
-    target = eps * (1.0 - 1e-12)
-    floor = eps * (1.0 - 2e-12)
-    w_aim = math.log(eps * (1.0 - 1.5e-12))
-    lo, k_lo, w_lo = 0.0, 0.0, -math.inf
-    hi, k_hi, w_hi = 1.0, k, math.log(k)
-    # local exponent of kl in t, used while lo has no finite log-KL
-    power = 2.0
-    side = 0
-    for _ in range(100):
-        if k_lo >= floor or k_hi - k_lo <= 1e-10 * eps or hi - lo <= 1e-15 * hi:
-            break
-        if w_lo > -math.inf:
-            t = hi * (lo / hi) ** ((w_hi - w_aim) / (w_hi - w_lo))
-        else:
-            t = hi * math.exp((w_aim - w_hi) / power)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        k = kl(z0 + t * (z - z0))
-        w = math.log(k) if k > 0.0 else -math.inf
-        if k <= target:
-            if side < 0:
-                w_hi = w_aim + 0.5 * (w_hi - w_aim)
-            lo, k_lo, w_lo, side = t, k, w, -1
-        else:
-            slope = (math.log(k_hi) - w) / math.log(hi / t)
-            if 0.0 < slope < math.inf:
-                power = slope
-            if side > 0 and w_lo > -math.inf:
-                w_lo = w_aim + 0.5 * (w_lo - w_aim)
-            hi, k_hi, w_hi, side = t, k, w, 1
-    return z0 + lo * (z - z0)
 
 
 def solve_exact_sampled(
@@ -445,7 +383,7 @@ def solve_exact_sampled(
 
     def step_kl(z):
         mu, theta = unpack(z)
-        return _kl_params(mu, theta, mu0, theta0, sigma)
+        return kl_params(mu, theta, mu0, theta0, sigma)
 
     def meets_performance(z):
         return mode == "performance" or not sampled(z) < config.v_lower - 1e-9 * max(
@@ -458,7 +396,7 @@ def solve_exact_sampled(
     if mode == "performance":
         f = lambda z: -sampled(z)
     else:
-        f = lambda z: _kl_target_params(*unpack(z), target.mu_tilde, sigma)
+        f = lambda z: kl_to_target_params(*unpack(z), target.mu_tilde, sigma)
 
     def fd_grad(z):
         g = np.zeros_like(z)

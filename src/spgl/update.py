@@ -13,7 +13,10 @@ Both steps are block-coordinate: the mean block and the scale block are each
 solved in closed form against the pre-update geometry.  The mean block's KL
 is exact; the scale block bounds a second-order expansion of the step KL, so
 :func:`update` additionally verifies the true joint KL and backtracks the
-scale displacement if the expansion undershot.
+scale displacement if the expansion undershot.  The backtrack is a 1-D ray
+solve on raw arrays: :func:`project_to_ball`, the bracketed secant that the
+exact solver in :mod:`spgl.oracle` also uses, applied to the scale part of
+:func:`spgl.gaussian.kl_params`.
 
 The convergence solutions come from a two-constraint KKT case analysis.
 Every returned case carries multipliers, and the case conditions double as
@@ -28,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    ContextDistribution,
-    TargetSpec,
-    kl_between,
-    kl_to_target,
-    mean_shift_kl,
-)
+from .gaussian import ContextDistribution, TargetSpec, kl_params, kl_to_target, kl_to_target_params
 from .stats import CurriculumStats, RolloutBatch, compute_stats
 
 __all__ = [
@@ -45,6 +42,7 @@ __all__ = [
     "UpdateReport",
     "mu_kkt_residuals",
     "performance_step",
+    "project_to_ball",
     "should_run_performance_step",
     "solve_mu_block",
     "solve_theta_block",
@@ -359,9 +357,9 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
         pre-update value): the convergence objective the linear model
         approximates.  Used only to arbitrate between the reachable target
         scale and the constrained descent step."""
-        sigma = dist.target.sigma_tilde_diag
-        gap = (dist.target.mu_tilde - dist.mu) ** 2 / sigma
-        return 0.5 * float(np.sum((gap + 1.0) / theta_vec + np.log(theta_vec) - 1.0))
+        return kl_to_target_params(
+            dist.mu, theta_vec, dist.target.mu_tilde, dist.target.sigma_tilde_diag
+        )
 
     def run(slack):
         vtol = slack * value_scale
@@ -510,32 +508,88 @@ def theta_kkt_residuals(dist, stats, eps, v_lower, theta_new, solution):
 
 
 # ---------------------------------------------------------------------------
-# full update
+# joint-KL backtrack (the ray solve is shared with the exact solver)
 
 
-def _backtrack_joint_kl(dist, mu_new, theta_new, eps):
+def project_to_ball(kl, z0, z, eps):
+    """Pull ``z`` back inside the ball ``kl <= eps`` along the ray from its
+    centre ``z0``.
+
+    ``kl`` must be zero at ``z0`` and non-decreasing along the ray; flat
+    stretches (where the exact solver clips its log-scales) are allowed.  A
+    point already inside the ball is returned unchanged.  Otherwise the
+    feasible end ``lo`` of a bracket ``[lo, hi]`` on the ray parameter is
+    returned, with ``kl <= eps (1 - 1e-12)``.  The bracket shrinks by Illinois
+    regula falsi on ``log kl`` against ``log t`` -- the KL grows like ``t**2``
+    near the centre, so that secant is nearly exact -- aimed at the middle of
+    the accepted band, with bisection whenever the secant point leaves the
+    bracket.  It stops once ``kl(lo)`` is within ``1e-12 eps`` of
+    ``eps (1 - 1e-12)``, once ``kl(hi) - kl(lo) <= 1e-10 eps`` (the rounding
+    noise of ``kl`` at small ``eps``), or once ``hi - lo <= 1e-15 hi``.
+    """
+    k = kl(z)
+    if k <= eps:
+        return z
+    target = eps * (1.0 - 1e-12)
+    floor = eps * (1.0 - 2e-12)
+    w_aim = math.log(eps * (1.0 - 1.5e-12))
+    lo, k_lo, w_lo = 0.0, 0.0, -math.inf
+    hi, k_hi, w_hi = 1.0, k, math.log(k)
+    # local exponent of kl in t, used while lo has no finite log-KL
+    power = 2.0
+    side = 0
+    for _ in range(100):
+        if k_lo >= floor or k_hi - k_lo <= 1e-10 * eps or hi - lo <= 1e-15 * hi:
+            break
+        if w_lo > -math.inf:
+            t = hi * (lo / hi) ** ((w_hi - w_aim) / (w_hi - w_lo))
+        else:
+            t = hi * math.exp((w_aim - w_hi) / power)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        k = kl(z0 + t * (z - z0))
+        w = math.log(k) if k > 0.0 else -math.inf
+        if k <= target:
+            if side < 0:
+                w_hi = w_aim + 0.5 * (w_hi - w_aim)
+            lo, k_lo, w_lo, side = t, k, w, -1
+        else:
+            slope = (math.log(k_hi) - w) / math.log(hi / t)
+            if 0.0 < slope < math.inf:
+                power = slope
+            if side > 0 and w_lo > -math.inf:
+                w_lo = w_aim + 0.5 * (w_lo - w_aim)
+            hi, k_hi, w_hi, side = t, k, w, 1
+    return z0 + lo * (z - z0)
+
+
+def _backtrack_joint_kl(mu0, theta0, sigma, mu_new, theta_new, eps):
     """Shrink the scale displacement until the true step KL fits the radius.
 
-    The mean part is exact and never exceeds its share; only the second-order
-    expansion of the scale part can overshoot.  The KL grows monotonically
-    along the scale segment, so bisection applies.
+    The joint KL splits exactly into a mean part (in the old precision
+    metric) and a scale part.  The mean part is exact and never exceeds its
+    share; only the second-order expansion of the scale part can overshoot.
+    The scale part grows monotonically along the segment from ``theta0`` to
+    ``theta_new``, so :func:`project_to_ball` pulls ``theta_new`` back onto
+    the budget the mean part leaves.  When the mean part alone fills the
+    radius the scales stay at ``theta0``.  Returns ``(theta, kl_step,
+    mean_part, backtracked)``.
     """
-    candidate = dist.with_params(mu=mu_new, theta=theta_new)
-    joint = kl_between(candidate, dist)
+    mean_part = kl_params(mu_new, theta0, mu0, theta0, sigma)
+    joint = kl_params(mu_new, theta_new, mu0, theta0, sigma)
     if joint <= eps + 1e-12:
-        return candidate, joint, False
+        return theta_new, joint, mean_part, False
+    budget = eps - mean_part
+    if budget <= 0.0:
+        theta = theta0
+    else:
+        scale_kl = lambda theta: kl_params(mu0, theta, mu0, theta0, sigma)
+        theta = project_to_ball(scale_kl, theta0, theta_new, budget)
+    return theta, kl_params(mu_new, theta, mu0, theta0, sigma), mean_part, True
 
-    delta = theta_new - dist.theta
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        trial = dist.with_params(mu=mu_new, theta=dist.theta + mid * delta)
-        if kl_between(trial, dist) > eps:
-            hi = mid
-        else:
-            lo = mid
-    candidate = dist.with_params(mu=mu_new, theta=dist.theta + lo * delta)
-    return candidate, kl_between(candidate, dist), True
+
+# ---------------------------------------------------------------------------
+# full update
 
 
 def _convergence_budget_split(dist, target, stats, eps):
@@ -617,9 +671,11 @@ def update(
             dist, target, stats, config.epsilon, config.v_lower, config.theta_min
         )
 
-    new_dist, kl_step, tr_backtracked = _backtrack_joint_kl(
-        dist, np.asarray(mu_new, dtype=float), np.asarray(theta_new, dtype=float), config.epsilon
+    mu_new, theta_new = np.asarray(mu_new, dtype=float), np.asarray(theta_new, dtype=float)
+    theta_new, kl_step, kl_mean_part, tr_backtracked = _backtrack_joint_kl(
+        dist.mu, dist.theta, dist.target.sigma_tilde_diag, mu_new, theta_new, config.epsilon
     )
+    new_dist = dist.with_params(mu=mu_new, theta=theta_new)
 
     report = UpdateReport(
         kind=kind,
@@ -627,7 +683,7 @@ def update(
         mu_solution=mu_sol,
         theta_solution=theta_sol,
         kl_step=kl_step,
-        kl_step_mean_part=mean_shift_kl(new_dist, dist),
+        kl_step_mean_part=kl_mean_part,
         kl_to_target_before=kl_before,
         kl_to_target_after=kl_to_target(new_dist),
         theta_backtracked=theta_backtracked,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from spgl.config import load_config, preset_path
-from spgl.harness import records_to_csv, run_multi_seed, run_training, summary_to_csv
+from spgl.harness import records_to_csv, run_multi_seed, run_training, summary_to_csv, verify
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -36,17 +36,32 @@ def _preset(name, iterations=None):
     return config
 
 
+def selfpaced_numerical():
+    """The self-paced variant under the exact-solver baseline, cut short:
+    the only golden that reaches the oracle's KLs and ray projection."""
+    return dataclasses.replace(selfpaced_variant(), curriculum_mode="numerical", iterations=5)
+
+
 GOLDEN_RUNS = {
     "point_mass_setup1_seed0_it40": lambda: _preset("point_mass_setup1", 40),
     "point_mass_setup2_seed0_it40": lambda: _preset("point_mass_setup2", 40),
     "synthetic_convergence_seed0": lambda: _preset("synthetic_convergence"),
     "synthetic_selfpaced_seed0": selfpaced_variant,
+    "synthetic_selfpaced_numerical_seed0_it5": selfpaced_numerical,
 }
 
 
 # The summary golden pins the multi-seed comparison and the deterministic
 # final evaluation, which no training CSV reaches.
 SUMMARY_GOLDEN = "point_mass_setup1_summary_it10"
+
+# The verify golden pins the oracle and finite-difference suites' report
+# text (timing left out, it is not deterministic).
+VERIFY_GOLDEN = "verify_seed0_n100"
+
+
+def render_verify() -> str:
+    return "\n".join(verify(0, 100, include_timing=False).format_lines()) + "\n"
 
 
 def render(name: str) -> str:
@@ -69,6 +84,11 @@ def test_summary_csv_matches_golden():
     assert render(SUMMARY_GOLDEN).encode() == expected
 
 
+def test_verify_report_matches_golden():
+    expected = (GOLDEN_DIR / f"{VERIFY_GOLDEN}.txt").read_bytes()
+    assert render_verify().encode() == expected
+
+
 def test_selfpaced_variant_survives_near_colinear_scale_gradients():
     # program seed 413 once raised "no KKT case matched the scale subproblem"
     # when omega and psi_bar were nearly parallel in a convergence step
@@ -83,3 +103,5 @@ if __name__ == "__main__":
     for golden in sorted(GOLDEN_RUNS) + [SUMMARY_GOLDEN]:
         (GOLDEN_DIR / f"{golden}.csv").write_bytes(render(golden).encode())
         print(f"wrote {GOLDEN_DIR / golden}.csv")
+    (GOLDEN_DIR / f"{VERIFY_GOLDEN}.txt").write_bytes(render_verify().encode())
+    print(f"wrote {GOLDEN_DIR / VERIFY_GOLDEN}.txt")

@@ -72,8 +72,7 @@ class TestConfig:
         assert "point_mass_setup1.ini" in names
         assert "synthetic_convergence.ini" in names
         for name in ("point_mass_setup1", "point_mass_setup2", "synthetic_convergence"):
-            config = load_config(preset_path(name))
-            assert config.runnable
+            load_config(preset_path(name))
 
     def test_setup1_preset_parameters(self):
         config = load_config(preset_path("point_mass_setup1"))
@@ -89,23 +88,32 @@ class TestConfig:
         assert config.learner.context_visible
         assert np.allclose(config.target.mu_tilde, [2.5, 0.7, 0.1])
 
-    def test_unrunnable_presets_load_but_refuse_to_run(self):
-        for name in ("lunar_lander", "ball_catching"):
-            config = load_config(preset_path(name))
-            assert not config.runnable
-            with pytest.raises(ConfigError):
-                run_training(config, seed=0)
+    def test_external_engine_environments_are_unknown(self, tmp_path):
+        path = tmp_path / "lander.ini"
+        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        path.write_text(text.replace("environment = synthetic", "environment = lunar_lander"))
+        with pytest.raises(ConfigError, match="unknown environment 'lunar_lander'"):
+            load_config(path)
 
     def test_missing_file_raises(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.ini")
 
-    @pytest.mark.parametrize("key", ["standardize_values", "combined_step"])
+    REMOVED_KEY_SECTIONS = {
+        "standardize_values": "curriculum",
+        "combined_step": "curriculum",
+        "iterations_per_update": "learner",
+    }
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEY_SECTIONS))
     def test_removed_curriculum_keys_rejected(self, tmp_path, key):
+        section = self.REMOVED_KEY_SECTIONS[key]
         path = tmp_path / "old.ini"
         text = SYNTH_CONFIG.format(iterations=5, period=1)
-        path.write_text(text.replace("[evaluation]", f"{key} = false\n\n[evaluation]"))
-        with pytest.raises(ConfigError, match=rf"\[curriculum\] {key} is no longer supported"):
+        if f"[{section}]" not in text:
+            text += f"\n[{section}]\n"
+        path.write_text(text.replace(f"[{section}]", f"[{section}]\n{key} = 1"))
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} is no longer supported"):
             load_config(path)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
@@ -455,11 +463,6 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "missing.ini"), "--quiet"])
         assert code == 1
-
-    def test_unrunnable_preset_exit_code(self, capsys):
-        code = main(["train", "--config", "lunar_lander", "--quiet"])
-        assert code == 1
-        assert "not runnable" in capsys.readouterr().err
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--instances", "6", "--no-timing", "--quiet"]) == 0

@@ -9,18 +9,16 @@ import numpy as np
 import pytest
 
 import spgl.oracle
-from spgl.gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between
+from spgl.gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between, kl_params
 from spgl.oracle import (
     InfeasibleSubproblem,
     LinearizedSubproblem,
-    _kl_params,
     numerical_update,
-    project_to_ball,
     solve_exact_sampled,
     solve_numeric,
 )
 from spgl.stats import RolloutBatch
-from spgl.update import CurriculumConfig, update
+from spgl.update import CurriculumConfig, project_to_ball, update
 
 
 class TestSolveNumeric:
@@ -117,7 +115,7 @@ def ray_kl(rng, d, theta_min=1e-6):
 
     def kl(z):
         theta = np.exp(np.clip(z[d:], log_theta_min, 50.0))
-        return _kl_params(z[:d], theta, mu0, theta0, sigma)
+        return kl_params(z[:d], theta, mu0, theta0, sigma)
 
     return kl, np.concatenate([mu0, np.log(theta0)])
 

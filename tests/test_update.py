@@ -1,6 +1,7 @@
 """Closed-form update engine tests: dispatch, both step kinds, the KKT case
 table, degenerate guards, and the trust-region / convergence properties."""
 
+import importlib
 import math
 
 import numpy as np
@@ -23,6 +24,10 @@ from spgl.update import (
     theta_kkt_residuals,
     update,
 )
+
+# ``spgl.update`` the attribute is the function; the module is needed to wrap
+# what the update looks up at call time.
+update_module = importlib.import_module("spgl.update")
 
 
 def make_dist(mu, theta, mu_tilde=None, sigma=None):
@@ -346,3 +351,87 @@ class TestFullUpdate:
         diffs = np.diff(kl_trace)
         assert np.all(diffs <= 1e-9)
         assert kl_trace[-1] < 1e-2
+
+
+class TestJointKlBacktrack:
+    # Rays whose scale step was clipped at theta_min end where the scale KL
+    # has a log singularity; the secant needs a few more evaluations there.
+    MAX_EVALS = 10
+    MAX_EVALS_AT_FLOOR = 12
+
+    @staticmethod
+    def random_update(rng):
+        d = int(rng.choice([1, 2, 3, 5]))
+        eps = 10.0 ** rng.uniform(-6.0, 0.0)
+        dist = make_dist(
+            rng.normal(size=d),
+            np.exp(rng.uniform(-2.0, 2.0, d)),
+            mu_tilde=rng.normal(size=d),
+            sigma=np.exp(rng.uniform(-2.0, 1.0, d)),
+        )
+        contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, d))
+        bump = rng.normal(size=d)
+        values = 5.0 * np.exp(-0.5 * np.sum((contexts - bump) ** 2, axis=1))
+        values += rng.normal(0.0, 0.1, 16)
+        # half performance steps, half convergence steps with reachable slack
+        if rng.random() < 0.5:
+            v_lower = 100.0
+        else:
+            v_lower = float(np.mean(values)) - rng.uniform(0.0, 1.0)
+        config = CurriculumConfig(epsilon=eps, v_lower=v_lower, k_contexts=16)
+        return dist, RolloutBatch(contexts, values, dist), config
+
+    def test_backtracks_land_on_the_boundary_in_few_evaluations(self, monkeypatch):
+        # KL evaluations inside each ray solve, one entry per backtrack
+        calls, evals = [0], []
+        real_kl, real_project = update_module.kl_params, update_module.project_to_ball
+
+        def counted_kl(*args):
+            calls[0] += 1
+            return real_kl(*args)
+
+        def counted_project(kl, z0, z, eps):
+            before = calls[0]
+            point = real_project(kl, z0, z, eps)
+            evals.append(calls[0] - before)
+            return point
+
+        monkeypatch.setattr(update_module, "kl_params", counted_kl)
+        monkeypatch.setattr(update_module, "project_to_ball", counted_project)
+        rng = np.random.default_rng(11)
+        backtracks = 0
+        for _ in range(600):
+            dist, batch, config = self.random_update(rng)
+            solves = len(evals)
+            new_dist, report = update(dist, batch, dist.target, config)
+            eps = config.epsilon
+            assert report.kl_step <= eps + 1e-12
+            if not report.trust_region_backtracked:
+                assert len(evals) == solves
+                continue
+            backtracks += 1
+            assert eps - report.kl_step <= 1e-9 * eps
+            assert np.all(new_dist.theta >= config.theta_min)
+            if len(evals) == solves:
+                # the mean part filled the radius: no solve, scales kept
+                assert np.array_equal(new_dist.theta, dist.theta)
+                continue
+            bound = self.MAX_EVALS_AT_FLOOR if report.theta_backtracked else self.MAX_EVALS
+            assert len(evals) == solves + 1 and evals[-1] <= bound
+        assert backtracks > 200
+
+    def test_mean_part_filling_the_radius_keeps_the_scales(self):
+        # theta0 * sigma = 0.5 in the first dimension, so a mean step of
+        # delta there has KL delta**2: exactly eps for the first two cases
+        # (no budget left for the scales), past eps for the third
+        mu0, theta0, sigma = np.zeros(2), np.array([1.0, 2.0]), np.array([0.5, 1.5])
+        theta_new = np.array([0.4, 3.0])
+        for eps, delta in ((2.0**-4, 2.0**-2), (2.0**-20, 2.0**-10), (0.05, 0.5)):
+            mu_new = np.array([delta, 0.0])
+            theta, kl_step, mean_part, backtracked = update_module._backtrack_joint_kl(
+                mu0, theta0, sigma, mu_new, theta_new, eps
+            )
+            assert backtracked
+            assert np.array_equal(theta, theta0)
+            assert mean_part == delta**2
+            assert kl_step == mean_part
