@@ -14,13 +14,14 @@ Two environments live here:
 
 Both run ``K`` episodes at once, one row each, behind one batched protocol:
 
-* ``reset(contexts) -> state``, an array of shape ``(K, S)``;
+* ``reset(contexts) -> state``, a fresh array of shape ``(K, S)``;
 * ``observe(state) -> observations``, shape ``(K, n)``;
 * ``step(state, actions, t) -> (state, rewards, terminated, success)``.
 
-The context is part of the state, so a caller that stops finished rows masks
-the whole state with a single ``np.where``.  Rows never interact: stepping a
-batch equals stepping each row alone, bit for bit.
+``step`` returns a fresh state array and never writes to its ``state`` or
+``actions`` arguments.  The context is part of the state, so a caller that
+stops finished rows freezes the whole state with a single masked copy.  Rows
+never interact: stepping a batch equals stepping each row alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class PointMassEnv:
     def __init__(self, params: PointMassParams | None = None, context_visible: bool = False):
         self.params = params or PointMassParams()
         self.context_visible = bool(context_visible)
+        limit = self.params.arena_half_width
+        scale = [limit, limit, 5.0, 5.0, 4.0, 4.0, 2.0]
+        self._observation_scale = np.array(scale[: self.observation_dim])
+        self._goal = np.array(self.params.goal)[:, None]
 
     @property
     def observation_dim(self) -> int:
@@ -100,48 +105,61 @@ class PointMassEnv:
 
     def observe(self, state: np.ndarray) -> np.ndarray:
         """Policy observations, normalized to O(1) ranges."""
-        parts = [state[:, 0:2] / self.params.arena_half_width, state[:, 2:4] / 5.0]
-        if self.context_visible:
-            parts.append(state[:, 4:] / np.array([4.0, 4.0, 2.0]))
-        return np.concatenate(parts, axis=1)
+        return state[:, : self.observation_dim] / self._observation_scale
 
     def step(self, state: np.ndarray, actions: np.ndarray, t: int):
         """One transition of every row; out-of-range actions are clipped."""
         p = self.params
-        pos, vel, contexts = state[:, 0:2], state[:, 2:4], state[:, 4:]
-        actions = np.clip(actions, -p.action_limit, p.action_limit)
-        friction = contexts[:, 2:3]
-        new_vel = vel + p.dt * (actions - friction * vel)
-        new_pos = pos + p.dt * new_vel
+        limit = p.arena_half_width
+        actions = np.minimum(np.maximum(actions, -p.action_limit), p.action_limit)
+        # ``old`` is the state transposed and ``kin`` holds the new x, y, vx
+        # and vy as contiguous rows, so each NumPy call runs along columns
+        old = state.T
+        kin = np.empty((4, state.shape[0]))
+        new_pos, new_vel = kin[0:2], kin[2:4]
+        # new_vel = vel + dt * (actions - friction * vel); new_pos = pos + dt * new_vel
+        np.multiply(old[6], old[2:4], out=new_vel)
+        np.subtract(actions.T, new_vel, out=new_vel)
+        new_vel *= p.dt
+        new_vel += old[2:4]
+        np.multiply(p.dt, new_vel, out=new_pos)
+        new_pos += old[0:2]
 
         # wall crossing at y = 0, interpolated along the step segment
-        y_old, y_new = pos[:, 1], new_pos[:, 1]
-        crossed = (y_old > 0.0) != (y_new > 0.0)
-        denom = np.where(crossed, y_old - y_new, 1.0)
-        x_cross = pos[:, 0] + (new_pos[:, 0] - pos[:, 0]) * (y_old / denom)
-        in_gate = np.abs(x_cross - contexts[:, 0]) <= 0.5 * contexts[:, 1]
-        crash = crossed & ~in_gate
+        x, y, new_x, new_y = old[0], old[1], kin[0], kin[1]
+        crossed = ((y > 0.0) != (new_y > 0.0)).nonzero()[0]
+        if crossed.size:
+            x_old, y_old = x[crossed], y[crossed]
+            x_cross = x_old + (new_x[crossed] - x_old) * (y_old / (y_old - new_y[crossed]))
+            in_gate = np.abs(x_cross - old[4, crossed]) <= 0.5 * old[5, crossed]
+            crash, x_crash = crossed[~in_gate], x_cross[~in_gate]
+        else:
+            crash = crossed  # no row crossed, so none crashed
 
         # arena walls only stop motion, they do not end the episode
-        limit = p.arena_half_width
-        clipped = np.clip(new_pos, -limit, limit)
-        new_vel = np.where(new_pos == clipped, new_vel, 0.0)
-        new_pos = clipped
-        new_pos[crash, 0] = x_cross[crash]
-        new_pos[crash, 1] = 0.0
-        new_vel[crash] = 0.0
+        clipped = np.minimum(np.maximum(new_pos, -limit), limit)
+        new_vel[new_pos != clipped] = 0.0
+        new_pos[...] = clipped
+        if crash.size:
+            new_x[crash] = x_crash
+            new_y[crash] = 0.0
+            new_vel[:, crash] = 0.0
 
-        goal = np.array(p.goal)
-        dist = np.sqrt(np.sum((new_pos - goal) ** 2, axis=1))
-        success = (dist < p.success_radius) & ~crash
-        reward = (
-            np.exp(-dist)
-            - p.action_cost * np.sum(actions**2, axis=1)
-            + np.where(success, p.success_bonus, 0.0)
-            + np.where(crash, p.crash_penalty, 0.0)
-        )
-        terminated = crash | success | (t + 1 >= p.horizon)
-        return np.concatenate([new_pos, new_vel, contexts], axis=1), reward, terminated, success
+        gap = new_pos - self._goal
+        gap *= gap
+        dist = np.sqrt(gap[0] + gap[1])
+        success = dist < p.success_radius
+        actions *= actions
+        reward = np.exp(-dist) - p.action_cost * (actions[:, 0] + actions[:, 1])
+        terminated = success.copy() if t + 1 < p.horizon else np.ones_like(success)
+        if crash.size:
+            success[crash] = False
+            reward[crash] += p.crash_penalty
+            terminated[crash] = True
+        reward[success] += p.success_bonus
+        new_state = state.copy()
+        new_state.T[0:4] = kin
+        return new_state, reward, terminated, success
 
 
 def synthetic_value(context, difficulty_center, width: float, peak: float = 10.0) -> float:
@@ -185,7 +203,7 @@ class SyntheticEnv:
         return 0.5 * self.peak
 
     def reset(self, contexts: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(contexts, dtype=float))
+        return np.array(contexts, dtype=float, ndmin=2)
 
     def observe(self, state: np.ndarray) -> np.ndarray:
         return np.zeros((state.shape[0], 0))
@@ -193,4 +211,4 @@ class SyntheticEnv:
     def step(self, state: np.ndarray, actions: np.ndarray, t: int):
         values = synthetic_value(state, self.difficulty_center, self.width, self.peak)
         done = np.ones(state.shape[0], dtype=bool)
-        return state, values, done, values >= self.success_threshold
+        return state.copy(), values, done, values >= self.success_threshold

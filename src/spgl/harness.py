@@ -131,13 +131,20 @@ def train_runs(config: ExperimentConfig, runs, progress=None) -> list[TrainingRe
     An update that raises :class:`~spgl.update.CurriculumError` keeps the
     run's distribution, warns, and is recorded with step kind ``failed``, so
     one bad update never loses a run.  ``progress`` receives every record,
-    run by run within an iteration.
+    run by run within an iteration.  Seeds must be non-negative integers and
+    no ``(curriculum_mode, seed)`` run may be listed twice.
     """
     if not runs:
         raise ConfigError("training needs at least one run")
-    for mode, _ in runs:
+    seen = set()
+    for mode, seed in runs:
         if mode not in CURRICULUM_MODES:
             raise ConfigError(f"unknown curriculum mode '{mode}'")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
+        if (mode, seed) in seen:
+            raise ConfigError(f"the {mode} run with seed {seed} is requested more than once")
+        seen.add((mode, seed))
     env = config.make_environment()
     if env.context_dim != config.target.d:
         raise ConfigError("environment context dimension does not match the target spec")

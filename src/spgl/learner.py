@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 __all__ = [
     "Episodes",
@@ -81,13 +82,20 @@ def _upper_pairs(n: int):
     return iu, ju
 
 
-def policy_features(observations: np.ndarray) -> np.ndarray:
+def policy_features(observations: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Degree-<=2 polynomial features of ``(k, n)`` observations: constant,
-    linear and pairwise terms, shape ``(k, F)``."""
+    linear and pairwise terms, shape ``(k, F)``, written into ``out`` when
+    given."""
     obs = np.asarray(observations, dtype=float)
     k, n = obs.shape
     iu, ju = _upper_pairs(n)
-    return np.concatenate([np.ones((k, 1)), obs, obs[:, iu] * obs[:, ju]], axis=1)
+    if out is None:
+        out = np.empty((k, feature_dim(n)))
+    out[:, 0] = 1.0
+    out[:, 1 : n + 1] = obs
+    # pairs gathered as rows of the transpose: long inner loops for NumPy
+    np.multiply(obs.T[iu], obs.T[ju], out=out[:, n + 1 :].T)
+    return out
 
 
 def init_policy(observation_dim: int, action_dim: int = 2, noise: float = 0.8) -> PolicyParameters:
@@ -98,9 +106,37 @@ def init_policy(observation_dim: int, action_dim: int = 2, noise: float = 0.8) -
     )
 
 
-def _rollout_rng(master_seed: int, iteration: int, index: int) -> np.random.Generator:
-    """Per-episode generator, stable under any execution order."""
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(iteration), int(index)]))
+def _seed_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer, the words
+    :class:`numpy.random.SeedSequence` derives its entropy from."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("rollout seeds must be non-negative")
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _rollout_noise(policies, master_seeds, iteration: int, k: int, horizon: int, action_dim: int):
+    """Scaled exploration noise of every episode, shape ``(R, K, T, A)``.
+
+    Episode ``i`` of run ``r`` draws ``standard_normal((T, A))`` from
+    ``Generator(PCG64(SeedSequence(key)))``, where ``key`` holds the words of
+    ``(master_seeds[r], iteration, i)``: the stream of
+    ``default_rng(SeedSequence([master_seeds[r], iteration, i]))``, keyed
+    without converting a Python list per episode."""
+    noise = np.empty((len(policies), k, horizon, action_dim))
+    for r, seed in enumerate(master_seeds):
+        prefix = _seed_words(seed) + _seed_words(iteration)
+        keys = np.empty((k, len(prefix) + 1), dtype=np.uint32)
+        keys[:, :-1] = prefix
+        keys[:, -1] = np.arange(k)
+        for i, key in enumerate(keys):
+            Generator(PCG64(SeedSequence(key))).standard_normal(out=noise[r, i])
+    noise *= np.stack([p.action_noise for p in policies])[:, None, None, :]
+    return noise
 
 
 @dataclass(frozen=True)
@@ -140,13 +176,14 @@ def collect_rollouts(
     together until every row is done; returns one :class:`Episodes` per run.
 
     ``policies`` holds one policy per run, ``contexts`` has shape
-    ``(R, K, d)`` and ``master_seeds`` one seed per run.  Episode ``i`` of
-    run ``r`` draws its noise from a generator derived from
-    ``(master_seeds[r], iteration, i)``, and each run's action product is a
+    ``(R, K, d)`` and ``master_seeds`` one non-negative integer seed per run.
+    Episode ``i`` of run ``r`` draws its noise from the generator
+    ``default_rng(SeedSequence([master_seeds[r], iteration, i]))``, built
+    from the same 32-bit key words, and each run's action product is a
     ``(K, F) @ (F, A)`` matrix product as if the run were stepped alone, so a
     run's episodes do not depend on the other runs, the other rows of its
     batch or the execution order.  With ``deterministic`` the mean action is
-    executed (evaluation mode).
+    executed (evaluation mode) and no noise is drawn.
     """
     contexts = np.asarray(contexts, dtype=float)
     if contexts.ndim != 3 or not len(policies) == len(master_seeds) == contexts.shape[0]:
@@ -156,21 +193,9 @@ def collect_rollouts(
     horizon = env.horizon
     action_dim = env.action_dim
     weights_t = np.stack([p.weights for p in policies]).transpose(0, 2, 1)
-    # without actions there is no noise to draw, so no generators are built
-    if deterministic or action_dim == 0:
-        noise = np.zeros((runs, k, horizon, action_dim))
-        noise_std = np.zeros((runs, 1, action_dim))
-    else:
-        noise = np.array(
-            [
-                [
-                    _rollout_rng(seed, iteration, i).standard_normal((horizon, action_dim))
-                    for i in range(k)
-                ]
-                for seed in master_seeds
-            ]
-        )
-        noise_std = np.stack([p.action_noise for p in policies])[:, None, :]
+    noise = None
+    if not deterministic and action_dim:
+        noise = _rollout_noise(policies, master_seeds, iteration, k, horizon, action_dim)
 
     state = env.reset(contexts.reshape(rows, d))
     alive = np.ones(rows, dtype=bool)
@@ -179,24 +204,35 @@ def collect_rollouts(
     lengths = np.zeros(rows, dtype=int)
     successes = np.zeros(rows, dtype=bool)
     n_features = feature_dim(env.observation_dim)
+    feats = np.empty((rows, n_features))
     feats_hist = np.zeros((rows, horizon, n_features))
     actions_hist = np.zeros((rows, horizon, action_dim))
 
+    # every row's histories are written at every step; the steps after a
+    # row finished are zeroed once after the loop
     for t in range(horizon):
-        if not np.any(alive):
+        if not alive.any():
             break
-        feats = policy_features(env.observe(state))
+        policy_features(env.observe(state), out=feats)
         actions = np.matmul(feats.reshape(runs, k, n_features), weights_t)
-        actions = (actions + noise_std * noise[:, :, t, :]).reshape(rows, action_dim)
+        if noise is not None:
+            actions += noise[:, :, t]
+        actions = actions.reshape(rows, action_dim)
         new_state, rewards, terminated, success = env.step(state, actions, t)
-        state = np.where(alive[:, None], new_state, state)
-        values += np.where(alive, discount * rewards, 0.0)
-        feats_hist[alive, t] = feats[alive]
-        actions_hist[alive, t] = actions[alive]
-        lengths += alive.astype(int)
+        np.copyto(state, new_state, where=alive[:, None])
+        np.add(values, discount * rewards, out=values, where=alive)
+        feats_hist[:, t] = feats
+        actions_hist[:, t] = actions
+        lengths += alive
         successes |= alive & success
         alive &= ~terminated
         discount *= config.gamma
+
+    steps = lengths.max(initial=0)
+    if np.any(lengths < steps):
+        finished = np.arange(steps) >= lengths[:, None]
+        feats_hist[:, :steps][finished] = 0.0
+        actions_hist[:, :steps][finished] = 0.0
 
     def per_run(a):
         return a.reshape(runs, k, *a.shape[1:])

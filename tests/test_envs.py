@@ -1,6 +1,6 @@
 """Environment tests: dynamics identities, wall/gate/goal rules, clamping,
-determinism, row independence of the batched protocol, and the analytic
-synthetic values."""
+determinism, row independence of the batched protocol, the step against a
+plain reference implementation, and the analytic synthetic values."""
 
 import math
 
@@ -30,6 +30,71 @@ def step_one(env, position, velocity, action, context, t=0):
         state_of(position, velocity, context), np.asarray(action, dtype=float)[None, :], t
     )
     return state[0, 0:2], state[0, 2:4], reward[0], terminated[0], success[0]
+
+
+def reference_step(params, state, actions, t):
+    """The point-mass transition written plainly, with whole-array temporaries;
+    ``PointMassEnv.step`` must reproduce it bit for bit."""
+    p = params
+    pos, vel, contexts = state[:, 0:2], state[:, 2:4], state[:, 4:]
+    actions = np.clip(actions, -p.action_limit, p.action_limit)
+    friction = contexts[:, 2:3]
+    new_vel = vel + p.dt * (actions - friction * vel)
+    new_pos = pos + p.dt * new_vel
+
+    y_old, y_new = pos[:, 1], new_pos[:, 1]
+    crossed = (y_old > 0.0) != (y_new > 0.0)
+    denom = np.where(crossed, y_old - y_new, 1.0)
+    x_cross = pos[:, 0] + (new_pos[:, 0] - pos[:, 0]) * (y_old / denom)
+    in_gate = np.abs(x_cross - contexts[:, 0]) <= 0.5 * contexts[:, 1]
+    crash = crossed & ~in_gate
+
+    limit = p.arena_half_width
+    clipped = np.clip(new_pos, -limit, limit)
+    new_vel = np.where(new_pos == clipped, new_vel, 0.0)
+    new_pos = clipped
+    new_pos[crash, 0] = x_cross[crash]
+    new_pos[crash, 1] = 0.0
+    new_vel[crash] = 0.0
+
+    goal = np.array(p.goal)
+    dist = np.sqrt(np.sum((new_pos - goal) ** 2, axis=1))
+    success = (dist < p.success_radius) & ~crash
+    reward = (
+        np.exp(-dist)
+        - p.action_cost * np.sum(actions**2, axis=1)
+        + np.where(success, p.success_bonus, 0.0)
+        + np.where(crash, p.crash_penalty, 0.0)
+    )
+    terminated = crash | success | (t + 1 >= p.horizon)
+    return np.concatenate([new_pos, new_vel, contexts], axis=1), reward, terminated, success
+
+
+def random_batch(env, rng):
+    """A batch of 2-300 rows mixing free flight with rows started next to the
+    wall, the goal and the arena edges, and actions beyond the limit."""
+    k = int(rng.integers(2, 301))
+    contexts = np.column_stack(
+        [rng.uniform(-3, 3, k), rng.uniform(-0.5, 3, k), rng.uniform(-0.5, 1.5, k)]
+    )
+    state = env.reset(contexts)
+    limit = env.params.arena_half_width
+    kind = rng.integers(0, 4, k)
+    pos = rng.uniform(-limit, limit, (k, 2))
+    vel = rng.uniform(-5, 5, (k, 2))
+    wall = kind == 1
+    pos[wall, 1] = rng.uniform(-0.3, 0.3, wall.sum())
+    vel[wall, 1] = rng.uniform(-8, 8, wall.sum())
+    goal = kind == 2
+    pos[goal] = np.array(env.params.goal) + rng.uniform(-0.4, 0.4, (goal.sum(), 2))
+    vel[goal] = rng.uniform(-1, 1, (goal.sum(), 2))
+    edge = kind == 3
+    pos[edge] = rng.choice([-1.0, 1.0], (edge.sum(), 2)) * rng.uniform(3.8, limit, (edge.sum(), 2))
+    vel[edge] = rng.uniform(-60, 60, (edge.sum(), 2))
+    state[:, 0:2], state[:, 2:4] = pos, vel
+    actions = rng.uniform(-2.5, 2.5, (k, 2)) * env.params.action_limit
+    t = int(rng.choice([0, rng.integers(0, env.horizon), env.horizon - 1]))
+    return state, actions, t
 
 
 class TestReset:
@@ -148,6 +213,34 @@ class TestStep:
                 alone = env.step(state[i : i + 1], actions[i : i + 1], t)
                 for together, single in zip(batch, alone):
                     assert np.array_equal(together[i : i + 1], single)
+
+
+    def test_matches_reference_step(self, env):
+        rng = np.random.default_rng(3)
+        limit = env.params.arena_half_width
+        seen = dict(crash=0, gate_pass=0, clip_x=0, clip_y=0, success=0, last_step=0, big_action=0)
+        for _ in range(300):
+            state, actions, t = random_batch(env, rng)
+            state_before, actions_before = state.copy(), actions.copy()
+            got = env.step(state, actions, t)
+            assert state.tobytes() == state_before.tobytes()
+            assert actions.tobytes() == actions_before.tobytes()
+            want = reference_step(env.params, state, actions, t)
+            for name, a, b in zip(("state", "reward", "terminated", "success"), got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype, name
+                assert np.array_equal(a, b), name
+
+            new_state, _, terminated, success = want
+            crash = terminated & ~success & (new_state[:, 1] == 0.0)
+            crossed = (state[:, 1] > 0.0) != (new_state[:, 1] > 0.0)
+            seen["crash"] += crash.sum()
+            seen["gate_pass"] += (crossed & ~crash).sum()
+            seen["clip_x"] += (np.abs(new_state[:, 0]) == limit).sum()
+            seen["clip_y"] += (np.abs(new_state[:, 1]) == limit).sum()
+            seen["success"] += success.sum()
+            seen["last_step"] += t == env.horizon - 1
+            seen["big_action"] += (np.abs(actions) > env.params.action_limit).any()
+        assert all(count > 0 for count in seen.values()), seen
 
 
 class TestSynthetic:

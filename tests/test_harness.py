@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spgl.harness
-from spgl.cli import EXIT_WARNINGS, main
+from spgl.cli import EXIT_CONFIG, EXIT_WARNINGS, main
 from spgl.config import ConfigError, available_presets, load_config, preset_path
 from spgl.harness import (
     evaluate,
@@ -336,6 +336,24 @@ class TestLockStep:
         assert [r.iteration for r in seen] == [1, 1, 2, 2, 3, 3]
         assert seen[0::2] == list(results[0].records)
         assert seen[1::2] == list(results[1].records)
+
+    def test_negative_seed_rejected(self, synth_config, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="non-negative integers, got -1"):
+            train_runs(synth_config(iterations=2), [("spgl", -1)])
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        argv = ["train", "--config", str(config_path), "--seed", "-1", "--quiet"]
+        assert main(argv + ["--out", str(tmp_path / "curve.csv")]) == EXIT_CONFIG
+        assert "non-negative integers" in capsys.readouterr().err
+
+    def test_non_integer_seed_rejected(self, synth_config):
+        with pytest.raises(ConfigError, match="non-negative integers, got 1.5"):
+            train_runs(synth_config(iterations=2), [("default", 1.5)])
+
+    def test_repeated_run_rejected(self, synth_config):
+        # a repeated seed would train the same run twice and count it twice
+        with pytest.raises(ConfigError, match="default run with seed 4 is requested more than once"):
+            run_multi_seed(synth_config(iterations=2), [4, 4])
 
     def test_no_runs_rejected(self, synth_config, tmp_path):
         with pytest.raises(ConfigError, match="at least one run"):

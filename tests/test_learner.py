@@ -115,6 +115,25 @@ class TestRollout:
                 a, b = getattr(block, name), getattr(alone, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
+    @pytest.mark.parametrize("iteration", [0, 5])
+    def test_noise_is_the_documented_stream(self, iteration):
+        # with zero weights the recorded actions are the scaled noise itself:
+        # episode i of run r draws from SeedSequence([seed_r, iteration, i]),
+        # seeds of more than one 32-bit word included
+        env = PointMassEnv()
+        seeds = [0, 7, 2**40 + 3]
+        policy = make_policy(env)
+        contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY])
+        runs = collect_rollouts(
+            [policy] * 3, env, np.stack([contexts] * 3), LearnerConfig(), seeds, iteration
+        )
+        shape = (env.horizon, env.action_dim)
+        for seed, episodes in zip(seeds, runs):
+            for i, n in enumerate(episodes.lengths):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, iteration, i]))
+                expected = policy.action_noise * rng.standard_normal(shape)
+                assert np.array_equal(episodes.actions[i, :n], expected[:n])
+
     def test_stacked_shapes_are_checked(self):
         env = PointMassEnv()
         policy = make_policy(env)
