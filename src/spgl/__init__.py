@@ -24,11 +24,11 @@ from .update import (
     InfeasiblePerformanceConstraint,
     MultiplierSolution,
     UpdateReport,
+    convergence_step,
     performance_step,
     should_run_performance_step,
     solve_mu_block,
     solve_theta_block,
-    update,
 )
 
 __version__ = "0.1.0"

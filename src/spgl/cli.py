@@ -15,14 +15,12 @@ Exit codes: 0 success, 1 configuration error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, available_presets, load_config, preset_path
 from .harness import (
-    evaluate,
     evaluate_run,
     records_to_csv,
     run_multi_seed,
@@ -138,7 +136,7 @@ def _cmd_train(args) -> int:
     result = run_training(config, seed, curriculum_mode=mode, progress=progress)
     out = Path(args.out or f"{config.name}_{mode}_seed{seed}.csv")
     out.write_text(records_to_csv(result.records, config.target.d))
-    ev = evaluate_run(config, [result], [seed])[0]
+    ev = evaluate_run(config, [result.policy], [seed])[0]
     if args.save_policy:
         save_policy(result.policy, args.save_policy)
     if not args.quiet:
@@ -159,16 +157,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _resolve_config(args.config)
+    if args.episodes:
+        config = dataclasses.replace(config, eval_episodes=args.episodes)
     seed = config.seed if args.seed is None else args.seed
-    policy = load_policy(args.policy)
-    env = config.make_environment()
-    episodes = args.episodes or config.eval_episodes
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 10_000]))
-    ev = evaluate([policy], config.target, env, episodes, [rng], config.learner)[0]
+    ev = evaluate_run(config, [load_policy(args.policy)], [seed])[0]
     print(
         f"return {ev.mean_return:.6g} +- {ev.return_se:.3g}, "
         f"success {ev.success_rate:.6g}% +- {ev.success_se:.3g} "
-        f"({episodes} episodes)"
+        f"({config.eval_episodes} episodes)"
     )
     return EXIT_OK
 

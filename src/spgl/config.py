@@ -1,7 +1,8 @@
 """Experiment configuration: a flat INI file with one section per module.
 
 Sections: ``[experiment]`` (environment, curriculum mode, iteration budget),
-``[environment]`` (per-environment constants, all optional), ``[target]`` and
+``[environment]`` (``context_visible``; for the synthetic environment also
+the value bump's ``width``; any other key is an error), ``[target]`` and
 ``[initial]`` (context distribution parameters), ``[curriculum]``,
 ``[learner]`` and ``[evaluation]``.
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import PointMassEnv, PointMassParams, SyntheticEnv
+from .envs import PointMassEnv, SyntheticEnv
 from .gaussian import ContextDistribution, TargetSpec
 from .learner import LearnerConfig
 from .update import CurriculumConfig
@@ -33,6 +34,11 @@ __all__ = [
 
 CURRICULUM_MODES = ("default", "spgl", "numerical")
 ENVIRONMENTS = ("point_mass", "synthetic")
+# The [environment] keys each environment reads; any other key is an error.
+ENVIRONMENT_KEYS = {
+    "point_mass": ("context_visible",),
+    "synthetic": ("context_visible", "width"),
+}
 # Options that no longer exist, as (section, key); a file that still sets one
 # fails loudly rather than silently running a different algorithm.
 REMOVED_KEYS = (
@@ -67,14 +73,10 @@ class ExperimentConfig:
         return ContextDistribution(mu=self.initial_mu, theta=self.initial_theta, target=self.target)
 
     def make_environment(self):
-        opts = dict(self.environment_options)
         if self.environment == "point_mass":
-            param_fields = {f for f in PointMassParams.__dataclass_fields__}
-            overrides = {k: v for k, v in opts.items() if k in param_fields}
-            params = PointMassParams(**overrides) if overrides else PointMassParams()
-            return PointMassEnv(params=params, context_visible=self.learner.context_visible)
-        center = opts.get("difficulty_center", self.target.mu_tilde)
-        return SyntheticEnv(difficulty_center=center, width=opts.get("width", 50.0))
+            return PointMassEnv(context_visible=self.learner.context_visible)
+        width = self.environment_options.get("width", 50.0)
+        return SyntheticEnv(difficulty_center=self.target.mu_tilde, width=width)
 
 
 def _parse_vector(raw: str, name: str) -> np.ndarray:
@@ -148,15 +150,11 @@ def load_config(path) -> ExperimentConfig:
 
     env_options = {}
     if parser.has_section("environment"):
-        for key, raw in parser.items("environment"):
-            if key == "context_visible":
-                continue
-            if key == "difficulty_center":
-                env_options[key] = _parse_vector(raw, "environment.difficulty_center")
-            elif key == "horizon":
-                env_options[key] = int(raw)
-            else:
-                env_options[key] = float(raw)
+        for key in parser.options("environment"):
+            if key not in ENVIRONMENT_KEYS[environment]:
+                raise ConfigError(f"unknown [environment] key '{key}' for {environment}")
+        if parser.has_option("environment", "width"):
+            env_options["width"] = _get(parser, "environment", "width", float)
 
     config = ExperimentConfig(
         name=_get(parser, "experiment", "name", str, default=path.stem),

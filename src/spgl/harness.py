@@ -114,6 +114,11 @@ class _Run:
     failed: int = 0
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
+
+
 def train_runs(config: ExperimentConfig, runs, progress=None) -> list[TrainingResult]:
     """Train ``(curriculum_mode, seed)`` runs of one config in lock-step.
 
@@ -140,8 +145,7 @@ def train_runs(config: ExperimentConfig, runs, progress=None) -> list[TrainingRe
     for mode, seed in runs:
         if mode not in CURRICULUM_MODES:
             raise ConfigError(f"unknown curriculum mode '{mode}'")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"seeds must be non-negative integers, got {seed!r}")
+        _check_seed(seed)
         if (mode, seed) in seen:
             raise ConfigError(f"the {mode} run with seed {seed} is requested more than once")
         seen.add((mode, seed))
@@ -261,15 +265,13 @@ def evaluate(
     n_episodes: int,
     rngs,
     learner_config: LearnerConfig | None = None,
-    deterministic: bool = True,
 ) -> list[EvalResult]:
     """Mean return and success rate (percent) of each policy over episodes
     with contexts drawn from the target distribution, with standard errors.
 
     Policy ``r`` draws its contexts and its rollout seed from ``rngs[r]``,
     and all policies' episodes are stepped in one batch.  Evaluation
-    executes the mean action by default; pass ``deterministic=False`` to
-    keep the exploration noise.
+    executes the mean action, without exploration noise.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
@@ -278,7 +280,7 @@ def evaluate(
     contexts = np.stack([sample(target_dist, rng, n_episodes) for rng in rngs])
     eval_seeds = [int(rng.integers(2**31)) for rng in rngs]
     all_episodes = collect_rollouts(
-        policies, env, contexts, learner_config, eval_seeds, 0, deterministic=deterministic
+        policies, env, contexts, learner_config, eval_seeds, 0, deterministic=True
     )
     if n_episodes == 1:
         warnings.warn("single-episode evaluation; standard errors are zero", RuntimeWarning)
@@ -299,13 +301,16 @@ def _eval_result(episodes) -> EvalResult:
     )
 
 
-def evaluate_run(config: ExperimentConfig, results, seeds) -> list[EvalResult]:
-    """Final evaluation of finished runs on the target distribution; run
-    ``r`` is evaluated with generators derived from ``seeds[r]``."""
+def evaluate_run(config: ExperimentConfig, policies, seeds) -> list[EvalResult]:
+    """Evaluate policies on the target distribution over the config's
+    ``eval_episodes``; policy ``r`` is evaluated with generators derived from
+    ``seeds[r]``, which must be non-negative integers."""
+    for seed in seeds:
+        _check_seed(seed)
     env = config.make_environment()
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 10_000])) for seed in seeds]
     return evaluate(
-        [result.policy for result in results],
+        policies,
         config.target,
         env,
         config.eval_episodes,
@@ -333,7 +338,8 @@ def run_multi_seed(
     p-values against the spgl row (descriptive, not gating)."""
     runs = [(mode, seed) for mode in modes for seed in seeds]
     results = train_runs(config, runs, progress)
-    evals = evaluate_run(config, results, [seed for _, seed in runs])
+    policies = [result.policy for result in results]
+    evals = evaluate_run(config, policies, [seed for _, seed in runs])
     per_mode_returns = {mode: [] for mode in modes}
     per_mode_success = {mode: [] for mode in modes}
     per_mode_kl = {mode: [] for mode in modes}

@@ -90,13 +90,10 @@ class LinearizedSubproblem:
     objective_gradient: np.ndarray
     metric_diag: np.ndarray
     radius_sq: float
-    kind: str = "kl_ball_mu"
     performance: tuple[np.ndarray, float] | None = None
     quadratic_target: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("kl_ball_mu", "kl_ball_theta"):
-            raise ValueError("kind must be kl_ball_mu or kl_ball_theta")
         if self.radius_sq <= 0.0:
             raise ValueError("radius_sq must be positive")
         if np.any(np.asarray(self.metric_diag) <= 0.0):

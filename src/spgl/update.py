@@ -2,12 +2,12 @@
 
 Each curriculum update dispatches on the batch mean value:
 
-* below the performance threshold -> *performance step*: move mean and
-  covariance scales along the value gradient to the boundary of the KL trust
-  region (maximize attainable value).
-* at or above the threshold -> *convergence step*: move toward the target
-  distribution, subject to the linearized performance constraint and the same
-  trust region (minimize KL to the target).
+* below the performance threshold -> :func:`performance_step`: move mean
+  and covariance scales along the value gradient to the boundary of the KL
+  trust region (maximize attainable value).
+* at or above the threshold -> :func:`convergence_step`: move toward the
+  target distribution, subject to the linearized performance constraint and
+  the same trust region (minimize KL to the target).
 
 Both steps are block-coordinate: the mean block and the scale block are each
 solved in closed form against the pre-update geometry.  The mean block's KL
@@ -40,6 +40,7 @@ __all__ = [
     "InfeasiblePerformanceConstraint",
     "MultiplierSolution",
     "UpdateReport",
+    "convergence_step",
     "mu_kkt_residuals",
     "performance_step",
     "project_to_ball",
@@ -153,15 +154,12 @@ def should_run_performance_step(stats: CurriculumStats, config: CurriculumConfig
 
 
 # ---------------------------------------------------------------------------
-# performance step (value maximization on the trust-region boundary)
+# pieces shared by both steps
 
 
-def _mu_performance_block(dist, u_bar, eps):
-    precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
-    norm_u = math.sqrt(float(np.sum(u_bar**2 * precision)))
-    if norm_u < DEGENERATE_NORM:
-        return dist.mu, False
-    return dist.mu + math.sqrt(2.0 * eps) * u_bar / norm_u, True
+def _mean_precision(dist):
+    """Diagonal metric of the mean block: the old precision ``1/(theta sigma~)``."""
+    return 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
 
 
 def _clip_theta_step(theta, delta, theta_min):
@@ -177,34 +175,52 @@ def _clip_theta_step(theta, delta, theta_min):
     return theta + scale * delta, scale < 1.0
 
 
-def _theta_performance_block(dist, psi_bar, eps, theta_min):
-    h_inv = dist.theta**2
-    norm_psi = math.sqrt(float(np.sum(psi_bar**2 * h_inv)))
-    if norm_psi < DEGENERATE_NORM:
-        return dist.theta, False, False
-    delta = 2.0 * math.sqrt(eps) * h_inv * psi_bar / norm_psi
-    theta_new, backtracked = _clip_theta_step(dist.theta, delta, theta_min)
-    return theta_new, True, backtracked
+def _value_scale(b, reach, tol):
+    """Scale of the performance constraint ``b + <g, delta> >= 0`` whose best
+    value over the trust region is ``b + reach``; raises when even that point
+    misses the bound."""
+    value_scale = max(1.0, abs(b), reach)
+    if b + reach < -tol * value_scale:
+        raise InfeasiblePerformanceConstraint(
+            "no point of the trust region satisfies the performance bound"
+        )
+    return value_scale
 
 
-def _performance_budget_split(dist, stats, eps):
-    """Split the joint trust-region budget across the two blocks so the
-    composed step solves the *joint* linearized problem.
+def _best_case(candidates, measure, objective, eps, tol, value_scale, geom_scale, ball_floor):
+    """The smallest-``objective`` KKT candidate ``(x, lam_perf, lam_ball,
+    case)`` of one convergence block, or None.
 
-    The linearized gain of a mean budget ``e`` is ``sqrt(2 e) ||u_bar||`` and
-    of a scale budget ``2 sqrt(e) ||psi_bar||`` (block metrics), so the
-    optimal mean share is ``||u_bar||^2 / (||u_bar||^2 + 2 ||psi_bar||^2)``.
-    A degenerate block cedes its whole share to the other.
+    ``measure(x)`` returns the performance slack and the ball value at ``x``.
+    A candidate is admissible when it is primal feasible, its multipliers are
+    dual feasible (the ball multiplier at or above ``ball_floor``: 1 for the
+    mean block's affine multiplier, 0 for the scales) and each positive
+    multiplier's constraint is tight, all within ``tol`` of the problem
+    scales.  When none is admissible the test is retried once at ``100 tol``.
     """
-    precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
-    norm_u_sq = float(np.sum(stats.u_bar**2 * precision))
-    norm_psi_sq = float(np.sum(stats.psi_bar**2 * dist.theta**2))
-    if math.sqrt(norm_u_sq) < DEGENERATE_NORM:
-        return 0.0, eps
-    if math.sqrt(norm_psi_sq) < DEGENERATE_NORM:
-        return eps, 0.0
-    share = norm_u_sq / (norm_u_sq + 2.0 * norm_psi_sq)
-    return share * eps, (1.0 - share) * eps
+    measured = [(candidate, *measure(candidate[0])) for candidate in candidates]
+    for slack in (tol, tol * 100.0):
+        vtol = slack * value_scale
+        gtol = slack * geom_scale
+        admissible = [
+            (x, lam_perf, lam_ball, case)
+            for (x, lam_perf, lam_ball, case), perf, ball in measured
+            if not (
+                perf < -vtol
+                or ball > eps + gtol
+                or lam_perf < -slack
+                or lam_ball < ball_floor - slack
+                or (lam_perf > slack and abs(perf) > vtol)
+                or (lam_ball > ball_floor + slack and abs(ball - eps) > gtol)
+            )
+        ]
+        if admissible:
+            return min(admissible, key=lambda candidate: objective(candidate[0]))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# performance step (value maximization on the trust-region boundary)
 
 
 def performance_step(
@@ -215,29 +231,44 @@ def performance_step(
     Each block moves to its boundary: the mean to
     ``mu + sqrt(2 e_mu) u_bar / ||u_bar||`` and the scales to
     ``theta + 2 sqrt(e_theta) theta^2 psi_bar / ||psi_bar||`` (norms in the
-    block metrics), with the budgets ``e_mu + e_theta = eps`` split so the
-    composed move maximizes the joint linearized gain.  A block whose gradient
-    norm falls below ``1e-10`` is left unchanged and cedes its budget.
+    block metrics).  The linearized gain of a mean budget ``e`` is
+    ``sqrt(2 e) ||u_bar||`` and of a scale budget ``2 sqrt(e) ||psi_bar||``,
+    so the budgets ``e_mu + e_theta = eps`` maximize the joint linearized gain
+    with the mean share ``||u_bar||^2 / (||u_bar||^2 + 2 ||psi_bar||^2)``.  A
+    block whose gradient norm falls below ``1e-10`` stays unchanged and cedes
+    its budget to the other.
 
     Returns ``(mu_new, theta_new, moved, backtracked)``: ``moved`` is False
     when neither block has an informative direction (the update is then
     degenerate), ``backtracked`` when the scale step was shortened to keep
     every scale at or above ``theta_min``.
     """
-    eps_mu, eps_theta = _performance_budget_split(dist, stats, eps)
-    mu_new, theta_new = dist.mu, dist.theta
-    mu_moved = theta_moved = backtracked = False
+    h_inv = dist.theta**2
+    norm_u_sq = float(np.sum(stats.u_bar**2 * _mean_precision(dist)))
+    norm_psi_sq = float(np.sum(stats.psi_bar**2 * h_inv))
+    u_degenerate = math.sqrt(norm_u_sq) < DEGENERATE_NORM
+    psi_degenerate = math.sqrt(norm_psi_sq) < DEGENERATE_NORM
+    if u_degenerate and psi_degenerate:
+        return dist.mu, dist.theta, False, False
+    if u_degenerate:
+        eps_mu, eps_theta = 0.0, eps
+    elif psi_degenerate:
+        eps_mu, eps_theta = eps, 0.0
+    else:
+        share = norm_u_sq / (norm_u_sq + 2.0 * norm_psi_sq)
+        eps_mu, eps_theta = share * eps, (1.0 - share) * eps
+
+    mu_new, theta_new, backtracked = dist.mu, dist.theta, False
     if eps_mu > 0.0:
-        mu_new, mu_moved = _mu_performance_block(dist, stats.u_bar, eps_mu)
+        mu_new = dist.mu + math.sqrt(2.0 * eps_mu) * stats.u_bar / math.sqrt(norm_u_sq)
     if eps_theta > 0.0:
-        theta_new, theta_moved, backtracked = _theta_performance_block(
-            dist, stats.psi_bar, eps_theta, theta_min
-        )
-    return mu_new, theta_new, mu_moved or theta_moved, backtracked
+        delta = 2.0 * math.sqrt(eps_theta) * h_inv * stats.psi_bar / math.sqrt(norm_psi_sq)
+        theta_new, backtracked = _clip_theta_step(dist.theta, delta, theta_min)
+    return mu_new, theta_new, eps_mu > 0.0 or eps_theta > 0.0, backtracked
 
 
 # ---------------------------------------------------------------------------
-# convergence step, mean block
+# convergence step
 
 
 def solve_mu_block(dist, target, stats, eps, v_lower, tol=CASE_TOL):
@@ -246,7 +277,7 @@ def solve_mu_block(dist, target, stats, eps, v_lower, tol=CASE_TOL):
 
     Returns ``(mu_new, MultiplierSolution)``.
     """
-    precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
+    precision = _mean_precision(dist)
     u = stats.u_bar
     a = target.mu_tilde - dist.mu
     b = stats.v_bar - v_lower
@@ -254,65 +285,37 @@ def solve_mu_block(dist, target, stats, eps, v_lower, tol=CASE_TOL):
     norm_a_sq = float(np.sum(a**2 * precision))
     norm_u_sq = float(np.sum(u**2 * precision))
     inner_ua = float(np.sum(u * a * precision))
+    value_scale = _value_scale(b, math.sqrt(2.0 * eps * norm_u_sq), tol)
 
-    value_scale = max(1.0, abs(b), math.sqrt(2.0 * eps * norm_u_sq))
+    candidates = [(np.array(target.mu_tilde, dtype=float, copy=True), 0.0, 1.0, BOTH_INACTIVE)]
+    if norm_u_sq > DEGENERATE_NORM**2:
+        lam1 = -(b + inner_ua) / norm_u_sq
+        candidates.append((target.mu_tilde + lam1 * u, lam1, 1.0, PERF_ACTIVE))
+    if norm_a_sq > DEGENERATE_NORM**2:
+        lam2 = math.sqrt(norm_a_sq / (2.0 * eps))
+        candidates.append((dist.mu + a / lam2, 0.0, lam2, PROXIMITY_ACTIVE))
+    if norm_u_sq > DEGENERATE_NORM**2:
+        denom = 2.0 * eps * norm_u_sq - b * b
+        numer = max(norm_a_sq * norm_u_sq - inner_ua**2, 0.0)
+        if denom > 0.0 and numer > 0.0:
+            lam2 = math.sqrt(numer / denom)
+            if lam2 > DEGENERATE_NORM:
+                lam1 = -(lam2 * b + inner_ua) / norm_u_sq
+                candidates.append((dist.mu + (a + lam1 * u) / lam2, lam1, lam2, BOTH_ACTIVE))
+
+    def measure(mu_new):
+        delta = mu_new - dist.mu
+        return b + float(np.sum(u * delta * precision)), 0.5 * float(np.sum(delta**2 * precision))
+
+    def objective(mu_new):
+        return 0.5 * float(np.sum((mu_new - target.mu_tilde) ** 2 * precision))
+
     geom_scale = max(1.0, norm_a_sq, 2.0 * eps)
-
-    if b + math.sqrt(2.0 * eps * norm_u_sq) < -tol * value_scale:
-        raise InfeasiblePerformanceConstraint(
-            "no point of the trust region satisfies the performance bound"
-        )
-
-    def run(slack):
-        vtol = slack * value_scale
-        gtol = slack * geom_scale
-        candidates = []
-
-        def consider(mu_new, lam1, lam2, case):
-            delta = mu_new - dist.mu
-            perf = b + float(np.sum(u * delta * precision))
-            ball = 0.5 * float(np.sum(delta**2 * precision))
-            if perf < -vtol or ball > eps + gtol:
-                return
-            if lam1 < -slack or lam2 < 1.0 - slack:
-                return
-            # complementary slackness
-            if lam1 > slack and abs(perf) > vtol:
-                return
-            if lam2 > 1.0 + slack and abs(ball - eps) > gtol:
-                return
-            objective = 0.5 * float(np.sum((mu_new - target.mu_tilde) ** 2 * precision))
-            candidates.append((objective, mu_new, lam1, lam2, case))
-
-        consider(np.array(target.mu_tilde, dtype=float, copy=True), 0.0, 1.0, BOTH_INACTIVE)
-        if norm_u_sq > DEGENERATE_NORM**2:
-            lam1 = -(b + inner_ua) / norm_u_sq
-            consider(target.mu_tilde + lam1 * u, lam1, 1.0, PERF_ACTIVE)
-        if norm_a_sq > DEGENERATE_NORM**2:
-            lam2 = math.sqrt(norm_a_sq / (2.0 * eps))
-            consider(dist.mu + a / lam2, 0.0, lam2, PROXIMITY_ACTIVE)
-        if norm_u_sq > DEGENERATE_NORM**2:
-            denom = 2.0 * eps * norm_u_sq - b * b
-            numer = max(norm_a_sq * norm_u_sq - inner_ua**2, 0.0)
-            if denom > 0.0 and numer > 0.0:
-                lam2 = math.sqrt(numer / denom)
-                if lam2 > DEGENERATE_NORM:
-                    lam1 = -(lam2 * b + inner_ua) / norm_u_sq
-                    consider(dist.mu + (a + lam1 * u) / lam2, lam1, lam2, BOTH_ACTIVE)
-        return candidates
-
-    candidates = run(tol)
-    if not candidates:
-        candidates = run(tol * 100.0)
-    if not candidates:
+    best = _best_case(candidates, measure, objective, eps, tol, value_scale, geom_scale, 1.0)
+    if best is None:
         raise CurriculumError("no KKT case matched the mean subproblem")
-
-    objective, mu_new, lam1, lam2, case = min(candidates, key=lambda c: c[0])
+    mu_new, lam1, lam2, case = best
     return np.asarray(mu_new, dtype=float), MultiplierSolution(lam1, lam2, case)
-
-
-# ---------------------------------------------------------------------------
-# convergence step, scale block
 
 
 def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
@@ -335,21 +338,13 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
     norm_om_sq = float(np.sum(omega**2 * h_inv))
     norm_psi_sq = float(np.sum(psi**2 * h_inv))
     inner_po = float(np.sum(psi * omega * h_inv))
-
-    value_scale = max(1.0, abs(b), 2.0 * math.sqrt(eps * norm_psi_sq))
-
-    if b + 2.0 * math.sqrt(eps * norm_psi_sq) < -tol * value_scale:
-        raise InfeasiblePerformanceConstraint(
-            "no point of the trust region satisfies the performance bound"
-        )
-
+    value_scale = _value_scale(b, 2.0 * math.sqrt(eps * norm_psi_sq), tol)
+    geom_scale = max(1.0, eps)
     ones = np.ones_like(theta)
 
     def jump_feasible(slack):
-        vtol = slack * value_scale
-        gtol = slack * max(1.0, eps)
-        ball_ok = 0.25 * float(np.sum((ones - theta) ** 2 / h_inv)) <= eps + gtol
-        perf_ok = b + float(np.sum(psi * (ones - theta))) >= -vtol
+        ball_ok = 0.25 * float(np.sum((ones - theta) ** 2 / h_inv)) <= eps + slack * geom_scale
+        perf_ok = b + float(np.sum(psi * (ones - theta))) >= -slack * value_scale
         return ball_ok and perf_ok
 
     def kl_score(theta_vec):
@@ -361,67 +356,50 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
             dist.mu, theta_vec, dist.target.mu_tilde, dist.target.sigma_tilde_diag
         )
 
-    def run(slack):
-        vtol = slack * value_scale
-        gtol = slack * max(1.0, eps)
-        candidates = []
+    candidates = []
+    norm_om = math.sqrt(norm_om_sq)
+    if norm_om >= DEGENERATE_NORM:
+        lam4 = norm_om / (2.0 * math.sqrt(eps))
+        candidates.append((theta - h_inv * omega / lam4, 0.0, lam4, PROXIMITY_ACTIVE))
+        if norm_psi_sq > DEGENERATE_NORM**2:
+            # Performance face active with the trust region slack.  This
+            # needs the objective gradient colinear with the constraint
+            # normal, which is generic in one dimension; the canonical point
+            # is the metric projection of the center onto the face.
+            lam3 = inner_po / norm_psi_sq
+            residual = omega - lam3 * psi
+            residual_sq = float(np.sum(residual**2 * h_inv))
+            if math.sqrt(residual_sq) <= 1e-9 * max(norm_om, 1.0):
+                candidates.append((theta - b * h_inv * psi / norm_psi_sq, lam3, 0.0, PERF_ACTIVE))
+            denom = 4.0 * eps * norm_psi_sq - b * b
+            # ||omega||^2 ||psi||^2 - <psi, omega>^2 written through the
+            # residual: the difference form cancels when omega is nearly
+            # parallel to psi_bar, and the ball then misses eps.
+            numer = norm_psi_sq * residual_sq
+            if denom > 0.0:
+                lam4 = math.sqrt(numer / denom)
+                if lam4 > DEGENERATE_NORM:
+                    lam3 = (inner_po - lam4 * b) / norm_psi_sq
+                    candidates.append(
+                        (theta + h_inv * (lam3 * psi - omega) / lam4, lam3, lam4, BOTH_ACTIVE)
+                    )
+    else:
+        # Zero objective gradient: any feasible point is optimal; stay.
+        candidates.append((np.array(theta, dtype=float, copy=True), 0.0, 0.0, PROXIMITY_ACTIVE))
 
-        def consider(theta_new, lam3, lam4, case):
-            delta = theta_new - theta
-            perf = b + float(np.sum(psi * delta))
-            ball = 0.25 * float(np.sum(delta**2 / h_inv))
-            if perf < -vtol or ball > eps + gtol:
-                return
-            if lam3 < -slack or lam4 < -slack:
-                return
-            if lam3 > slack and abs(perf) > vtol:
-                return
-            if lam4 > slack and abs(ball - eps) > gtol:
-                return
-            objective = float(np.sum(omega * delta))
-            candidates.append((objective, theta_new, lam3, lam4, case))
+    def measure(theta_new):
+        delta = theta_new - theta
+        return b + float(np.sum(psi * delta)), 0.25 * float(np.sum(delta**2 / h_inv))
 
-        norm_om = math.sqrt(norm_om_sq)
-        if norm_om >= DEGENERATE_NORM:
-            lam4 = norm_om / (2.0 * math.sqrt(eps))
-            consider(theta - h_inv * omega / lam4, 0.0, lam4, PROXIMITY_ACTIVE)
-            if norm_psi_sq > DEGENERATE_NORM**2:
-                # Performance face active with the trust region slack.  This
-                # needs the objective gradient colinear with the constraint
-                # normal, which is generic in one dimension; the canonical
-                # point is the metric projection of the center onto the face.
-                lam3 = inner_po / norm_psi_sq
-                residual = omega - lam3 * psi
-                residual_sq = float(np.sum(residual**2 * h_inv))
-                colinear = math.sqrt(residual_sq) <= 1e-9 * max(norm_om, 1.0)
-                if lam3 >= -slack and colinear:
-                    consider(theta - b * h_inv * psi / norm_psi_sq, lam3, 0.0, PERF_ACTIVE)
-                denom = 4.0 * eps * norm_psi_sq - b * b
-                # ||omega||^2 ||psi||^2 - <psi, omega>^2 written through the
-                # residual: the difference form cancels when omega is nearly
-                # parallel to psi_bar, and the ball then misses eps.
-                numer = norm_psi_sq * residual_sq
-                if denom > 0.0:
-                    lam4 = math.sqrt(numer / denom)
-                    if lam4 > DEGENERATE_NORM:
-                        lam3 = (inner_po - lam4 * b) / norm_psi_sq
-                        consider(
-                            theta + h_inv * (lam3 * psi - omega) / lam4, lam3, lam4, BOTH_ACTIVE
-                        )
-        else:
-            # Zero objective gradient: any feasible point is optimal; stay.
-            consider(np.array(theta, dtype=float, copy=True), 0.0, 0.0, PROXIMITY_ACTIVE)
-        return candidates
+    def objective(theta_new):
+        return float(np.sum(omega * (theta_new - theta)))
 
-    candidates = run(tol)
-    if not candidates:
-        candidates = run(tol * 100.0)
-    if not candidates and jump_feasible(tol * 100.0):
-        return ones, MultiplierSolution(0.0, 0.0, BOTH_INACTIVE), False
-    if not candidates:
+    best = _best_case(candidates, measure, objective, eps, tol, value_scale, geom_scale, 0.0)
+    if best is None:
+        if jump_feasible(tol * 100.0):
+            return ones, MultiplierSolution(0.0, 0.0, BOTH_INACTIVE), False
         raise CurriculumError("no KKT case matched the scale subproblem")
-
-    objective, theta_new, lam3, lam4, case = min(candidates, key=lambda c: c[0])
+    theta_new, lam3, lam4, case = best
     theta_new, backtracked = _clip_theta_step(theta, np.asarray(theta_new) - theta, theta_min)
 
     # Jumping straight to the target scale is allowed whenever it is feasible
@@ -431,6 +409,49 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
     if jump_feasible(tol) and kl_score(ones) <= kl_score(theta_new):
         return ones, MultiplierSolution(0.0, 0.0, BOTH_INACTIVE), False
     return theta_new, MultiplierSolution(lam3, lam4, case), backtracked
+
+
+def convergence_step(
+    dist: ContextDistribution,
+    target: TargetSpec,
+    stats: CurriculumStats,
+    eps: float,
+    v_lower: float,
+    theta_min: float,
+) -> tuple[np.ndarray, np.ndarray, MultiplierSolution, MultiplierSolution, bool]:
+    """Move toward the target under the linearized performance constraint
+    and the joint trust region ``eps``.
+
+    The marginal KL-to-target decrease of a mean budget ``e`` scales with
+    ``dist / sqrt(2 e)`` (``dist`` the metric distance to the target mean)
+    and of a scale budget with ``||omega|| / sqrt(e)``, so the mean block
+    gets the share ``dist^2 / (dist^2 + 2 ||omega||^2)`` of ``eps``, at least
+    ``1e-6 eps``.  A degenerate ``omega`` gives the mean the whole budget;
+    when both are degenerate the split is even.  The scale block receives
+    everything the mean block did not spend (jump cases leave most of it).
+
+    Returns ``(mu_new, theta_new, mu_solution, theta_solution, backtracked)``,
+    ``backtracked`` as in :func:`solve_theta_block`.
+    """
+    precision = _mean_precision(dist)
+    dist_sq = float(np.sum((target.mu_tilde - dist.mu) ** 2 * precision))
+    omega_sq = float(np.sum(stats.omega**2 * dist.theta**2))
+    mean_degenerate = math.sqrt(dist_sq) < DEGENERATE_NORM
+    omega_degenerate = math.sqrt(omega_sq) < DEGENERATE_NORM
+    if mean_degenerate and omega_degenerate:
+        eps_mu = 0.5 * eps
+    elif omega_degenerate:
+        eps_mu = eps
+    elif mean_degenerate:
+        eps_mu = 0.0
+    else:
+        eps_mu = eps * dist_sq / (dist_sq + 2.0 * omega_sq)
+    mu_new, mu_sol = solve_mu_block(dist, target, stats, max(eps_mu, 1e-6 * eps), v_lower)
+    spent = 0.5 * float(np.sum((mu_new - dist.mu) ** 2 * precision))
+    theta_new, theta_sol, backtracked = solve_theta_block(
+        dist, stats, max(eps - spent, 1e-18), v_lower, theta_min
+    )
+    return mu_new, theta_new, mu_sol, theta_sol, backtracked
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +464,7 @@ def mu_kkt_residuals(dist, target, stats, eps, v_lower, mu_new, solution):
     Returns a dict of nonnegative residuals (stationarity, primal, dual,
     complementary slackness), each normalized by the problem scale.
     """
-    precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
+    precision = _mean_precision(dist)
     u = stats.u_bar
     delta = mu_new - dist.mu
     b = stats.v_bar - v_lower
@@ -592,39 +613,6 @@ def _backtrack_joint_kl(mu0, theta0, sigma, mu_new, theta_new, eps):
 # full update
 
 
-def _convergence_budget_split(dist, target, stats, eps):
-    """Mean share of the joint radius for the convergence step.
-
-    The marginal KL-to-target decrease of a mean budget ``e`` scales with
-    ``dist / sqrt(2 e)`` (``dist`` the metric distance to the target mean) and
-    of a scale budget with ``||omega|| / sqrt(e)``; equating them gives the
-    same form as the performance split with ``dist`` in place of ``||u_bar||``.
-    """
-    precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
-    dist_sq = float(np.sum((target.mu_tilde - dist.mu) ** 2 * precision))
-    omega_sq = float(np.sum(stats.omega**2 * dist.theta**2))
-    if math.sqrt(dist_sq) < DEGENERATE_NORM and math.sqrt(omega_sq) < DEGENERATE_NORM:
-        return 0.5 * eps
-    if math.sqrt(omega_sq) < DEGENERATE_NORM:
-        return eps
-    if math.sqrt(dist_sq) < DEGENERATE_NORM:
-        return 0.0
-    return eps * dist_sq / (dist_sq + 2.0 * omega_sq)
-
-
-def _convergence_phase(dist, target, stats, eps, v_lower, theta_min):
-    """Mean block capped at its marginal-value share of the radius; the scale
-    block receives everything the mean block did not spend (jump cases leave
-    most of it)."""
-    eps_mu = max(_convergence_budget_split(dist, target, stats, eps), 1e-6 * eps)
-    mu_new, mu_sol = solve_mu_block(dist, target, stats, eps_mu, v_lower)
-    precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
-    spent = 0.5 * float(np.sum((mu_new - dist.mu) ** 2 * precision))
-    eps_theta = max(eps - spent, 1e-18)
-    theta_new, theta_sol, backtracked = solve_theta_block(dist, stats, eps_theta, v_lower, theta_min)
-    return mu_new, theta_new, mu_sol, theta_sol, backtracked
-
-
 def update(
     dist: ContextDistribution,
     batch: RolloutBatch,
@@ -645,41 +633,28 @@ def update(
     stats = compute_stats(batch, dist, target)
     kl_before = kl_to_target(dist)
     mu_sol = theta_sol = None
-
     if should_run_performance_step(stats, config):
         kind = "performance"
         mu_new, theta_new, moved, theta_backtracked = performance_step(
             dist, stats, config.epsilon, config.theta_min
         )
-        if not moved:
-            report = UpdateReport(
-                kind=kind,
-                degenerate=True,
-                mu_solution=None,
-                theta_solution=None,
-                kl_step=0.0,
-                kl_step_mean_part=0.0,
-                kl_to_target_before=kl_before,
-                kl_to_target_after=kl_before,
-                theta_backtracked=False,
-                trust_region_backtracked=False,
-            )
-            return dist, report
     else:
-        kind = "convergence"
-        mu_new, theta_new, mu_sol, theta_sol, theta_backtracked = _convergence_phase(
+        kind, moved = "convergence", True
+        mu_new, theta_new, mu_sol, theta_sol, theta_backtracked = convergence_step(
             dist, target, stats, config.epsilon, config.v_lower, config.theta_min
         )
 
-    mu_new, theta_new = np.asarray(mu_new, dtype=float), np.asarray(theta_new, dtype=float)
-    theta_new, kl_step, kl_mean_part, tr_backtracked = _backtrack_joint_kl(
-        dist.mu, dist.theta, dist.target.sigma_tilde_diag, mu_new, theta_new, config.epsilon
-    )
-    new_dist = dist.with_params(mu=mu_new, theta=theta_new)
+    new_dist, kl_step, kl_mean_part, tr_backtracked = dist, 0.0, 0.0, False
+    if moved:
+        mu_new, theta_new = np.asarray(mu_new, dtype=float), np.asarray(theta_new, dtype=float)
+        theta_new, kl_step, kl_mean_part, tr_backtracked = _backtrack_joint_kl(
+            dist.mu, dist.theta, dist.target.sigma_tilde_diag, mu_new, theta_new, config.epsilon
+        )
+        new_dist = dist.with_params(mu=mu_new, theta=theta_new)
 
     report = UpdateReport(
         kind=kind,
-        degenerate=False,
+        degenerate=not moved,
         mu_solution=mu_sol,
         theta_solution=theta_sol,
         kl_step=kl_step,

@@ -24,6 +24,7 @@ from .update import (
     BOTH_INACTIVE,
     CurriculumConfig,
     mu_kkt_residuals,
+    performance_step,
     solve_mu_block,
     solve_theta_block,
     theta_kkt_residuals,
@@ -190,9 +191,8 @@ def run_oracle_suite(
         u_bar = rng.normal(0.0, 1.0, d) * float(np.exp(rng.uniform(-1.5, 1.5)))
         if math.sqrt(float(np.sum(u_bar**2 * precision))) < 1e-4:
             u_bar = u_bar + 0.1
-        closed_mu = mu + math.sqrt(2.0 * eps) * u_bar / math.sqrt(
-            float(np.sum(u_bar**2 * precision))
-        )
+        # the scale gradient is zero, so the mean block gets the whole budget
+        closed_mu, _, _, _ = performance_step(dist, _make_stats(d, u_bar=u_bar), eps, 1e-12)
         closed_mu = _perturbed(closed_mu, perturb, rng)
         oracle = solve_numeric(
             LinearizedSubproblem(
@@ -200,7 +200,6 @@ def run_oracle_suite(
                 objective_gradient=precision * u_bar,
                 metric_diag=precision,
                 radius_sq=2.0 * eps,
-                kind="kl_ball_mu",
             )
         )
         record_param(f"perf-mu[{i}]", closed_mu, oracle.x)
@@ -209,11 +208,10 @@ def run_oracle_suite(
         # ---- value-ascent scale block
         h_diag = 1.0 / theta**2
         psi_bar = rng.normal(0.0, 1.0, d) * float(np.exp(rng.uniform(-1.5, 1.5)))
-        norm_psi = math.sqrt(float(np.sum(psi_bar**2 / h_diag)))
-        if norm_psi < 1e-4:
+        if math.sqrt(float(np.sum(psi_bar**2 / h_diag))) < 1e-4:
             psi_bar = psi_bar + 0.1
-            norm_psi = math.sqrt(float(np.sum(psi_bar**2 / h_diag)))
-        closed_theta = theta + 2.0 * math.sqrt(eps) * (psi_bar / h_diag) / norm_psi
+        # the mean gradient is zero, so the scale block gets the whole budget
+        _, closed_theta, _, _ = performance_step(dist, _make_stats(d, psi_bar=psi_bar), eps, 1e-12)
         closed_theta = _perturbed(closed_theta, perturb, rng)
         oracle = solve_numeric(
             LinearizedSubproblem(
@@ -221,7 +219,6 @@ def run_oracle_suite(
                 objective_gradient=psi_bar,
                 metric_diag=h_diag,
                 radius_sq=4.0 * eps,
-                kind="kl_ball_theta",
             )
         )
         record_param(f"perf-theta[{i}]", closed_theta, oracle.x)
@@ -242,7 +239,6 @@ def run_oracle_suite(
                 objective_gradient=np.zeros(d),
                 metric_diag=precision,
                 radius_sq=2.0 * eps,
-                kind="kl_ball_mu",
                 performance=(precision * u_bar, b),
                 quadratic_target=target.mu_tilde,
             )
@@ -286,7 +282,6 @@ def run_oracle_suite(
                 objective_gradient=-omega,
                 metric_diag=h_diag,
                 radius_sq=4.0 * eps,
-                kind="kl_ball_theta",
                 performance=(psi_bar, b),
             )
         )

@@ -146,7 +146,7 @@ def test_criterion_5_point_mass_trend():
     # all ten runs train in lock-step and are evaluated in one batch
     runs = [(mode, seed) for mode in ("spgl", "default") for seed in seeds]
     results = train_runs(config, runs)
-    evals = evaluate_run(config, results, [seed for _, seed in runs])
+    evals = evaluate_run(config, [r.policy for r in results], [seed for _, seed in runs])
     for (mode, _), result, ev in zip(runs, results, evals):
         success[mode].append(ev.success_rate)
         if mode == "spgl":

@@ -1,7 +1,9 @@
 """Every name a module lists in ``__all__`` must exist, so a deletion cannot
-leave a stale export behind."""
+leave a stale export behind, and no package-level name may shadow a
+submodule."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,3 +19,12 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"spgl.{name}.__all__ lists missing names: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_submodule_attribute_is_the_module(name):
+    # ``import spgl.<name> as m`` binds ``getattr(spgl, name)``, so a
+    # re-exported function of the same name would hide the module
+    module = importlib.import_module(f"spgl.{name}")
+    assert inspect.ismodule(getattr(spgl, name)), f"spgl.{name} is not the submodule"
+    assert getattr(spgl, name) is module

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spgl.harness
+import spgl.verification
 from spgl.cli import EXIT_CONFIG, EXIT_WARNINGS, main
 from spgl.config import ConfigError, available_presets, load_config, preset_path
 from spgl.harness import (
@@ -94,6 +95,24 @@ class TestConfig:
         path.write_text(text.replace("environment = synthetic", "environment = lunar_lander"))
         with pytest.raises(ConfigError, match="unknown environment 'lunar_lander'"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "environment, key",
+        [("synthetic", "widht"), ("synthetic", "horizon"), ("point_mass", "width")],
+    )
+    def test_unknown_environment_keys_rejected(self, tmp_path, environment, key):
+        # a misspelt key used to be dropped silently, running width 50
+        path = tmp_path / "typo.ini"
+        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = text.replace("environment = synthetic", f"environment = {environment}")
+        path.write_text(text.replace("width = 50.0", f"{key} = 1.0"))
+        with pytest.raises(ConfigError, match=rf"unknown \[environment\] key '{key}'"):
+            load_config(path)
+
+    def test_synthetic_width_is_read(self, tmp_path):
+        path = tmp_path / "narrow.ini"
+        path.write_text(SYNTH_CONFIG.format(iterations=5, period=1).replace("50.0", "1.5"))
+        assert load_config(path).make_environment().width == 1.5
 
     def test_missing_file_raises(self):
         with pytest.raises(ConfigError):
@@ -293,14 +312,14 @@ class TestLockStep:
             assert run_bytes(point_mass_short, result) == run_bytes(point_mass_short, alone), run
 
     def test_batched_evaluation_equals_each_run_alone(self, point_mass_short, runs_alone):
-        results = [runs_alone[run] for run in LOCKSTEP_RUNS]
+        policies = [runs_alone[run].policy for run in LOCKSTEP_RUNS]
         seeds = [seed for _, seed in LOCKSTEP_RUNS]
-        together = evaluate_run(point_mass_short, results, seeds)
-        for result, seed, ev in zip(results, seeds, together):
-            (alone,) = evaluate_run(point_mass_short, [result], [seed])
+        together = evaluate_run(point_mass_short, policies, seeds)
+        for policy, seed, ev in zip(policies, seeds, together):
+            (alone,) = evaluate_run(point_mass_short, [policy], [seed])
             assert ev == alone
         # a run's evaluation does not depend on its place in the batch
-        assert evaluate_run(point_mass_short, results[::-1], seeds[::-1]) == together[::-1]
+        assert evaluate_run(point_mass_short, policies[::-1], seeds[::-1]) == together[::-1]
 
     def test_failed_update_leaves_other_runs_unchanged(
         self, point_mass_short, runs_alone, monkeypatch
@@ -387,6 +406,20 @@ class TestVerify:
     def test_perturbed_closed_forms_fail(self):
         report = verify(seed=0, instance_count=6, perturb=1e-3, include_timing=False)
         assert not report.passed
+
+    @pytest.mark.parametrize("block, label", [(0, "perf-mu["), (1, "perf-theta[")])
+    def test_checks_the_shipped_performance_step(self, monkeypatch, block, label):
+        real = spgl.verification.performance_step
+
+        def perturbed(dist, stats, eps, theta_min):
+            out = list(real(dist, stats, eps, theta_min))
+            out[block] = out[block] + 1e-4 * (1.0 + np.abs(out[block]))
+            return tuple(out)
+
+        monkeypatch.setattr(spgl.verification, "performance_step", perturbed)
+        report = verify(seed=0, instance_count=6, include_timing=False)
+        assert not report.passed
+        assert report.failures and all(f.startswith(label) for f in report.failures)
 
 
 class TestCli:
@@ -481,6 +514,17 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "missing.ini"), "--quiet"])
         assert code == 1
+
+    def test_eval_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        policy_path = tmp_path / "policy.npz"
+        argv = ["--config", str(config_path), "--quiet"]
+        saved = ["--out", str(tmp_path / "c.csv"), "--save-policy", str(policy_path)]
+        assert main(["train", *argv, *saved]) == 0
+        code = main(["eval", *argv, "--policy", str(policy_path), "--seed", "-1"])
+        assert code == EXIT_CONFIG
+        assert "non-negative integers, got -1" in capsys.readouterr().err
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--instances", "6", "--no-timing", "--quiet"]) == 0

@@ -1,12 +1,12 @@
 """Closed-form update engine tests: dispatch, both step kinds, the KKT case
 table, degenerate guards, and the trust-region / convergence properties."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import spgl.update as update_module
 from spgl.gaussian import ContextDistribution, TargetSpec, kl_between, kl_to_target, mean_shift_kl
 from spgl.stats import CurriculumStats, RolloutBatch
 from spgl.update import (
@@ -16,6 +16,7 @@ from spgl.update import (
     PROXIMITY_ACTIVE,
     CurriculumConfig,
     InfeasiblePerformanceConstraint,
+    convergence_step,
     mu_kkt_residuals,
     performance_step,
     should_run_performance_step,
@@ -24,10 +25,6 @@ from spgl.update import (
     theta_kkt_residuals,
     update,
 )
-
-# ``spgl.update`` the attribute is the function; the module is needed to wrap
-# what the update looks up at call time.
-update_module = importlib.import_module("spgl.update")
 
 
 def make_dist(mu, theta, mu_tilde=None, sigma=None):
@@ -274,6 +271,86 @@ class TestThetaConvergence:
         assert sol.active_case == BOTH_ACTIVE and not backtracked
         res = theta_kkt_residuals(dist, stats, eps, 5.0, theta_new, sol)
         assert max(res.values()) <= 1e-10, res
+
+    def test_relaxed_retry_admits_a_near_colinear_case(self):
+        # a random instance with omega nearly parallel to psi_bar: no case
+        # passes the admissibility test at CASE_TOL, the retry at 100 CASE_TOL
+        # admits the both-active point instead of raising
+        mu = np.array([1.3910192318711645, -1.1311593221358107])
+        target = TargetSpec(
+            mu_tilde=mu, sigma_tilde_diag=np.array([0.17685800884658953, 0.0009803709107096645])
+        )
+        dist = ContextDistribution(
+            mu=mu, theta=np.array([19.647129316314484, 17.09000468743078]), target=target
+        )
+        stats = make_stats(
+            2,
+            v_bar=0.06307692025771058,
+            psi_bar=[6.1974224531142275, -29.491923416058107],
+            omega=[2.497359162512075, -11.884274948553093],
+        )
+        eps = 0.0019335267435009384
+        with pytest.raises(update_module.CurriculumError, match="no KKT case matched"):
+            solve_theta_block(dist, stats, eps, 0.0, 1e-12, tol=1e-12)
+        theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0, 1e-12)
+        assert sol.active_case == BOTH_ACTIVE and not backtracked
+        res = theta_kkt_residuals(dist, stats, eps, 0.0, theta_new, sol)
+        # admitted within 100 CASE_TOL of a value scale that includes the
+        # reach 2 sqrt(eps) ||psi_bar|| (about 47 here); the residual check
+        # normalises by max(1, |b|) only, so its performance slack reads 4e-8
+        assert max(res.values()) <= 1e-7, res
+
+
+class TestConvergenceBudget:
+    """How :func:`convergence_step` splits the joint radius, read from the
+    budgets it hands the two block solvers."""
+
+    EPS = 0.04
+
+    def budgets(self, monkeypatch, dist, stats):
+        seen = []
+        real_mu, real_theta = update_module.solve_mu_block, update_module.solve_theta_block
+
+        def mu_spy(dist, target, stats, eps, v_lower):
+            seen.append(eps)
+            return real_mu(dist, target, stats, eps, v_lower)
+
+        def theta_spy(dist, stats, eps, v_lower, theta_min):
+            seen.append(eps)
+            return real_theta(dist, stats, eps, v_lower, theta_min)
+
+        monkeypatch.setattr(update_module, "solve_mu_block", mu_spy)
+        monkeypatch.setattr(update_module, "solve_theta_block", theta_spy)
+        convergence_step(dist, dist.target, stats, self.EPS, 0.0, 1e-6)
+        return seen
+
+    def test_both_blocks_degenerate_split_evenly(self, monkeypatch):
+        dist = make_dist([1.0, -0.5], [2.0, 0.5], mu_tilde=[1.0, -0.5])
+        eps_mu, eps_theta = self.budgets(monkeypatch, dist, make_stats(2, v_bar=1.0))
+        # the mean is already at its target, so it spends nothing
+        assert eps_mu == 0.5 * self.EPS
+        assert eps_theta == self.EPS
+
+    def test_degenerate_omega_gives_the_mean_the_whole_budget(self, monkeypatch):
+        dist = make_dist([0.0], [2.0], mu_tilde=[1.0])
+        eps_mu, eps_theta = self.budgets(monkeypatch, dist, make_stats(1, v_bar=1.0))
+        assert eps_mu == self.EPS
+        # the target is outside the ball: the mean spends its whole budget
+        assert eps_theta <= 1e-12
+
+    def test_mean_at_target_gets_the_floor(self, monkeypatch):
+        dist = make_dist([1.0], [2.0], mu_tilde=[1.0])
+        stats = make_stats(1, v_bar=1.0, omega=[0.3])
+        eps_mu, eps_theta = self.budgets(monkeypatch, dist, stats)
+        assert eps_mu == 1e-6 * self.EPS
+        assert eps_theta == self.EPS
+
+    def test_regular_split_follows_the_marginal_decrease(self, monkeypatch):
+        dist = make_dist([0.0], [2.0], mu_tilde=[0.1])
+        stats = make_stats(1, v_bar=1.0, omega=[0.3])
+        eps_mu, _ = self.budgets(monkeypatch, dist, stats)
+        dist_sq, omega_sq = 0.1**2 / 2.0, 0.3**2 * 4.0
+        assert eps_mu == pytest.approx(self.EPS * dist_sq / (dist_sq + 2.0 * omega_sq), rel=1e-14)
 
 
 class TestFullUpdate:
