@@ -157,7 +157,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _resolve_config(args.config)
-    if args.episodes:
+    if args.episodes is not None:
+        if args.episodes < 1:
+            raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
         config = dataclasses.replace(config, eval_episodes=args.episodes)
     seed = config.seed if args.seed is None else args.seed
     ev = evaluate_run(config, [load_policy(args.policy)], [seed])[0]

@@ -2,9 +2,11 @@
 
 Sections: ``[experiment]`` (environment, curriculum mode, iteration budget),
 ``[environment]`` (``context_visible``; for the synthetic environment also
-the value bump's ``width``; any other key is an error), ``[target]`` and
-``[initial]`` (context distribution parameters), ``[curriculum]``,
-``[learner]`` and ``[evaluation]``.
+the value bump's ``width``), ``[target]`` and ``[initial]`` (context
+distribution parameters), ``[curriculum]``, ``[learner]`` and
+``[evaluation]``.  A key that a section other than ``[experiment]`` does not
+read is an error, so a misspelt key cannot silently leave its default in
+place.
 
 Shipped presets live in ``spgl/presets``: the two point-mass setups and the
 synthetic convergence run.
@@ -38,6 +40,14 @@ ENVIRONMENTS = ("point_mass", "synthetic")
 ENVIRONMENT_KEYS = {
     "point_mass": ("context_visible",),
     "synthetic": ("context_visible", "width"),
+}
+# The keys each other checked section reads; any other key is an error.
+SECTION_KEYS = {
+    "target": ("mu", "sigma"),
+    "initial": ("mu", "theta"),
+    "curriculum": ("epsilon", "v_lower", "k_contexts", "update_period", "theta_min"),
+    "learner": ("gamma", "learning_rate"),
+    "evaluation": ("episodes",),
 }
 # Options that no longer exist, as (section, key); a file that still sets one
 # fails loudly rather than silently running a different algorithm.
@@ -122,6 +132,17 @@ def load_config(path) -> ExperimentConfig:
     if curriculum_mode not in CURRICULUM_MODES:
         raise ConfigError(f"unknown curriculum mode '{curriculum_mode}'")
 
+    for section, key in REMOVED_KEYS:
+        if parser.has_option(section, key):
+            raise ConfigError(f"[{section}] {key} is no longer supported")
+    known = {**SECTION_KEYS, "environment": ENVIRONMENT_KEYS[environment]}
+    for section, keys in known.items():
+        if parser.has_section(section):
+            for key in parser.options(section):
+                if key not in keys:
+                    where = f" for {environment}" if section == "environment" else ""
+                    raise ConfigError(f"unknown [{section}] key '{key}'{where}")
+
     target = TargetSpec(
         mu_tilde=_parse_vector(parser.get("target", "mu"), "target.mu"),
         sigma_tilde_diag=_parse_vector(parser.get("target", "sigma"), "target.sigma"),
@@ -131,9 +152,6 @@ def load_config(path) -> ExperimentConfig:
     if initial_mu.shape != target.mu_tilde.shape or initial_theta.shape != target.mu_tilde.shape:
         raise ConfigError("initial and target context dimensions differ")
 
-    for section, key in REMOVED_KEYS:
-        if parser.has_option(section, key):
-            raise ConfigError(f"[{section}] {key} is no longer supported")
     curriculum = CurriculumConfig(
         epsilon=_get(parser, "curriculum", "epsilon", float, required=True),
         v_lower=_get(parser, "curriculum", "v_lower", float, required=True),
@@ -149,12 +167,8 @@ def load_config(path) -> ExperimentConfig:
     )
 
     env_options = {}
-    if parser.has_section("environment"):
-        for key in parser.options("environment"):
-            if key not in ENVIRONMENT_KEYS[environment]:
-                raise ConfigError(f"unknown [environment] key '{key}' for {environment}")
-        if parser.has_option("environment", "width"):
-            env_options["width"] = _get(parser, "environment", "width", float)
+    if parser.has_option("environment", "width"):
+        env_options["width"] = _get(parser, "environment", "width", float)
 
     config = ExperimentConfig(
         name=_get(parser, "experiment", "name", str, default=path.stem),
@@ -174,6 +188,8 @@ def load_config(path) -> ExperimentConfig:
     )
     if config.iterations < 1:
         raise ConfigError("iterations must be >= 1")
+    if config.eval_episodes < 1:
+        raise ConfigError("[evaluation] episodes must be >= 1")
     try:
         config.initial_distribution()
     except ValueError as exc:

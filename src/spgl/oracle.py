@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import (
+    _LOG_RATIO_LIMIT,
     ContextDistribution,
     TargetSpec,
     kl_between,
@@ -328,9 +329,14 @@ class ExactSolveResult:
     warning: bool
 
 
-def _sampled_value(contexts, values, mu0, var0, mu, var):
-    log_ratio = log_density_params(contexts, mu, var) - log_density_params(contexts, mu0, var0)
-    ratio = np.exp(np.clip(log_ratio, -math.log(1e30), math.log(1e30)))
+def _sampled_value(contexts, values, log_p0, mu, var):
+    """Importance-weighted mean of ``values`` under ``N(mu, diag(var))``,
+    given the log-densities ``log_p0`` of the contexts under the
+    distribution that drew them.  The log-ratio is clamped as in
+    :func:`spgl.gaussian.importance_ratio`; ``np.minimum(np.maximum(...))``
+    is the same clamp as ``np.clip`` without its Python-level wrapper."""
+    log_ratio = log_density_params(contexts, mu, var) - log_p0
+    ratio = np.exp(np.minimum(np.maximum(log_ratio, -_LOG_RATIO_LIMIT), _LOG_RATIO_LIMIT))
     return float(np.mean(values * ratio))
 
 
@@ -352,10 +358,14 @@ def solve_exact_sampled(
     step-KL constraint.  Scales are optimized in log space, which keeps them
     positive.  Each gradient trial point is first pulled back onto the KL
     ball along the ray from the old parameters by :func:`project_to_ball`, a
-    bracketed secant solve that needs a handful of KL evaluations; trial steps
-    that still leave the feasible set are halved until they re-enter.  The
-    best feasible iterate is always returned, with a warning flag when no
-    restart's step size collapsed within the budget.
+    bracketed secant solve that needs a handful of KL evaluations.  A trial
+    point is accepted when it lowers the objective and meets the sampled
+    performance constraint, tested in that order, so the sampled value is
+    computed only for points that lower the objective; otherwise the step is
+    halved.  The log-densities of the batch under the old parameters are
+    computed once per solve.  The best feasible iterate is always returned,
+    with a warning flag when no restart's step size collapsed within the
+    budget.
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
@@ -366,17 +376,18 @@ def solve_exact_sampled(
     mu0 = dist.mu
     theta0 = dist.theta
     var0 = theta0 * sigma
+    log_p0 = log_density_params(contexts, mu0, var0)
     eps = config.epsilon
     log_theta_min = math.log(config.theta_min)
 
     def unpack(z):
         mu = z[:d]
-        theta = np.exp(np.clip(z[d:], log_theta_min, 50.0))
+        theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
         return mu, theta
 
     def sampled(z):
         mu, theta = unpack(z)
-        return _sampled_value(contexts, values, mu0, var0, mu, theta * sigma)
+        return _sampled_value(contexts, values, log_p0, mu, theta * sigma)
 
     def step_kl(z):
         mu, theta = unpack(z)
@@ -439,14 +450,16 @@ def solve_exact_sampled(
             nonlocal z, fz, alpha
             for _ in range(depth):
                 # the projection returns a point with step KL <= eps, so
-                # only the performance constraint is left to check
+                # only the performance constraint is left to check, and only
+                # for a point that lowers the objective: in convergence mode
+                # the objective is the cheap KL to the target, the sampled
+                # value an importance-weighted mean over the batch
                 z_try = project_to_ball(step_kl, z0, z + a * direction, eps)
-                if meets_performance(z_try):
-                    f_try = f(z_try)
-                    if f_try < fz - 1e-15:
-                        z, fz = z_try, f_try
-                        alpha = min(a * 2.0, 1e3)
-                        return True
+                f_try = f(z_try)
+                if f_try < fz - 1e-15 and meets_performance(z_try):
+                    z, fz = z_try, f_try
+                    alpha = min(a * 2.0, 1e3)
+                    return True
                 a *= 0.5
             return False
 

@@ -1,0 +1,140 @@
+"""Bit-identity digest of the training loop and the exact solver.
+
+Prints one sha256 per part and one over all parts.  Two trees whose digests
+agree produced the same float64 bits everywhere below, so a change that is
+meant to leave behaviour alone is checked with one command on each tree:
+
+    PYTHONPATH=src python tests/digest.py
+
+Parts (NumPy and hashlib only; this is a script, not a pytest module):
+
+* ``training``: every record's floats, ``step_kind`` and ``active_case``,
+  and each run's final policy weights, action noise and distribution, for
+  the self-paced synthetic variant (seeds 0-39, 413, 1007), the
+  ``synthetic_convergence`` preset (seeds 0-2), both point-mass presets
+  (seeds 0-3, 60 iterations) and the variant under the exact-solver
+  baseline (seeds 0-1, 5 iterations);
+* ``exact``: ``mu``, ``theta``, ``objective``, ``sampled_value``,
+  ``kl_step`` and ``converged`` of :func:`spgl.oracle.solve_exact_sampled`
+  on 500 random instances: d in {1, 2, 3, 5, 16}, both modes, eps
+  log-uniform on [1e-6, 1], and in convergence mode ``v_lower`` within 10 %
+  of the batch mean on either side, so the sampled constraint binds.
+
+Takes a few minutes on a laptop-class core.
+"""
+
+import dataclasses
+import hashlib
+import struct
+import sys
+import time
+
+import numpy as np
+
+from spgl.config import load_config, preset_path
+from spgl.gaussian import ContextDistribution, TargetSpec
+from spgl.harness import train_runs
+from spgl.oracle import solve_exact_sampled
+from spgl.stats import RolloutBatch
+from spgl.update import CurriculumConfig
+
+EXACT_INSTANCES = 500
+EXACT_DIMS = (1, 2, 3, 5, 16)
+
+
+def _floats(h, *values):
+    for v in values:
+        h.update(np.asarray(v, dtype=np.float64).tobytes())
+
+
+def _text(h, s):
+    h.update(s.encode() + b"\0")
+
+
+def selfpaced_variant():
+    """``synthetic_convergence`` with a narrow value bump and a high
+    threshold (the variant of ``tests/test_golden.py``)."""
+    config = load_config(preset_path("synthetic_convergence"))
+    return dataclasses.replace(
+        config,
+        environment_options={**config.environment_options, "width": 1.0},
+        curriculum=dataclasses.replace(config.curriculum, v_lower=5.0),
+    )
+
+
+def training_runs():
+    pm = lambda name: dataclasses.replace(load_config(preset_path(name)), iterations=60)
+    numerical = dataclasses.replace(selfpaced_variant(), curriculum_mode="numerical", iterations=5)
+    return [
+        (selfpaced_variant(), "spgl", list(range(40)) + [413, 1007]),
+        (load_config(preset_path("synthetic_convergence")), "spgl", [0, 1, 2]),
+        (pm("point_mass_setup1"), "spgl", [0, 1, 2, 3]),
+        (pm("point_mass_setup2"), "spgl", [0, 1, 2, 3]),
+        (numerical, "numerical", [0, 1]),
+    ]
+
+
+def digest_training(h):
+    n = 0
+    for config, mode, seeds in training_runs():
+        for result in train_runs(config, [(mode, s) for s in seeds]):
+            for r in result.records:
+                _floats(h, r.iteration, r.mean_return, r.success_rate, r.kl_to_target, r.kl_step)
+                _text(h, r.step_kind)
+                _text(h, r.active_case)
+                _floats(h, r.mu, r.theta)
+                n += 1
+            _floats(h, result.policy.weights, result.policy.log_action_noise)
+            _floats(h, result.distribution.mu, result.distribution.theta)
+    return n
+
+
+def exact_instance(i):
+    rng = np.random.default_rng([i, 77])
+    d = EXACT_DIMS[i % len(EXACT_DIMS)]
+    mode = "performance" if (i // len(EXACT_DIMS)) % 2 == 0 else "convergence"
+    k = int(rng.choice([8, 16, 32]))
+    target = TargetSpec(
+        mu_tilde=rng.normal(0.0, 1.0, d), sigma_tilde_diag=np.exp(rng.uniform(-1.0, 1.0, d))
+    )
+    dist = ContextDistribution(
+        mu=rng.normal(0.0, 1.0, d), theta=np.exp(rng.uniform(-0.7, 0.7, d)), target=target
+    )
+    contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(k, d))
+    centre = rng.normal(dist.mu, 1.0)
+    width = float(np.exp(rng.uniform(0.0, 3.0)))
+    values = 10.0 * np.exp(-0.5 * np.sum((contexts - centre) ** 2, axis=1) / width**2)
+    batch = RolloutBatch(contexts, values, dist)
+    eps = float(10.0 ** rng.uniform(-6.0, 0.0))
+    if mode == "performance":
+        v_lower = 1e3
+    else:
+        v_lower = float(np.mean(values)) * float(rng.uniform(0.9, 1.1))
+    config = CurriculumConfig(epsilon=eps, v_lower=v_lower, k_contexts=k)
+    return batch, dist, target, config, mode
+
+
+def digest_exact(h):
+    for i in range(EXACT_INSTANCES):
+        batch, dist, target, config, mode = exact_instance(i)
+        r = solve_exact_sampled(batch, dist, target, config, mode, seed=i)
+        _floats(h, r.distribution.mu, r.distribution.theta)
+        _floats(h, r.objective, r.sampled_value, r.kl_step)
+        h.update(struct.pack("??", r.converged, r.warning))
+    return EXACT_INSTANCES
+
+
+def main():
+    total = hashlib.sha256()
+    for name, part in (("training", digest_training), ("exact", digest_exact)):
+        h = hashlib.sha256()
+        start = time.perf_counter()
+        n = part(h)
+        total.update(h.digest())
+        print(f"{name:9s} {h.hexdigest()}  ({n} items, {time.perf_counter() - start:.1f} s)")
+        sys.stdout.flush()
+    print(f"{'total':9s} {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

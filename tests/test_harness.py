@@ -109,6 +109,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"unknown \[environment\] key '{key}'"):
             load_config(path)
 
+    def test_unknown_section_keys_rejected(self, tmp_path):
+        # a misspelt k_contexts used to be dropped silently, running K = 64
+        path = tmp_path / "typo.ini"
+        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        path.write_text(text.replace("k_contexts = 8", "k_context = 16"))
+        with pytest.raises(ConfigError, match=r"unknown \[curriculum\] key 'k_context'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("episodes", [0, -2])
+    def test_evaluation_episodes_must_be_positive(self, tmp_path, episodes):
+        path = tmp_path / "none.ini"
+        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        path.write_text(text.replace("episodes = 8", f"episodes = {episodes}"))
+        with pytest.raises(ConfigError, match=r"\[evaluation\] episodes must be >= 1"):
+            load_config(path)
+
     def test_synthetic_width_is_read(self, tmp_path):
         path = tmp_path / "narrow.ini"
         path.write_text(SYNTH_CONFIG.format(iterations=5, period=1).replace("50.0", "1.5"))
@@ -525,6 +541,20 @@ class TestCli:
         code = main(["eval", *argv, "--policy", str(policy_path), "--seed", "-1"])
         assert code == EXIT_CONFIG
         assert "non-negative integers, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_eval_episodes_below_one_is_a_config_error(self, tmp_path, capsys, episodes):
+        # --episodes 0 used to run the config's episode count, -2 to die in
+        # a ValueError traceback
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        policy_path = tmp_path / "policy.npz"
+        argv = ["--config", str(config_path), "--quiet"]
+        saved = ["--out", str(tmp_path / "c.csv"), "--save-policy", str(policy_path)]
+        assert main(["train", *argv, *saved]) == 0
+        code = main(["eval", *argv, "--policy", str(policy_path), "--episodes", episodes])
+        assert code == EXIT_CONFIG
+        assert f"--episodes must be >= 1, got {episodes}" in capsys.readouterr().err
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--instances", "6", "--no-timing", "--quiet"]) == 0

@@ -192,6 +192,73 @@ def exact_setting(seed=0, d=2, k=16, width=2.0):
     return dist, target, RolloutBatch(contexts, values, dist)
 
 
+# (mode, d, eps, width, v_lower as a fraction of the batch mean or None for
+# the unreachable 100), then float.hex of mu, theta and (objective,
+# sampled_value, kl_step); case i uses batch seed 30 + i and solver seed i
+EXACT_PINS = [
+    (
+        ("performance", 1, 0.05, 2.0, None),
+        ["0x1.0204a1198e4abp-2"],
+        ["0x1.4097de00eb587p+0"],
+        ("-0x1.538cfb49e9c43p+3", "0x1.538cfb49e9c43p+3", "0x1.9999999999987p-5"),
+    ),
+    (
+        ("convergence", 1, 0.2, 3.0, 1.0),
+        ["0x1.183d5ebd52723p-1"],
+        ["0x1.735c5e6a2dbfbp+0"],
+        ("0x1.6019f2da9beb8p-3", "0x1.57494bd32f5ccp+3", "0x1.9999999999991p-3"),
+    ),
+    (
+        ("performance", 3, 0.02, 2.0, None),
+        ["0x1.a5df913490caap-4", "0x1.8c8b9faf4c41ap-5", "-0x1.c84d360aee3b6p-6"],
+        ["0x1.c207e7d68c919p+0", "0x1.565ed742b0d3ap+0", "0x1.67c83b0eb5513p+0"],
+        ("-0x1.0639d130750eap+3", "0x1.0639d130750eap+3", "0x1.47ae147ae147ap-6"),
+    ),
+    (
+        ("convergence", 3, 0.05, 50.0, 1.0),
+        ["0x1.6e728e5552244p-3", "0x1.0dc492886538bp-3", "0x1.2053590fcabcdp-3"],
+        ["0x1.8a59c67301099p+0", "0x1.a842fc1f38564p+0", "0x1.9a5cb8fe7d29fp+0"],
+        ("0x1.7ef03dffe4596p+0", "0x1.3fd7767d1dbaep+3", "0x1.9999999997343p-5"),
+    ),
+    (
+        ("performance", 5, 0.1, 3.0, None),
+        [
+            "-0x1.657d6091e7632p-4",
+            "0x1.1779c0394d7c4p-5",
+            "0x1.8c3f387c0ec36p-9",
+            "0x1.418369df1d599p-5",
+            "-0x1.d2668d735aa92p-3",
+        ],
+        [
+            "0x1.69a87d7a70884p+0",
+            "0x1.168adfcd461cap+0",
+            "0x1.2f92c9659b29fp+0",
+            "0x1.211aeaf9e634fp+0",
+            "0x1.55a940f58bdc0p+0",
+        ],
+        ("-0x1.5442044f07d8ep+3", "0x1.5442044f07d8ep+3", "0x1.9999999999992p-4"),
+    ),
+    (
+        ("convergence", 5, 0.05, 5.0, 0.98),
+        [
+            "0x1.e91475ea2383dp-4",
+            "0x1.e3af507ecc041p-4",
+            "0x1.eb8398599cc72p-4",
+            "0x1.bcb5b24759c3fp-4",
+            "0x1.bff10dbf71470p-4",
+        ],
+        [
+            "0x1.994fce8ca53e6p+0",
+            "0x1.9813503974f9cp+0",
+            "0x1.9757f3a2e09f0p+0",
+            "0x1.9cdf9ee98af2ap+0",
+            "0x1.9f0534e468195p+0",
+        ],
+        ("0x1.5733817eb82b2p+1", "0x1.1eea154bfa5f6p+3", "0x1.999999999998bp-5"),
+    ),
+]
+
+
 class TestSolveExactSampled:
     def test_feasible_and_dominates_closed_form(self):
         dist, target, batch = exact_setting()
@@ -284,6 +351,44 @@ class TestSolveExactSampled:
         assert len(kls) > 100
         assert max(kls) <= eps + 1e-9
         assert result.kl_step <= eps + 1e-9
+
+    def test_objective_is_tested_before_the_sampled_constraint(self, monkeypatch):
+        # the objective decides most trial points on their own: the costly
+        # sampled performance value is evaluated only for trial points that
+        # lower it, far fewer than the projections that produce them
+        counts = {"project": 0, "sampled": 0}
+        real_project = spgl.oracle.project_to_ball
+        real_sampled = spgl.oracle._sampled_value
+
+        def counted_project(*args):
+            counts["project"] += 1
+            return real_project(*args)
+
+        def counted_sampled(*args):
+            counts["sampled"] += 1
+            return real_sampled(*args)
+
+        monkeypatch.setattr(spgl.oracle, "project_to_ball", counted_project)
+        monkeypatch.setattr(spgl.oracle, "_sampled_value", counted_sampled)
+        dist, target, batch = exact_setting(seed=9, width=50.0)
+        config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=16)
+        solve_exact_sampled(batch, dist, target, config, "convergence", seed=10)
+        assert counts["project"] > 100
+        assert counts["sampled"] < counts["project"] / 2
+
+    @pytest.mark.parametrize("index", range(len(EXACT_PINS)))
+    def test_results_are_pinned_bit_for_bit(self, index):
+        # recorded with the solver that checked the sampled constraint before
+        # the objective; the check order must not move a single bit
+        (mode, d, eps, width, v_frac), mu_hex, theta_hex, scalars_hex = EXACT_PINS[index]
+        dist, target, batch = exact_setting(seed=30 + index, d=d, width=width)
+        v_lower = 100.0 if v_frac is None else v_frac * float(np.mean(batch.values))
+        config = CurriculumConfig(epsilon=eps, v_lower=v_lower, k_contexts=16)
+        result = solve_exact_sampled(batch, dist, target, config, mode, seed=index)
+        assert [float(x).hex() for x in result.distribution.mu] == mu_hex
+        assert [float(x).hex() for x in result.distribution.theta] == theta_hex
+        scalars = (result.objective, result.sampled_value, result.kl_step)
+        assert tuple(x.hex() for x in scalars) == scalars_hex
 
 
 class TestNumericalUpdate:
