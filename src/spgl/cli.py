@@ -162,7 +162,12 @@ def _cmd_eval(args) -> int:
             raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
         config = dataclasses.replace(config, eval_episodes=args.episodes)
     seed = config.seed if args.seed is None else args.seed
-    ev = evaluate_run(config, [load_policy(args.policy)], [seed])[0]
+    try:
+        ev = evaluate_run(config, [load_policy(args.policy)], [seed])[0]
+    except ConfigError:
+        raise
+    except ValueError as exc:  # an unreadable policy file, or one that does not fit
+        raise ConfigError(f"policy {args.policy}: {exc}") from exc
     print(
         f"return {ev.mean_return:.6g} +- {ev.return_se:.3g}, "
         f"success {ev.success_rate:.6g}% +- {ev.success_se:.3g} "

@@ -319,14 +319,18 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
 
 @dataclass(frozen=True)
 class ExactSolveResult:
-    """Outcome of the projected-gradient solve on the exact objective."""
+    """Outcome of the projected-gradient solve on the exact objective.
+
+    ``converged`` is false when no restart's step size collapsed within the
+    budget; ``feasible`` is false when no start met the constraints, in which
+    case ``distribution`` is the old one and ``objective`` is infinite."""
 
     distribution: ContextDistribution
     objective: float
     sampled_value: float
     kl_step: float
     converged: bool
-    warning: bool
+    feasible: bool
 
 
 def _sampled_value(contexts, values, log_p0, mu, var):
@@ -363,9 +367,9 @@ def solve_exact_sampled(
     performance constraint, tested in that order, so the sampled value is
     computed only for points that lower the objective; otherwise the step is
     halved.  The log-densities of the batch under the old parameters are
-    computed once per solve.  The best feasible iterate is always returned,
-    with a warning flag when no restart's step size collapsed within the
-    budget.
+    computed once per solve.  The best feasible iterate is returned, flagged
+    when no restart converged; when no start is feasible the old parameters
+    come back flagged infeasible.
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
@@ -498,7 +502,7 @@ def solve_exact_sampled(
         sampled_value=sampled(best_z),
         kl_step=step_kl(best_z),
         converged=any_converged,
-        warning=not any_converged,
+        feasible=best_f < math.inf,
     )
 
 
@@ -534,6 +538,6 @@ def numerical_update(
         kl_to_target_before=kl_before,
         kl_to_target_after=kl_to_target(new_dist),
         theta_backtracked=False,
-        trust_region_backtracked=result.warning,
+        trust_region_backtracked=not result.converged,
     )
     return new_dist, report

@@ -6,6 +6,10 @@ meant to leave behaviour alone is checked with one command on each tree:
 
     PYTHONPATH=src python tests/digest.py
 
+Naming parts runs only those, and prints the total only when all of them
+ran: ``PYTHONPATH=src python tests/digest.py training`` checks rollouts and
+training in about ten seconds, without the exact solver.
+
 Parts (NumPy and hashlib only; this is a script, not a pytest module):
 
 * ``training``: every record's floats, ``step_kind`` and ``active_case``,
@@ -120,21 +124,32 @@ def digest_exact(h):
         r = solve_exact_sampled(batch, dist, target, config, mode, seed=i)
         _floats(h, r.distribution.mu, r.distribution.theta)
         _floats(h, r.objective, r.sampled_value, r.kl_step)
-        h.update(struct.pack("??", r.converged, r.warning))
+        h.update(struct.pack("??", r.converged, not r.converged))
     return EXACT_INSTANCES
 
 
-def main():
+PARTS = {"training": digest_training, "exact": digest_exact}
+
+
+def main(sections=()):
+    """Print the digest of each part named in ``sections`` (all parts when
+    empty), and the total when every part ran."""
+    unknown = sorted(set(sections) - set(PARTS))
+    if unknown:
+        sys.exit(f"unknown parts {', '.join(unknown)}; choose from {', '.join(PARTS)}")
     total = hashlib.sha256()
-    for name, part in (("training", digest_training), ("exact", digest_exact)):
+    for name, part in PARTS.items():
+        if sections and name not in sections:
+            continue
         h = hashlib.sha256()
         start = time.perf_counter()
         n = part(h)
         total.update(h.digest())
         print(f"{name:9s} {h.hexdigest()}  ({n} items, {time.perf_counter() - start:.1f} s)")
         sys.stdout.flush()
-    print(f"{'total':9s} {total.hexdigest()}")
+    if not sections or set(sections) == set(PARTS):
+        print(f"{'total':9s} {total.hexdigest()}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -556,6 +556,25 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert f"--episodes must be >= 1, got {episodes}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            # a synthetic-task policy has no actions; it used to die in a
+            # NumPy matmul traceback on the point mass
+            (np.zeros((0, 1)), "shape (0, 1), the environment needs (2, 15)"),
+            (np.full((2, 15), np.nan), "policy parameters must be finite"),
+        ],
+    )
+    def test_eval_unusable_policy_is_a_config_error(self, tmp_path, capsys, weights, message):
+        policy_path = tmp_path / "policy.npz"
+        np.savez(policy_path, weights=weights, log_action_noise=np.zeros(len(weights)))
+        code = main(
+            ["eval", "--config", "point_mass_setup1", "--policy", str(policy_path), "--episodes", "2"]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: policy ") and message in err
+
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--instances", "6", "--no-timing", "--quiet"]) == 0
         assert (

@@ -1,8 +1,10 @@
-"""Learner tests: batched rollout determinism and identities, the likelihood-ratio
-gradient against finite differences, and a learning smoke test on easy
-point-mass contexts."""
+"""Learner tests: batched rollout determinism and identities, the vectorised
+seed hashing against NumPy's SeedSequence, the batched policy gradient against
+a per-episode reference and finite differences, and a learning smoke test on
+easy point-mass contexts."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +13,13 @@ from spgl.envs import PointMassEnv, SyntheticEnv, synthetic_value
 from spgl.gaussian import TargetSpec
 from spgl.harness import evaluate
 from spgl.learner import (
+    GRAD_CLIP,
+    Episodes,
     LearnerConfig,
+    _seed_states,
+    _seed_words,
     collect_rollouts,
+    feature_dim,
     improve,
     init_policy,
     load_policy,
@@ -38,6 +45,50 @@ def make_policy(env, scale=0.0, seed=0):
             log_action_noise=policy.log_action_noise,
         )
     return policy
+
+
+def reference_improve(policy, episodes, config):
+    """The policy-gradient step as one term per episode, added in episode
+    order to a zero gradient: the definition :func:`improve` must match bit
+    for bit."""
+    if episodes.actions.size == 0:
+        return policy
+    advantages = episodes.values - float(np.mean(episodes.values))
+    var = policy.action_noise**2
+    grad = np.zeros_like(policy.weights)
+    for adv, feats, actions, n in zip(
+        advantages, episodes.features, episodes.actions, episodes.lengths
+    ):
+        mean = feats[:n] @ policy.weights.T
+        score = (actions[:n] - mean) / var
+        grad += adv * score.T @ feats[:n]
+    grad /= len(advantages)
+    if not np.all(np.isfinite(grad)):
+        warnings.warn("non-finite policy gradient; step skipped", RuntimeWarning)
+        return policy
+    norm = float(np.linalg.norm(grad))
+    if norm > GRAD_CLIP:
+        grad *= GRAD_CLIP / norm
+    return dataclasses.replace(policy, weights=policy.weights + config.learning_rate * grad)
+
+
+def random_episodes(rng, lengths, horizon=30, observation_dim=4, action_dim=2, scale=1.0):
+    """Episodes with random histories, zero past ``lengths``."""
+    lengths = np.asarray(lengths)
+    k = len(lengths)
+    n_features = feature_dim(observation_dim)
+    alive = np.arange(horizon) < lengths[:, None]
+    features = rng.normal(0.0, 1.0, (k, horizon, n_features)) * alive[:, :, None]
+    features[:, :, 0] = alive
+    actions = rng.normal(0.0, 1.0, (k, horizon, action_dim)) * alive[:, :, None]
+    return Episodes(
+        contexts=rng.normal(0.0, 1.0, (k, 3)),
+        values=scale * rng.normal(0.0, 1.0, k),
+        successes=np.zeros(k, dtype=bool),
+        lengths=lengths,
+        features=features,
+        actions=actions,
+    )
 
 
 class TestRollout:
@@ -91,12 +142,13 @@ class TestRollout:
 
     def test_run_blocks_match_runs_alone(self):
         # block r of an R-run call equals run r collected alone, bit for bit,
-        # with a different policy, seed and context set per run
+        # with a different policy, seed and context set per run; the second
+        # seed list mixes one- and two-word seeds, whose seed states are
+        # hashed in separate passes of one call
         env = PointMassEnv()
         config = LearnerConfig()
         rng = np.random.default_rng(11)
         policies = [make_policy(env, scale=0.3, seed=s) for s in range(3)]
-        seeds = [4, 9, 4]
         contexts = np.stack(
             [rng.uniform([-3.0, 0.0, 0.0], [3.0, 3.0, 1.0], (6, 3)) for _ in range(3)]
         )
@@ -106,14 +158,15 @@ class TestRollout:
         weights[1, 0] = -10.0
         policies[0] = type(policies[0])(weights, policies[0].log_action_noise)
         contexts[0, :, :2] = [3.5, 0.1]
-        together = collect_rollouts(policies, env, contexts, config, seeds, 2)
-        assert len(together) == 3
-        assert together[0].lengths.max() < env.horizon == together[1].lengths.max()
-        for policy, ctx, seed, block in zip(policies, contexts, seeds, together):
-            alone = collect_one(policy, env, ctx, config, seed, 2)
-            for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
-                a, b = getattr(block, name), getattr(alone, name)
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for seeds in ([4, 9, 4], [0, 2**40 + 3, 0]):
+            together = collect_rollouts(policies, env, contexts, config, seeds, 2)
+            assert len(together) == 3
+            assert together[0].lengths.max() < env.horizon == together[1].lengths.max()
+            for policy, ctx, seed, block in zip(policies, contexts, seeds, together):
+                alone = collect_one(policy, env, ctx, config, seed, 2)
+                for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
+                    a, b = getattr(block, name), getattr(alone, name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("iteration", [0, 5])
     def test_noise_is_the_documented_stream(self, iteration):
@@ -133,6 +186,13 @@ class TestRollout:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, iteration, i]))
                 expected = policy.action_noise * rng.standard_normal(shape)
                 assert np.array_equal(episodes.actions[i, :n], expected[:n])
+
+    def test_policy_shape_is_checked(self):
+        # a synthetic policy has no actions; the point mass needs (2, F)
+        env = PointMassEnv()
+        policy = init_policy(0, 0)
+        with pytest.raises(ValueError, match=r"shape \(0, 1\), the environment needs \(2, 15\)"):
+            collect_one(policy, env, np.array([EASY]), LearnerConfig(), 0, 0)
 
     def test_stacked_shapes_are_checked(self):
         env = PointMassEnv()
@@ -181,7 +241,77 @@ class TestRollout:
         assert np.all((lower <= episodes.values) & (episodes.values <= upper))
 
 
+class TestSeedStates:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 5])
+    @pytest.mark.parametrize("iteration", [0, 5, 2**33])
+    def test_rollout_keys_match_seed_sequence(self, seed, iteration):
+        # the keys collect_rollouts hashes: words of (seed, iteration, i)
+        k = 40
+        prefix = _seed_words(seed) + _seed_words(iteration)
+        keys = np.array([prefix + [i] for i in range(k)], dtype=np.uint32)
+        states = _seed_states(keys)
+        assert states.dtype == np.uint64 and states.shape == (k, 4)
+        for i, state in enumerate(states):
+            expected = np.random.SeedSequence([seed, iteration, i]).generate_state(4, np.uint64)
+            assert np.array_equal(state, expected)
+
+    @pytest.mark.parametrize("n_words", range(1, 7))
+    def test_random_keys_match_seed_sequence(self, n_words):
+        rng = np.random.default_rng(n_words)
+        keys = rng.integers(0, 2**32, (50, n_words), dtype=np.uint64).astype(np.uint32)
+        keys[0] = 0
+        keys[1] = 2**32 - 1
+        for key, state in zip(keys, _seed_states(keys)):
+            assert np.array_equal(state, np.random.SeedSequence(key).generate_state(4, np.uint64))
+
+
 class TestImprove:
+    CASES = ["equal", "distinct", "one_step", "mixed", "zero_advantages", "clipped"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_per_episode_reference(self, case):
+        rng = np.random.default_rng(self.CASES.index(case))
+        horizon = 30
+        lengths = {
+            "equal": np.full(16, horizon),
+            "distinct": rng.permutation(np.arange(1, horizon + 1))[:20],
+            "one_step": np.ones(12, dtype=int),
+            "mixed": rng.integers(1, horizon + 1, 64),
+            "zero_advantages": rng.integers(1, horizon + 1, 16),
+            "clipped": rng.integers(1, horizon + 1, 16),
+        }[case]
+        config = LearnerConfig()
+        for trial in range(50):
+            scale = 100.0 if case == "clipped" else 1.0
+            episodes = random_episodes(rng, lengths, horizon, scale=scale)
+            if case == "zero_advantages":
+                episodes = dataclasses.replace(episodes, values=np.full(len(lengths), -2.5))
+            zero = init_policy(4)
+            policy = type(zero)(
+                weights=rng.normal(0.0, 0.5, zero.weights.shape),
+                log_action_noise=rng.normal(-0.5, 0.3, 2),
+            )
+            new = improve(policy, episodes, config)
+            ref = reference_improve(policy, episodes, config)
+            assert np.array_equal(new.weights, ref.weights), trial
+            if case == "clipped":
+                step = np.linalg.norm(ref.weights - policy.weights) / config.learning_rate
+                assert step == pytest.approx(GRAD_CLIP)
+            if case == "zero_advantages":
+                assert np.array_equal(new.weights, policy.weights)
+
+    def test_matches_reference_on_collected_rollouts(self):
+        env = PointMassEnv()
+        config = LearnerConfig()
+        policy = make_policy(env, scale=0.3, seed=2)
+        contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY] * 4)
+        for it in range(5):
+            episodes = collect_one(policy, env, contexts, config, 3, it)
+            assert len(np.unique(episodes.lengths)) > 1
+            new = improve(policy, episodes, config)
+            assert np.array_equal(new.weights, reference_improve(policy, episodes, config).weights)
+            policy = new
+
     def test_equal_returns_leave_parameters_unchanged(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)

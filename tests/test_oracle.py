@@ -299,8 +299,25 @@ class TestSolveExactSampled:
         dist, target, batch = exact_setting(seed=5, width=50.0)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=16)
         result = solve_exact_sampled(batch, dist, target, config, "convergence", seed=6)
+        assert result.feasible and result.converged
         assert result.kl_step <= config.epsilon + 1e-8
         assert result.sampled_value >= config.v_lower - 1e-6
+
+    @pytest.mark.parametrize("v_frac, feasible", [(1.05, True), (1.1, False)])
+    def test_infeasible_subproblem_is_flagged(self, v_frac, feasible):
+        # v_lower above the batch mean, so the old parameters miss the
+        # sampled constraint; at 5 % above a restart inside the ball meets
+        # it, at 10 % none does and the old distribution comes back flagged
+        dist, target, batch = exact_setting(seed=5, width=50.0)
+        v_lower = v_frac * float(np.mean(batch.values))
+        config = CurriculumConfig(epsilon=0.05, v_lower=v_lower, k_contexts=16)
+        result = solve_exact_sampled(batch, dist, target, config, "convergence", seed=6)
+        assert result.feasible is feasible
+        assert (result.sampled_value >= v_lower - 1e-6) is feasible
+        if not feasible:
+            assert result.objective == math.inf and not result.converged
+            assert np.array_equal(result.distribution.mu, dist.mu)
+            assert np.array_equal(result.distribution.theta, dist.theta)
 
     def test_linearization_error_bound(self):
         # small radii keep the exact and linearized solutions close
