@@ -13,11 +13,11 @@ formula exists once, as an array-level function on raw parameters
 (:func:`log_density_params`, :func:`kl_params`, :func:`kl_to_target_params`);
 the distribution-level functions check the family and call them, and the
 closed-form update, its joint-KL backtrack and the exact solver in
-:mod:`spgl.oracle` call them directly.  They reduce with the ndarray
-``.sum()`` method rather than ``np.sum``, which adds a Python-level dispatch
-layer to the same reduction on the exact solver's hot path.  Distributions are immutable after
-construction and safe to share across threads; sampling takes an explicit
-seeded generator owned by the caller.
+:mod:`spgl.oracle` call them directly.  They reduce with ``np.add.reduce``,
+the reduction that ``np.sum`` and the ndarray ``.sum()`` method both end in,
+without their Python-level wrappers on the exact solver's hot path.
+Distributions are immutable after construction and safe to share across
+threads; sampling takes an explicit seeded generator owned by the caller.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def sample(dist: ContextDistribution, rng: np.random.Generator, k: int) -> np.nd
 def log_density_params(c: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray | float:
     """Log density of ``N(mu, diag(var))`` at ``c``: a scalar for one context
     ``(d,)``, a ``(k,)`` array for a batch ``(k, d)``."""
-    quad = ((c - mu) ** 2 / var).sum(axis=-1)
-    return -0.5 * quad - 0.5 * np.log(2.0 * np.pi * var).sum()
+    quad = np.add.reduce((c - mu) ** 2 / var, axis=-1)
+    return -0.5 * quad - 0.5 * np.add.reduce(np.log(2.0 * np.pi * var))
 
 
 def kl_params(mu1, theta1, mu0, theta0, sigma) -> float:
@@ -171,14 +171,14 @@ def kl_params(mu1, theta1, mu0, theta0, sigma) -> float:
     ``r = theta1 / theta0``."""
     ratio = theta1 / theta0
     terms = ratio - 1.0 - np.log(ratio) + (mu1 - mu0) ** 2 / (theta0 * sigma)
-    return 0.5 * float(terms.sum())
+    return 0.5 * float(np.add.reduce(terms))
 
 
 def kl_to_target_params(mu, theta, mu_tilde, sigma) -> float:
     """``KL(N(mu_tilde, sigma) || N(mu, theta sigma))`` on raw arrays:
     ``0.5 * sum((mu - mu_tilde)^2 / (theta * sigma) + 1/theta + ln(theta) - 1)``."""
     terms = (mu - mu_tilde) ** 2 / (theta * sigma) + 1.0 / theta + np.log(theta) - 1.0
-    return 0.5 * float(terms.sum())
+    return 0.5 * float(np.add.reduce(terms))
 
 
 def log_density(dist: ContextDistribution, c: np.ndarray) -> np.ndarray | float:

@@ -374,5 +374,14 @@ def save_policy(policy: PolicyParameters, path) -> None:
 
 
 def load_policy(path) -> PolicyParameters:
+    """Read a policy written by :func:`save_policy`; a file that is not an
+    ``.npz`` archive, or one without its ``weights`` or ``log_action_noise``,
+    raises ``ValueError`` naming what is missing."""
     data = np.load(path)
-    return PolicyParameters(weights=data["weights"], log_action_noise=data["log_action_noise"])
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive")
+    with data:
+        missing = [key for key in ("weights", "log_action_noise") if key not in data.files]
+        if missing:
+            raise ValueError(f"no {' or '.join(missing)} in the archive")
+        return PolicyParameters(weights=data["weights"], log_action_noise=data["log_action_noise"])

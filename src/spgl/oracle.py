@@ -10,9 +10,10 @@ Two solvers live here:
 
 * :func:`solve_exact_sampled` attacks the *exact* sampled objective (the
   importance-weighted batch value, or the exact KL to the target) under the
-  exact KL trust region with a multi-start projected-gradient loop.  It plays
-  the role of a conventional numerical self-paced baseline and measures the
-  linearization error of the closed forms.
+  exact KL trust region with a multi-start projected-gradient loop on the
+  objective's closed-form gradient.  It plays the role of a conventional
+  numerical self-paced baseline and measures the linearization error of the
+  closed forms.
 
 The exact solver's densities and KLs are the array-level functions of
 :mod:`spgl.gaussian`, and its ray projection onto the KL ball is
@@ -118,7 +119,11 @@ class OracleSolution:
 
 
 def _bisect(f, lo, hi, iters=BISECT_ITERS):
-    """Root of a monotone function with a sign change on [lo, hi]."""
+    """Root of a monotone function with a sign change on [lo, hi].
+
+    Stops early once the midpoint rounds onto ``lo`` or ``hi``: from then on
+    every halving would leave the bracket as it is, so the result equals that
+    of all ``iters`` halvings."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -129,6 +134,8 @@ def _bisect(f, lo, hi, iters=BISECT_ITERS):
         return None
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -344,6 +351,45 @@ def _sampled_value(contexts, values, log_p0, mu, var):
     return float(np.mean(values * ratio))
 
 
+def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min):
+    """Closed-form gradient of :func:`solve_exact_sampled`'s objective in its
+    coordinates ``z = (mu, log theta)``, with ``log theta`` clipped to
+    ``[log_theta_min, 50]`` and ``var = theta * sigma``.
+
+    * ``"convergence"``: ``KL(target || N(mu, var))``, with derivatives
+      ``(mu - mu_tilde) / var`` and ``0.5 (1 - (mu - mu_tilde)^2 / var - 1/theta)``;
+    * ``"performance"``: ``-mean(v w)`` with ``w`` the clamped importance
+      ratio of the batch, with derivatives ``-mean(v w (c - mu) / var)`` and
+      ``-mean(v w 0.5 ((c - mu)^2 / var - 1))``; a sample whose log-ratio
+      sits at the clamp contributes nothing.
+
+    A log-scale outside the clip bounds has derivative 0.  On a bound itself
+    the one-sided derivative from inside is kept, so a start on the floor
+    ``theta = theta_min`` can still raise its scale.
+    """
+    d = target.d
+    sigma = target.sigma_tilde_diag
+    mu = z[:d]
+    log_theta = z[d:]
+    theta = np.exp(np.minimum(np.maximum(log_theta, log_theta_min), 50.0))
+    var = theta * sigma
+    if mode == "convergence":
+        diff = mu - target.mu_tilde
+        g_mu = diff / var
+        g_log = 0.5 * (1.0 - diff * g_mu - 1.0 / theta)
+    else:
+        diff = contexts - mu
+        log_ratio = log_density_params(contexts, mu, var) - log_p0
+        inside = np.abs(log_ratio) < _LOG_RATIO_LIMIT
+        ratio = np.exp(np.minimum(log_ratio, _LOG_RATIO_LIMIT))
+        weight = np.where(inside, values * ratio, 0.0) / values.size
+        scaled = diff / var
+        g_mu = -(weight @ scaled)
+        g_log = -0.5 * (weight @ (diff * scaled) - np.add.reduce(weight))
+    on_box = (log_theta >= log_theta_min) & (log_theta <= 50.0)
+    return np.concatenate([g_mu, np.where(on_box, g_log, 0.0)])
+
+
 def solve_exact_sampled(
     batch: RolloutBatch,
     dist: ContextDistribution,
@@ -360,22 +406,26 @@ def solve_exact_sampled(
     the exact step-KL constraint; ``mode="convergence"`` minimizes the exact
     KL to the target under both the sampled performance constraint and the
     step-KL constraint.  Scales are optimized in log space, which keeps them
-    positive.  Each gradient trial point is first pulled back onto the KL
-    ball along the ray from the old parameters by :func:`project_to_ball`, a
-    bracketed secant solve that needs a handful of KL evaluations.  A trial
-    point is accepted when it lowers the objective and meets the sampled
-    performance constraint, tested in that order, so the sampled value is
-    computed only for points that lower the objective; otherwise the step is
-    halved.  The log-densities of the batch under the old parameters are
-    computed once per solve.  The best feasible iterate is returned, flagged
-    when no restart converged; when no start is feasible the old parameters
-    come back flagged infeasible.
+    positive, with the log-scales clipped to ``[log theta_min, 50]``.  Each
+    iteration follows the closed-form gradient of the objective in these
+    coordinates (:func:`_objective_gradient`), which costs one pass over the
+    batch whatever the dimension.  Each gradient trial point is first pulled
+    back onto the KL ball along the ray from the old parameters by
+    :func:`project_to_ball`, a bracketed secant solve that needs a handful of
+    KL evaluations.  A trial point is accepted when it lowers the objective
+    and meets the sampled performance constraint, tested in that order, so
+    the sampled value is computed only for points that lower the objective;
+    otherwise the step is halved.  The log-densities of the batch under the
+    old parameters are computed once per solve.  The best feasible iterate is
+    returned, flagged when no restart converged; when no start is feasible
+    the old parameters come back flagged infeasible.
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
     contexts = batch.contexts
     values = batch.values
     sigma = target.sigma_tilde_diag
+    mu_tilde = target.mu_tilde
     d = dist.d
     mu0 = dist.mu
     theta0 = dist.theta
@@ -384,18 +434,15 @@ def solve_exact_sampled(
     eps = config.epsilon
     log_theta_min = math.log(config.theta_min)
 
-    def unpack(z):
-        mu = z[:d]
-        theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
-        return mu, theta
-
+    # the hot closures clip and exponentiate the log-scales inline: a helper
+    # call per evaluation is a measurable share of the trial path
     def sampled(z):
-        mu, theta = unpack(z)
-        return _sampled_value(contexts, values, log_p0, mu, theta * sigma)
+        theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
+        return _sampled_value(contexts, values, log_p0, z[:d], theta * sigma)
 
     def step_kl(z):
-        mu, theta = unpack(z)
-        return kl_params(mu, theta, mu0, theta0, sigma)
+        theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
+        return kl_params(z[:d], theta, mu0, theta0, sigma)
 
     def meets_performance(z):
         return mode == "performance" or not sampled(z) < config.v_lower - 1e-9 * max(
@@ -408,18 +455,10 @@ def solve_exact_sampled(
     if mode == "performance":
         f = lambda z: -sampled(z)
     else:
-        f = lambda z: kl_to_target_params(*unpack(z), target.mu_tilde, sigma)
 
-    def fd_grad(z):
-        g = np.zeros_like(z)
-        for j in range(z.size):
-            h = 1e-6 * max(1.0, abs(z[j]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[j] += h
-            zm[j] -= h
-            g[j] = (f(zp) - f(zm)) / (2.0 * h)
-        return g
+        def f(z):
+            theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
+            return kl_to_target_params(z[:d], theta, mu_tilde, sigma)
 
     rng = np.random.default_rng(seed)
     z0 = np.concatenate([mu0, np.log(theta0)])
@@ -468,7 +507,7 @@ def solve_exact_sampled(
             return False
 
         for _ in range(iterations):
-            g = fd_grad(z)
+            g = _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min)
             gn = float(np.linalg.norm(g))
             if gn < 1e-12:
                 converged = True
@@ -493,9 +532,9 @@ def solve_exact_sampled(
             best_f = fz
             best_z = z.copy()
 
-    mu_best, theta_best = unpack(best_z)
+    theta_best = np.exp(np.minimum(np.maximum(best_z[d:], log_theta_min), 50.0))
     theta_best = np.maximum(theta_best, config.theta_min)
-    result_dist = dist.with_params(mu=mu_best, theta=theta_best)
+    result_dist = dist.with_params(mu=best_z[:d], theta=theta_best)
     return ExactSolveResult(
         distribution=result_dist,
         objective=best_f,

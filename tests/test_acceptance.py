@@ -9,7 +9,8 @@ pass/fail line each.  Run with ``pytest -s tests/test_acceptance.py -v``.
    (KL < 1e-2 after 200 updates, nonincreasing within 1e-9, < 1 min)
 5. point-mass curriculum trend over 5 seeds (median success gap >= 20
    percentage points, final KL < 0.1, < 15 min)
-6. closed-form update at least 10x faster than the exact numerical solver
+6. closed-form update at least 10x faster than the exact numerical solver at
+   d = 3, 16 and 64
 7. byte-identical training CSVs for identical config and seed
 8. degenerate-case behaviour (gradient guards, target jump, positivity
    backtracking, infeasibility reporting)
@@ -171,13 +172,20 @@ def test_criterion_5_point_mass_trend():
 def test_criterion_6_closed_form_speedup():
     from spgl.verification import run_timing_suite
 
-    rep = run_timing_suite(seed=606, updates=50, d=3, k=64)
-    ok = rep.passed and rep.speedup >= 10.0
+    # 50 updates at d = 3, then 3 each in the higher-dimensional context
+    # spaces where inner-loop solvers are said not to scale
+    races = {
+        d: run_timing_suite(seed=606, updates=n, d=d, k=64) for d, n in [(3, 50), (16, 3), (64, 3)]
+    }
+    ok = all(rep.passed and rep.speedup >= 10.0 for rep in races.values())
     report(
         "6 speedup",
         ok,
-        f"closed {rep.closed_form_seconds * 1e3:.2f} ms vs exact "
-        f"{rep.exact_solver_seconds * 1e3:.0f} ms per update ({rep.speedup:.0f}x)",
+        "; ".join(
+            f"d={d}: closed {rep.closed_form_seconds * 1e3:.2f} ms vs exact "
+            f"{rep.exact_solver_seconds * 1e3:.0f} ms per update ({rep.speedup:.0f}x)"
+            for d, rep in races.items()
+        ),
     )
 
 

@@ -575,6 +575,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: policy ") and message in err
 
+    @pytest.mark.parametrize(
+        "name, save, message",
+        [
+            # these used to die in KeyError and TypeError tracebacks
+            ("policy.npz", lambda p: np.savez(p, w=np.zeros((2, 15))), "no weights or log_action"),
+            ("policy.npy", lambda p: np.save(p, np.zeros((2, 15))), "not an .npz archive"),
+        ],
+    )
+    def test_eval_policy_without_its_arrays_is_a_config_error(
+        self, tmp_path, capsys, name, save, message
+    ):
+        policy_path = tmp_path / name
+        save(policy_path)
+        code = main(
+            ["eval", "--config", "point_mass_setup1", "--policy", str(policy_path), "--episodes", "2"]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: policy {policy_path}: ") and message in err
+
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--instances", "6", "--no-timing", "--quiet"]) == 0
         assert (
