@@ -108,7 +108,10 @@ def _cmd_train(args) -> int:
     seed = config.seed if args.seed is None else args.seed
 
     if args.seeds is not None:
-        seeds = [int(s) for s in args.seeds.replace(",", " ").split()]
+        try:
+            seeds = [int(s) for s in args.seeds.replace(",", " ").split()]
+        except ValueError:
+            raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from None
         modes = [m.strip() for m in args.compare.split(",") if m.strip()]
         summaries, all_records = run_multi_seed(config, seeds, modes=modes)
         out = Path(args.out or f"{config.name}_summary.csv")

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .config import CURRICULUM_MODES, ConfigError, ExperimentConfig
 from .gaussian import ContextDistribution, kl_to_target, sample
@@ -37,6 +36,7 @@ __all__ = [
     "run_training",
     "train_runs",
     "verify",
+    "welch_p_value",
 ]
 
 CSV_FLOAT_FORMAT = ".9g"
@@ -357,9 +357,7 @@ def run_multi_seed(
         successes = np.array(per_mode_success[mode])
         p_value = None
         if mode != "spgl" and spgl_returns is not None and len(seeds) > 1:
-            p_value = float(
-                scipy_stats.ttest_ind(returns, np.array(spgl_returns), equal_var=False).pvalue
-            )
+            p_value = welch_p_value(returns, spgl_returns)
         se = float(np.std(returns, ddof=1) / math.sqrt(len(returns))) if len(returns) > 1 else 0.0
         sse = (
             float(np.std(successes, ddof=1) / math.sqrt(len(successes)))
@@ -378,6 +376,78 @@ def run_multi_seed(
             )
         )
     return summaries, all_records
+
+
+def welch_p_value(a, b) -> float:
+    """Two-sided p-value of Welch's unequal-variance t-test of ``a`` against
+    ``b``, each with at least two values.
+
+    The Student-t tail is the regularized incomplete beta
+    ``I_x(df/2, 1/2)`` with ``x = df / (df + t^2)``.  Zero variance in both
+    samples gives ``nan`` for equal means and ``0.0`` otherwise, and a
+    ``nan`` input gives ``nan``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n1, n2 = len(a), len(b)
+    if n1 < 2 or n2 < 2:
+        raise ValueError("Welch's t-test needs at least two values per sample")
+    vn1 = float(np.var(a, ddof=1)) / n1
+    vn2 = float(np.var(b, ddof=1)) / n2
+    diff = float(np.mean(a)) - float(np.mean(b))
+    vn = vn1 + vn2
+    if math.isnan(diff) or math.isnan(vn):
+        return math.nan
+    if vn == 0.0:
+        return math.nan if diff == 0.0 else 0.0
+    # Welch-Satterthwaite df with each variance term scaled by the sum, so
+    # neither the squares nor their sum can overflow or underflow
+    w1, w2 = vn1 / vn, vn2 / vn
+    df = 1.0 / (w1 * w1 / (n1 - 1) + w2 * w2 / (n2 - 1))
+    t = diff / math.sqrt(vn)
+    t2 = t * t
+    # x and 1 - x each in one division: 1 - x by subtraction loses the
+    # p-value's relative precision near p = 1
+    x = df / (df + t2)
+    y = t2 / (df + t2)
+    if x == 0.0:  # |t| infinite or beyond about 1e154
+        return 0.0
+    if y == 0.0:
+        return 1.0
+    return _regularized_beta(df / 2.0, 0.5, x, y)
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """``I_x(a, b)`` for ``0 < x < 1`` with ``y = 1 - x`` given separately."""
+    front = math.exp(
+        a * math.log(x) + b * math.log(y) - math.lgamma(a) - math.lgamma(b) + math.lgamma(a + b)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta by Lentz's method; it
+    converges fast for ``x < (a + 1) / (a + b + 2)``."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))  # denominator > 2 / (a + b + 2) there
+    h = d
+    for m in range(1, 1001):
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            delta = c * d
+            h *= delta
+        if abs(delta - 1.0) < 3e-16:
+            break
+    return h
 
 
 def summary_to_csv(summaries) -> str:
@@ -405,10 +475,14 @@ def verify(
     the gradient statistics against finite differences; with timing enabled
     the closed-form update is raced against the exact numerical solver.  A
     nonzero ``perturb`` injects an artificial error into the closed forms so
-    the suite's sensitivity can be demonstrated.
+    the suite's sensitivity can be demonstrated.  Invalid arguments raise
+    :class:`~spgl.config.ConfigError` before any suite runs.
     """
+    _check_seed(seed)
     if instance_count < 1:
-        raise ValueError("instance_count must be >= 1")
+        raise ConfigError(f"instance_count must be >= 1, got {instance_count}")
+    if include_timing and timing_updates < 1:
+        raise ConfigError(f"timing_updates must be >= 1, got {timing_updates}")
     report = run_oracle_suite(seed, instance_count, perturb=perturb)
     report.merge(run_fd_suite(seed + 1, instance_count))
     if include_timing:

@@ -395,6 +395,8 @@ def _timing_batch(rng, dist, center, k):
 def run_timing_suite(seed: int, updates: int = 50, d: int = 3, k: int = 64) -> VerifyReport:
     """Wall-clock comparison: closed-form update vs the exact numerical
     solver on identical batches."""
+    if updates < 1:
+        raise ValueError(f"updates must be >= 1, got {updates}")
     rng = np.random.default_rng(seed)
     target = TargetSpec(mu_tilde=np.full(d, 1.5), sigma_tilde_diag=np.full(d, 0.05))
     dist = ContextDistribution(mu=np.zeros(d), theta=np.full(d, 2.0), target=target)

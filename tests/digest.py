@@ -15,14 +15,17 @@ Parts (NumPy and hashlib only; this is a script, not a pytest module):
 * ``training``: every record's floats, ``step_kind`` and ``active_case``,
   and each run's final policy weights, action noise and distribution, for
   the self-paced synthetic variant (seeds 0-39, 413, 1007), the
-  ``synthetic_convergence`` preset (seeds 0-2), both point-mass presets
-  (seeds 0-3, 60 iterations) and the variant under the exact-solver
-  baseline (seeds 0-1, 5 iterations);
-* ``exact``: ``mu``, ``theta``, ``objective``, ``sampled_value``,
-  ``kl_step`` and ``converged`` of :func:`spgl.oracle.solve_exact_sampled`
-  on 500 random instances: d in {1, 2, 3, 5, 16}, both modes, eps
-  log-uniform on [1e-6, 1], and in convergence mode ``v_lower`` within 10 %
-  of the batch mean on either side, so the sampled constraint binds.
+  ``synthetic_convergence`` preset (seeds 0-2) and both point-mass presets
+  (seeds 0-3, 60 iterations), all under the closed-form update;
+* ``exact``: the same items for the variant under the exact-solver baseline
+  (seeds 0-1, 5 iterations), then ``mu``, ``theta``, ``objective``,
+  ``sampled_value``, ``kl_step`` and ``converged`` of
+  :func:`spgl.oracle.solve_exact_sampled` on 500 random instances: d in
+  {1, 2, 3, 5, 16}, both modes, eps log-uniform on [1e-6, 1], and in
+  convergence mode ``v_lower`` within 10 % of the batch mean on either side,
+  so the sampled constraint binds.
+
+A change to the exact solver therefore moves ``exact`` alone.
 
 Takes a few minutes on a laptop-class core.
 """
@@ -68,19 +71,22 @@ def selfpaced_variant():
 
 def training_runs():
     pm = lambda name: dataclasses.replace(load_config(preset_path(name)), iterations=60)
-    numerical = dataclasses.replace(selfpaced_variant(), curriculum_mode="numerical", iterations=5)
     return [
         (selfpaced_variant(), "spgl", list(range(40)) + [413, 1007]),
         (load_config(preset_path("synthetic_convergence")), "spgl", [0, 1, 2]),
         (pm("point_mass_setup1"), "spgl", [0, 1, 2, 3]),
         (pm("point_mass_setup2"), "spgl", [0, 1, 2, 3]),
-        (numerical, "numerical", [0, 1]),
     ]
 
 
-def digest_training(h):
+def numerical_runs():
+    numerical = dataclasses.replace(selfpaced_variant(), curriculum_mode="numerical", iterations=5)
+    return [(numerical, "numerical", [0, 1])]
+
+
+def _digest_runs(h, runs):
     n = 0
-    for config, mode, seeds in training_runs():
+    for config, mode, seeds in runs:
         for result in train_runs(config, [(mode, s) for s in seeds]):
             for r in result.records:
                 _floats(h, r.iteration, r.mean_return, r.success_rate, r.kl_to_target, r.kl_step)
@@ -91,6 +97,10 @@ def digest_training(h):
             _floats(h, result.policy.weights, result.policy.log_action_noise)
             _floats(h, result.distribution.mu, result.distribution.theta)
     return n
+
+
+def digest_training(h):
+    return _digest_runs(h, training_runs())
 
 
 def exact_instance(i):
@@ -119,13 +129,14 @@ def exact_instance(i):
 
 
 def digest_exact(h):
+    n = _digest_runs(h, numerical_runs())
     for i in range(EXACT_INSTANCES):
         batch, dist, target, config, mode = exact_instance(i)
         r = solve_exact_sampled(batch, dist, target, config, mode, seed=i)
         _floats(h, r.distribution.mu, r.distribution.theta)
         _floats(h, r.objective, r.sampled_value, r.kl_step)
         h.update(struct.pack("??", r.converged, not r.converged))
-    return EXACT_INSTANCES
+    return n + EXACT_INSTANCES
 
 
 PARTS = {"training": digest_training, "exact": digest_exact}

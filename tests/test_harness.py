@@ -4,6 +4,10 @@ lock-step runs equal to the same runs alone), evaluation statistics,
 verification wiring and the CLI surface."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +24,13 @@ from spgl.harness import (
     run_training,
     train_runs,
     verify,
+    welch_p_value,
 )
 from spgl.envs import PointMassEnv
 from spgl.gaussian import TargetSpec
 from spgl.learner import init_policy
 from spgl.update import CurriculumError
+from spgl.verification import run_timing_suite
 
 
 SYNTH_CONFIG = """
@@ -412,6 +418,66 @@ class TestMultiSeed:
         assert ("spgl", 1) in records and ("default", 2) in records
 
 
+class TestWelchPValue:
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            n1, n2 = rng.integers(2, 31, size=2)
+            scale1, scale2 = 10.0 ** rng.uniform(-6.0, 6.0, size=2)
+            shift = rng.choice([0.0, 1.0]) * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 7.0)
+            a = rng.normal(0.0, scale1, n1)
+            b = rng.normal(shift, scale2, n2)
+            p = welch_p_value(a, b)
+            reference = stats.ttest_ind(a, b, equal_var=False).pvalue
+            assert 0.0 <= p <= 1.0
+            if reference >= 1e-300:
+                assert abs(p - reference) <= 1e-12 * reference, (a, b, p, reference)
+
+    def test_near_one_matches_high_precision(self):
+        # |t| from 1e-8 to 1, where forming 1 - x by subtraction costs up to
+        # 3e-8 relative.  scipy is no reference here: at df = 1 its p-value
+        # is off by up to 3e-10 relative.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n1, n2 = rng.integers(2, 31, size=2)
+            a = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 6.0), n1)
+            b = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 6.0), n2)
+            a -= a.mean()
+            b -= b.mean()
+            b += np.sqrt(np.var(a, ddof=1) / n1 + np.var(b, ddof=1) / n2) * 10.0 ** rng.uniform(-8, 0)
+            with mpmath.workdps(40):
+                exact = [[mpmath.mpf(float(v)) for v in sample] for sample in (a, b)]
+                means = [mpmath.fsum(s) / len(s) for s in exact]
+                vns = [
+                    mpmath.fsum((v - m) ** 2 for v in s) / (len(s) - 1) / len(s)
+                    for s, m in zip(exact, means)
+                ]
+                df = (vns[0] + vns[1]) ** 2 / (vns[0] ** 2 / (n1 - 1) + vns[1] ** 2 / (n2 - 1))
+                t2 = (means[0] - means[1]) ** 2 / (vns[0] + vns[1])
+                reference = float(mpmath.betainc(df / 2, 0.5, 0, df / (df + t2), regularized=True))
+            p = welch_p_value(a, b)
+            assert abs(p - reference) <= 1e-12 * reference, (a, b, p, reference)
+
+    def test_summary_golden_pair(self):
+        # the final returns of tests/golden/point_mass_setup1_summary_it10.csv
+        default = [0.36662163396827524, 0.422598098500737]
+        spgl_returns = [0.2429643083690593, 0.2354674921239215]
+        p = welch_p_value(default, spgl_returns)
+        assert p == pytest.approx(0.10835104130899188, rel=1e-14)
+        assert format(p, ".9g") == "0.108351041"
+
+    def test_edge_cases(self):
+        assert np.isnan(welch_p_value([2.0, 2.0, 2.0], [2.0, 2.0]))
+        assert welch_p_value([1.0, 1.0], [2.0, 2.0, 2.0]) == 0.0
+        assert np.isnan(welch_p_value([np.nan, 1.0], [2.0, 3.0]))
+        assert welch_p_value([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == 1.0
+        assert welch_p_value([1e200, 1e200], [0.0, 1e-100]) == 0.0
+        with pytest.raises(ValueError, match="at least two values"):
+            welch_p_value([1.0], [2.0, 3.0])
+
+
 class TestVerify:
     def test_healthy_suite_passes(self):
         report = verify(seed=0, instance_count=12, include_timing=False)
@@ -594,6 +660,48 @@ class TestCli:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: policy {policy_path}: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # each used to die in a traceback
+            (["train", "--config", "synthetic_convergence", "--seeds", "0,x"], "--seeds must be"),
+            (["verify", "--instances", "0"], "instance_count must be >= 1, got 0"),
+            (["verify", "--timing-updates", "0"], "timing_updates must be >= 1, got 0"),
+            (["verify", "--seed", "-1"], "non-negative integers, got -1"),
+        ],
+    )
+    def test_bad_arguments_are_config_errors(self, capsys, argv, message):
+        assert main(argv + ["--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: verify(0, instance_count=0),
+            lambda: verify(0, timing_updates=0),
+            lambda: verify(-1),
+            lambda: run_timing_suite(0, updates=0),
+        ],
+        ids=["instances", "timing-updates", "seed", "timing-suite"],
+    )
+    def test_library_rejects_bad_verify_arguments(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.stats took about 1.1 s of every process's start-up
+        env = {**os.environ, "PYTHONPATH": str(Path(spgl.__file__).parents[1])}
+        code = (
+            "import sys, spgl, spgl.cli, spgl.config, spgl.harness\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+        run = subprocess.run([sys.executable, "-m", "spgl.cli", "--help"], capture_output=True, env=env)
+        assert run.returncode == 0, run.stderr
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--instances", "6", "--no-timing", "--quiet"]) == 0
