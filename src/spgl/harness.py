@@ -269,18 +269,17 @@ def evaluate(
     """Mean return and success rate (percent) of each policy over episodes
     with contexts drawn from the target distribution, with standard errors.
 
-    Policy ``r`` draws its contexts and its rollout seed from ``rngs[r]``,
-    and all policies' episodes are stepped in one batch.  Evaluation
-    executes the mean action, without exploration noise.
+    Policy ``r`` draws its contexts from ``rngs[r]``, and all policies'
+    episodes are stepped in one batch.  Evaluation executes the mean action,
+    so no exploration noise is drawn and the rollout seeds are unused.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     learner_config = learner_config or LearnerConfig()
     target_dist = ContextDistribution.at_target(target)
     contexts = np.stack([sample(target_dist, rng, n_episodes) for rng in rngs])
-    eval_seeds = [int(rng.integers(2**31)) for rng in rngs]
     all_episodes = collect_rollouts(
-        policies, env, contexts, learner_config, eval_seeds, 0, deterministic=True
+        policies, env, contexts, learner_config, [0] * len(rngs), 0, deterministic=True
     )
     if n_episodes == 1:
         warnings.warn("single-episode evaluation; standard errors are zero", RuntimeWarning)

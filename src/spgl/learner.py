@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "Episodes",
@@ -107,104 +105,18 @@ def init_policy(observation_dim: int, action_dim: int = 2, noise: float = 0.8) -
     )
 
 
-def _seed_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer, the words
-    :class:`numpy.random.SeedSequence` derives its entropy from."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("rollout seeds must be non-negative")
-    words = [n & 0xFFFFFFFF]
-    while n >> 32:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-# SeedSequence's hash constants (NumPy's ``bit_generator.pyx``): the pool of
-# four 32-bit words is filled and mixed with the A hash and read out with the
-# B hash; the multipliers run through fixed sequences, whatever the data
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int):
-    """The ``(xor, multiply)`` constants of successive SeedSequence hashes."""
-    while True:
-        nxt = (init * mult) & 0xFFFFFFFF
-        yield np.uint32(init), np.uint32(nxt)
-        init = nxt
-
-
-def _hash(words: np.ndarray, constants) -> np.ndarray:
-    xor, mult = next(constants)
-    words = (words ^ xor) * mult
-    words ^= words >> 16
-    return words
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    words = _MIX_MULT_L * x - _MIX_MULT_R * y
-    words ^= words >> 16
-    return words
-
-
-def _seed_states(keys: np.ndarray) -> np.ndarray:
-    """``SeedSequence(key).generate_state(4, np.uint64)`` of every row of the
-    ``(N, L)`` ``uint32`` array ``keys``, in one pass of ``uint32``
-    arithmetic over the rows; shape ``(N, 4)``."""
-    n, n_words = keys.shape
-    hash_a = _hash_constants(_INIT_A, _MULT_A)
-    pad = np.zeros(n, dtype=np.uint32)
-    pool = [_hash(keys[:, i] if i < n_words else pad, hash_a) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], hash_a))
-    for src in range(_POOL_SIZE, n_words):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(keys[:, src], hash_a))
-    hash_b = _hash_constants(_INIT_B, _MULT_B)
-    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
-    for i in range(2 * _POOL_SIZE):
-        state[:, i] = _hash(pool[i % _POOL_SIZE], hash_b)
-    return state.view("<u8").astype(np.uint64)
-
-
-class _SeedState(ISeedSequence):
-    """Seeds :class:`~numpy.random.PCG64` with its four state words computed
-    ahead by :func:`_seed_states`."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 def _rollout_noise(policies, master_seeds, iteration: int, k: int, horizon: int, action_dim: int):
     """Scaled exploration noise of every episode, shape ``(R, K, T, A)``.
 
-    Episode ``i`` of run ``r`` draws ``standard_normal((T, A))`` from the
-    stream of ``default_rng(SeedSequence([master_seeds[r], iteration, i]))``.
-    The seed states of all episodes whose keys have the same number of
-    32-bit words are hashed in one :func:`_seed_states` pass; each episode
-    then seeds its own ``PCG64`` from its state and draws its own rows."""
-    runs = len(policies)
-    prefixes = [_seed_words(seed) + _seed_words(iteration) for seed in master_seeds]
-    states = np.empty((runs, k, 4), dtype=np.uint64)
-    for width in set(map(len, prefixes)):
-        members = [r for r, prefix in enumerate(prefixes) if len(prefix) == width]
-        keys = np.empty((len(members), k, width + 1), dtype=np.uint32)
-        keys[:, :, :-1] = np.array([prefixes[r] for r in members], dtype=np.uint32)[:, None]
-        keys[:, :, -1] = np.arange(k)
-        states[members] = _seed_states(keys.reshape(-1, width + 1)).reshape(-1, k, 4)
-    noise = np.empty((runs, k, horizon, action_dim))
-    for r in range(runs):
-        for i in range(k):
-            Generator(PCG64(_SeedState(states[r, i]))).standard_normal(out=noise[r, i])
-    noise *= np.stack([p.action_noise for p in policies])[:, None, None, :]
+    Run ``r`` draws ``standard_normal((K, T, A))`` from one generator,
+    ``default_rng([master_seeds[r], iteration, 1])``; row ``i`` is episode
+    ``i``.  The trailing ``1`` tags the noise streams: ``SeedSequence`` pads
+    keys with zeros, so no noise key equals a context key such as
+    ``[seed, 0]`` (training) or ``[seed, 10_000]`` (evaluation)."""
+    noise = np.empty((len(policies), k, horizon, action_dim))
+    for policy, seed, out in zip(policies, master_seeds, noise):
+        np.random.default_rng([seed, iteration, 1]).standard_normal(out=out)
+        out *= policy.action_noise
     return noise
 
 
@@ -247,15 +159,14 @@ def collect_rollouts(
     ``policies`` holds one policy per run, ``contexts`` has shape
     ``(R, K, d)`` and ``master_seeds`` one non-negative integer seed per run.
     Every policy's weights must have shape ``(A, F)`` for the environment's
-    action dimension and feature count, else ``ValueError``.  Episode ``i``
-    of run ``r`` draws its noise from the stream of
-    ``default_rng(SeedSequence([master_seeds[r], iteration, i]))``; the seed
-    states of all episodes are hashed together (see :func:`_rollout_noise`),
-    the draws stay one generator per episode.  Each run's action product is a
-    ``(K, F) @ (F, A)`` matrix product as if the run were stepped alone, so a
-    run's episodes do not depend on the other runs, the other rows of its
-    batch or the execution order.  With ``deterministic`` the mean action is
-    executed (evaluation mode) and no noise is drawn.
+    action dimension and feature count, else ``ValueError``.  Run ``r``
+    draws the noise of all its episodes at once, ``(K, T, A)`` standard
+    normals from ``default_rng([master_seeds[r], iteration, 1])``, row ``i``
+    for episode ``i`` (see :func:`_rollout_noise`).  Each run's action
+    product is a ``(K, F) @ (F, A)`` matrix product as if the run were
+    stepped alone, so a run's episodes do not depend on the other runs, the
+    other rows of its batch or the execution order.  With ``deterministic``
+    the mean action is executed (evaluation mode) and no noise is drawn.
     """
     contexts = np.asarray(contexts, dtype=float)
     if contexts.ndim != 3 or not len(policies) == len(master_seeds) == contexts.shape[0]:
@@ -332,33 +243,22 @@ def improve(policy: PolicyParameters, episodes: Episodes, config: LearnerConfig)
     """One likelihood-ratio policy-gradient step with a mean-return baseline.
 
     Exploration noise is held fixed; only the mean weights move.  The
-    gradient has the bits of a loop over episodes that adds each episode's
-    term to a zero array: episodes of equal length share one stacked matrix
-    product, and the terms are summed in episode order.  Episodes without
-    actions (analytic environments) leave the policy unchanged, and a
-    non-finite gradient skips the step with a warning.
+    gradient is one matrix product over every step of every episode: past an
+    episode's length its features and actions are zero, so its score there
+    is zero too.  Episodes without actions (analytic environments) leave the
+    policy unchanged, and a non-finite gradient skips the step with a
+    warning.
     """
     if episodes.actions.size == 0:
         return policy
 
     advantages = episodes.values - float(np.mean(episodes.values))
     var = policy.action_noise**2
-    weights_t = policy.weights.T
-    lengths = episodes.lengths
-
-    # episode i adds adv_i * score_i.T @ feats_i[:n_i]; the episodes of one
-    # length share one stacked matmul, which runs the same BLAS call on the
-    # same slices as one call per episode
-    terms = np.empty((len(lengths), *policy.weights.shape))
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        if rows[-1] - rows[0] == len(rows) - 1:  # consecutive: views, not copies
-            rows = slice(rows[0], rows[-1] + 1)
-        feats = episodes.features[rows, :n]
-        score = (episodes.actions[rows, :n] - feats @ weights_t) / var
-        terms[rows] = (advantages[rows, None, None] * score).transpose(0, 2, 1) @ feats
-    # summed in episode order from zero, as a running ``grad += term``
-    grad = np.add.reduce(terms, axis=0, initial=0.0)
+    n_actions, n_features = policy.weights.shape
+    feats = episodes.features
+    score = (episodes.actions - feats @ policy.weights.T) / var
+    score *= advantages[:, None, None]
+    grad = score.reshape(-1, n_actions).T @ feats.reshape(-1, n_features)
     grad /= len(advantages)
     if not np.all(np.isfinite(grad)):
         warnings.warn("non-finite policy gradient; step skipped", RuntimeWarning)

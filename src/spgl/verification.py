@@ -40,6 +40,12 @@ FD_RTOL = 1e-4
 FD_STEP = 1e-5
 
 
+def _worst(*errors) -> float:
+    """The largest error, ``nan`` if any error is ``nan``: a ``nan`` must
+    fail a suite and show in its report, where ``max`` would drop it."""
+    return float(np.max(errors))
+
+
 @dataclass
 class VerifyReport:
     """Aggregated residuals of the verification suites."""
@@ -64,17 +70,19 @@ class VerifyReport:
         return not self.failures
 
     def merge(self, other: "VerifyReport") -> None:
-        self.oracle_max_param_error = max(self.oracle_max_param_error, other.oracle_max_param_error)
-        self.oracle_max_multiplier_error = max(
+        self.oracle_max_param_error = _worst(
+            self.oracle_max_param_error, other.oracle_max_param_error
+        )
+        self.oracle_max_multiplier_error = _worst(
             self.oracle_max_multiplier_error, other.oracle_max_multiplier_error
         )
-        self.oracle_max_kkt_residual = max(
+        self.oracle_max_kkt_residual = _worst(
             self.oracle_max_kkt_residual, other.oracle_max_kkt_residual
         )
         counts = Counter(self.oracle_case_counts)
         counts.update(other.oracle_case_counts)
         self.oracle_case_counts = dict(counts)
-        self.fd_max_error = max(self.fd_max_error, other.fd_max_error)
+        self.fd_max_error = _worst(self.fd_max_error, other.fd_max_error)
         self.closed_form_seconds += other.closed_form_seconds
         self.exact_solver_seconds += other.exact_solver_seconds
         self.failures.extend(other.failures)
@@ -153,20 +161,20 @@ def run_oracle_suite(
 
     def record_param(label, closed, reference):
         err = _rel_vec_error(closed, reference)
-        report.oracle_max_param_error = max(report.oracle_max_param_error, err)
-        if err > PARAM_RTOL:
+        report.oracle_max_param_error = _worst(report.oracle_max_param_error, err)
+        if not err <= PARAM_RTOL:
             report.failures.append(f"{label}: parameter error {err:.3e}")
 
     def record_mult(label, closed, reference):
         err = _rel_scalar_error(closed, reference)
-        report.oracle_max_multiplier_error = max(report.oracle_max_multiplier_error, err)
-        if err > PARAM_RTOL:
+        report.oracle_max_multiplier_error = _worst(report.oracle_max_multiplier_error, err)
+        if not err <= PARAM_RTOL:
             report.failures.append(f"{label}: multiplier error {err:.3e}")
 
     def record_kkt(label, residuals):
-        worst = max(residuals.values())
-        report.oracle_max_kkt_residual = max(report.oracle_max_kkt_residual, worst)
-        if worst > KKT_TOL:
+        worst = _worst(*residuals.values())
+        report.oracle_max_kkt_residual = _worst(report.oracle_max_kkt_residual, worst)
+        if not worst <= KKT_TOL:
             report.failures.append(f"{label}: KKT residual {worst:.3e}")
 
     for i in range(instances_per_block):
@@ -369,8 +377,8 @@ def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
             err = float(np.linalg.norm(analytic - reference)) / max(
                 float(np.linalg.norm(reference)), 1e-6
             )
-            report.fd_max_error = max(report.fd_max_error, err)
-            if err > FD_RTOL:
+            report.fd_max_error = _worst(report.fd_max_error, err)
+            if not err <= FD_RTOL:
                 report.failures.append(f"fd-{label}[{i}]: relative error {err:.3e}")
 
         direction = rng.normal(size=d)
@@ -379,8 +387,8 @@ def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
         model = 0.25 * float(np.sum(delta**2 * h_diag))
         actual = kl_between(dist.with_params(theta=dist.theta + delta), dist)
         err = abs(model - actual) / max(actual, 1e-15)
-        report.fd_max_error = max(report.fd_max_error, err)
-        if err > FD_RTOL:
+        report.fd_max_error = _worst(report.fd_max_error, err)
+        if not err <= FD_RTOL:
             report.failures.append(f"fd-h[{i}]: relative error {err:.3e}")
 
     return report

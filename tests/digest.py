@@ -8,7 +8,9 @@ meant to leave behaviour alone is checked with one command on each tree:
 
 Naming parts runs only those, and prints the total only when all of them
 ran: ``PYTHONPATH=src python tests/digest.py training`` checks rollouts and
-training in about ten seconds, without the exact solver.
+training in about ten seconds, without the exact solver.  Each group of
+training runs also prints its own digest before its part's line, so a
+change meant to move only the point-mass bits shows which groups moved.
 
 Parts (NumPy and hashlib only; this is a script, not a pytest module):
 
@@ -71,22 +73,37 @@ def selfpaced_variant():
 
 def training_runs():
     pm = lambda name: dataclasses.replace(load_config(preset_path(name)), iterations=60)
+    convergence = load_config(preset_path("synthetic_convergence"))
     return [
-        (selfpaced_variant(), "spgl", list(range(40)) + [413, 1007]),
-        (load_config(preset_path("synthetic_convergence")), "spgl", [0, 1, 2]),
-        (pm("point_mass_setup1"), "spgl", [0, 1, 2, 3]),
-        (pm("point_mass_setup2"), "spgl", [0, 1, 2, 3]),
+        ("selfpaced_variant", selfpaced_variant(), "spgl", list(range(40)) + [413, 1007]),
+        ("synthetic_convergence", convergence, "spgl", [0, 1, 2]),
+        ("point_mass_setup1", pm("point_mass_setup1"), "spgl", [0, 1, 2, 3]),
+        ("point_mass_setup2", pm("point_mass_setup2"), "spgl", [0, 1, 2, 3]),
     ]
 
 
 def numerical_runs():
     numerical = dataclasses.replace(selfpaced_variant(), curriculum_mode="numerical", iterations=5)
-    return [(numerical, "numerical", [0, 1])]
+    return [("selfpaced_variant", numerical, "numerical", [0, 1])]
 
 
-def _digest_runs(h, runs):
+class _Tee:
+    """Feeds every update to several hashes."""
+
+    def __init__(self, *hashes):
+        self.hashes = hashes
+
+    def update(self, data):
+        for h in self.hashes:
+            h.update(data)
+
+
+def _digest_runs(part_hash, runs):
+    """Hash every run into ``part_hash``, and print each group's own digest."""
     n = 0
-    for config, mode, seeds in runs:
+    for label, config, mode, seeds in runs:
+        group = hashlib.sha256()
+        h = _Tee(part_hash, group)
         for result in train_runs(config, [(mode, s) for s in seeds]):
             for r in result.records:
                 _floats(h, r.iteration, r.mean_return, r.success_rate, r.kl_to_target, r.kl_step)
@@ -96,6 +113,7 @@ def _digest_runs(h, runs):
                 n += 1
             _floats(h, result.policy.weights, result.policy.log_action_noise)
             _floats(h, result.distribution.mu, result.distribution.theta)
+        print(f"  {label} {mode:9s} {group.hexdigest()}")
     return n
 
 

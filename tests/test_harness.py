@@ -710,6 +710,13 @@ class TestCli:
             == 2
         )
 
+    def test_verify_fails_on_nan(self, capsys):
+        # a nan error fails its check and stays in the reported maximum
+        assert main(["verify", "--instances", "3", "--no-timing", "--perturb", "nan"]) == 2
+        out = capsys.readouterr().out
+        assert "max parameter error nan" in out
+        assert "all verification suites passed" not in out
+
     def test_deterministic_csv_across_cli_runs(self, tmp_path):
         config_path = tmp_path / "synth.ini"
         config_path.write_text(SYNTH_CONFIG.format(iterations=10, period=1))
