@@ -110,6 +110,15 @@ def _get(parser, section, option, cast, default=None, required=False):
         raise ConfigError(f"bad value for [{section}] {option}: {raw!r}") from exc
 
 
+def _build(section, cls, **kwargs):
+    """``cls(**kwargs)``, with a value that ``cls`` rejects reported as a
+    configuration error in ``[section]``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment file."""
     path = Path(path)
@@ -143,7 +152,9 @@ def load_config(path) -> ExperimentConfig:
                     where = f" for {environment}" if section == "environment" else ""
                     raise ConfigError(f"unknown [{section}] key '{key}'{where}")
 
-    target = TargetSpec(
+    target = _build(
+        "target",
+        TargetSpec,
         mu_tilde=_parse_vector(parser.get("target", "mu"), "target.mu"),
         sigma_tilde_diag=_parse_vector(parser.get("target", "sigma"), "target.sigma"),
     )
@@ -152,7 +163,9 @@ def load_config(path) -> ExperimentConfig:
     if initial_mu.shape != target.mu_tilde.shape or initial_theta.shape != target.mu_tilde.shape:
         raise ConfigError("initial and target context dimensions differ")
 
-    curriculum = CurriculumConfig(
+    curriculum = _build(
+        "curriculum",
+        CurriculumConfig,
         epsilon=_get(parser, "curriculum", "epsilon", float, required=True),
         v_lower=_get(parser, "curriculum", "v_lower", float, required=True),
         k_contexts=_get(parser, "curriculum", "k_contexts", int, default=64),
@@ -160,7 +173,9 @@ def load_config(path) -> ExperimentConfig:
         theta_min=_get(parser, "curriculum", "theta_min", float, default=1e-6),
     )
 
-    learner = LearnerConfig(
+    learner = _build(
+        "learner",
+        LearnerConfig,
         gamma=_get(parser, "learner", "gamma", float, default=0.99),
         learning_rate=_get(parser, "learner", "learning_rate", float, default=0.05),
         context_visible=_get(parser, "environment", "context_visible", bool, default=False),

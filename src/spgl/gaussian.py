@@ -13,9 +13,13 @@ formula exists once, as an array-level function on raw parameters
 (:func:`log_density_params`, :func:`kl_params`, :func:`kl_to_target_params`);
 the distribution-level functions check the family and call them, and the
 closed-form update, its joint-KL backtrack and the exact solver in
-:mod:`spgl.oracle` call them directly.  They reduce with ``np.add.reduce``,
-the reduction that ``np.sum`` and the ndarray ``.sum()`` method both end in,
-without their Python-level wrappers on the exact solver's hot path.
+:mod:`spgl.oracle` call them directly.  They reduce over the last axis with
+``np.add.reduce``, the reduction that ``np.sum`` and the ndarray ``.sum()``
+method both end in, without their Python-level wrappers on the exact
+solver's hot path.  So each serves one set of parameters or a stack of rows
+of them, and a row of the stack gets the same bits as the one-row call: the
+exact solver projects and scores the step halvings of one direction as
+blocks of rows.
 Distributions are immutable after construction and safe to share across
 threads; sampling takes an explicit seeded generator owned by the caller.
 """
@@ -158,27 +162,30 @@ def sample(dist: ContextDistribution, rng: np.random.Generator, k: int) -> np.nd
     return dist.mu + rng.standard_normal((k, dist.d)) * std
 
 
-def log_density_params(c: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray | float:
+def log_density_params(c: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Log density of ``N(mu, diag(var))`` at ``c``: a scalar for one context
-    ``(d,)``, a ``(k,)`` array for a batch ``(k, d)``."""
+    ``(d,)``, a ``(k,)`` array for a batch ``(k, d)``, and ``(n, k)`` for
+    ``n`` parameter rows given as ``mu`` and ``var`` of shape ``(n, 1, d)``."""
     quad = np.add.reduce((c - mu) ** 2 / var, axis=-1)
-    return -0.5 * quad - 0.5 * np.add.reduce(np.log(2.0 * np.pi * var))
+    return -0.5 * quad - 0.5 * np.add.reduce(np.log(2.0 * np.pi * var), axis=-1)
 
 
-def kl_params(mu1, theta1, mu0, theta0, sigma) -> float:
+def kl_params(mu1, theta1, mu0, theta0, sigma) -> np.ndarray:
     """``KL(N(mu1, theta1 sigma) || N(mu0, theta0 sigma))`` on raw arrays:
     ``0.5 * sum(r - 1 - ln(r) + (mu1 - mu0)^2 / (theta0 * sigma))`` with
-    ``r = theta1 / theta0``."""
+    ``r = theta1 / theta0``, summed over the last axis: a scalar for one set
+    of parameters, one value per row for rows ``(n, d)``."""
     ratio = theta1 / theta0
     terms = ratio - 1.0 - np.log(ratio) + (mu1 - mu0) ** 2 / (theta0 * sigma)
-    return 0.5 * float(np.add.reduce(terms))
+    return 0.5 * np.add.reduce(terms, axis=-1)
 
 
-def kl_to_target_params(mu, theta, mu_tilde, sigma) -> float:
+def kl_to_target_params(mu, theta, mu_tilde, sigma) -> np.ndarray:
     """``KL(N(mu_tilde, sigma) || N(mu, theta sigma))`` on raw arrays:
-    ``0.5 * sum((mu - mu_tilde)^2 / (theta * sigma) + 1/theta + ln(theta) - 1)``."""
+    ``0.5 * sum((mu - mu_tilde)^2 / (theta * sigma) + 1/theta + ln(theta) - 1)``,
+    summed over the last axis like :func:`kl_params`."""
     terms = (mu - mu_tilde) ** 2 / (theta * sigma) + 1.0 / theta + np.log(theta) - 1.0
-    return 0.5 * float(np.add.reduce(terms))
+    return 0.5 * np.add.reduce(terms, axis=-1)
 
 
 def log_density(dist: ContextDistribution, c: np.ndarray) -> np.ndarray | float:
@@ -212,16 +219,17 @@ def kl_to_target(dist: ContextDistribution) -> float:
     ``theta == 1``.
     """
     target = dist.target
-    return kl_to_target_params(dist.mu, dist.theta, target.mu_tilde, target.sigma_tilde_diag)
+    return float(
+        kl_to_target_params(dist.mu, dist.theta, target.mu_tilde, target.sigma_tilde_diag)
+    )
 
 
 def kl_between(new_dist: ContextDistribution, old_dist: ContextDistribution) -> float:
     """KL divergence ``KL(new || old)`` between two members of the family."""
     if not new_dist.same_family(old_dist):
         raise ValueError("kl_between requires a common target spec")
-    return kl_params(
-        new_dist.mu, new_dist.theta, old_dist.mu, old_dist.theta, old_dist.target.sigma_tilde_diag
-    )
+    sigma = old_dist.target.sigma_tilde_diag
+    return float(kl_params(new_dist.mu, new_dist.theta, old_dist.mu, old_dist.theta, sigma))
 
 
 def mean_shift_kl(new_dist: ContextDistribution, old_dist: ContextDistribution) -> float:
@@ -231,6 +239,5 @@ def mean_shift_kl(new_dist: ContextDistribution, old_dist: ContextDistribution) 
     """
     if not new_dist.same_family(old_dist):
         raise ValueError("mean_shift_kl requires a common target spec")
-    return kl_params(
-        new_dist.mu, old_dist.theta, old_dist.mu, old_dist.theta, old_dist.target.sigma_tilde_diag
-    )
+    sigma = old_dist.target.sigma_tilde_diag
+    return float(kl_params(new_dist.mu, old_dist.theta, old_dist.mu, old_dist.theta, sigma))

@@ -18,7 +18,10 @@ Two solvers live here:
 The exact solver's densities and KLs are the array-level functions of
 :mod:`spgl.gaussian`, and its ray projection onto the KL ball is
 :func:`spgl.update.project_to_ball`, the solve that also backtracks the
-closed-form update's joint KL.
+closed-form update's joint KL.  Both take rows of parameters, so the step
+halvings along one direction are projected and scored as one block of trial
+rows: a handful of vectorised KL calls in place of one call per trial point
+and secant step, with each row's bits those of the one-row call.
 """
 
 from __future__ import annotations
@@ -343,12 +346,13 @@ class ExactSolveResult:
 def _sampled_value(contexts, values, log_p0, mu, var):
     """Importance-weighted mean of ``values`` under ``N(mu, diag(var))``,
     given the log-densities ``log_p0`` of the contexts under the
-    distribution that drew them.  The log-ratio is clamped as in
+    distribution that drew them: a scalar for parameters ``(d,)``, one value
+    per row for rows ``(n, d)``.  The log-ratio is clamped as in
     :func:`spgl.gaussian.importance_ratio`; ``np.minimum(np.maximum(...))``
     is the same clamp as ``np.clip`` without its Python-level wrapper."""
-    log_ratio = log_density_params(contexts, mu, var) - log_p0
+    log_ratio = log_density_params(contexts, mu[..., None, :], var[..., None, :]) - log_p0
     ratio = np.exp(np.minimum(np.maximum(log_ratio, -_LOG_RATIO_LIMIT), _LOG_RATIO_LIMIT))
-    return float(np.mean(values * ratio))
+    return np.mean(values * ratio, axis=-1)
 
 
 def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min):
@@ -409,16 +413,24 @@ def solve_exact_sampled(
     positive, with the log-scales clipped to ``[log theta_min, 50]``.  Each
     iteration follows the closed-form gradient of the objective in these
     coordinates (:func:`_objective_gradient`), which costs one pass over the
-    batch whatever the dimension.  Each gradient trial point is first pulled
-    back onto the KL ball along the ray from the old parameters by
-    :func:`project_to_ball`, a bracketed secant solve that needs a handful of
-    KL evaluations.  A trial point is accepted when it lowers the objective
-    and meets the sampled performance constraint, tested in that order, so
-    the sampled value is computed only for points that lower the objective;
-    otherwise the step is halved.  The log-densities of the batch under the
-    old parameters are computed once per solve.  The best feasible iterate is
-    returned, flagged when no restart converged; when no start is feasible
-    the old parameters come back flagged infeasible.
+    batch whatever the dimension.  The trial points along a direction are
+    the step and its halvings (up to 40; 12 for the random escape probes
+    tried when the gradient direction fails).  The first step is tried on its
+    own and the remaining halvings as one block of rows: the block is pulled
+    back onto the KL ball along the rays from the old parameters by one
+    :func:`project_to_ball` call, a bracketed secant solve per ray with one
+    vectorised KL evaluation per secant round, and its objective is
+    evaluated over chunks of 2, 4, 8, ... rows, which bounds the rows scored
+    past the taken one where the sampled value is costly (high ``d``, large
+    batches).  The first row, in halving order, that lowers the
+    objective and meets the sampled performance constraint, tested in that
+    order, is taken; so the sampled value is computed only for rows that
+    lower the objective.  Each row has the bits of a one-point evaluation,
+    so the iterates are those of trying the halvings one by one.  The
+    log-densities of the batch under the old parameters are computed once
+    per solve.  The best feasible iterate is returned, flagged when no
+    restart converged; when no start is feasible the old parameters come
+    back flagged infeasible.
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
@@ -435,14 +447,15 @@ def solve_exact_sampled(
     log_theta_min = math.log(config.theta_min)
 
     # the hot closures clip and exponentiate the log-scales inline: a helper
-    # call per evaluation is a measurable share of the trial path
+    # call per evaluation is a measurable share of the trial path.  Each
+    # takes one point or rows of points (``z[..., :d]`` is the mean part).
     def sampled(z):
-        theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
-        return _sampled_value(contexts, values, log_p0, z[:d], theta * sigma)
+        theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
+        return _sampled_value(contexts, values, log_p0, z[..., :d], theta * sigma)
 
     def step_kl(z):
-        theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
-        return kl_params(z[:d], theta, mu0, theta0, sigma)
+        theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
+        return kl_params(z[..., :d], theta, mu0, theta0, sigma)
 
     def meets_performance(z):
         return mode == "performance" or not sampled(z) < config.v_lower - 1e-9 * max(
@@ -457,8 +470,8 @@ def solve_exact_sampled(
     else:
 
         def f(z):
-            theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
-            return kl_to_target_params(z[:d], theta, mu_tilde, sigma)
+            theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
+            return kl_to_target_params(z[..., :d], theta, mu_tilde, sigma)
 
     rng = np.random.default_rng(seed)
     z0 = np.concatenate([mu0, np.log(theta0)])
@@ -475,7 +488,7 @@ def solve_exact_sampled(
         starts.append(z)
 
     best_z = z0.copy()
-    best_f = f(z0) if feasible(z0) else math.inf
+    best_f = float(f(z0)) if feasible(z0) else math.inf
     any_converged = False
 
     alpha0 = 0.25 * math.sqrt(eps) * max(1.0, float(np.max(np.sqrt(var0))))
@@ -483,27 +496,42 @@ def solve_exact_sampled(
     for z in starts:
         if not feasible(z):
             continue
-        fz = f(z)
+        fz = float(f(z))
         alpha = alpha0
         converged = False
 
         escapes_left = 50
 
         def try_direction(direction, a, depth=40):
+            # the trial steps are a, a/2, a/4, ...: the first is projected
+            # on its own, so a step taken at once costs one row, and the
+            # other halvings in one block, whose objective is scored in
+            # chunks of 2, 4, 8, ... rows (at high d the sampled value costs
+            # more per row than per call).  The projected rows have step KL <= eps, so only the
+            # performance constraint is left to check, and only for a row
+            # that lowers the objective: in convergence mode the objective
+            # is the cheap KL to the target, the sampled value an
+            # importance-weighted mean over the batch.  The first row in
+            # halving order that passes both is taken.
             nonlocal z, fz, alpha
-            for _ in range(depth):
-                # the projection returns a point with step KL <= eps, so
-                # only the performance constraint is left to check, and only
-                # for a point that lowers the objective: in convergence mode
-                # the objective is the cheap KL to the target, the sampled
-                # value an importance-weighted mean over the batch
-                z_try = project_to_ball(step_kl, z0, z + a * direction, eps)
-                f_try = f(z_try)
-                if f_try < fz - 1e-15 and meets_performance(z_try):
-                    z, fz = z_try, f_try
-                    alpha = min(a * 2.0, 1e3)
-                    return True
-                a *= 0.5
+            halvings = [a]
+            for _ in range(depth - 1):
+                halvings.append(halvings[-1] * 0.5)
+            size = 1
+            for block in (halvings[:1], halvings[1:]):
+                points = z + np.array(block)[:, None] * direction
+                trials = project_to_ball(step_kl, z0, points, eps)
+                start = 0
+                while start < len(block):
+                    rows = slice(start, start + size)
+                    scored = zip(block[rows], trials[rows], f(trials[rows]).tolist())
+                    for step, z_try, f_try in scored:
+                        if f_try < fz - 1e-15 and meets_performance(z_try):
+                            z, fz = z_try, f_try
+                            alpha = min(step * 2.0, 1e3)
+                            return True
+                    start += size
+                    size *= 2
             return False
 
         for _ in range(iterations):
@@ -538,8 +566,8 @@ def solve_exact_sampled(
     return ExactSolveResult(
         distribution=result_dist,
         objective=best_f,
-        sampled_value=sampled(best_z),
-        kl_step=step_kl(best_z),
+        sampled_value=float(sampled(best_z)),
+        kl_step=float(step_kl(best_z)),
         converged=any_converged,
         feasible=best_f < math.inf,
     )

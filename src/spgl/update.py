@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import ContextDistribution, TargetSpec, kl_params, kl_to_target, kl_to_target_params
+from .gaussian import (
+    THETA_MIN,
+    ContextDistribution,
+    TargetSpec,
+    kl_params,
+    kl_to_target,
+    kl_to_target_params,
+)
 from .stats import CurriculumStats, RolloutBatch, compute_stats
 
 __all__ = [
@@ -80,7 +87,8 @@ class CurriculumConfig:
         v_lower: Minimum mean value required before convergence steps run.
         k_contexts: Batch size K.
         update_period: Curriculum update period in training iterations.
-        theta_min: Positivity floor for covariance scales.
+        theta_min: Positivity floor for covariance scales, at least the
+            distribution floor :data:`spgl.gaussian.THETA_MIN`.
     """
 
     epsilon: float
@@ -96,8 +104,10 @@ class CurriculumConfig:
             raise ValueError("k_contexts must be >= 2")
         if self.update_period < 1:
             raise ValueError("update_period must be >= 1")
-        if self.theta_min <= 0.0:
-            raise ValueError("theta_min must be positive")
+        if not self.theta_min >= THETA_MIN:
+            # below the floor, an update could build a distribution that
+            # ContextDistribution rejects
+            raise ValueError(f"theta_min must be >= {THETA_MIN}, got {self.theta_min}")
 
 
 @dataclass(frozen=True)
@@ -533,55 +543,85 @@ def theta_kkt_residuals(dist, stats, eps, v_lower, theta_new, solution):
 
 
 def project_to_ball(kl, z0, z, eps):
-    """Pull ``z`` back inside the ball ``kl <= eps`` along the ray from its
-    centre ``z0``.
+    """Pull each row of ``z`` back inside the ball ``kl <= eps`` along the
+    ray from the centre ``z0``.
 
-    ``kl`` must be zero at ``z0`` and non-decreasing along the ray; flat
-    stretches (where the exact solver clips its log-scales) are allowed.  A
-    point already inside the ball is returned unchanged.  Otherwise the
-    feasible end ``lo`` of a bracket ``[lo, hi]`` on the ray parameter is
-    returned, with ``kl <= eps (1 - 1e-12)``.  The bracket shrinks by Illinois
-    regula falsi on ``log kl`` against ``log t`` -- the KL grows like ``t**2``
-    near the centre, so that secant is nearly exact -- aimed at the middle of
-    the accepted band, with bisection whenever the secant point leaves the
-    bracket.  It stops once ``kl(lo)`` is within ``1e-12 eps`` of
-    ``eps (1 - 1e-12)``, once ``kl(hi) - kl(lo) <= 1e-10 eps`` (the rounding
-    noise of ``kl`` at small ``eps``), or once ``hi - lo <= 1e-15 hi``.
+    ``z`` holds rows ``(n, D)``, ``z0`` is ``(D,)`` or ``(1, D)``, and
+    ``kl`` maps rows to their ``(n,)`` divergences.  ``kl`` must be zero at
+    ``z0`` and non-decreasing along each ray; flat stretches (where the
+    exact solver clips its log-scales) are allowed.  A row already inside
+    the ball comes back unchanged.  Otherwise the feasible end ``lo`` of a
+    bracket ``[lo, hi]`` on the ray parameter is returned, with ``kl <= eps
+    (1 - 1e-12)``.  The bracket shrinks by Illinois regula falsi on ``log
+    kl`` against ``log t`` -- the KL grows like ``t**2`` near the centre, so
+    that secant is nearly exact -- aimed at the middle of the accepted band,
+    with bisection whenever the secant point leaves the bracket.  It stops
+    once ``kl(lo)`` is within ``1e-12 eps`` of ``eps (1 - 1e-12)``, once
+    ``kl(hi) - kl(lo) <= 1e-10 eps`` (the rounding noise of ``kl`` at small
+    ``eps``), or once ``hi - lo <= 1e-15 hi``.
+
+    The rays are solved together: each secant round steps every open ray in
+    Python scalar math and evaluates ``kl`` once on all their trial points.
+    A ray's iterates do not depend on the other rows, so each row of the
+    result has the bits of the one-row call.
     """
-    k = kl(z)
-    if k <= eps:
+    ks = kl(z).tolist()
+    rays = [i for i, k in enumerate(ks) if not k <= eps]
+    if not rays:
         return z
+    n = len(rays)
+    steps = (z if n == len(z) else z[rays]) - z0
     target = eps * (1.0 - 1e-12)
     floor = eps * (1.0 - 2e-12)
     w_aim = math.log(eps * (1.0 - 1.5e-12))
-    lo, k_lo, w_lo = 0.0, 0.0, -math.inf
-    hi, k_hi, w_hi = 1.0, k, math.log(k)
-    # local exponent of kl in t, used while lo has no finite log-KL
-    power = 2.0
-    side = 0
+    # per ray: the bracket [lo, hi] with its KLs and log-KLs, the local
+    # exponent of kl in t (used while lo has no finite log-KL) and the side
+    # of the last step
+    lo, k_lo, w_lo = [0.0] * n, [0.0] * n, [-math.inf] * n
+    hi, k_hi = [1.0] * n, [ks[i] for i in rays]
+    w_hi = [math.log(k) for k in k_hi]
+    power, side = [2.0] * n, [0] * n
+    open_rays, open_steps = list(range(n)), steps
     for _ in range(100):
-        if k_lo >= floor or k_hi - k_lo <= 1e-10 * eps or hi - lo <= 1e-15 * hi:
+        keep, ts = [], []
+        for p, j in enumerate(open_rays):
+            if k_lo[j] >= floor or k_hi[j] - k_lo[j] <= 1e-10 * eps:
+                continue
+            if hi[j] - lo[j] <= 1e-15 * hi[j]:
+                continue
+            if w_lo[j] > -math.inf:
+                t = hi[j] * (lo[j] / hi[j]) ** ((w_hi[j] - w_aim) / (w_hi[j] - w_lo[j]))
+            else:
+                t = hi[j] * math.exp((w_aim - w_hi[j]) / power[j])
+            if not lo[j] < t < hi[j]:
+                t = 0.5 * (lo[j] + hi[j])
+            keep.append(p)
+            ts.append(t)
+        if not keep:
             break
-        if w_lo > -math.inf:
-            t = hi * (lo / hi) ** ((w_hi - w_aim) / (w_hi - w_lo))
-        else:
-            t = hi * math.exp((w_aim - w_hi) / power)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        k = kl(z0 + t * (z - z0))
-        w = math.log(k) if k > 0.0 else -math.inf
-        if k <= target:
-            if side < 0:
-                w_hi = w_aim + 0.5 * (w_hi - w_aim)
-            lo, k_lo, w_lo, side = t, k, w, -1
-        else:
-            slope = (math.log(k_hi) - w) / math.log(hi / t)
-            if 0.0 < slope < math.inf:
-                power = slope
-            if side > 0 and w_lo > -math.inf:
-                w_lo = w_aim + 0.5 * (w_lo - w_aim)
-            hi, k_hi, w_hi, side = t, k, w, 1
-    return z0 + lo * (z - z0)
+        if len(keep) < len(open_rays):
+            open_rays = [open_rays[p] for p in keep]
+            open_steps = open_steps[keep]
+        ks = kl(z0 + np.array(ts)[:, None] * open_steps).tolist()
+        for j, t, k in zip(open_rays, ts, ks):
+            w = math.log(k) if k > 0.0 else -math.inf
+            if k <= target:
+                if side[j] < 0:
+                    w_hi[j] = w_aim + 0.5 * (w_hi[j] - w_aim)
+                lo[j], k_lo[j], w_lo[j], side[j] = t, k, w, -1
+            else:
+                slope = (math.log(k_hi[j]) - w) / math.log(hi[j] / t)
+                if 0.0 < slope < math.inf:
+                    power[j] = slope
+                if side[j] > 0 and w_lo[j] > -math.inf:
+                    w_lo[j] = w_aim + 0.5 * (w_lo[j] - w_aim)
+                hi[j], k_hi[j], w_hi[j], side[j] = t, k, w, 1
+    projected = z0 + np.array(lo)[:, None] * steps
+    if n == len(z):
+        return projected
+    rows = z.copy()
+    rows[rays] = projected
+    return rows
 
 
 def _backtrack_joint_kl(mu0, theta0, sigma, mu_new, theta_new, eps):
@@ -596,17 +636,20 @@ def _backtrack_joint_kl(mu0, theta0, sigma, mu_new, theta_new, eps):
     radius the scales stay at ``theta0``.  Returns ``(theta, kl_step,
     mean_part, backtracked)``.
     """
-    mean_part = kl_params(mu_new, theta0, mu0, theta0, sigma)
-    joint = kl_params(mu_new, theta_new, mu0, theta0, sigma)
+    mean_part = float(kl_params(mu_new, theta0, mu0, theta0, sigma))
+    joint = float(kl_params(mu_new, theta_new, mu0, theta0, sigma))
     if joint <= eps + 1e-12:
         return theta_new, joint, mean_part, False
     budget = eps - mean_part
     if budget <= 0.0:
         theta = theta0
     else:
-        scale_kl = lambda theta: kl_params(mu0, theta, mu0, theta0, sigma)
-        theta = project_to_ball(scale_kl, theta0, theta_new, budget)
-    return theta, kl_params(mu_new, theta, mu0, theta0, sigma), mean_part, True
+        # one row, against row-shaped constants: the KL's array operations
+        # then need no broadcasting
+        mu_row, theta_row, sigma_row = mu0[None], theta0[None], sigma[None]
+        scale_kl = lambda theta: kl_params(mu_row, theta, mu_row, theta_row, sigma_row)
+        theta = project_to_ball(scale_kl, theta_row, theta_new[None], budget)[0]
+    return theta, float(kl_params(mu_new, theta, mu0, theta0, sigma)), mean_part, True
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ Parts (NumPy and hashlib only; this is a script, not a pytest module):
 
 A change to the exact solver therefore moves ``exact`` alone.
 
-Takes a few minutes on a laptop-class core.
+Takes about two minutes on one core of a 2-core virtual machine.
 """
 
 import dataclasses

@@ -131,6 +131,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[evaluation\] episodes must be >= 1"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # each used to escape load_config as a bare ValueError, so
+            # spgl train died in a traceback
+            ("epsilon = 0.05", "epsilon = 0", r"\[curriculum\] epsilon must be positive"),
+            ("k_contexts = 8", "k_contexts = 1", r"\[curriculum\] k_contexts must be >= 2"),
+            ("k_contexts = 8", "k_contexts = 8\ntheta_min = 1e-9", r"\[curriculum\] theta_min"),
+            ("sigma = 1.0, 1.0", "sigma = 1.0, -1.0", r"\[target\] sigma_tilde_diag entries"),
+            ("[curriculum]", "[learner]\ngamma = 1.5\n[curriculum]", r"\[learner\] gamma must"),
+        ],
+    )
+    def test_rejected_values_are_config_errors(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "bad.ini"
+        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["train", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+
     def test_synthetic_width_is_read(self, tmp_path):
         path = tmp_path / "narrow.ini"
         path.write_text(SYNTH_CONFIG.format(iterations=5, period=1).replace("50.0", "1.5"))

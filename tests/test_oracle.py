@@ -189,31 +189,34 @@ class TestSolveNumeric:
 
 def ray_kl(rng, d, theta_min=1e-6):
     """Step KL around a random centre in the exact solver's (mu, log theta)
-    coordinates, with its clip of log theta to [log theta_min, 50]."""
+    coordinates, with its clip of log theta to [log theta_min, 50]; like the
+    solver's, it takes one point or rows of points."""
     sigma = rng.uniform(0.05, 2.0, d)
     mu0 = rng.normal(size=d)
     theta0 = np.exp(rng.uniform(-3.0, 3.0, d))
     log_theta_min = math.log(theta_min)
 
     def kl(z):
-        theta = np.exp(np.clip(z[d:], log_theta_min, 50.0))
-        return kl_params(z[:d], theta, mu0, theta0, sigma)
+        theta = np.exp(np.clip(z[..., d:], log_theta_min, 50.0))
+        return kl_params(z[..., :d], theta, mu0, theta0, sigma)
 
     return kl, np.concatenate([mu0, np.log(theta0)])
 
 
 def counting(kl):
-    """``kl`` wrapped to record each call in the returned list."""
+    """``kl`` wrapped to record the rows of each call in the returned list,
+    one entry per call."""
     calls = []
 
     def counted(z):
-        calls.append(z)
+        calls.append(len(z))
         return kl(z)
 
     return counted, calls
 
 
 class TestProjectToBall:
+    # KL evaluations per ray, the first one (is the row inside?) included
     MAX_KL_EVALS = 15
 
     def rays(self, rng, d):
@@ -241,14 +244,16 @@ class TestProjectToBall:
             kl, z0 = ray_kl(rng, d)
             for step in self.rays(rng, d):
                 counted, evals = counting(kl)
-                z = z0 + step
+                z = (z0 + step)[None]
                 projected = project_to_ball(counted, z0, z, eps)
+                # one row: one KL evaluation per call
+                assert set(evals) == {1}
                 assert len(evals) <= self.MAX_KL_EVALS
-                if kl(z) <= eps:
-                    assert projected is z
+                if kl(z[0]) <= eps:
+                    assert projected.tobytes() == z.tobytes()
                     continue
                 left += 1
-                k = kl(projected)
+                k = kl(projected[0])
                 assert k <= eps * (1.0 - 1e-12)
                 assert eps - k <= 1e-9 * eps
         assert left > 1000
@@ -258,11 +263,39 @@ class TestProjectToBall:
         for d in (1, 2, 3, 5):
             kl, z0 = ray_kl(rng, d)
             for eps in (1e-6, 1e-3, 1.0):
-                z = z0 + 1e-3 * math.sqrt(eps) * rng.normal(size=2 * d)
-                assert kl(z) <= eps
+                z = z0 + 1e-3 * math.sqrt(eps) * rng.normal(size=(3, 2 * d))
+                assert np.all(kl(z) <= eps)
                 counted, evals = counting(kl)
-                assert project_to_ball(counted, z0, z, eps) is z
-                assert len(evals) == 1
+                projected = project_to_ball(counted, z0, z, eps)
+                assert projected.tobytes() == z.tobytes()
+                assert evals == [3]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+    def test_each_row_has_the_bits_of_the_one_row_call(self, d):
+        # a stack of rays, inside and outside the ball, past both clip
+        # bounds among them, projected in one call: each row matches its
+        # one-row call bit for bit, the call takes one KL evaluation per
+        # round of its slowest ray, and each ray is evaluated as often as
+        # alone, within the per-ray bound
+        rng = np.random.default_rng(200 + d)
+        for _ in range(20):
+            eps = 10.0 ** rng.uniform(-6.0, 0.0)
+            kl, z0 = ray_kl(rng, d)
+            steps = list(self.rays(rng, d))
+            steps.append(1e-4 * math.sqrt(eps) * rng.normal(size=2 * d))
+            z = z0 + np.array(steps)[rng.permutation(len(steps))]
+            counted, evals = counting(kl)
+            projected = project_to_ball(counted, z0, z, eps)
+            per_ray = []
+            for row, batched_row in zip(z, projected):
+                counted_row, evals_row = counting(kl)
+                alone = project_to_ball(counted_row, z0, row[None], eps)
+                assert alone[0].tobytes() == batched_row.tobytes()
+                assert len(evals_row) <= self.MAX_KL_EVALS
+                per_ray.append(len(evals_row))
+            assert len(evals) == max(per_ray)
+            assert sum(evals) == sum(per_ray)
+            assert evals == [sum(n > i for n in per_ray) for i in range(len(evals))]
 
 
 def exact_setting(seed=0, d=2, k=16, width=2.0):
@@ -630,15 +663,15 @@ class TestSolveExactSampled:
     )
     def test_every_trial_point_is_inside_the_ball(self, monkeypatch, mode, eps, width):
         # trial points come only from the ray projection, and the solver
-        # trusts it for the step KL: every projected point, the accepted ones
+        # trusts it for the step KL: every projected row, the accepted ones
         # among them, must satisfy the solver's own step-KL test
         real_project = spgl.oracle.project_to_ball
         kls = []
 
         def checked_project(kl, z0, z, eps):
-            point = real_project(kl, z0, z, eps)
-            kls.append(kl(point))
-            return point
+            points = real_project(kl, z0, z, eps)
+            kls.extend(kl(points).tolist())
+            return points
 
         monkeypatch.setattr(spgl.oracle, "project_to_ball", checked_project)
         dist, target, batch = exact_setting(seed=9, width=width)
@@ -652,14 +685,14 @@ class TestSolveExactSampled:
     def test_objective_is_tested_before_the_sampled_constraint(self, monkeypatch):
         # the objective decides most trial points on their own: the costly
         # sampled performance value is evaluated only for trial points that
-        # lower it, far fewer than the projections that produce them
+        # lower it, far fewer than the projected trial rows
         counts = {"project": 0, "sampled": 0}
         real_project = spgl.oracle.project_to_ball
         real_sampled = spgl.oracle._sampled_value
 
-        def counted_project(*args):
-            counts["project"] += 1
-            return real_project(*args)
+        def counted_project(kl, z0, z, eps):
+            counts["project"] += len(z)
+            return real_project(kl, z0, z, eps)
 
         def counted_sampled(*args):
             counts["sampled"] += 1

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import spgl.update as update_module
-from spgl.gaussian import ContextDistribution, TargetSpec, kl_between, kl_to_target, mean_shift_kl
+from spgl.gaussian import (
+    THETA_MIN,
+    ContextDistribution,
+    TargetSpec,
+    kl_between,
+    kl_to_target,
+    mean_shift_kl,
+)
 from spgl.stats import CurriculumStats, RolloutBatch
 from spgl.update import (
     BOTH_ACTIVE,
@@ -384,6 +391,22 @@ class TestFullUpdate:
         new_dist, report = update(dist, batch, dist.target, config)
         assert report.degenerate
         assert new_dist is dist
+
+    def test_theta_min_below_the_distribution_floor_is_rejected(self):
+        # theta_min = 1e-9 used to be accepted; a performance step on scales
+        # near the floor then built theta below THETA_MIN, and update raised
+        # a ValueError that no caller treats as a failed update
+        with pytest.raises(ValueError, match="theta_min must be >= 1e-06"):
+            CurriculumConfig(epsilon=1.0, v_lower=100.0, theta_min=1e-9)
+        dist = make_dist([0.0, 0.0], [2e-6, 2e-6])
+        rng = np.random.default_rng(0)
+        contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, 2))
+        values = np.exp(-0.5 * np.sum(contexts**2, axis=1) / 1e-6)
+        batch = RolloutBatch(contexts, values, dist)
+        config = CurriculumConfig(epsilon=1.0, v_lower=100.0, k_contexts=16, theta_min=THETA_MIN)
+        new_dist, report = update(dist, batch, dist.target, config)
+        assert report.kind == "performance" and report.theta_backtracked
+        assert np.all(new_dist.theta >= THETA_MIN)
 
     def test_trust_region_respected_over_random_updates(self):
         rng = np.random.default_rng(5)
