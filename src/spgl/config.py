@@ -4,9 +4,8 @@ Sections: ``[experiment]`` (environment, curriculum mode, iteration budget),
 ``[environment]`` (``context_visible``; for the synthetic environment also
 the value bump's ``width``), ``[target]`` and ``[initial]`` (context
 distribution parameters), ``[curriculum]``, ``[learner]`` and
-``[evaluation]``.  A key that a section other than ``[experiment]`` does not
-read is an error, so a misspelt key cannot silently leave its default in
-place.
+``[evaluation]``.  A key that a section does not read is an error, so a
+misspelt key cannot silently leave its default in place.
 
 Shipped presets live in ``spgl/presets``: the two point-mass setups and the
 synthetic convergence run.
@@ -41,8 +40,10 @@ ENVIRONMENT_KEYS = {
     "point_mass": ("context_visible",),
     "synthetic": ("context_visible", "width"),
 }
-# The keys each other checked section reads; any other key is an error.
+# The keys each other section reads; any other key is an error.  The
+# retired [experiment] flag `runnable` is still accepted and ignored.
 SECTION_KEYS = {
+    "experiment": ("name", "environment", "curriculum", "iterations", "seed", "runnable"),
     "target": ("mu", "sigma"),
     "initial": ("mu", "theta"),
     "curriculum": ("epsilon", "v_lower", "k_contexts", "update_period", "theta_min"),

@@ -19,9 +19,9 @@ exact solver in :mod:`spgl.oracle` also uses, applied to the scale part of
 :func:`spgl.gaussian.kl_params`.
 
 The convergence solutions come from a two-constraint KKT case analysis.
-Every returned case carries multipliers, and the case conditions double as
-the KKT certificate; near case boundaries all candidate cases are checked
-and the feasible one with the smaller objective wins.
+Every returned case carries multipliers, and a case is admitted exactly when
+the KKT certificate that ``spgl verify`` applies passes; of the certified
+candidates the one with the smaller objective wins.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "CurriculumConfig",
     "CurriculumError",
     "InfeasiblePerformanceConstraint",
+    "KKT_TOL",
     "MultiplierSolution",
     "UpdateReport",
     "convergence_step",
@@ -61,8 +62,9 @@ __all__ = [
 # Gradient norms below this leave no informative step direction.
 DEGENERATE_NORM = 1e-10
 
-# Absolute slack when evaluating case-selection inequalities.
-CASE_TOL = 1e-10
+# Largest normalised KKT residual that certifies a block solution; a block
+# solver admits a case exactly when its certificate passes at this tolerance.
+KKT_TOL = 1e-8
 
 BOTH_INACTIVE = "both_inactive"
 PERF_ACTIVE = "perf_active"
@@ -185,47 +187,28 @@ def _clip_theta_step(theta, delta, theta_min):
     return theta + scale * delta, scale < 1.0
 
 
-def _value_scale(b, reach, tol):
-    """Scale of the performance constraint ``b + <g, delta> >= 0`` whose best
-    value over the trust region is ``b + reach``; raises when even that point
-    misses the bound."""
-    value_scale = max(1.0, abs(b), reach)
-    if b + reach < -tol * value_scale:
+def _require_reach(b, room):
+    """Raise unless a point strictly inside the trust region meets the bound
+    ``b + <g, delta> >= 0``; ``room = reach**2 - b**2`` with ``reach`` its best
+    gain there (on the edge one point meets it, without KKT multipliers)."""
+    if b < 0.0 and room <= 0.0:
         raise InfeasiblePerformanceConstraint(
-            "no point of the trust region satisfies the performance bound"
+            "no point inside the trust region satisfies the performance bound"
         )
-    return value_scale
 
 
-def _best_case(candidates, measure, objective, eps, tol, value_scale, geom_scale, ball_floor):
-    """The smallest-``objective`` KKT candidate ``(x, lam_perf, lam_ball,
-    case)`` of one convergence block, or None.
+def _certified(residuals):
+    """True when every ``(name, residual)`` pair has its residual within
+    :data:`KKT_TOL` (a ``nan`` residual fails)."""
+    return all(r <= KKT_TOL for _, r in residuals)
 
-    ``measure(x)`` returns the performance slack and the ball value at ``x``.
-    A candidate is admissible when it is primal feasible, its multipliers are
-    dual feasible (the ball multiplier at or above ``ball_floor``: 1 for the
-    mean block's affine multiplier, 0 for the scales) and each positive
-    multiplier's constraint is tight, all within ``tol`` of the problem
-    scales.  When none is admissible the test is retried once at ``100 tol``.
-    """
-    measured = [(candidate, *measure(candidate[0])) for candidate in candidates]
-    for slack in (tol, tol * 100.0):
-        vtol = slack * value_scale
-        gtol = slack * geom_scale
-        admissible = [
-            (x, lam_perf, lam_ball, case)
-            for (x, lam_perf, lam_ball, case), perf, ball in measured
-            if not (
-                perf < -vtol
-                or ball > eps + gtol
-                or lam_perf < -slack
-                or lam_ball < ball_floor - slack
-                or (lam_perf > slack and abs(perf) > vtol)
-                or (lam_ball > ball_floor + slack and abs(ball - eps) > gtol)
-            )
-        ]
-        if admissible:
-            return min(admissible, key=lambda candidate: objective(candidate[0]))
+
+def _best_case(candidates, certificate, objective):
+    """The smallest-``objective`` candidate ``(x, MultiplierSolution)`` of
+    one convergence block whose KKT certificate passes, or None."""
+    for x, solution in sorted(candidates, key=lambda candidate: objective(candidate[0])):
+        if _certified(certificate(x, solution)):
+            return x, solution
     return None
 
 
@@ -281,7 +264,7 @@ def performance_step(
 # convergence step
 
 
-def solve_mu_block(dist, target, stats, eps, v_lower, tol=CASE_TOL):
+def solve_mu_block(dist, target, stats, eps, v_lower):
     """Minimize the (quadratic) distance to the target mean inside the trust
     region, subject to the linearized performance constraint.
 
@@ -292,52 +275,50 @@ def solve_mu_block(dist, target, stats, eps, v_lower, tol=CASE_TOL):
     a = target.mu_tilde - dist.mu
     b = stats.v_bar - v_lower
 
-    norm_a_sq = float(np.sum(a**2 * precision))
-    norm_u_sq = float(np.sum(u**2 * precision))
-    inner_ua = float(np.sum(u * a * precision))
-    value_scale = _value_scale(b, math.sqrt(2.0 * eps * norm_u_sq), tol)
+    norm_a_sq = float(np.add.reduce(a**2 * precision))
+    norm_u_sq = float(np.add.reduce(u**2 * precision))
+    inner_ua = float(np.add.reduce(u * a * precision))
+    denom = 2.0 * eps * norm_u_sq - b * b
+    _require_reach(b, denom)
 
-    candidates = [(np.array(target.mu_tilde, dtype=float, copy=True), 0.0, 1.0, BOTH_INACTIVE)]
+    candidates = [
+        (np.array(target.mu_tilde, dtype=float, copy=True), MultiplierSolution(0.0, 1.0, BOTH_INACTIVE))
+    ]
     if norm_u_sq > DEGENERATE_NORM**2:
         lam1 = -(b + inner_ua) / norm_u_sq
-        candidates.append((target.mu_tilde + lam1 * u, lam1, 1.0, PERF_ACTIVE))
+        candidates.append((target.mu_tilde + lam1 * u, MultiplierSolution(lam1, 1.0, PERF_ACTIVE)))
     if norm_a_sq > DEGENERATE_NORM**2:
         lam2 = math.sqrt(norm_a_sq / (2.0 * eps))
-        candidates.append((dist.mu + a / lam2, 0.0, lam2, PROXIMITY_ACTIVE))
+        candidates.append((dist.mu + a / lam2, MultiplierSolution(0.0, lam2, PROXIMITY_ACTIVE)))
     if norm_u_sq > DEGENERATE_NORM**2:
-        denom = 2.0 * eps * norm_u_sq - b * b
         numer = max(norm_a_sq * norm_u_sq - inner_ua**2, 0.0)
         if denom > 0.0 and numer > 0.0:
             lam2 = math.sqrt(numer / denom)
             if lam2 > DEGENERATE_NORM:
                 lam1 = -(lam2 * b + inner_ua) / norm_u_sq
-                candidates.append((dist.mu + (a + lam1 * u) / lam2, lam1, lam2, BOTH_ACTIVE))
-
-    def measure(mu_new):
-        delta = mu_new - dist.mu
-        return b + float(np.sum(u * delta * precision)), 0.5 * float(np.sum(delta**2 * precision))
+                candidates.append(
+                    (dist.mu + (a + lam1 * u) / lam2, MultiplierSolution(lam1, lam2, BOTH_ACTIVE))
+                )
 
     def objective(mu_new):
-        return 0.5 * float(np.sum((mu_new - target.mu_tilde) ** 2 * precision))
+        return 0.5 * float(np.add.reduce((mu_new - target.mu_tilde) ** 2 * precision))
 
-    geom_scale = max(1.0, norm_a_sq, 2.0 * eps)
-    best = _best_case(candidates, measure, objective, eps, tol, value_scale, geom_scale, 1.0)
+    best = _best_case(candidates, _mu_certificate(dist, target, stats, eps, v_lower), objective)
     if best is None:
         raise CurriculumError("no KKT case matched the mean subproblem")
-    mu_new, lam1, lam2, case = best
-    return np.asarray(mu_new, dtype=float), MultiplierSolution(lam1, lam2, case)
+    return best
 
 
-def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
+def solve_theta_block(dist, stats, eps, v_lower, theta_min):
     """Descend the KL-to-target gradient in ``theta`` inside the trust region,
     subject to the linearized performance constraint.
 
     The KKT cases of the linearized problem produce the constrained descent
     step.  Jumping straight to scales of one (the target scale, where both
-    constraints sit inactive) is taken instead whenever it is feasible and
-    serves the true convergence objective at least as well; near the target
-    this pins the scales at exactly one.  Returns
-    ``(theta_new, MultiplierSolution, backtracked)``.
+    constraints sit inactive) is taken instead whenever the certificate
+    admits it as that case and it serves the true convergence objective at
+    least as well; near the target this pins the scales at exactly one.
+    Returns ``(theta_new, MultiplierSolution, backtracked)``.
     """
     theta = dist.theta
     h_inv = theta**2
@@ -345,17 +326,11 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
     omega = stats.omega
     b = stats.v_bar - v_lower
 
-    norm_om_sq = float(np.sum(omega**2 * h_inv))
-    norm_psi_sq = float(np.sum(psi**2 * h_inv))
-    inner_po = float(np.sum(psi * omega * h_inv))
-    value_scale = _value_scale(b, 2.0 * math.sqrt(eps * norm_psi_sq), tol)
-    geom_scale = max(1.0, eps)
-    ones = np.ones_like(theta)
-
-    def jump_feasible(slack):
-        ball_ok = 0.25 * float(np.sum((ones - theta) ** 2 / h_inv)) <= eps + slack * geom_scale
-        perf_ok = b + float(np.sum(psi * (ones - theta))) >= -slack * value_scale
-        return ball_ok and perf_ok
+    norm_om_sq = float(np.add.reduce(omega**2 * h_inv))
+    norm_psi_sq = float(np.add.reduce(psi**2 * h_inv))
+    inner_po = float(np.add.reduce(psi * omega * h_inv))
+    denom = 4.0 * eps * norm_psi_sq - b * b
+    _require_reach(b, denom)
 
     def kl_score(theta_vec):
         """KL to the target as a function of the scales (mean held at its
@@ -370,55 +345,57 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min, tol=CASE_TOL):
     norm_om = math.sqrt(norm_om_sq)
     if norm_om >= DEGENERATE_NORM:
         lam4 = norm_om / (2.0 * math.sqrt(eps))
-        candidates.append((theta - h_inv * omega / lam4, 0.0, lam4, PROXIMITY_ACTIVE))
+        candidates.append(
+            (theta - h_inv * omega / lam4, MultiplierSolution(0.0, lam4, PROXIMITY_ACTIVE))
+        )
         if norm_psi_sq > DEGENERATE_NORM**2:
-            # Performance face active with the trust region slack.  This
-            # needs the objective gradient colinear with the constraint
-            # normal, which is generic in one dimension; the canonical point
-            # is the metric projection of the center onto the face.
+            # Performance face active with the trust region slack: the metric
+            # projection of the center onto the face.  It is a KKT point only
+            # when omega is colinear with psi_bar (generic in one dimension);
+            # the stationarity residual decides.
             lam3 = inner_po / norm_psi_sq
-            residual = omega - lam3 * psi
-            residual_sq = float(np.sum(residual**2 * h_inv))
-            if math.sqrt(residual_sq) <= 1e-9 * max(norm_om, 1.0):
-                candidates.append((theta - b * h_inv * psi / norm_psi_sq, lam3, 0.0, PERF_ACTIVE))
-            denom = 4.0 * eps * norm_psi_sq - b * b
-            # ||omega||^2 ||psi||^2 - <psi, omega>^2 written through the
-            # residual: the difference form cancels when omega is nearly
-            # parallel to psi_bar, and the ball then misses eps.
-            numer = norm_psi_sq * residual_sq
+            face = theta - b * h_inv * psi / norm_psi_sq
+            candidates.append((face, MultiplierSolution(lam3, 0.0, PERF_ACTIVE)))
             if denom > 0.0:
-                lam4 = math.sqrt(numer / denom)
+                # Both active: leave the face along omega's metric-orthogonal
+                # residual (orthogonalised twice), so the performance slack
+                # holds to rounding however nearly omega is parallel to psi_bar.
+                residual = omega - lam3 * psi
+                residual -= float(np.add.reduce(psi * residual * h_inv)) / norm_psi_sq * psi
+                lam4 = math.sqrt(norm_psi_sq * float(np.add.reduce(residual**2 * h_inv)) / denom)
                 if lam4 > DEGENERATE_NORM:
                     lam3 = (inner_po - lam4 * b) / norm_psi_sq
                     candidates.append(
-                        (theta + h_inv * (lam3 * psi - omega) / lam4, lam3, lam4, BOTH_ACTIVE)
+                        (face - h_inv * residual / lam4, MultiplierSolution(lam3, lam4, BOTH_ACTIVE))
                     )
     else:
         # Zero objective gradient: any feasible point is optimal; stay.
-        candidates.append((np.array(theta, dtype=float, copy=True), 0.0, 0.0, PROXIMITY_ACTIVE))
-
-    def measure(theta_new):
-        delta = theta_new - theta
-        return b + float(np.sum(psi * delta)), 0.25 * float(np.sum(delta**2 / h_inv))
+        candidates.append(
+            (np.array(theta, dtype=float, copy=True), MultiplierSolution(0.0, 0.0, PROXIMITY_ACTIVE))
+        )
 
     def objective(theta_new):
-        return float(np.sum(omega * (theta_new - theta)))
+        return float(np.add.reduce(omega * (theta_new - theta)))
 
-    best = _best_case(candidates, measure, objective, eps, tol, value_scale, geom_scale, 0.0)
+    certificate = _theta_certificate(dist, stats, eps, v_lower)
+    ones = np.ones_like(theta)
+    jump = MultiplierSolution(0.0, 0.0, BOTH_INACTIVE)
+    jump_certified = _certified(certificate(ones, jump))
+    best = _best_case(candidates, certificate, objective)
     if best is None:
-        if jump_feasible(tol * 100.0):
-            return ones, MultiplierSolution(0.0, 0.0, BOTH_INACTIVE), False
+        if jump_certified:
+            return ones, jump, False
         raise CurriculumError("no KKT case matched the scale subproblem")
-    theta_new, lam3, lam4, case = best
-    theta_new, backtracked = _clip_theta_step(theta, np.asarray(theta_new) - theta, theta_min)
+    theta_new, solution = best
+    theta_new, backtracked = _clip_theta_step(theta, theta_new - theta, theta_min)
 
-    # Jumping straight to the target scale is allowed whenever it is feasible
-    # AND it serves the convergence objective at least as well as the
+    # Jumping straight to the target scale is allowed whenever it is certified
+    # (feasible) AND it serves the convergence objective at least as well as the
     # constrained descent step; the comparison uses the true KL, which the
     # linear model cannot rank (it would always prefer the boundary).
-    if jump_feasible(tol) and kl_score(ones) <= kl_score(theta_new):
-        return ones, MultiplierSolution(0.0, 0.0, BOTH_INACTIVE), False
-    return theta_new, MultiplierSolution(lam3, lam4, case), backtracked
+    if jump_certified and kl_score(ones) <= kl_score(theta_new):
+        return ones, jump, False
+    return theta_new, solution, backtracked
 
 
 def convergence_step(
@@ -468,35 +445,82 @@ def convergence_step(
 # KKT certificates (shared by tests and the verify suite)
 
 
+def _mu_certificate(dist, target, stats, eps, v_lower):
+    """The mean block's KKT certificate, with the block's constants computed
+    once: a function of ``(mu_new, solution)`` yielding the ``(name,
+    residual)`` pairs of :func:`mu_kkt_residuals`, the primal ones first so
+    that an admission test can stop at the first failure."""
+    precision = _mean_precision(dist)
+    u = stats.u_bar
+    b = stats.v_bar - v_lower
+    u_metric = u * precision
+    u_scale = float(np.maximum.reduce(np.abs(u_metric)))
+    value_scale = max(1.0, abs(b))
+    geom_scale = max(1.0, eps)
+
+    def residuals(mu_new, solution):
+        lam1, lam2 = solution.lambda_perf, solution.lambda_ball
+        delta = mu_new - dist.mu
+        delta_metric = delta * precision
+        perf = b + float(np.add.reduce(u * delta_metric))
+        yield "primal_perf", max(0.0, -perf) / value_scale
+        ball = 0.5 * float(np.add.reduce(delta * delta_metric))
+        yield "primal_ball", max(0.0, ball - eps) / geom_scale
+        yield "dual", max(0.0, -lam1) + max(0.0, 1.0 - lam2)
+        grad = (mu_new - target.mu_tilde) * precision
+        stationarity = grad - lam1 * u_metric + (lam2 - 1.0) * delta_metric
+        scale = max(1.0, float(np.maximum.reduce(np.abs(grad))), u_scale * max(lam1, 1.0))
+        yield "stationarity", float(np.maximum.reduce(np.abs(stationarity))) / scale
+        yield "slack_perf", abs(lam1 * perf) / (value_scale * max(lam1, 1.0))
+        yield "slack_ball", abs((lam2 - 1.0) * (ball - eps)) / (geom_scale * max(lam2, 1.0))
+
+    return residuals
+
+
+def _theta_certificate(dist, stats, eps, v_lower):
+    """The scale block's KKT certificate, with the block's constants computed
+    once: a function of ``(theta_new, solution)`` yielding the ``(name,
+    residual)`` pairs of :func:`theta_kkt_residuals`, the primal ones first
+    so that an admission test can stop at the first failure."""
+    theta = dist.theta
+    h_diag = 1.0 / theta**2
+    psi = stats.psi_bar
+    omega = stats.omega
+    b = stats.v_bar - v_lower
+    omega_scale = max(1.0, float(np.maximum.reduce(np.abs(omega))))
+    psi_scale = float(np.maximum.reduce(np.abs(psi)))
+    value_scale = max(1.0, abs(b))
+    geom_scale = max(1.0, eps)
+
+    def residuals(theta_new, solution):
+        lam3, lam4 = solution.lambda_perf, solution.lambda_ball
+        delta = theta_new - theta
+        perf = b + float(np.add.reduce(psi * delta))
+        yield "primal_perf", max(0.0, -perf) / value_scale
+        delta_metric = h_diag * delta
+        ball = 0.25 * float(np.add.reduce(delta * delta_metric))
+        yield "primal_ball", max(0.0, ball - eps) / geom_scale
+        yield "dual", max(0.0, -lam3) + max(0.0, -lam4)
+        if solution.active_case == BOTH_INACTIVE:
+            yield from (("stationarity", 0.0), ("slack_perf", 0.0), ("slack_ball", 0.0))
+            return
+        stationarity = omega - lam3 * psi + lam4 * delta_metric
+        scale = max(omega_scale, psi_scale * max(lam3, 1.0))
+        yield "stationarity", float(np.maximum.reduce(np.abs(stationarity))) / scale
+        yield "slack_perf", abs(lam3 * perf) / (value_scale * max(lam3, 1.0))
+        yield "slack_ball", abs(lam4 * (ball - eps)) / (geom_scale * max(lam4, 1.0))
+
+    return residuals
+
+
 def mu_kkt_residuals(dist, target, stats, eps, v_lower, mu_new, solution):
     """Residuals of the mean-block KKT system at a candidate solution.
 
     Returns a dict of nonnegative residuals (stationarity, primal, dual,
-    complementary slackness), each normalized by the problem scale.
+    complementary slackness), each normalized by the problem scale; the case
+    is certified when each is at most :data:`KKT_TOL`.
     """
-    precision = _mean_precision(dist)
-    u = stats.u_bar
-    delta = mu_new - dist.mu
-    b = stats.v_bar - v_lower
-    lam1, lam2 = solution.lambda_perf, solution.lambda_ball
-
-    grad = (mu_new - target.mu_tilde) * precision
-    stationarity = grad - lam1 * u * precision + (lam2 - 1.0) * delta * precision
-    scale = max(1.0, float(np.max(np.abs(grad))), float(np.max(np.abs(u * precision)) * max(lam1, 1.0)))
-
-    perf = b + float(np.sum(u * delta * precision))
-    ball = 0.5 * float(np.sum(delta**2 * precision))
-    value_scale = max(1.0, abs(b))
-    geom_scale = max(1.0, eps)
-
-    return {
-        "stationarity": float(np.max(np.abs(stationarity))) / scale,
-        "primal_perf": max(0.0, -perf) / value_scale,
-        "primal_ball": max(0.0, ball - eps) / geom_scale,
-        "dual": max(0.0, -lam1) + max(0.0, 1.0 - lam2),
-        "slack_perf": abs(lam1 * perf) / (value_scale * max(lam1, 1.0)),
-        "slack_ball": abs((lam2 - 1.0) * (ball - eps)) / (geom_scale * max(lam2, 1.0)),
-    }
+    return dict(_mu_certificate(dist, target, stats, eps, v_lower)(np.asarray(mu_new), solution))
 
 
 def theta_kkt_residuals(dist, stats, eps, v_lower, theta_new, solution):
@@ -506,36 +530,7 @@ def theta_kkt_residuals(dist, stats, eps, v_lower, theta_new, solution):
     both constraints alone; the multiplier cases additionally satisfy the
     stationarity and slackness conditions of the linearized problem.
     """
-    theta = dist.theta
-    h_diag = 1.0 / theta**2
-    psi = stats.psi_bar
-    omega = stats.omega
-    delta = np.asarray(theta_new) - theta
-    b = stats.v_bar - v_lower
-    lam3, lam4 = solution.lambda_perf, solution.lambda_ball
-
-    perf = b + float(np.sum(psi * delta))
-    ball = 0.25 * float(np.sum(delta**2 * h_diag))
-    value_scale = max(1.0, abs(b))
-    geom_scale = max(1.0, eps)
-
-    residuals = {
-        "primal_perf": max(0.0, -perf) / value_scale,
-        "primal_ball": max(0.0, ball - eps) / geom_scale,
-        "dual": max(0.0, -lam3) + max(0.0, -lam4),
-    }
-    if solution.active_case == BOTH_INACTIVE:
-        residuals["stationarity"] = 0.0
-        residuals["slack_perf"] = 0.0
-        residuals["slack_ball"] = 0.0
-        return residuals
-
-    stationarity = omega - lam3 * psi + lam4 * h_diag * delta
-    scale = max(1.0, float(np.max(np.abs(omega))), float(np.max(np.abs(psi)) * max(lam3, 1.0)))
-    residuals["stationarity"] = float(np.max(np.abs(stationarity))) / scale
-    residuals["slack_perf"] = abs(lam3 * perf) / (value_scale * max(lam3, 1.0))
-    residuals["slack_ball"] = abs(lam4 * (ball - eps)) / (geom_scale * max(lam4, 1.0))
-    return residuals
+    return dict(_theta_certificate(dist, stats, eps, v_lower)(np.asarray(theta_new), solution))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .oracle import LinearizedSubproblem, numerical_update, solve_numeric
 from .stats import CurriculumStats, RolloutBatch, compute_stats
 from .update import (
     BOTH_INACTIVE,
+    KKT_TOL,
     CurriculumConfig,
     mu_kkt_residuals,
     performance_step,
@@ -35,7 +36,6 @@ __all__ = ["VerifyReport", "run_fd_suite", "run_oracle_suite", "run_timing_suite
 
 DIMENSIONS = (1, 2, 3, 5)
 PARAM_RTOL = 1e-6
-KKT_TOL = 1e-8
 FD_RTOL = 1e-4
 FD_STEP = 1e-5
 

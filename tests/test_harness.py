@@ -123,6 +123,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown \[curriculum\] key 'k_context'"):
             load_config(path)
 
+    def test_unknown_experiment_keys_rejected(self, tmp_path):
+        # a misspelt iterations used to be dropped silently, running 200
+        path = tmp_path / "typo.ini"
+        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        path.write_text(text.replace("iterations = 5", "iteration = 5"))
+        with pytest.raises(ConfigError, match=r"unknown \[experiment\] key 'iteration'"):
+            load_config(path)
+
+    def test_retired_runnable_flag_is_ignored(self, tmp_path):
+        path = tmp_path / "old.ini"
+        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        path.write_text(text.replace("seed = 3", "seed = 3\nrunnable = true"))
+        assert load_config(path).iterations == 5
+
     @pytest.mark.parametrize("episodes", [0, -2])
     def test_evaluation_episodes_must_be_positive(self, tmp_path, episodes):
         path = tmp_path / "none.ini"
