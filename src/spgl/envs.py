@@ -12,16 +12,22 @@ Two environments live here:
   observations, which removes policy noise entirely and makes curriculum
   behaviour observable in isolation.
 
-Both run ``K`` episodes at once, one row each, behind one batched protocol:
+Both run ``K`` episodes at once, one column each, behind one batched
+protocol:
 
-* ``reset(contexts) -> state``, a fresh array of shape ``(K, S)``;
-* ``observe(state) -> observations``, shape ``(K, n)``;
-* ``step(state, actions, t) -> (state, rewards, terminated, success)``.
+* ``reset(contexts) -> state``: ``contexts`` has shape ``(K, d)``, one row
+  per episode, and ``state`` is a fresh array of shape ``(S, K)``;
+* ``observe(state) -> observations``, shape ``(n, K)``;
+* ``step(state, actions, t) -> (state, rewards, terminated, success)`` with
+  ``actions`` of shape ``(A, K)`` and the other three of shape ``(K,)``.
 
-``step`` returns a fresh state array and never writes to its ``state`` or
-``actions`` arguments.  The context is part of the state, so a caller that
-stops finished rows freezes the whole state with a single masked copy.  Rows
-never interact: stepping a batch equals stepping each row alone, bit for bit.
+State, observations and actions are column-major: component ``j`` of every
+episode is the contiguous row ``j``, so each elementwise NumPy call of a
+step runs along one contiguous row of ``K`` values.  ``step`` returns fresh
+arrays, which the caller may modify, and never writes to its ``state`` or
+``actions`` arguments.  The context is part of the state.  Episodes never
+interact: stepping a batch equals stepping each column alone, bit for bit,
+so a finished episode can keep being stepped without touching the others.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ class PointMassEnv:
 
     The wall sits at ``y = 0`` across the whole arena except the open gate
     interval.  Crossing the wall plane outside the gate terminates the episode
-    with a penalty.  The start and goal are context-independent.  A state row
-    is ``[x, y, vx, vy, *clamped context]``.
+    with a penalty.  The start and goal are context-independent.  A state
+    column is ``[x, y, vx, vy, *clamped context]``.
     """
 
     context_dim = 3
@@ -76,7 +82,7 @@ class PointMassEnv:
         self.context_visible = bool(context_visible)
         limit = self.params.arena_half_width
         scale = [limit, limit, 5.0, 5.0, 4.0, 4.0, 2.0]
-        self._observation_scale = np.array(scale[: self.observation_dim])
+        self._observation_scale = np.array(scale[: self.observation_dim])[:, None]
         self._goal = np.array(self.params.goal)[:, None]
 
     @property
@@ -100,65 +106,75 @@ class PointMassEnv:
     def reset(self, contexts: np.ndarray) -> np.ndarray:
         """Start states: the fixed start at rest, then the clamped context."""
         contexts = self.clamp_contexts(contexts)
-        kinematics = np.tile(np.array([*self.params.start, 0.0, 0.0]), (contexts.shape[0], 1))
-        return np.concatenate([kinematics, contexts], axis=1)
+        state = np.empty((4 + self.context_dim, contexts.shape[0]))
+        state[0:4] = np.array([*self.params.start, 0.0, 0.0])[:, None]
+        state[4:] = contexts.T
+        return state
 
     def observe(self, state: np.ndarray) -> np.ndarray:
         """Policy observations, normalized to O(1) ranges."""
-        return state[:, : self.observation_dim] / self._observation_scale
+        return state[: self.observation_dim] / self._observation_scale
 
     def step(self, state: np.ndarray, actions: np.ndarray, t: int):
-        """One transition of every row; out-of-range actions are clipped."""
+        """One transition of every column; out-of-range actions are clipped."""
         p = self.params
         limit = p.arena_half_width
-        actions = np.minimum(np.maximum(actions, -p.action_limit), p.action_limit)
-        # ``old`` is the state transposed and ``kin`` holds the new x, y, vx
-        # and vy as contiguous rows, so each NumPy call runs along columns
-        old = state.T
-        kin = np.empty((4, state.shape[0]))
-        new_pos, new_vel = kin[0:2], kin[2:4]
+        # rows 0-1 end as the gap to the goal and rows 2-3 hold the clipped
+        # actions, so one squaring and one sum of row pairs give |gap|^2 and
+        # |action|^2
+        work = np.empty((4, state.shape[1]))
+        clipped_actions = work[2:4]
+        np.maximum(actions, -p.action_limit, out=clipped_actions)
+        np.minimum(clipped_actions, p.action_limit, out=clipped_actions)
+        new_state = state.copy()
+        pos, vel = state[0:2], state[2:4]
+        new_pos, new_vel = new_state[0:2], new_state[2:4]
         # new_vel = vel + dt * (actions - friction * vel); new_pos = pos + dt * new_vel
-        np.multiply(old[6], old[2:4], out=new_vel)
-        np.subtract(actions.T, new_vel, out=new_vel)
+        np.multiply(state[6], vel, out=new_vel)
+        np.subtract(clipped_actions, new_vel, out=new_vel)
         new_vel *= p.dt
-        new_vel += old[2:4]
+        new_vel += vel
         np.multiply(p.dt, new_vel, out=new_pos)
-        new_pos += old[0:2]
+        new_pos += pos
 
         # wall crossing at y = 0, interpolated along the step segment
-        x, y, new_x, new_y = old[0], old[1], kin[0], kin[1]
-        crossed = ((y > 0.0) != (new_y > 0.0)).nonzero()[0]
+        crossed = ((state[1] > 0.0) != (new_state[1] > 0.0)).nonzero()[0]
         if crossed.size:
-            x_old, y_old = x[crossed], y[crossed]
-            x_cross = x_old + (new_x[crossed] - x_old) * (y_old / (y_old - new_y[crossed]))
-            in_gate = np.abs(x_cross - old[4, crossed]) <= 0.5 * old[5, crossed]
-            crash, x_crash = crossed[~in_gate], x_cross[~in_gate]
+            x_old, y_old, _, _, gate_x, gate_width, _ = state[:, crossed]
+            x_new, y_new = new_pos[:, crossed]
+            x_cross = x_old + (x_new - x_old) * (y_old / (y_old - y_new))
+            outside = ~(np.abs(x_cross - gate_x) <= 0.5 * gate_width)
+            crash, x_crash = crossed[outside], x_cross[outside]
         else:
-            crash = crossed  # no row crossed, so none crashed
+            crash = crossed  # no column crossed, so none crashed
 
-        # arena walls only stop motion, they do not end the episode
-        clipped = np.minimum(np.maximum(new_pos, -limit), limit)
-        new_vel[new_pos != clipped] = 0.0
-        new_pos[...] = clipped
+        # arena walls only stop motion, they do not end the episode; the
+        # clip is skipped when every position is inside (nan is not)
+        if np.count_nonzero(np.abs(new_pos) <= limit) < new_pos.size:
+            clipped = np.minimum(np.maximum(new_pos, -limit), limit)
+            new_vel[new_pos != clipped] = 0.0
+            new_pos[...] = clipped
         if crash.size:
-            new_x[crash] = x_crash
-            new_y[crash] = 0.0
+            new_state[0, crash] = x_crash
+            new_state[1, crash] = 0.0
             new_vel[:, crash] = 0.0
 
-        gap = new_pos - self._goal
-        gap *= gap
-        dist = np.sqrt(gap[0] + gap[1])
+        np.subtract(new_pos, self._goal, out=work[0:2])
+        work *= work
+        dist, cost = np.add(work[0::2], work[1::2])
+        np.sqrt(dist, out=dist)
         success = dist < p.success_radius
-        actions *= actions
-        reward = np.exp(-dist) - p.action_cost * (actions[:, 0] + actions[:, 1])
+        cost *= p.action_cost
+        reward = np.negative(dist, out=work[0])
+        np.exp(reward, out=reward)
+        reward -= cost
         terminated = success.copy() if t + 1 < p.horizon else np.ones_like(success)
         if crash.size:
             success[crash] = False
             reward[crash] += p.crash_penalty
             terminated[crash] = True
-        reward[success] += p.success_bonus
-        new_state = state.copy()
-        new_state.T[0:4] = kin
+        if np.count_nonzero(success):
+            reward[success] += p.success_bonus
         return new_state, reward, terminated, success
 
 
@@ -179,7 +195,7 @@ class SyntheticEnv:
     """Analytic one-step environment: the episode return is a known bump
     function of the context, and there is nothing to act on or observe.  An
     episode counts as a success when its return reaches half the peak.  A
-    state row is the context itself."""
+    state column is the context itself."""
 
     action_dim = 0
     observation_dim = 0
@@ -203,12 +219,14 @@ class SyntheticEnv:
         return 0.5 * self.peak
 
     def reset(self, contexts: np.ndarray) -> np.ndarray:
-        return np.array(contexts, dtype=float, ndmin=2)
+        return np.array(contexts, dtype=float, ndmin=2).T.copy()
 
     def observe(self, state: np.ndarray) -> np.ndarray:
-        return np.zeros((state.shape[0], 0))
+        return np.zeros((0, state.shape[1]))
 
     def step(self, state: np.ndarray, actions: np.ndarray, t: int):
-        values = synthetic_value(state, self.difficulty_center, self.width, self.peak)
-        done = np.ones(state.shape[0], dtype=bool)
+        # one contiguous context row per episode, so each sum over the
+        # context runs as it does for that context alone
+        values = synthetic_value(state.T.copy(), self.difficulty_center, self.width, self.peak)
+        done = np.ones(state.shape[1], dtype=bool)
         return state.copy(), values, done, values >= self.success_threshold

@@ -82,18 +82,20 @@ def _upper_pairs(n: int):
 
 
 def policy_features(observations: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Degree-<=2 polynomial features of ``(k, n)`` observations: constant,
-    linear and pairwise terms, shape ``(k, F)``, written into ``out`` when
-    given."""
+    """Degree-<=2 polynomial features of ``(n, k)`` observations, one column
+    per episode as ``observe`` returns them: constant, linear and pairwise
+    terms, shape ``(k, F)``, written into ``out`` when given."""
     obs = np.asarray(observations, dtype=float)
-    k, n = obs.shape
+    n, k = obs.shape
     iu, ju = _upper_pairs(n)
     if out is None:
         out = np.empty((k, feature_dim(n)))
-    out[:, 0] = 1.0
-    out[:, 1 : n + 1] = obs
-    # pairs gathered as rows of the transpose: long inner loops for NumPy
-    np.multiply(obs.T[iu], obs.T[ju], out=out[:, n + 1 :].T)
+    # built as contiguous rows of one (F, k) array, then transposed once
+    columns = np.empty((out.shape[1], k))
+    columns[0] = 1.0
+    columns[1 : n + 1] = obs
+    np.multiply(obs.take(iu, axis=0), obs.take(ju, axis=0), out=columns[n + 1 :])
+    out[...] = columns.T
     return out
 
 
@@ -106,17 +108,25 @@ def init_policy(observation_dim: int, action_dim: int = 2, noise: float = 0.8) -
 
 
 def _rollout_noise(policies, master_seeds, iteration: int, k: int, horizon: int, action_dim: int):
-    """Scaled exploration noise of every episode, shape ``(R, K, T, A)``.
+    """Scaled exploration noise of every episode, laid out for the rollout
+    loop: shape ``(T, A, R * K)``, so step ``t`` reads one contiguous
+    ``(A, R * K)`` block.
 
     Run ``r`` draws ``standard_normal((K, T, A))`` from one generator,
     ``default_rng([master_seeds[r], iteration, 1])``; row ``i`` is episode
-    ``i``.  The trailing ``1`` tags the noise streams: ``SeedSequence`` pads
-    keys with zeros, so no noise key equals a context key such as
-    ``[seed, 0]`` (training) or ``[seed, 10_000]`` (evaluation)."""
-    noise = np.empty((len(policies), k, horizon, action_dim))
-    for policy, seed, out in zip(policies, master_seeds, noise):
-        np.random.default_rng([seed, iteration, 1]).standard_normal(out=out)
-        out *= policy.action_noise
+    ``i``, column ``r * K + i`` of the block.  The trailing ``1`` tags the
+    noise streams: ``SeedSequence`` pads keys with zeros, so no noise key
+    equals a context key such as ``[seed, 0]`` (training) or
+    ``[seed, 10_000]`` (evaluation)."""
+    noise = np.empty((horizon, action_dim, len(policies) * k))
+    for r, (policy, seed) in enumerate(zip(policies, master_seeds)):
+        draws = np.random.default_rng([seed, iteration, 1]).standard_normal((k, horizon, action_dim))
+        # scale and transpose in one pass, as (T * A, K) rows
+        np.multiply(
+            draws.reshape(k, horizon * action_dim).T,
+            np.tile(policy.action_noise, horizon)[:, None],
+            out=noise.reshape(horizon * action_dim, len(policies) * k)[:, r * k : (r + 1) * k],
+        )
     return noise
 
 
@@ -153,8 +163,9 @@ def collect_rollouts(
     iteration: int,
     deterministic: bool = False,
 ) -> list[Episodes]:
-    """One episode per context for each of R runs, all ``R * K`` rows stepped
-    together until every row is done; returns one :class:`Episodes` per run.
+    """One episode per context for each of R runs, all ``R * K`` episodes
+    stepped together until every one is done; returns one :class:`Episodes`
+    per run.
 
     ``policies`` holds one policy per run, ``contexts`` has shape
     ``(R, K, d)`` and ``master_seeds`` one non-negative integer seed per run.
@@ -167,6 +178,16 @@ def collect_rollouts(
     stepped alone, so a run's episodes do not depend on the other runs, the
     other rows of its batch or the execution order.  With ``deterministic``
     the mean action is executed (evaluation mode) and no noise is drawn.
+
+    The environment sees one column-major batch: an ``(S, R * K)`` state,
+    ``(n, R * K)`` observations and ``(A, R * K)`` actions, column
+    ``r * K + i`` for episode ``i`` of run ``r``.  The histories are written
+    in place each step, features as the rows the action product reads and
+    actions as the rows whose transpose the environment steps.  Finished
+    episodes keep being stepped, as columns never interact: their returns,
+    lengths and successes are masked, their histories zeroed after the
+    loop, so their states are never read.  While every episode is alive the
+    masks are skipped.
     """
     contexts = np.asarray(contexts, dtype=float)
     if contexts.ndim != 3 or not len(policies) == len(master_seeds) == contexts.shape[0]:
@@ -189,42 +210,48 @@ def collect_rollouts(
 
     state = env.reset(contexts.reshape(rows, d))
     alive = np.ones(rows, dtype=bool)
+    n_alive = rows
     values = np.zeros(rows)
     discount = 1.0
     lengths = np.zeros(rows, dtype=int)
     successes = np.zeros(rows, dtype=bool)
-    feats = np.empty((rows, n_features))
-    feats_hist = np.zeros((rows, horizon, n_features))
-    actions_hist = np.zeros((rows, horizon, action_dim))
+    feats_hist = np.zeros((runs, k, horizon, n_features))
+    actions_hist = np.zeros((runs, k, horizon, action_dim))
+    feats_rows = feats_hist.reshape(rows, horizon, n_features)
+    actions_rows = actions_hist.reshape(rows, horizon, action_dim)
 
     # every row's histories are written at every step; the steps after a
     # row finished are zeroed once after the loop
     for t in range(horizon):
-        if not alive.any():
-            break
-        policy_features(env.observe(state), out=feats)
-        actions = np.matmul(feats.reshape(runs, k, n_features), weights_t)
+        policy_features(env.observe(state), out=feats_rows[:, t])
+        np.matmul(feats_hist[:, :, t], weights_t, out=actions_hist[:, :, t])
+        actions = actions_rows[:, t].T
         if noise is not None:
-            actions += noise[:, :, t]
-        actions = actions.reshape(rows, action_dim)
-        new_state, rewards, terminated, success = env.step(state, actions, t)
-        np.copyto(state, new_state, where=alive[:, None])
-        np.add(values, discount * rewards, out=values, where=alive)
-        feats_hist[:, t] = feats
-        actions_hist[:, t] = actions
-        lengths += alive
-        successes |= alive & success
+            actions += noise[t]
+        state, rewards, terminated, success = env.step(state, actions, t)
+        rewards *= discount
+        if n_alive == rows:
+            values += rewards
+            lengths += 1
+            successes |= success
+        else:
+            np.add(values, rewards, out=values, where=alive)
+            lengths += alive
+            successes |= alive & success
         alive &= ~terminated
+        n_alive = np.count_nonzero(alive)
+        if not n_alive:
+            break
         discount *= config.gamma
 
     steps = lengths.max(initial=0)
     if np.any(lengths < steps):
         finished = np.arange(steps) >= lengths[:, None]
-        feats_hist[:, :steps][finished] = 0.0
-        actions_hist[:, :steps][finished] = 0.0
+        feats_rows[:, :steps][finished] = 0.0
+        actions_rows[:, :steps][finished] = 0.0
 
     def per_run(a):
-        return a.reshape(runs, k, *a.shape[1:])
+        return a.reshape(runs, k)
 
     return [
         Episodes(*run)
@@ -233,8 +260,8 @@ def collect_rollouts(
             per_run(values),
             per_run(successes),
             per_run(lengths),
-            per_run(feats_hist),
-            per_run(actions_hist),
+            feats_hist,
+            actions_hist,
         )
     ]
 

@@ -175,7 +175,11 @@ def _mean_precision(dist):
 
 
 def _clip_theta_step(theta, delta, theta_min):
-    """Largest backtracking scale keeping all scales at or above the floor."""
+    """Largest backtracking scale keeping all scales at or above the floor.
+
+    ``theta + scale * delta`` can round below the floor on the entry that
+    sets ``scale``, so the result is clamped to ``theta_min``; the clamp
+    moves no entry that is already at or above it."""
     scale = 1.0
     shrinking = delta < 0.0
     if np.any(shrinking):
@@ -184,7 +188,7 @@ def _clip_theta_step(theta, delta, theta_min):
             float(np.min((theta[shrinking] - theta_min) / (-delta[shrinking]))),
         )
         scale = max(scale, 0.0)
-    return theta + scale * delta, scale < 1.0
+    return np.maximum(theta + scale * delta, theta_min), scale < 1.0
 
 
 def _require_reach(b, room):
@@ -369,10 +373,15 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min):
                         (face - h_inv * residual / lam4, MultiplierSolution(lam3, lam4, BOTH_ACTIVE))
                     )
     else:
-        # Zero objective gradient: any feasible point is optimal; stay.
+        # Zero objective gradient: any feasible point is optimal; stay, or,
+        # when the centre violates the bound, move to the performance face
+        # (a KKT point with zero multipliers).
         candidates.append(
             (np.array(theta, dtype=float, copy=True), MultiplierSolution(0.0, 0.0, PROXIMITY_ACTIVE))
         )
+        if b < 0.0 and norm_psi_sq > DEGENERATE_NORM**2:
+            face = theta - b * h_inv * psi / norm_psi_sq
+            candidates.append((face, MultiplierSolution(0.0, 0.0, PERF_ACTIVE)))
 
     def objective(theta_new):
         return float(np.add.reduce(omega * (theta_new - theta)))

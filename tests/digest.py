@@ -1,4 +1,5 @@
-"""Bit-identity digest of the training loop and the exact solver.
+"""Bit-identity digest of the rollout loop, the training loop and the exact
+solver.
 
 Prints one sha256 per part and one over all parts.  Two trees whose digests
 agree produced the same float64 bits everywhere below, so a change that is
@@ -7,13 +8,20 @@ meant to leave behaviour alone is checked with one command on each tree:
     PYTHONPATH=src python tests/digest.py
 
 Naming parts runs only those, and prints the total only when all of them
-ran: ``PYTHONPATH=src python tests/digest.py training`` checks rollouts and
-training in about ten seconds, without the exact solver.  Each group of
+ran: ``PYTHONPATH=src python tests/digest.py rollouts`` checks the rollout
+loop alone in about a second, and ``... digest.py training`` checks rollouts
+and training in about ten seconds, without the exact solver.  Each group of
 training runs also prints its own digest before its part's line, so a
 change meant to move only the point-mass bits shows which groups moved.
 
 Parts (NumPy and hashlib only; this is a script, not a pytest module):
 
+* ``rollouts``: every :class:`~spgl.learner.Episodes` field of
+  :func:`spgl.learner.collect_rollouts` on the point mass with hidden and
+  with visible context, in noisy and deterministic mode, at ``R * K`` of 1,
+  256 (4 x 64) and 640 (10 x 64) rows, with contexts that mix wide gates,
+  narrow offset gates that crash and raw draws that need clamping; then the
+  synthetic environment;
 * ``training``: every record's floats, ``step_kind`` and ``active_case``,
   and each run's final policy weights, action noise and distribution, for
   the self-paced synthetic variant (seeds 0-39, 413, 1007), the
@@ -41,14 +49,17 @@ import time
 import numpy as np
 
 from spgl.config import load_config, preset_path
+from spgl.envs import PointMassEnv, SyntheticEnv
 from spgl.gaussian import ContextDistribution, TargetSpec
 from spgl.harness import train_runs
+from spgl.learner import LearnerConfig, PolicyParameters, collect_rollouts, feature_dim
 from spgl.oracle import solve_exact_sampled
 from spgl.stats import RolloutBatch
 from spgl.update import CurriculumConfig
 
 EXACT_INSTANCES = 500
 EXACT_DIMS = (1, 2, 3, 5, 16)
+ROLLOUT_SHAPES = ((1, 1), (4, 64), (10, 64))  # (R, K)
 
 
 def _floats(h, *values):
@@ -117,6 +128,61 @@ def _digest_runs(part_hash, runs):
     return n
 
 
+def rollout_inputs(env, runs, k, seed):
+    """Random policies, seeds and ``(R, K, d)`` contexts for one
+    :func:`collect_rollouts` call.  On the point mass run 0 steers home (a
+    PD law on the observations ``[x/4, y/4, vx/5, vy/5]``), so some of its
+    episodes succeed; a third of the contexts are wide gates, a third narrow
+    gates far off centre that the policies crash into, and a third raw
+    draws with negative widths and frictions that the environment clamps."""
+    rng = np.random.default_rng([seed, 99])
+    shape = (env.action_dim, feature_dim(env.observation_dim))
+    weights = [rng.normal(0.0, rng.uniform(0.05, 1.0), shape) for _ in range(runs)]
+    log_noise = rng.uniform(-2.0, 0.5, (runs, env.action_dim))
+    seeds = [int(s) for s in rng.integers(0, 2**40, runs)]
+    if env.action_dim:
+        weights[0][0, [1, 3]] += [-12.0, -15.0]
+        weights[0][1, [0, 2, 4]] += [-9.0, -12.0, -15.0]
+        wide = rng.uniform([-1.0, 2.0, 0.0], [1.0, 6.0, 0.5], (runs, k, 3))
+        narrow = rng.uniform([2.5, 0.05, 0.0], [3.8, 0.3, 0.2], (runs, k, 3))
+        narrow[..., 0] *= rng.choice([-1.0, 1.0], (runs, k))
+        raw = rng.uniform([-4.0, -1.0, -1.0], [4.0, 3.0, 2.0], (runs, k, 3))
+        contexts = np.choose(rng.integers(0, 3, (runs, k, 1)), [wide, narrow, raw])
+    else:
+        contexts = rng.normal(0.0, 2.0, (runs, k, env.context_dim))
+    policies = [PolicyParameters(w, n) for w, n in zip(weights, log_noise)]
+    return policies, contexts, seeds
+
+
+def rollout_runs():
+    cases = []
+    for label, env in (
+        ("point_mass_hidden", PointMassEnv()),
+        ("point_mass_visible", PointMassEnv(context_visible=True)),
+    ):
+        for runs, k in ROLLOUT_SHAPES:
+            for deterministic in (False, True):
+                cases.append((label, env, runs, k, deterministic))
+    synthetic = SyntheticEnv(difficulty_center=[0.5, -1.0, 2.0], width=1.5)
+    cases += [("synthetic", synthetic, runs, k, False) for runs, k in ROLLOUT_SHAPES]
+    return cases
+
+
+def digest_rollouts(h):
+    n, groups = 0, {}
+    config = LearnerConfig()
+    for i, (label, env, runs, k, deterministic) in enumerate(rollout_runs()):
+        group = groups.setdefault(label, hashlib.sha256())
+        policies, contexts, seeds = rollout_inputs(env, runs, k, i)
+        episodes = collect_rollouts(policies, env, contexts, config, seeds, i + 1, deterministic)
+        for e in episodes:
+            _floats(_Tee(h, group), e.contexts, e.values, e.successes, e.lengths, e.features, e.actions)
+            n += 1
+    for label, group in groups.items():
+        print(f"  {label} {group.hexdigest()}")
+    return n
+
+
 def digest_training(h):
     return _digest_runs(h, training_runs())
 
@@ -157,7 +223,7 @@ def digest_exact(h):
     return n + EXACT_INSTANCES
 
 
-PARTS = {"training": digest_training, "exact": digest_exact}
+PARTS = {"rollouts": digest_rollouts, "training": digest_training, "exact": digest_exact}
 
 
 def main(sections=()):

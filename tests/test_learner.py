@@ -7,14 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from spgl.envs import PointMassEnv, SyntheticEnv, synthetic_value
 from spgl.gaussian import TargetSpec
 from spgl.harness import evaluate
 from spgl.learner import (
     GRAD_CLIP,
+    NOISE_MIN,
     Episodes,
     LearnerConfig,
+    PolicyParameters,
     collect_rollouts,
     feature_dim,
     improve,
@@ -105,7 +109,7 @@ class TestRollout:
         policy = make_policy(env, scale=0.1)
         contexts = np.array([EASY, [1.0, 2.0, 0.3]])
         episodes = collect_one(policy, env, contexts, LearnerConfig(gamma=0.0), 1, 0)
-        _, rewards, _, _ = env.step(env.reset(contexts), episodes.actions[:, 0], 0)
+        _, rewards, _, _ = env.step(env.reset(contexts), episodes.actions[:, 0].T, 0)
         assert np.array_equal(episodes.values, rewards)
 
     def test_seeded_repeatability(self):
@@ -163,6 +167,65 @@ class TestRollout:
                 for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
                     a, b = getattr(block, name), getattr(alone, name)
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @given(
+        exit=st.sampled_from(["horizon", "staggered", "early"]),
+        runs=st.integers(1, 4),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        deterministic=st.booleans(),
+        visible=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(exit="horizon", runs=2, k=3, seed=0, deterministic=False, visible=False)
+    @example(exit="staggered", runs=3, k=4, seed=1, deterministic=False, visible=True)
+    @example(exit="early", runs=4, k=8, seed=2, deterministic=True, visible=False)
+    def test_run_blocks_match_runs_alone_property(self, exit, runs, k, seed, deterministic, visible):
+        # the three ways the loop ends: every row alive to the horizon, rows
+        # finishing at different steps, every row done before the horizon
+        assume(exit != "staggered" or runs * k > 1)
+        env = PointMassEnv(context_visible=visible)
+        rng = np.random.default_rng(seed)
+        n_features = feature_dim(env.observation_dim)
+        weights = rng.normal(0.0, 0.05, (runs, env.action_dim, n_features))
+        log_noise = rng.uniform(-3.0, -1.0, (runs, env.action_dim))
+        seeds = [int(s) for s in rng.integers(0, 2**40, runs)]
+        # wide gates around x = 0, and narrow gates far off it that crash
+        wide = rng.uniform([-1.0, 2.5, 0.0], [1.0, 4.0, 0.5], (runs, k, 3))
+        narrow = rng.uniform([2.5, 0.05, 0.0], [3.5, 0.2, 0.2], (runs, k, 3))
+        narrow[..., 0] *= rng.choice([-1.0, 1.0], (runs, k))
+        if exit == "horizon":
+            # a policy that holds still never reaches the wall
+            weights[:] = 0.0
+            log_noise[:] = np.log(NOISE_MIN)
+            contexts = np.where(rng.random((runs, k, 1)) < 0.5, wide, narrow)
+        else:
+            # push down hard: narrow gates crash, wide gates pass to the goal
+            # or to the floor of the arena
+            weights[:, 1, 0] -= 10.0
+            contexts = narrow
+            if exit == "staggered":
+                contexts = np.where(rng.random((runs, k, 1)) < 0.5, wide, narrow)
+                contexts[0, 0], contexts[-1, -1] = wide[0, 0], narrow[-1, -1]
+        policies = [PolicyParameters(w, n) for w, n in zip(weights, log_noise)]
+        config = LearnerConfig()
+
+        together = collect_rollouts(policies, env, contexts, config, seeds, 4, deterministic)
+        lengths = np.concatenate([block.lengths for block in together])
+        if exit == "horizon":
+            assert np.all(lengths == env.horizon)
+        elif exit == "early":
+            assert lengths.max() < env.horizon
+        else:
+            assert lengths.min() < lengths.max()
+        for policy, ctx, seed_r, block in zip(policies, contexts, seeds, together):
+            alone = collect_one(policy, env, ctx, config, seed_r, 4, deterministic=deterministic)
+            for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
+                a, b = getattr(block, name), getattr(alone, name)
+                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            for feats, actions, n in zip(block.features, block.actions, block.lengths):
+                assert not np.any(feats[n:]) and not np.any(actions[n:])
+                assert np.all(feats[:n, 0] == 1.0)
 
     @pytest.mark.parametrize("iteration", [0, 5, 10_000])
     def test_noise_is_the_documented_stream(self, iteration):

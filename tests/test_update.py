@@ -232,6 +232,19 @@ class TestThetaConvergence:
         theta_new, _, _ = solve_theta_block(dist, stats, 0.01, 0.0, 1e-6)
         assert np.array_equal(theta_new, dist.theta)
 
+    def test_zero_omega_below_the_bound_moves_to_the_face(self):
+        # staying violates the bound and the jump to theta = 1 is outside the
+        # ball, but the face point is a KKT point with zero multipliers
+        dist = make_dist([0.0, 0.0], [3.0, 4.0])
+        stats = make_stats(2, psi_bar=[0.5, -0.2], v_bar=-0.05, omega=[0.0, 0.0])
+        theta_new, sol, backtracked = solve_theta_block(dist, stats, 0.01, 0.0, 1e-6)
+        assert sol.active_case == PERF_ACTIVE
+        assert sol.lambda_perf == 0.0 and sol.lambda_ball == 0.0
+        assert not backtracked
+        residuals = theta_kkt_residuals(dist, stats, 0.01, 0.0, theta_new, sol)
+        assert all(r <= KKT_TOL for r in residuals.values()), residuals
+        assert -0.05 + float(np.dot(stats.psi_bar, theta_new - dist.theta)) == pytest.approx(0.0, abs=1e-15)
+
     def test_infeasible_performance_raises(self):
         dist = make_dist([0.0], [1.0])
         stats = make_stats(1, psi_bar=[1e-4], v_bar=-50.0, omega=[0.3])
@@ -465,6 +478,32 @@ class TestFullUpdate:
         new_dist, report = update(dist, batch, dist.target, config)
         assert report.kind == "performance" and report.theta_backtracked
         assert np.all(new_dist.theta >= THETA_MIN)
+
+    def test_clipped_scale_step_stays_on_the_floor(self):
+        # theta + s * delta with s = (theta - theta_min) / -delta can round
+        # one ulp below theta_min = THETA_MIN, and the distribution then
+        # refused the update; about one in eight of these instances did
+        target = TargetSpec(mu_tilde=np.zeros(1), sigma_tilde_diag=np.array([0.231]))
+        clipped = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            theta = float(10 ** rng.uniform(-5.7, -4.0))
+            dist = ContextDistribution(mu=np.zeros(1), theta=np.array([theta]), target=target)
+            contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, 1))
+            values = np.exp(-0.5 * contexts[:, 0] ** 2 / (theta * 0.231))
+            batch = RolloutBatch(contexts, values, dist)
+            eps = float(rng.uniform(0.2, 1.0))
+            config = CurriculumConfig(epsilon=eps, v_lower=100.0, k_contexts=16, theta_min=THETA_MIN)
+            new_dist, report = update(dist, batch, target, config)
+            assert report.kind == "performance"
+            assert new_dist.theta[0] >= THETA_MIN
+            clipped += int(new_dist.theta[0] == THETA_MIN)
+        assert clipped >= 5
+
+    def test_clip_lands_on_the_floor_exactly(self):
+        theta, delta = np.array([5.346856655547358e-05]), np.array([-2.535532882876411e-04])
+        theta_new, backtracked = update_module._clip_theta_step(theta, delta, 1e-6)
+        assert theta_new[0] == 1e-6 and backtracked
 
     def test_trust_region_respected_over_random_updates(self):
         rng = np.random.default_rng(5)
