@@ -173,6 +173,8 @@ def load_config(path) -> ExperimentConfig:
         update_period=_get(parser, "curriculum", "update_period", int, default=1),
         theta_min=_get(parser, "curriculum", "theta_min", float, default=1e-6),
     )
+    if np.any(initial_theta < curriculum.theta_min):
+        raise ConfigError("[initial] theta entries must be >= [curriculum] theta_min")
 
     learner = _build(
         "learner",

@@ -173,8 +173,7 @@ class PointMassEnv:
             success[crash] = False
             reward[crash] += p.crash_penalty
             terminated[crash] = True
-        if np.count_nonzero(success):
-            reward[success] += p.success_bonus
+        reward[success] += p.success_bonus
         return new_state, reward, terminated, success
 
 

@@ -178,8 +178,9 @@ def _clip_theta_step(theta, delta, theta_min):
     """Largest backtracking scale keeping all scales at or above the floor.
 
     ``theta + scale * delta`` can round below the floor on the entry that
-    sets ``scale``, so the result is clamped to ``theta_min``; the clamp
-    moves no entry that is already at or above it."""
+    sets ``scale``, so each entry is clamped to ``min(theta, theta_min)``:
+    a step never ends below the floor, and an entry that starts below it
+    (scale 0 when it would shrink) is never raised."""
     scale = 1.0
     shrinking = delta < 0.0
     if np.any(shrinking):
@@ -188,7 +189,7 @@ def _clip_theta_step(theta, delta, theta_min):
             float(np.min((theta[shrinking] - theta_min) / (-delta[shrinking]))),
         )
         scale = max(scale, 0.0)
-    return np.maximum(theta + scale * delta, theta_min), scale < 1.0
+    return np.maximum(theta + scale * delta, np.minimum(theta, theta_min)), scale < 1.0
 
 
 def _require_reach(b, room):
@@ -346,19 +347,19 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min):
         )
 
     candidates = []
+    # the metric projection of the center onto the performance face
+    face = theta - b * h_inv * psi / norm_psi_sq if norm_psi_sq > DEGENERATE_NORM**2 else None
     norm_om = math.sqrt(norm_om_sq)
     if norm_om >= DEGENERATE_NORM:
         lam4 = norm_om / (2.0 * math.sqrt(eps))
         candidates.append(
             (theta - h_inv * omega / lam4, MultiplierSolution(0.0, lam4, PROXIMITY_ACTIVE))
         )
-        if norm_psi_sq > DEGENERATE_NORM**2:
-            # Performance face active with the trust region slack: the metric
-            # projection of the center onto the face.  It is a KKT point only
-            # when omega is colinear with psi_bar (generic in one dimension);
-            # the stationarity residual decides.
+        if face is not None:
+            # Performance face active with the trust region slack.  It is a
+            # KKT point only when omega is colinear with psi_bar (generic in
+            # one dimension); the stationarity residual decides.
             lam3 = inner_po / norm_psi_sq
-            face = theta - b * h_inv * psi / norm_psi_sq
             candidates.append((face, MultiplierSolution(lam3, 0.0, PERF_ACTIVE)))
             if denom > 0.0:
                 # Both active: leave the face along omega's metric-orthogonal
@@ -379,8 +380,7 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min):
         candidates.append(
             (np.array(theta, dtype=float, copy=True), MultiplierSolution(0.0, 0.0, PROXIMITY_ACTIVE))
         )
-        if b < 0.0 and norm_psi_sq > DEGENERATE_NORM**2:
-            face = theta - b * h_inv * psi / norm_psi_sq
+        if b < 0.0 and face is not None:
             candidates.append((face, MultiplierSolution(0.0, 0.0, PERF_ACTIVE)))
 
     def objective(theta_new):

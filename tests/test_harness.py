@@ -153,6 +153,7 @@ class TestConfig:
             ("epsilon = 0.05", "epsilon = 0", r"\[curriculum\] epsilon must be positive"),
             ("k_contexts = 8", "k_contexts = 1", r"\[curriculum\] k_contexts must be >= 2"),
             ("k_contexts = 8", "k_contexts = 8\ntheta_min = 1e-9", r"\[curriculum\] theta_min"),
+            ("k_contexts = 8", "k_contexts = 8\ntheta_min = 0.3", r"\[initial\] theta entries"),
             ("sigma = 1.0, 1.0", "sigma = 1.0, -1.0", r"\[target\] sigma_tilde_diag entries"),
             ("[curriculum]", "[learner]\ngamma = 1.5\n[curriculum]", r"\[learner\] gamma must"),
         ],

@@ -505,6 +505,29 @@ class TestFullUpdate:
         theta_new, backtracked = update_module._clip_theta_step(theta, delta, 1e-6)
         assert theta_new[0] == 1e-6 and backtracked
 
+    def test_scale_below_theta_min_is_not_raised_to_it(self):
+        # an initial scale below the configured floor: a step that would
+        # shrink it gets scale 0, and the floor clamp must not then lift it
+        # to theta_min, a jump outside the trust region
+        target = TargetSpec(mu_tilde=np.zeros(2), sigma_tilde_diag=np.ones(2))
+        dist = ContextDistribution(mu=np.zeros(2), theta=np.array([1e-3, 0.5]), target=target)
+        rng = np.random.default_rng(0)
+        contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, 2))
+        values = np.exp(-0.5 * np.sum(contexts**2 / np.array([1e-4, 0.5]), axis=1))
+        batch = RolloutBatch(contexts, values, dist)
+        config = CurriculumConfig(epsilon=0.05, v_lower=100.0, k_contexts=16, theta_min=0.01)
+        new_dist, report = update(dist, batch, target, config)
+        assert report.kind == "performance" and report.theta_backtracked
+        assert np.array_equal(new_dist.theta, dist.theta)
+        assert report.kl_step <= config.epsilon
+
+    def test_clip_keeps_entries_below_the_floor(self):
+        theta, delta = np.array([1e-3, 1e-3, 1.0]), np.array([-5e-4, 0.0, -0.5])
+        theta_new, backtracked = update_module._clip_theta_step(theta, delta, 0.01)
+        assert np.array_equal(theta_new, theta) and backtracked
+        theta_new, backtracked = update_module._clip_theta_step(theta[1:], delta[1:], 0.01)
+        assert np.array_equal(theta_new, [1e-3, 0.5]) and not backtracked
+
     def test_trust_region_respected_over_random_updates(self):
         rng = np.random.default_rng(5)
         eps = 0.08
