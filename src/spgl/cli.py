@@ -19,7 +19,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import ConfigError, available_presets, load_config, preset_path
+from .config import CURRICULUM_MODES, ConfigError, available_presets, load_config, preset_path
 from .harness import (
     evaluate_run,
     records_to_csv,
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", default=None, help="output CSV path")
     train.add_argument(
         "--curriculum",
-        choices=("default", "spgl", "numerical"),
+        choices=CURRICULUM_MODES,
         default=None,
         help="override the config's curriculum mode",
     )
@@ -104,6 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    if args.seeds is not None:
+        # single-run flags that the multi-seed comparison would not honour
+        for flag, value in (
+            ("--seed", args.seed),
+            ("--curriculum", args.curriculum),
+            ("--save-policy", args.save_policy),
+            ("--warnings-as-errors", args.warnings_as_errors or None),
+        ):
+            if value is not None:
+                raise ConfigError(f"{flag} cannot be combined with --seeds")
     config = _resolve_config(args.config)
     seed = config.seed if args.seed is None else args.seed
 

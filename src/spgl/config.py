@@ -1,8 +1,8 @@
 """Experiment configuration: a flat INI file with one section per module.
 
 Sections: ``[experiment]`` (environment, curriculum mode, iteration budget),
-``[environment]`` (``context_visible``; for the synthetic environment also
-the value bump's ``width``), ``[target]`` and ``[initial]`` (context
+``[environment]`` (for the point mass ``context_visible``, for the synthetic
+environment the value bump's ``width``), ``[target]`` and ``[initial]`` (context
 distribution parameters), ``[curriculum]``, ``[learner]`` and
 ``[evaluation]``.  A key that a section does not read is an error, so a
 misspelt key cannot silently leave its default in place.
@@ -14,7 +14,7 @@ synthetic convergence run.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -38,7 +38,7 @@ ENVIRONMENTS = ("point_mass", "synthetic")
 # The [environment] keys each environment reads; any other key is an error.
 ENVIRONMENT_KEYS = {
     "point_mass": ("context_visible",),
-    "synthetic": ("context_visible", "width"),
+    "synthetic": ("width",),
 }
 # The keys each other section reads; any other key is an error.  The
 # retired [experiment] flag `runnable` is still accepted and ignored.
@@ -46,17 +46,10 @@ SECTION_KEYS = {
     "experiment": ("name", "environment", "curriculum", "iterations", "seed", "runnable"),
     "target": ("mu", "sigma"),
     "initial": ("mu", "theta"),
-    "curriculum": ("epsilon", "v_lower", "k_contexts", "update_period", "theta_min"),
+    "curriculum": ("epsilon", "v_lower", "k_contexts", "update_period"),
     "learner": ("gamma", "learning_rate"),
     "evaluation": ("episodes",),
 }
-# Options that no longer exist, as (section, key); a file that still sets one
-# fails loudly rather than silently running a different algorithm.
-REMOVED_KEYS = (
-    ("curriculum", "standardize_values"),
-    ("curriculum", "combined_step"),
-    ("learner", "iterations_per_update"),
-)
 
 
 class ConfigError(ValueError):
@@ -65,7 +58,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one training run needs."""
+    """Everything one training run needs.
+
+    ``context_visible`` is read by the point mass only and ``width`` by the
+    synthetic environment only.
+    """
 
     name: str
     environment: str
@@ -78,16 +75,16 @@ class ExperimentConfig:
     curriculum: CurriculumConfig
     learner: LearnerConfig
     eval_episodes: int
-    environment_options: dict = field(default_factory=dict)
+    context_visible: bool
+    width: float
 
     def initial_distribution(self) -> ContextDistribution:
         return ContextDistribution(mu=self.initial_mu, theta=self.initial_theta, target=self.target)
 
     def make_environment(self):
         if self.environment == "point_mass":
-            return PointMassEnv(context_visible=self.learner.context_visible)
-        width = self.environment_options.get("width", 50.0)
-        return SyntheticEnv(difficulty_center=self.target.mu_tilde, width=width)
+            return PointMassEnv(context_visible=self.context_visible)
+        return SyntheticEnv(difficulty_center=self.target.mu_tilde, width=self.width)
 
 
 def _parse_vector(raw: str, name: str) -> np.ndarray:
@@ -142,9 +139,6 @@ def load_config(path) -> ExperimentConfig:
     if curriculum_mode not in CURRICULUM_MODES:
         raise ConfigError(f"unknown curriculum mode '{curriculum_mode}'")
 
-    for section, key in REMOVED_KEYS:
-        if parser.has_option(section, key):
-            raise ConfigError(f"[{section}] {key} is no longer supported")
     known = {**SECTION_KEYS, "environment": ENVIRONMENT_KEYS[environment]}
     for section, keys in known.items():
         if parser.has_section(section):
@@ -171,22 +165,13 @@ def load_config(path) -> ExperimentConfig:
         v_lower=_get(parser, "curriculum", "v_lower", float, required=True),
         k_contexts=_get(parser, "curriculum", "k_contexts", int, default=64),
         update_period=_get(parser, "curriculum", "update_period", int, default=1),
-        theta_min=_get(parser, "curriculum", "theta_min", float, default=1e-6),
     )
-    if np.any(initial_theta < curriculum.theta_min):
-        raise ConfigError("[initial] theta entries must be >= [curriculum] theta_min")
-
     learner = _build(
         "learner",
         LearnerConfig,
         gamma=_get(parser, "learner", "gamma", float, default=0.99),
         learning_rate=_get(parser, "learner", "learning_rate", float, default=0.05),
-        context_visible=_get(parser, "environment", "context_visible", bool, default=False),
     )
-
-    env_options = {}
-    if parser.has_option("environment", "width"):
-        env_options["width"] = _get(parser, "environment", "width", float)
 
     config = ExperimentConfig(
         name=_get(parser, "experiment", "name", str, default=path.stem),
@@ -202,7 +187,8 @@ def load_config(path) -> ExperimentConfig:
         eval_episodes=_get(parser, "evaluation", "episodes", int, default=50)
         if parser.has_section("evaluation")
         else 50,
-        environment_options=env_options,
+        context_visible=_get(parser, "environment", "context_visible", bool, default=False),
+        width=_get(parser, "environment", "width", float, default=50.0),
     )
     if config.iterations < 1:
         raise ConfigError("iterations must be >= 1")

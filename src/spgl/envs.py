@@ -12,6 +12,11 @@ Two environments live here:
   observations, which removes policy noise entirely and makes curriculum
   behaviour observable in isolation.
 
+Each environment's constants (dynamics, rewards, horizon, the synthetic
+peak) are class attributes.  The only per-instance settings are whether the
+point mass shows its context to the policy (``context_visible``) and the
+synthetic bump's centre and width.
+
 Both run ``K`` episodes at once, one column each, behind one batched
 protocol:
 
@@ -32,37 +37,13 @@ so a finished episode can keep being stepped without touching the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "PointMassEnv",
-    "PointMassParams",
     "SyntheticEnv",
     "synthetic_value",
 ]
-
-
-@dataclass(frozen=True)
-class PointMassParams:
-    """Physical constants of the point-mass task.
-
-    The reward is ``exp(-distance_to_goal) - action_cost * |a|^2`` per step,
-    plus a bonus on reaching the goal and a penalty on hitting the wall.
-    """
-
-    dt: float = 0.05
-    horizon: int = 100
-    arena_half_width: float = 4.0
-    start: tuple = (0.0, 3.0)
-    goal: tuple = (0.0, -3.0)
-    action_limit: float = 10.0
-    success_radius: float = 0.25
-    success_bonus: float = 10.0
-    crash_penalty: float = -1.0
-    action_cost: float = 1e-3
-    min_gate_width: float = 0.05
 
 
 class PointMassEnv:
@@ -72,26 +53,36 @@ class PointMassEnv:
     interval.  Crossing the wall plane outside the gate terminates the episode
     with a penalty.  The start and goal are context-independent.  A state
     column is ``[x, y, vx, vy, *clamped context]``.
+
+    The physical constants are class attributes.  The reward is
+    ``exp(-distance_to_goal) - action_cost * |a|^2`` per step, plus a bonus on
+    reaching the goal and a penalty on hitting the wall.
     """
 
     context_dim = 3
     action_dim = 2
+    dt = 0.05
+    horizon = 100
+    arena_half_width = 4.0
+    start = (0.0, 3.0)
+    goal = (0.0, -3.0)
+    action_limit = 10.0
+    success_radius = 0.25
+    success_bonus = 10.0
+    crash_penalty = -1.0
+    action_cost = 1e-3
+    min_gate_width = 0.05
 
-    def __init__(self, params: PointMassParams | None = None, context_visible: bool = False):
-        self.params = params or PointMassParams()
+    def __init__(self, context_visible: bool = False):
         self.context_visible = bool(context_visible)
-        limit = self.params.arena_half_width
+        limit = self.arena_half_width
         scale = [limit, limit, 5.0, 5.0, 4.0, 4.0, 2.0]
         self._observation_scale = np.array(scale[: self.observation_dim])[:, None]
-        self._goal = np.array(self.params.goal)[:, None]
+        self._goal = np.array(self.goal)[:, None]
 
     @property
     def observation_dim(self) -> int:
         return 4 + (self.context_dim if self.context_visible else 0)
-
-    @property
-    def horizon(self) -> int:
-        return self.params.horizon
 
     def clamp_contexts(self, contexts: np.ndarray) -> np.ndarray:
         """Clamp raw context draws to physically meaningful values."""
@@ -99,7 +90,7 @@ class PointMassEnv:
         if contexts.shape[-1] != self.context_dim:
             raise ValueError("point-mass contexts have three dimensions")
         clamped = contexts.copy()
-        clamped[:, 1] = np.maximum(clamped[:, 1], self.params.min_gate_width)
+        clamped[:, 1] = np.maximum(clamped[:, 1], self.min_gate_width)
         clamped[:, 2] = np.maximum(clamped[:, 2], 0.0)
         return clamped
 
@@ -107,7 +98,7 @@ class PointMassEnv:
         """Start states: the fixed start at rest, then the clamped context."""
         contexts = self.clamp_contexts(contexts)
         state = np.empty((4 + self.context_dim, contexts.shape[0]))
-        state[0:4] = np.array([*self.params.start, 0.0, 0.0])[:, None]
+        state[0:4] = np.array([*self.start, 0.0, 0.0])[:, None]
         state[4:] = contexts.T
         return state
 
@@ -117,24 +108,23 @@ class PointMassEnv:
 
     def step(self, state: np.ndarray, actions: np.ndarray, t: int):
         """One transition of every column; out-of-range actions are clipped."""
-        p = self.params
-        limit = p.arena_half_width
+        limit = self.arena_half_width
         # rows 0-1 end as the gap to the goal and rows 2-3 hold the clipped
         # actions, so one squaring and one sum of row pairs give |gap|^2 and
         # |action|^2
         work = np.empty((4, state.shape[1]))
         clipped_actions = work[2:4]
-        np.maximum(actions, -p.action_limit, out=clipped_actions)
-        np.minimum(clipped_actions, p.action_limit, out=clipped_actions)
+        np.maximum(actions, -self.action_limit, out=clipped_actions)
+        np.minimum(clipped_actions, self.action_limit, out=clipped_actions)
         new_state = state.copy()
         pos, vel = state[0:2], state[2:4]
         new_pos, new_vel = new_state[0:2], new_state[2:4]
         # new_vel = vel + dt * (actions - friction * vel); new_pos = pos + dt * new_vel
         np.multiply(state[6], vel, out=new_vel)
         np.subtract(clipped_actions, new_vel, out=new_vel)
-        new_vel *= p.dt
+        new_vel *= self.dt
         new_vel += vel
-        np.multiply(p.dt, new_vel, out=new_pos)
+        np.multiply(self.dt, new_vel, out=new_pos)
         new_pos += pos
 
         # wall crossing at y = 0, interpolated along the step segment
@@ -163,23 +153,24 @@ class PointMassEnv:
         work *= work
         dist, cost = np.add(work[0::2], work[1::2])
         np.sqrt(dist, out=dist)
-        success = dist < p.success_radius
-        cost *= p.action_cost
+        success = dist < self.success_radius
+        cost *= self.action_cost
         reward = np.negative(dist, out=work[0])
         np.exp(reward, out=reward)
         reward -= cost
-        terminated = success.copy() if t + 1 < p.horizon else np.ones_like(success)
+        terminated = success.copy() if t + 1 < self.horizon else np.ones_like(success)
         if crash.size:
             success[crash] = False
-            reward[crash] += p.crash_penalty
+            reward[crash] += self.crash_penalty
             terminated[crash] = True
-        reward[success] += p.success_bonus
+        reward[success] += self.success_bonus
         return new_state, reward, terminated, success
 
 
-def synthetic_value(context, difficulty_center, width: float, peak: float = 10.0) -> float:
+def synthetic_value(context, difficulty_center, width: float) -> float:
     """Deterministic episode return of the synthetic environment:
-    ``peak * exp(-|c - center|^2 / (2 width^2))``."""
+    ``peak * exp(-|c - center|^2 / (2 width^2))`` with ``peak =``
+    :attr:`SyntheticEnv.peak`."""
     context = np.asarray(context, dtype=float)
     center = np.asarray(difficulty_center, dtype=float)
     if context.shape[-1] != center.shape[-1]:
@@ -187,7 +178,7 @@ def synthetic_value(context, difficulty_center, width: float, peak: float = 10.0
     if width <= 0.0:
         raise ValueError("width must be positive")
     gap = np.sum((context - center) ** 2, axis=-1)
-    return peak * np.exp(-gap / (2.0 * width**2))
+    return SyntheticEnv.peak * np.exp(-gap / (2.0 * width**2))
 
 
 class SyntheticEnv:
@@ -199,23 +190,20 @@ class SyntheticEnv:
     action_dim = 0
     observation_dim = 0
     horizon = 1
+    peak = 10.0
+    success_threshold = 0.5 * peak
 
-    def __init__(self, difficulty_center, width: float, peak: float = 10.0):
+    def __init__(self, difficulty_center, width: float):
         self.difficulty_center = np.asarray(difficulty_center, dtype=float)
         if self.difficulty_center.ndim != 1:
             raise ValueError("difficulty_center must be a vector")
         if width <= 0.0:
             raise ValueError("width must be positive")
         self.width = float(width)
-        self.peak = float(peak)
 
     @property
     def context_dim(self) -> int:
         return self.difficulty_center.size
-
-    @property
-    def success_threshold(self) -> float:
-        return 0.5 * self.peak
 
     def reset(self, contexts: np.ndarray) -> np.ndarray:
         return np.array(contexts, dtype=float, ndmin=2).T.copy()
@@ -226,6 +214,6 @@ class SyntheticEnv:
     def step(self, state: np.ndarray, actions: np.ndarray, t: int):
         # one contiguous context row per episode, so each sum over the
         # context runs as it does for that context alone
-        values = synthetic_value(state.T.copy(), self.difficulty_center, self.width, self.peak)
+        values = synthetic_value(state.T.copy(), self.difficulty_center, self.width)
         done = np.ones(state.shape[1], dtype=bool)
         return state.copy(), values, done, values >= self.success_threshold

@@ -28,12 +28,14 @@ from .verification import VerifyReport, run_fd_suite, run_oracle_suite, run_timi
 __all__ = [
     "EvalResult",
     "IterationRecord",
+    "ModeSummary",
     "TrainingResult",
     "evaluate",
     "evaluate_run",
     "records_to_csv",
     "run_multi_seed",
     "run_training",
+    "summary_to_csv",
     "train_runs",
     "verify",
     "welch_p_value",
@@ -264,7 +266,7 @@ def evaluate(
     env,
     n_episodes: int,
     rngs,
-    learner_config: LearnerConfig | None = None,
+    learner_config: LearnerConfig,
 ) -> list[EvalResult]:
     """Mean return and success rate (percent) of each policy over episodes
     with contexts drawn from the target distribution, with standard errors.
@@ -275,7 +277,6 @@ def evaluate(
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    learner_config = learner_config or LearnerConfig()
     target_dist = ContextDistribution.at_target(target)
     contexts = np.stack([sample(target_dist, rng, n_episodes) for rng in rngs])
     all_episodes = collect_rollouts(
@@ -308,14 +309,7 @@ def evaluate_run(config: ExperimentConfig, policies, seeds) -> list[EvalResult]:
         _check_seed(seed)
     env = config.make_environment()
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 10_000])) for seed in seeds]
-    return evaluate(
-        policies,
-        config.target,
-        env,
-        config.eval_episodes,
-        rngs,
-        config.learner,
-    )
+    return evaluate(policies, config.target, env, config.eval_episodes, rngs, config.learner)
 
 
 @dataclass(frozen=True)

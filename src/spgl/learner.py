@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 NOISE_MIN = 1e-3
+# Exploration noise of a fresh policy, per action dimension; improve holds it fixed.
+INITIAL_NOISE = 0.8
 GRAD_CLIP = 10.0
 
 
@@ -38,7 +40,6 @@ class LearnerConfig:
 
     gamma: float = 0.99
     learning_rate: float = 0.05
-    context_visible: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -99,11 +100,11 @@ def policy_features(observations: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def init_policy(observation_dim: int, action_dim: int = 2, noise: float = 0.8) -> PolicyParameters:
-    """Zero-mean policy with isotropic exploration noise."""
+def init_policy(observation_dim: int, action_dim: int = 2) -> PolicyParameters:
+    """Zero-mean policy with isotropic exploration noise :data:`INITIAL_NOISE`."""
     return PolicyParameters(
         weights=np.zeros((action_dim, feature_dim(observation_dim))),
-        log_action_noise=np.full(action_dim, np.log(noise)),
+        log_action_noise=np.full(action_dim, np.log(INITIAL_NOISE)),
     )
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import (
+    THETA_MIN,
     _LOG_RATIO_LIMIT,
     ContextDistribution,
     TargetSpec,
@@ -410,7 +411,7 @@ def solve_exact_sampled(
     the exact step-KL constraint; ``mode="convergence"`` minimizes the exact
     KL to the target under both the sampled performance constraint and the
     step-KL constraint.  Scales are optimized in log space, which keeps them
-    positive, with the log-scales clipped to ``[log theta_min, 50]``.  Each
+    positive, with the log-scales clipped to ``[log THETA_MIN, 50]``.  Each
     iteration follows the closed-form gradient of the objective in these
     coordinates (:func:`_objective_gradient`), which costs one pass over the
     batch whatever the dimension.  The trial points along a direction are
@@ -444,7 +445,7 @@ def solve_exact_sampled(
     var0 = theta0 * sigma
     log_p0 = log_density_params(contexts, mu0, var0)
     eps = config.epsilon
-    log_theta_min = math.log(config.theta_min)
+    log_theta_min = math.log(THETA_MIN)
 
     # the hot closures clip and exponentiate the log-scales inline: a helper
     # call per evaluation is a measurable share of the trial path.  Each
@@ -561,7 +562,7 @@ def solve_exact_sampled(
             best_z = z.copy()
 
     theta_best = np.exp(np.minimum(np.maximum(best_z[d:], log_theta_min), 50.0))
-    theta_best = np.maximum(theta_best, config.theta_min)
+    theta_best = np.maximum(theta_best, THETA_MIN)
     result_dist = dist.with_params(mu=best_z[:d], theta=theta_best)
     return ExactSolveResult(
         distribution=result_dist,

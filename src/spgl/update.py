@@ -89,15 +89,16 @@ class CurriculumConfig:
         v_lower: Minimum mean value required before convergence steps run.
         k_contexts: Batch size K.
         update_period: Curriculum update period in training iterations.
-        theta_min: Positivity floor for covariance scales, at least the
-            distribution floor :data:`spgl.gaussian.THETA_MIN`.
+
+    Every update keeps the covariance scales at or above the distribution
+    floor :data:`spgl.gaussian.THETA_MIN`, which the read-only
+    :attr:`theta_min` returns; it is not a setting.
     """
 
     epsilon: float
     v_lower: float
     k_contexts: int = 64
     update_period: int = 1
-    theta_min: float = 1e-6
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -106,10 +107,11 @@ class CurriculumConfig:
             raise ValueError("k_contexts must be >= 2")
         if self.update_period < 1:
             raise ValueError("update_period must be >= 1")
-        if not self.theta_min >= THETA_MIN:
-            # below the floor, an update could build a distribution that
-            # ContextDistribution rejects
-            raise ValueError(f"theta_min must be >= {THETA_MIN}, got {self.theta_min}")
+
+    @property
+    def theta_min(self) -> float:
+        """The scale floor of every update, :data:`spgl.gaussian.THETA_MIN`."""
+        return THETA_MIN
 
 
 @dataclass(frozen=True)
@@ -174,22 +176,22 @@ def _mean_precision(dist):
     return 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
 
 
-def _clip_theta_step(theta, delta, theta_min):
-    """Largest backtracking scale keeping all scales at or above the floor.
+def _clip_theta_step(theta, delta):
+    """Largest backtracking scale keeping all scales at or above
+    :data:`~spgl.gaussian.THETA_MIN`.
 
-    ``theta + scale * delta`` can round below the floor on the entry that
-    sets ``scale``, so each entry is clamped to ``min(theta, theta_min)``:
-    a step never ends below the floor, and an entry that starts below it
-    (scale 0 when it would shrink) is never raised."""
+    ``theta`` is a distribution's scales, so it is at or above the floor.
+    ``theta + scale * delta`` can round one ulp below the floor on the entry
+    that sets ``scale``, so each entry is clamped to the floor."""
     scale = 1.0
     shrinking = delta < 0.0
     if np.any(shrinking):
         scale = min(
             1.0,
-            float(np.min((theta[shrinking] - theta_min) / (-delta[shrinking]))),
+            float(np.min((theta[shrinking] - THETA_MIN) / (-delta[shrinking]))),
         )
         scale = max(scale, 0.0)
-    return np.maximum(theta + scale * delta, np.minimum(theta, theta_min)), scale < 1.0
+    return np.maximum(theta + scale * delta, THETA_MIN), scale < 1.0
 
 
 def _require_reach(b, room):
@@ -222,7 +224,7 @@ def _best_case(candidates, certificate, objective):
 
 
 def performance_step(
-    dist: ContextDistribution, stats: CurriculumStats, eps: float, theta_min: float
+    dist: ContextDistribution, stats: CurriculumStats, eps: float
 ) -> tuple[np.ndarray, np.ndarray, bool, bool]:
     """Apply both value-ascent blocks under the joint trust region ``eps``.
 
@@ -239,7 +241,7 @@ def performance_step(
     Returns ``(mu_new, theta_new, moved, backtracked)``: ``moved`` is False
     when neither block has an informative direction (the update is then
     degenerate), ``backtracked`` when the scale step was shortened to keep
-    every scale at or above ``theta_min``.
+    every scale at or above :data:`~spgl.gaussian.THETA_MIN`.
     """
     h_inv = dist.theta**2
     norm_u_sq = float(np.sum(stats.u_bar**2 * _mean_precision(dist)))
@@ -261,7 +263,7 @@ def performance_step(
         mu_new = dist.mu + math.sqrt(2.0 * eps_mu) * stats.u_bar / math.sqrt(norm_u_sq)
     if eps_theta > 0.0:
         delta = 2.0 * math.sqrt(eps_theta) * h_inv * stats.psi_bar / math.sqrt(norm_psi_sq)
-        theta_new, backtracked = _clip_theta_step(dist.theta, delta, theta_min)
+        theta_new, backtracked = _clip_theta_step(dist.theta, delta)
     return mu_new, theta_new, eps_mu > 0.0 or eps_theta > 0.0, backtracked
 
 
@@ -314,12 +316,13 @@ def solve_mu_block(dist, target, stats, eps, v_lower):
     return best
 
 
-def solve_theta_block(dist, stats, eps, v_lower, theta_min):
+def solve_theta_block(dist, stats, eps, v_lower):
     """Descend the KL-to-target gradient in ``theta`` inside the trust region,
     subject to the linearized performance constraint.
 
     The KKT cases of the linearized problem produce the constrained descent
-    step.  Jumping straight to scales of one (the target scale, where both
+    step, shortened when needed to keep every scale at or above
+    :data:`~spgl.gaussian.THETA_MIN`.  Jumping straight to scales of one (the target scale, where both
     constraints sit inactive) is taken instead whenever the certificate
     admits it as that case and it serves the true convergence objective at
     least as well; near the target this pins the scales at exactly one.
@@ -396,7 +399,7 @@ def solve_theta_block(dist, stats, eps, v_lower, theta_min):
             return ones, jump, False
         raise CurriculumError("no KKT case matched the scale subproblem")
     theta_new, solution = best
-    theta_new, backtracked = _clip_theta_step(theta, theta_new - theta, theta_min)
+    theta_new, backtracked = _clip_theta_step(theta, theta_new - theta)
 
     # Jumping straight to the target scale is allowed whenever it is certified
     # (feasible) AND it serves the convergence objective at least as well as the
@@ -413,7 +416,6 @@ def convergence_step(
     stats: CurriculumStats,
     eps: float,
     v_lower: float,
-    theta_min: float,
 ) -> tuple[np.ndarray, np.ndarray, MultiplierSolution, MultiplierSolution, bool]:
     """Move toward the target under the linearized performance constraint
     and the joint trust region ``eps``.
@@ -445,7 +447,7 @@ def convergence_step(
     mu_new, mu_sol = solve_mu_block(dist, target, stats, max(eps_mu, 1e-6 * eps), v_lower)
     spent = 0.5 * float(np.sum((mu_new - dist.mu) ** 2 * precision))
     theta_new, theta_sol, backtracked = solve_theta_block(
-        dist, stats, max(eps - spent, 1e-18), v_lower, theta_min
+        dist, stats, max(eps - spent, 1e-18), v_lower
     )
     return mu_new, theta_new, mu_sol, theta_sol, backtracked
 
@@ -682,13 +684,11 @@ def update(
     mu_sol = theta_sol = None
     if should_run_performance_step(stats, config):
         kind = "performance"
-        mu_new, theta_new, moved, theta_backtracked = performance_step(
-            dist, stats, config.epsilon, config.theta_min
-        )
+        mu_new, theta_new, moved, theta_backtracked = performance_step(dist, stats, config.epsilon)
     else:
         kind, moved = "convergence", True
         mu_new, theta_new, mu_sol, theta_sol, theta_backtracked = convergence_step(
-            dist, target, stats, config.epsilon, config.v_lower, config.theta_min
+            dist, target, stats, config.epsilon, config.v_lower
         )
 
     new_dist, kl_step, kl_mean_part, tr_backtracked = dist, 0.0, 0.0, False

@@ -200,7 +200,7 @@ def run_oracle_suite(
         if math.sqrt(float(np.sum(u_bar**2 * precision))) < 1e-4:
             u_bar = u_bar + 0.1
         # the scale gradient is zero, so the mean block gets the whole budget
-        closed_mu, _, _, _ = performance_step(dist, _make_stats(d, u_bar=u_bar), eps, 1e-12)
+        closed_mu, _, _, _ = performance_step(dist, _make_stats(d, u_bar=u_bar), eps)
         closed_mu = _perturbed(closed_mu, perturb, rng)
         oracle = solve_numeric(
             LinearizedSubproblem(
@@ -219,7 +219,7 @@ def run_oracle_suite(
         if math.sqrt(float(np.sum(psi_bar**2 / h_diag))) < 1e-4:
             psi_bar = psi_bar + 0.1
         # the mean gradient is zero, so the scale block gets the whole budget
-        _, closed_theta, _, _ = performance_step(dist, _make_stats(d, psi_bar=psi_bar), eps, 1e-12)
+        _, closed_theta, _, _ = performance_step(dist, _make_stats(d, psi_bar=psi_bar), eps)
         closed_theta = _perturbed(closed_theta, perturb, rng)
         oracle = solve_numeric(
             LinearizedSubproblem(
@@ -279,7 +279,7 @@ def run_oracle_suite(
         else:
             continue
         stats = _make_stats(d, psi_bar=psi_bar, v_bar=b, omega=omega)
-        theta_new, th_sol, backtracked = solve_theta_block(dist, stats, eps, 0.0, 1e-12)
+        theta_new, th_sol, backtracked = solve_theta_block(dist, stats, eps, 0.0)
         if th_sol.active_case == BOTH_INACTIVE or backtracked:
             continue
         theta_new = _perturbed(theta_new, perturb, rng)

@@ -77,7 +77,7 @@ def selfpaced_variant():
     config = load_config(preset_path("synthetic_convergence"))
     return dataclasses.replace(
         config,
-        environment_options={**config.environment_options, "width": 1.0},
+        width=1.0,
         curriculum=dataclasses.replace(config.curriculum, v_lower=5.0),
     )
 

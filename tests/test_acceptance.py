@@ -23,7 +23,7 @@ import pytest
 
 from spgl.cli import main
 from spgl.config import load_config, preset_path
-from spgl.gaussian import ContextDistribution, TargetSpec
+from spgl.gaussian import THETA_MIN, ContextDistribution, TargetSpec
 from spgl.harness import evaluate_run, run_training, train_runs, verify
 from spgl.oracle import InfeasibleSubproblem, LinearizedSubproblem, solve_numeric
 from spgl.stats import CurriculumStats, RolloutBatch
@@ -219,11 +219,11 @@ def test_criterion_8_degenerate_cases():
     target = TargetSpec(mu_tilde=np.zeros(1), sigma_tilde_diag=np.ones(1))
     dist = ContextDistribution(mu=np.array([0.4]), theta=np.array([1.0]), target=target)
     mu, _, _, _ = performance_step(
-        dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([-0.5])), 0.05, 1e-6
+        dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([-0.5])), 0.05
     )
     checks.append(("u-guard", mu[0] == 0.4))
     _, _, moved, _ = performance_step(
-        dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([1e-12])), 0.05, 1e-6
+        dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([1e-12])), 0.05
     )
     flat = RolloutBatch([[0.9], [-0.1]], [0.0, 0.0], dist)
     unchanged, flat_report = update(dist, flat, target, CurriculumConfig(epsilon=0.05, v_lower=10.0))
@@ -234,7 +234,7 @@ def test_criterion_8_degenerate_cases():
     # omega = 0 at the target: the scale step is the identity
     at_target = ContextDistribution.at_target(target)
     theta_new, _, _ = solve_theta_block(
-        at_target, make_stats(1, v_bar=10.0, psi_bar=np.array([0.3])), 0.05, 0.0, 1e-6
+        at_target, make_stats(1, v_bar=10.0, psi_bar=np.array([0.3])), 0.05, 0.0
     )
     checks.append(("omega-zero-identity", bool(np.array_equal(theta_new, at_target.theta))))
 
@@ -245,7 +245,7 @@ def test_criterion_8_degenerate_cases():
         omega=0.5 * (1.0 / near.theta - 1.0 / near.theta**2 - (target.mu_tilde - near.mu) ** 2 / near.theta**2),
     )
     mu_new, mu_sol = solve_mu_block(near, target, stats_near, 0.05, 0.0)
-    theta_jump, theta_sol, _ = solve_theta_block(near, stats_near, 0.05, 0.0, 1e-6)
+    theta_jump, theta_sol, _ = solve_theta_block(near, stats_near, 0.05, 0.0)
     checks.append(
         (
             "both-inactive-jump",
@@ -257,9 +257,9 @@ def test_criterion_8_degenerate_cases():
     )
 
     # positivity backtracking keeps the floor and the direction
-    low = ContextDistribution(mu=np.zeros(1), theta=np.array([0.02]), target=target)
-    _, theta_floor, _, _ = performance_step(low, make_stats(1, psi_bar=np.array([-1.0])), 0.2, 0.01)
-    checks.append(("theta-floor", theta_floor[0] == pytest.approx(0.01, abs=1e-15)))
+    low = ContextDistribution(mu=np.zeros(1), theta=np.array([2e-6]), target=target)
+    _, theta_floor, _, _ = performance_step(low, make_stats(1, psi_bar=np.array([-1.0])), 0.2)
+    checks.append(("theta-floor", theta_floor[0] == pytest.approx(THETA_MIN, rel=1e-12)))
 
     # infeasible performance constraint is reported, closed form and oracle
     infeasible_stats = make_stats(1, v_bar=-100.0, u_bar=np.array([1e-4]), psi_bar=np.array([1e-4]), omega=np.array([0.3]))
@@ -269,7 +269,7 @@ def test_criterion_8_degenerate_cases():
     except InfeasiblePerformanceConstraint:
         checks.append(("mu-infeasible", True))
     try:
-        solve_theta_block(dist, infeasible_stats, 0.01, 0.0, 1e-6)
+        solve_theta_block(dist, infeasible_stats, 0.01, 0.0)
         checks.append(("theta-infeasible", False))
     except InfeasiblePerformanceConstraint:
         checks.append(("theta-infeasible", True))

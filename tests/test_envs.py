@@ -32,10 +32,10 @@ def step_one(env, position, velocity, action, context, t=0):
     return state[0:2, 0], state[2:4, 0], reward[0], terminated[0], success[0]
 
 
-def reference_step(params, state, actions, t):
-    """The point-mass transition written plainly, with whole-array temporaries;
-    ``PointMassEnv.step`` must reproduce it bit for bit."""
-    p = params
+def reference_step(p, state, actions, t):
+    """The point-mass transition written plainly, with whole-array temporaries,
+    from the constants of ``p``; ``PointMassEnv.step`` must reproduce it bit
+    for bit."""
     pos, vel, contexts = state[0:2], state[2:4], state[4:]
     actions = np.clip(actions, -p.action_limit, p.action_limit)
     friction = contexts[2:3]
@@ -78,7 +78,7 @@ def random_batch(env, rng):
         [rng.uniform(-3, 3, k), rng.uniform(-0.5, 3, k), rng.uniform(-0.5, 1.5, k)]
     )
     state = env.reset(contexts)
-    limit = env.params.arena_half_width
+    limit = env.arena_half_width
     kind = rng.integers(0, 4, k)
     pos = rng.uniform(-limit, limit, (k, 2))
     vel = rng.uniform(-5, 5, (k, 2))
@@ -86,13 +86,13 @@ def random_batch(env, rng):
     pos[wall, 1] = rng.uniform(-0.3, 0.3, wall.sum())
     vel[wall, 1] = rng.uniform(-8, 8, wall.sum())
     goal = kind == 2
-    pos[goal] = np.array(env.params.goal) + rng.uniform(-0.4, 0.4, (goal.sum(), 2))
+    pos[goal] = np.array(env.goal) + rng.uniform(-0.4, 0.4, (goal.sum(), 2))
     vel[goal] = rng.uniform(-1, 1, (goal.sum(), 2))
     edge = kind == 3
     pos[edge] = rng.choice([-1.0, 1.0], (edge.sum(), 2)) * rng.uniform(3.8, limit, (edge.sum(), 2))
     vel[edge] = rng.uniform(-60, 60, (edge.sum(), 2))
     state[0:2], state[2:4] = pos.T, vel.T
-    actions = rng.uniform(-2.5, 2.5, (k, 2)) * env.params.action_limit
+    actions = rng.uniform(-2.5, 2.5, (k, 2)) * env.action_limit
     t = int(rng.choice([0, rng.integers(0, env.horizon), env.horizon - 1]))
     return state, actions.T, t
 
@@ -154,22 +154,22 @@ class TestStep:
     def test_success_at_goal(self, env):
         _, _, reward, terminated, success = step_one(env, [0.0, -2.9], [0.0, -1.0], np.zeros(2), EASY)
         assert success and terminated
-        assert reward > env.params.success_bonus * 0.9
+        assert reward > env.success_bonus * 0.9
 
     def test_horizon_termination(self, env):
         _, _, _, terminated, success = step_one(
-            env, [0.0, 2.0], np.zeros(2), np.zeros(2), EASY, t=env.params.horizon - 1
+            env, [0.0, 2.0], np.zeros(2), np.zeros(2), EASY, t=env.horizon - 1
         )
         assert terminated and not success
 
     def test_action_clamped_in_cost(self, env):
         _, _, big, _, _ = step_one(env, [0.0, 2.0], np.zeros(2), [1e6, 0.0], EASY)
-        _, _, capped, _, _ = step_one(env, [0.0, 2.0], np.zeros(2), [env.params.action_limit, 0.0], EASY)
+        _, _, capped, _, _ = step_one(env, [0.0, 2.0], np.zeros(2), [env.action_limit, 0.0], EASY)
         assert big == pytest.approx(capped)
 
     def test_arena_bounds_hold(self, env):
         pos, vel, _, _, _ = step_one(env, [3.9, 2.0], [50.0, 0.0], [10.0, 0.0], EASY)
-        assert pos[0] <= env.params.arena_half_width
+        assert pos[0] <= env.arena_half_width
         assert vel[0] == 0.0
 
     def test_step_keeps_the_context(self, env):
@@ -217,7 +217,7 @@ class TestStep:
 
     def test_matches_reference_step(self, env):
         rng = np.random.default_rng(3)
-        limit = env.params.arena_half_width
+        limit = env.arena_half_width
         seen = dict(crash=0, gate_pass=0, clip_x=0, clip_y=0, success=0, last_step=0, big_action=0)
         for _ in range(300):
             state, actions, t = random_batch(env, rng)
@@ -225,7 +225,7 @@ class TestStep:
             got = env.step(state, actions, t)
             assert state.tobytes() == state_before.tobytes()
             assert actions.tobytes() == actions_before.tobytes()
-            want = reference_step(env.params, state, actions, t)
+            want = reference_step(env, state, actions, t)
             for name, a, b in zip(("state", "reward", "terminated", "success"), got, want):
                 assert a.shape == b.shape and a.dtype == b.dtype, name
                 assert np.array_equal(a, b), name
@@ -239,7 +239,7 @@ class TestStep:
             seen["clip_y"] += (np.abs(new_state[1]) == limit).sum()
             seen["success"] += success.sum()
             seen["last_step"] += t == env.horizon - 1
-            seen["big_action"] += (np.abs(actions) > env.params.action_limit).any()
+            seen["big_action"] += (np.abs(actions) > env.action_limit).any()
         assert all(count > 0 for count in seen.values()), seen
 
 
@@ -286,4 +286,4 @@ class TestSynthetic:
             contexts = rng.normal(0.0, 3.0, (int(rng.integers(2, 65)), d))
             _, values, _, _ = env.step(env.reset(contexts), np.zeros((0, len(contexts))), 0)
             for c, v in zip(contexts, values):
-                assert v == synthetic_value(c, env.difficulty_center, env.width, env.peak)
+                assert v == synthetic_value(c, env.difficulty_center, env.width)

@@ -28,7 +28,7 @@ from spgl.harness import (
 )
 from spgl.envs import PointMassEnv
 from spgl.gaussian import TargetSpec
-from spgl.learner import init_policy
+from spgl.learner import LearnerConfig, init_policy
 from spgl.update import CurriculumError
 from spgl.verification import run_timing_suite
 
@@ -88,11 +88,11 @@ class TestConfig:
         assert np.allclose(config.initial_mu, [0, 4, 2])
         assert np.allclose(config.initial_theta, [4, 3.5, 1])
         assert config.curriculum.v_lower == 5.0
-        assert not config.learner.context_visible
+        assert not config.context_visible
 
     def test_setup2_is_visible_context(self):
         config = load_config(preset_path("point_mass_setup2"))
-        assert config.learner.context_visible
+        assert config.context_visible
         assert np.allclose(config.target.mu_tilde, [2.5, 0.7, 0.1])
 
     def test_external_engine_environments_are_unknown(self, tmp_path):
@@ -104,7 +104,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "environment, key",
-        [("synthetic", "widht"), ("synthetic", "horizon"), ("point_mass", "width")],
+        [
+            ("synthetic", "widht"),
+            ("synthetic", "horizon"),
+            ("point_mass", "width"),
+            # the synthetic environment has no observations to show
+            ("synthetic", "context_visible"),
+        ],
     )
     def test_unknown_environment_keys_rejected(self, tmp_path, environment, key):
         # a misspelt key used to be dropped silently, running width 50
@@ -152,8 +158,13 @@ class TestConfig:
             # spgl train died in a traceback
             ("epsilon = 0.05", "epsilon = 0", r"\[curriculum\] epsilon must be positive"),
             ("k_contexts = 8", "k_contexts = 1", r"\[curriculum\] k_contexts must be >= 2"),
-            ("k_contexts = 8", "k_contexts = 8\ntheta_min = 1e-9", r"\[curriculum\] theta_min"),
-            ("k_contexts = 8", "k_contexts = 8\ntheta_min = 0.3", r"\[initial\] theta entries"),
+            # the scale floor is THETA_MIN, not a setting
+            (
+                "k_contexts = 8",
+                "k_contexts = 8\ntheta_min = 1e-6",
+                r"unknown \[curriculum\] key 'theta_min'",
+            ),
+            ("theta = 0.5, 0.25", "theta = 0.5, 1e-7", r"theta entries must be >= 1e-06"),
             ("sigma = 1.0, 1.0", "sigma = 1.0, -1.0", r"\[target\] sigma_tilde_diag entries"),
             ("[curriculum]", "[learner]\ngamma = 1.5\n[curriculum]", r"\[learner\] gamma must"),
         ],
@@ -186,13 +197,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", sorted(REMOVED_KEY_SECTIONS))
     def test_removed_curriculum_keys_rejected(self, tmp_path, key):
+        # a deleted option is an unknown key like any misspelling
         section = self.REMOVED_KEY_SECTIONS[key]
         path = tmp_path / "old.ini"
         text = SYNTH_CONFIG.format(iterations=5, period=1)
         if f"[{section}]" not in text:
             text += f"\n[{section}]\n"
         path.write_text(text.replace(f"[{section}]", f"[{section}]\n{key} = 1"))
-        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} is no longer supported"):
+        with pytest.raises(ConfigError, match=rf"unknown \[{section}\] key '{key}'"):
             load_config(path)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
@@ -311,22 +323,22 @@ class TestEvaluate:
         policy = init_policy(env.observation_dim, env.action_dim)
         target = TargetSpec(mu_tilde=np.array([0.0, 4.0, 0.0]), sigma_tilde_diag=np.full(3, 1e-4))
         with pytest.warns(RuntimeWarning):
-            (result,) = evaluate([policy], target, env, 1, [np.random.default_rng(0)])
+            (result,) = evaluate([policy], target, env, 1, [np.random.default_rng(0)], LearnerConfig())
         assert result.return_se == 0.0 and result.success_se == 0.0
 
     def test_seeded_repeatability(self):
         env = PointMassEnv()
         policy = init_policy(env.observation_dim, env.action_dim)
         target = TargetSpec(mu_tilde=np.array([0.0, 4.0, 0.0]), sigma_tilde_diag=np.full(3, 1e-4))
-        a = evaluate([policy], target, env, 10, [np.random.default_rng(5)])
-        b = evaluate([policy], target, env, 10, [np.random.default_rng(5)])
+        a = evaluate([policy], target, env, 10, [np.random.default_rng(5)], LearnerConfig())
+        b = evaluate([policy], target, env, 10, [np.random.default_rng(5)], LearnerConfig())
         assert a == b
 
     def test_success_rate_is_percentage(self, synth_config):
         config = synth_config(iterations=5)
         env = config.make_environment()
         policy = init_policy(env.observation_dim, env.action_dim)
-        (result,) = evaluate([policy], config.target, env, 16, [np.random.default_rng(1)])
+        (result,) = evaluate([policy], config.target, env, 16, [np.random.default_rng(1)], config.learner)
         assert result.success_rate == 100.0
         assert result.success_se == 0.0
 
@@ -531,8 +543,8 @@ class TestVerify:
     def test_checks_the_shipped_performance_step(self, monkeypatch, block, label):
         real = spgl.verification.performance_step
 
-        def perturbed(dist, stats, eps, theta_min):
-            out = list(real(dist, stats, eps, theta_min))
+        def perturbed(dist, stats, eps):
+            out = list(real(dist, stats, eps))
             out[block] = out[block] + 1e-4 * (1.0 + np.abs(out[block]))
             return tuple(out)
 
@@ -713,6 +725,22 @@ class TestCli:
         assert main(argv + ["--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "0"], ["--curriculum", "spgl"], ["--save-policy", "p.npz"], ["--warnings-as-errors"]],
+        ids=["seed", "curriculum", "save-policy", "warnings-as-errors"],
+    )
+    def test_single_run_flags_rejected_with_seeds(self, tmp_path, capsys, flags):
+        # a multi-seed comparison used to ignore each of these silently, so
+        # --warnings-as-errors exited 0 even after failed updates
+        out = tmp_path / "summary.csv"
+        argv = ["train", "--config", "synthetic_convergence", "--seeds", "0,1", "--out", str(out)]
+        assert main(argv + flags + ["--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert f"{flags[0]} cannot be combined with --seeds" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "call",

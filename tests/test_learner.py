@@ -99,7 +99,7 @@ class TestRollout:
         contexts = np.random.default_rng(0).normal(0.0, 1.5, (16, 2))
         episodes = collect_one(policy, env, contexts, LearnerConfig(), 0, 0)
         for c, v, ok in zip(contexts, episodes.values, episodes.successes):
-            assert v == synthetic_value(c, env.difficulty_center, env.width, env.peak)
+            assert v == synthetic_value(c, env.difficulty_center, env.width)
             assert ok == (v >= env.success_threshold)
         assert np.array_equal(episodes.lengths, np.ones(16, dtype=int))
         assert episodes.actions.shape == (16, 1, 0)
@@ -306,9 +306,9 @@ class TestRollout:
         env = PointMassEnv()
         policy = make_policy(env, scale=0.3)
         episodes = collect_one(policy, env, np.tile(EASY, (5, 1)), LearnerConfig(), 0, 0)
-        horizon = env.params.horizon
-        upper = horizon * 1.0 + env.params.success_bonus
-        lower = horizon * (-env.params.action_cost * 2 * env.params.action_limit**2) + env.params.crash_penalty
+        horizon = env.horizon
+        upper = horizon * 1.0 + env.success_bonus
+        lower = horizon * (-env.action_cost * 2 * env.action_limit**2) + env.crash_penalty
         assert np.all((lower <= episodes.values) & (episodes.values <= upper))
 
 
@@ -460,5 +460,5 @@ class TestPersistence:
         loaded = load_policy(path)
         assert loaded.weights.shape == (0, 1) and loaded.log_action_noise.shape == (0,)
         target = TargetSpec(mu_tilde=np.zeros(2), sigma_tilde_diag=np.ones(2))
-        (ev,) = evaluate([loaded], target, env, 8, [np.random.default_rng(0)])
+        (ev,) = evaluate([loaded], target, env, 8, [np.random.default_rng(0)], LearnerConfig())
         assert 0.0 < ev.mean_return <= env.peak

@@ -117,7 +117,7 @@ class TestGeometryStats:
         # whatever the target variance
         dist = make_dist([0.0], [1.0], sigma=[0.37])
         stats = compute_stats(RolloutBatch([[0.0], [0.0]], [1.0, 1.0], dist), dist, dist.target)
-        _, theta, _, _ = performance_step(dist, stats, 0.01, 1e-6)
+        _, theta, _, _ = performance_step(dist, stats, 0.01)
         assert theta[0] == pytest.approx(1.0 - 2.0 * 0.1, abs=1e-12)
 
     def test_omega_zero_at_target(self):
@@ -183,7 +183,7 @@ class TestGradientConsistency:
                 compute_stats(batch, dist, dist.target), u_bar=np.zeros(dist.d)
             )
             for eps in (1e-4, 1e-6):
-                _, theta, moved, _ = performance_step(dist, stats, eps, 1e-9)
+                _, theta, moved, _ = performance_step(dist, stats, eps)
                 rel_step = float(np.max(np.abs(theta / dist.theta - 1.0)))
                 actual = kl_between(dist.with_params(theta=theta), dist)
                 assert moved

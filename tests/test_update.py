@@ -24,6 +24,7 @@ from spgl.update import (
     PERF_ACTIVE,
     PROXIMITY_ACTIVE,
     CurriculumConfig,
+    CurriculumError,
     KKT_TOL,
     InfeasiblePerformanceConstraint,
     convergence_step,
@@ -89,7 +90,7 @@ class TestPerformanceStep:
         # one informative block: u_bar = 0.5, eps = 0.08 -> mean moves to 0.4
         dist = make_dist([0.0], [1.0])
         stats = make_stats(1, u_bar=[0.5], psi_bar=[0.0])
-        mu, theta, moved, _ = performance_step(dist, stats, 0.08, 1e-6)
+        mu, theta, moved, _ = performance_step(dist, stats, 0.08)
         assert mu[0] == pytest.approx(0.4, abs=1e-12)
         assert theta[0] == 1.0
         assert moved
@@ -98,7 +99,7 @@ class TestPerformanceStep:
         # psi_bar = -0.5, eps = 0.01 with unit curvature -> theta 1.0 -> 0.8
         dist = make_dist([0.0], [1.0])
         stats = make_stats(1, u_bar=[0.0], psi_bar=[-0.5])
-        mu, theta, moved, _ = performance_step(dist, stats, 0.01, 1e-6)
+        mu, theta, moved, _ = performance_step(dist, stats, 0.01)
         assert theta[0] == pytest.approx(0.8, abs=1e-12)
         assert mu[0] == 0.0
         assert moved
@@ -106,13 +107,13 @@ class TestPerformanceStep:
     def test_small_u_leaves_mu_unchanged(self):
         dist = make_dist([0.3], [1.0])
         stats = make_stats(1, u_bar=[1e-12], psi_bar=[-0.5])
-        mu, _, _, _ = performance_step(dist, stats, 0.01, 1e-6)
+        mu, _, _, _ = performance_step(dist, stats, 0.01)
         assert mu[0] == 0.3
 
     def test_both_degenerate_does_not_move(self):
         dist = make_dist([0.0], [1.0])
         stats = make_stats(1, u_bar=[1e-12], psi_bar=[1e-12])
-        mu, theta, moved, backtracked = performance_step(dist, stats, 0.01, 1e-6)
+        mu, theta, moved, backtracked = performance_step(dist, stats, 0.01)
         assert not moved and not backtracked
         assert np.array_equal(mu, dist.mu) and np.array_equal(theta, dist.theta)
 
@@ -123,7 +124,7 @@ class TestPerformanceStep:
             dist = make_dist(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
             stats = make_stats(d, u_bar=rng.normal(size=d), psi_bar=np.zeros(d))
             eps = float(rng.uniform(0.001, 0.1))
-            mu, theta, _, _ = performance_step(dist, stats, eps, 1e-6)
+            mu, theta, _, _ = performance_step(dist, stats, eps)
             new = dist.with_params(mu=mu, theta=theta)
             assert mean_shift_kl(new, dist) == pytest.approx(eps, rel=1e-10)
 
@@ -134,17 +135,17 @@ class TestPerformanceStep:
             dist = make_dist(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
             u_bar = rng.normal(size=d)
             stats = make_stats(d, u_bar=u_bar, psi_bar=np.zeros(d))
-            mu, _, _, _ = performance_step(dist, stats, 0.05, 1e-6)
+            mu, _, _, _ = performance_step(dist, stats, 0.05)
             precision = 1.0 / dist.covariance_diag()
             gain = float(np.sum(u_bar * (mu - dist.mu) * precision))
             assert gain > 0.0
 
     def test_theta_positivity_backtracking(self):
         # a full step would cross the floor; the direction must be kept
-        dist = make_dist([0.0], [0.02], sigma=[1.0])
+        dist = make_dist([0.0], [2e-6], sigma=[1.0])
         stats = make_stats(1, u_bar=[0.0], psi_bar=[-1.0])
-        _, theta, moved, backtracked = performance_step(dist, stats, 0.2, 0.01)
-        assert theta[0] == pytest.approx(0.01, abs=1e-15)
+        _, theta, moved, backtracked = performance_step(dist, stats, 0.2)
+        assert theta[0] == pytest.approx(THETA_MIN, rel=1e-12)
         assert moved and backtracked
 
 
@@ -212,7 +213,7 @@ class TestThetaConvergence:
         # H^-1 omega; the metric norm of omega = 0.15 is theta * 0.15 = 0.3
         dist = make_dist([0.0], [2.0], sigma=[1.0])
         stats = make_stats(1, psi_bar=[0.01], v_bar=10.0, omega=[0.3 / 2.0])
-        theta_new, sol, _ = solve_theta_block(dist, stats, 0.0225, 0.0, 1e-6)
+        theta_new, sol, _ = solve_theta_block(dist, stats, 0.0225, 0.0)
         assert sol.active_case == PROXIMITY_ACTIVE
         assert sol.lambda_ball == pytest.approx(1.0, rel=1e-12)
         # step is H^-1 omega / lambda_4 = theta^2 * 0.15 = 0.6
@@ -221,7 +222,7 @@ class TestThetaConvergence:
     def test_jump_branch_returns_ones(self):
         dist = make_dist([0.0], [1.05], sigma=[1.0])
         stats = make_stats(1, psi_bar=[0.2], v_bar=10.0, omega=[0.1])
-        theta_new, sol, _ = solve_theta_block(dist, stats, 0.05, 0.0, 1e-6)
+        theta_new, sol, _ = solve_theta_block(dist, stats, 0.05, 0.0)
         assert sol.active_case == BOTH_INACTIVE
         assert np.array_equal(theta_new, np.ones(1))
 
@@ -229,7 +230,7 @@ class TestThetaConvergence:
         target = TargetSpec(mu_tilde=np.array([0.5]), sigma_tilde_diag=np.array([1.0]))
         dist = ContextDistribution.at_target(target)
         stats = make_stats(1, psi_bar=[0.3], v_bar=10.0, omega=[0.0])
-        theta_new, _, _ = solve_theta_block(dist, stats, 0.01, 0.0, 1e-6)
+        theta_new, _, _ = solve_theta_block(dist, stats, 0.01, 0.0)
         assert np.array_equal(theta_new, dist.theta)
 
     def test_zero_omega_below_the_bound_moves_to_the_face(self):
@@ -237,7 +238,7 @@ class TestThetaConvergence:
         # ball, but the face point is a KKT point with zero multipliers
         dist = make_dist([0.0, 0.0], [3.0, 4.0])
         stats = make_stats(2, psi_bar=[0.5, -0.2], v_bar=-0.05, omega=[0.0, 0.0])
-        theta_new, sol, backtracked = solve_theta_block(dist, stats, 0.01, 0.0, 1e-6)
+        theta_new, sol, backtracked = solve_theta_block(dist, stats, 0.01, 0.0)
         assert sol.active_case == PERF_ACTIVE
         assert sol.lambda_perf == 0.0 and sol.lambda_ball == 0.0
         assert not backtracked
@@ -249,7 +250,7 @@ class TestThetaConvergence:
         dist = make_dist([0.0], [1.0])
         stats = make_stats(1, psi_bar=[1e-4], v_bar=-50.0, omega=[0.3])
         with pytest.raises(InfeasiblePerformanceConstraint):
-            solve_theta_block(dist, stats, 0.01, 0.0, 1e-6)
+            solve_theta_block(dist, stats, 0.01, 0.0)
 
     def test_kkt_certificate_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -265,7 +266,7 @@ class TestThetaConvergence:
             if v_bar + reach < 0:
                 v_bar = -0.9 * reach
             stats = make_stats(d, psi_bar=psi_bar, v_bar=v_bar, omega=omega)
-            theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0, 1e-9)
+            theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0)
             if backtracked:
                 continue
             res = theta_kkt_residuals(dist, stats, eps, 0.0, theta_new, sol)
@@ -290,7 +291,7 @@ class TestThetaConvergence:
             omega=[-0.275522006315253, -0.22400420516805036],
         )
         eps = 0.043265779443782515
-        theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 5.0, 1e-6)
+        theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 5.0)
         assert sol.active_case == BOTH_ACTIVE and not backtracked
         res = theta_kkt_residuals(dist, stats, eps, 5.0, theta_new, sol)
         assert max(res.values()) <= 1e-10, res
@@ -314,7 +315,7 @@ class TestThetaConvergence:
             omega=[2.497359162512075, -11.884274948553093],
         )
         eps = 0.0019335267435009384
-        theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0, 1e-12)
+        theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0)
         assert sol.active_case == BOTH_ACTIVE and not backtracked
         res = theta_kkt_residuals(dist, stats, eps, 0.0, theta_new, sol)
         assert max(res.values()) <= KKT_TOL, res
@@ -370,7 +371,7 @@ class TestCertifiedByConstruction:
 
         stats = make_stats(d, u_bar=u_bar, v_bar=b_theta, psi_bar=psi_bar, omega=omega)
         try:
-            theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0, 1e-12)
+            theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0)
         except InfeasiblePerformanceConstraint:
             assert b_theta + reach_theta <= 1e-12 * reach_theta
         else:
@@ -393,13 +394,13 @@ class TestConvergenceBudget:
             seen.append(eps)
             return real_mu(dist, target, stats, eps, v_lower)
 
-        def theta_spy(dist, stats, eps, v_lower, theta_min):
+        def theta_spy(dist, stats, eps, v_lower):
             seen.append(eps)
-            return real_theta(dist, stats, eps, v_lower, theta_min)
+            return real_theta(dist, stats, eps, v_lower)
 
         monkeypatch.setattr(update_module, "solve_mu_block", mu_spy)
         monkeypatch.setattr(update_module, "solve_theta_block", theta_spy)
-        convergence_step(dist, dist.target, stats, self.EPS, 0.0, 1e-6)
+        convergence_step(dist, dist.target, stats, self.EPS, 0.0)
         return seen
 
     def test_both_blocks_degenerate_split_evenly(self, monkeypatch):
@@ -463,25 +464,9 @@ class TestFullUpdate:
         assert report.degenerate
         assert new_dist is dist
 
-    def test_theta_min_below_the_distribution_floor_is_rejected(self):
-        # theta_min = 1e-9 used to be accepted; a performance step on scales
-        # near the floor then built theta below THETA_MIN, and update raised
-        # a ValueError that no caller treats as a failed update
-        with pytest.raises(ValueError, match="theta_min must be >= 1e-06"):
-            CurriculumConfig(epsilon=1.0, v_lower=100.0, theta_min=1e-9)
-        dist = make_dist([0.0, 0.0], [2e-6, 2e-6])
-        rng = np.random.default_rng(0)
-        contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, 2))
-        values = np.exp(-0.5 * np.sum(contexts**2, axis=1) / 1e-6)
-        batch = RolloutBatch(contexts, values, dist)
-        config = CurriculumConfig(epsilon=1.0, v_lower=100.0, k_contexts=16, theta_min=THETA_MIN)
-        new_dist, report = update(dist, batch, dist.target, config)
-        assert report.kind == "performance" and report.theta_backtracked
-        assert np.all(new_dist.theta >= THETA_MIN)
-
     def test_clipped_scale_step_stays_on_the_floor(self):
-        # theta + s * delta with s = (theta - theta_min) / -delta can round
-        # one ulp below theta_min = THETA_MIN, and the distribution then
+        # theta + s * delta with s = (theta - THETA_MIN) / -delta can round
+        # one ulp below THETA_MIN, and the distribution then
         # refused the update; about one in eight of these instances did
         target = TargetSpec(mu_tilde=np.zeros(1), sigma_tilde_diag=np.array([0.231]))
         clipped = 0
@@ -493,7 +478,7 @@ class TestFullUpdate:
             values = np.exp(-0.5 * contexts[:, 0] ** 2 / (theta * 0.231))
             batch = RolloutBatch(contexts, values, dist)
             eps = float(rng.uniform(0.2, 1.0))
-            config = CurriculumConfig(epsilon=eps, v_lower=100.0, k_contexts=16, theta_min=THETA_MIN)
+            config = CurriculumConfig(epsilon=eps, v_lower=100.0, k_contexts=16)
             new_dist, report = update(dist, batch, target, config)
             assert report.kind == "performance"
             assert new_dist.theta[0] >= THETA_MIN
@@ -502,31 +487,17 @@ class TestFullUpdate:
 
     def test_clip_lands_on_the_floor_exactly(self):
         theta, delta = np.array([5.346856655547358e-05]), np.array([-2.535532882876411e-04])
-        theta_new, backtracked = update_module._clip_theta_step(theta, delta, 1e-6)
+        theta_new, backtracked = update_module._clip_theta_step(theta, delta)
         assert theta_new[0] == 1e-6 and backtracked
 
-    def test_scale_below_theta_min_is_not_raised_to_it(self):
-        # an initial scale below the configured floor: a step that would
-        # shrink it gets scale 0, and the floor clamp must not then lift it
-        # to theta_min, a jump outside the trust region
-        target = TargetSpec(mu_tilde=np.zeros(2), sigma_tilde_diag=np.ones(2))
-        dist = ContextDistribution(mu=np.zeros(2), theta=np.array([1e-3, 0.5]), target=target)
-        rng = np.random.default_rng(0)
-        contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, 2))
-        values = np.exp(-0.5 * np.sum(contexts**2 / np.array([1e-4, 0.5]), axis=1))
-        batch = RolloutBatch(contexts, values, dist)
-        config = CurriculumConfig(epsilon=0.05, v_lower=100.0, k_contexts=16, theta_min=0.01)
-        new_dist, report = update(dist, batch, target, config)
-        assert report.kind == "performance" and report.theta_backtracked
-        assert np.array_equal(new_dist.theta, dist.theta)
-        assert report.kl_step <= config.epsilon
-
-    def test_clip_keeps_entries_below_the_floor(self):
-        theta, delta = np.array([1e-3, 1e-3, 1.0]), np.array([-5e-4, 0.0, -0.5])
-        theta_new, backtracked = update_module._clip_theta_step(theta, delta, 0.01)
+    def test_clip_keeps_entries_on_the_floor(self):
+        # an entry on the floor that would shrink gets scale 0 for the whole
+        # step; entries that do not shrink never set the scale
+        theta, delta = np.array([THETA_MIN, THETA_MIN, 1.0]), np.array([-5e-7, 0.0, -0.5])
+        theta_new, backtracked = update_module._clip_theta_step(theta, delta)
         assert np.array_equal(theta_new, theta) and backtracked
-        theta_new, backtracked = update_module._clip_theta_step(theta[1:], delta[1:], 0.01)
-        assert np.array_equal(theta_new, [1e-3, 0.5]) and not backtracked
+        theta_new, backtracked = update_module._clip_theta_step(theta[1:], delta[1:])
+        assert np.array_equal(theta_new, [THETA_MIN, 0.5]) and not backtracked
 
     def test_trust_region_respected_over_random_updates(self):
         rng = np.random.default_rng(5)
@@ -574,7 +545,7 @@ class TestFullUpdate:
 
 
 class TestJointKlBacktrack:
-    # Rays whose scale step was clipped at theta_min end where the scale KL
+    # Rays whose scale step was clipped at THETA_MIN end where the scale KL
     # has a log singularity; the secant needs a few more evaluations there.
     MAX_EVALS = 10
     MAX_EVALS_AT_FLOOR = 12
@@ -655,3 +626,48 @@ class TestJointKlBacktrack:
             assert np.array_equal(theta, theta0)
             assert mean_part == delta**2
             assert kl_step == mean_part
+
+
+class TestUpdateAtExtremeInputs:
+    """``update`` keeps its contracts far outside the presets' ranges: it
+    raises nothing but :class:`CurriculumError`, the joint step KL stays
+    within ``epsilon`` and every scale at or above :data:`THETA_MIN`.
+
+    Vectors come from a seeded generator; hypothesis drives the dimension,
+    the batch size and the scales.  "No KKT case matched the mean
+    subproblem" still raises on some convergence steps with scales near
+    the floor (ROADMAP item 1); a raise is allowed here, any other
+    exception or a broken contract is not."""
+
+    @staticmethod
+    def instance(seed, d, k, return_exp, flat, eps_exp, gap):
+        rng = np.random.default_rng(seed)
+        theta = np.maximum(10.0 ** rng.uniform(-6.0, 5.0, d), THETA_MIN)
+        sigma = 10.0 ** rng.uniform(-3.0, 2.0, d)
+        dist = make_dist(rng.normal(0.0, 2.0, d), theta, rng.normal(0.0, 2.0, d), sigma)
+        contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(k, d))
+        scale = 10.0**return_exp
+        values = np.full(k, scale * rng.normal()) if flat else scale * rng.normal(size=k)
+        # the threshold within about one return scale of the batch mean
+        v_lower = float(np.mean(values)) + gap * scale
+        config = CurriculumConfig(epsilon=10.0**eps_exp, v_lower=v_lower, k_contexts=k)
+        return dist, RolloutBatch(contexts, values, dist), config
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 3, 8, 32]),
+        k=st.sampled_from([2, 4, 16, 64]),
+        return_exp=st.floats(-6.0, 6.0),
+        flat=st.integers(0, 4).map(lambda i: i == 0),  # one batch in five all equal
+        eps_exp=st.floats(-6.0, 0.0),
+        gap=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_contracts_hold(self, seed, d, k, return_exp, flat, eps_exp, gap):
+        dist, batch, config = self.instance(seed, d, k, return_exp, flat, eps_exp, gap)
+        try:
+            new_dist, report = update(dist, batch, dist.target, config)
+        except CurriculumError:
+            return
+        assert report.kl_step <= config.epsilon + 1e-12
+        assert np.all(new_dist.theta >= THETA_MIN)
