@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--compare",
-        default="default,spgl",
-        help="curriculum modes compared in multi-seed runs",
+        default=None,
+        help="curriculum modes compared in multi-seed runs (default: default,spgl)",
     )
     train.add_argument("--save-policy", default=None, help="save the final policy (npz)")
     train.add_argument(
@@ -114,6 +114,8 @@ def _cmd_train(args) -> int:
         ):
             if value is not None:
                 raise ConfigError(f"{flag} cannot be combined with --seeds")
+    elif args.compare is not None:
+        raise ConfigError("--compare needs --seeds")
     config = _resolve_config(args.config)
     seed = config.seed if args.seed is None else args.seed
 
@@ -122,7 +124,7 @@ def _cmd_train(args) -> int:
             seeds = [int(s) for s in args.seeds.replace(",", " ").split()]
         except ValueError:
             raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from None
-        modes = [m.strip() for m in args.compare.split(",") if m.strip()]
+        modes = [m.strip() for m in (args.compare or "default,spgl").split(",") if m.strip()]
         summaries, all_records = run_multi_seed(config, seeds, modes=modes)
         out = Path(args.out or f"{config.name}_summary.csv")
         out.write_text(summary_to_csv(summaries))

@@ -197,8 +197,8 @@ class SyntheticEnv:
         self.difficulty_center = np.asarray(difficulty_center, dtype=float)
         if self.difficulty_center.ndim != 1:
             raise ValueError("difficulty_center must be a vector")
-        if width <= 0.0:
-            raise ValueError("width must be positive")
+        if not 0.0 < width < np.inf:
+            raise ValueError("width must be positive and finite")
         self.width = float(width)
 
     @property

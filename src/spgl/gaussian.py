@@ -26,7 +26,7 @@ threads; sampling takes an explicit seeded generator owned by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,7 @@ def _as_readonly_vector(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a 1-d vector with at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
@@ -118,7 +118,7 @@ class ContextDistribution:
         theta = _as_readonly_vector(self.theta, "theta")
         if mu.shape != (self.target.d,) or theta.shape != (self.target.d,):
             raise ValueError("mu and theta must match the target dimension")
-        if np.any(theta < THETA_MIN):
+        if (theta < THETA_MIN).any():
             raise ValueError(f"theta entries must be >= {THETA_MIN}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "theta", theta)
@@ -137,11 +137,10 @@ class ContextDistribution:
         return self.theta * self.target.sigma_tilde_diag
 
     def with_params(self, mu=None, theta=None) -> "ContextDistribution":
-        """Copy with updated parameters, sharing the target."""
-        return replace(
-            self,
-            mu=self.mu if mu is None else mu,
-            theta=self.theta if theta is None else theta,
+        """Copy with updated parameters, sharing the target; the new
+        parameters are validated (and copied) like the constructor's."""
+        return ContextDistribution(
+            self.mu if mu is None else mu, self.theta if theta is None else theta, self.target
         )
 
     def same_family(self, other: "ContextDistribution") -> bool:

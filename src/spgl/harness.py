@@ -206,12 +206,12 @@ def _lockstep_iteration(states, env, i: int, config: ExperimentConfig, progress)
         run.policy = improve(run.policy, episodes, config.learner)
         if i % config.curriculum.update_period != 0:
             continue
-        step_kind, active_case, kl_step = _curriculum_step(run, batch, i, config)
+        step_kind, active_case, kl_step, kl = _curriculum_step(run, batch, i, config)
         record = IterationRecord(
             iteration=i,
-            mean_return=float(np.mean(batch.values)),
+            mean_return=float(np.add.reduce(batch.values) / len(batch.values)),
             success_rate=100.0 * np.count_nonzero(episodes.successes) / len(episodes.successes),
-            kl_to_target=kl_to_target(run.dist),
+            kl_to_target=kl,
             kl_step=kl_step,
             step_kind=step_kind,
             active_case=active_case,
@@ -225,9 +225,9 @@ def _lockstep_iteration(states, env, i: int, config: ExperimentConfig, progress)
 
 def _curriculum_step(run: _Run, batch: RolloutBatch, i: int, config: ExperimentConfig):
     """Apply the run's curriculum update in place; returns the record's
-    ``(step_kind, active_case, kl_step)``."""
+    ``(step_kind, active_case, kl_step, kl_to_target)``, the KL after it."""
     if run.mode == "default":
-        return "default", "-", 0.0
+        return "default", "-", 0.0, kl_to_target(run.dist)
     try:
         if run.mode == "spgl":
             run.dist, report = update(run.dist, batch, config.target, config.curriculum)
@@ -242,9 +242,9 @@ def _curriculum_step(run: _Run, batch: RolloutBatch, i: int, config: ExperimentC
             RuntimeWarning,
         )
         run.failed += 1
-        return "failed", "-", 0.0
+        return "failed", "-", 0.0, kl_to_target(run.dist)
     run.degenerate += int(report.degenerate)
-    return report.kind, report.active_case, report.kl_step
+    return report.kind, report.active_case, report.kl_step, report.kl_to_target_after
 
 
 def run_training(

@@ -53,7 +53,7 @@ class RolloutBatch:
             raise ValueError("a rollout batch needs at least two rollouts")
         if values.shape != contexts.shape[:1]:
             raise ValueError("a rollout batch needs one value per context")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("return estimates must be finite")
         object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "values", values)
@@ -71,13 +71,15 @@ class CurriculumStats:
     def __post_init__(self):
         for name in ("u_bar", "psi_bar", "omega"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
 
 
 def _check_snapshot(batch: RolloutBatch, dist: ContextDistribution) -> None:
     src = batch.source_distribution
+    if src is dist:  # frozen, with read-only arrays: nothing to compare
+        return
     if not (
         np.array_equal(src.mu, dist.mu)
         and np.array_equal(src.theta, dist.theta)
@@ -106,13 +108,15 @@ def compute_stats(
     values = batch.values
     theta = dist.theta
     sigma = dist.target.sigma_tilde_diag
+    k = len(values)
 
     delta = contexts - dist.mu
-    u_bar = np.mean(values[:, None] * delta, axis=0)
+    u_bar = np.add.reduce(values[:, None] * delta, axis=0) / k
     psi_terms = delta**2 / (theta**2 * sigma) - 1.0 / theta
-    psi_bar = 0.5 * np.mean(values[:, None] * psi_terms, axis=0)
+    psi_bar = 0.5 * (np.add.reduce(values[:, None] * psi_terms, axis=0) / k)
 
     sigma_target = target.sigma_tilde_diag
     gap = target.mu_tilde - dist.mu
     omega = 0.5 * (1.0 / theta - 1.0 / theta**2 - gap**2 / (theta**2 * sigma_target))
-    return CurriculumStats(u_bar=u_bar, v_bar=float(np.mean(values)), psi_bar=psi_bar, omega=omega)
+    v_bar = float(np.add.reduce(values) / k)
+    return CurriculumStats(u_bar=u_bar, v_bar=v_bar, psi_bar=psi_bar, omega=omega)

@@ -101,8 +101,10 @@ class CurriculumConfig:
     update_period: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not math.isfinite(self.v_lower):
+            raise ValueError("v_lower must be finite")
         if self.k_contexts < 2:
             raise ValueError("k_contexts must be >= 2")
         if self.update_period < 1:
@@ -171,11 +173,6 @@ def should_run_performance_step(stats: CurriculumStats, config: CurriculumConfig
 # pieces shared by both steps
 
 
-def _mean_precision(dist):
-    """Diagonal metric of the mean block: the old precision ``1/(theta sigma~)``."""
-    return 1.0 / (dist.theta * dist.target.sigma_tilde_diag)
-
-
 def _clip_theta_step(theta, delta):
     """Largest backtracking scale keeping all scales at or above
     :data:`~spgl.gaussian.THETA_MIN`.
@@ -185,10 +182,10 @@ def _clip_theta_step(theta, delta):
     that sets ``scale``, so each entry is clamped to the floor."""
     scale = 1.0
     shrinking = delta < 0.0
-    if np.any(shrinking):
+    if shrinking.any():
         scale = min(
             1.0,
-            float(np.min((theta[shrinking] - THETA_MIN) / (-delta[shrinking]))),
+            float(np.minimum.reduce((theta[shrinking] - THETA_MIN) / (-delta[shrinking]))),
         )
         scale = max(scale, 0.0)
     return np.maximum(theta + scale * delta, THETA_MIN), scale < 1.0
@@ -210,11 +207,12 @@ def _certified(residuals):
     return all(r <= KKT_TOL for _, r in residuals)
 
 
-def _best_case(candidates, certificate, objective):
-    """The smallest-``objective`` candidate ``(x, MultiplierSolution)`` of
-    one convergence block whose KKT certificate passes, or None."""
-    for x, solution in sorted(candidates, key=lambda candidate: objective(candidate[0])):
-        if _certified(certificate(x, solution)):
+def _best_case(candidates, block, eps):
+    """The candidate ``(x, MultiplierSolution)`` of a convergence block with
+    the smallest ``block.objective`` whose KKT certificate at radius ``eps``
+    passes, or None."""
+    for x, solution in sorted(candidates, key=lambda candidate: block.objective(candidate[0])):
+        if _certified(block.residuals(x, solution, eps)):
             return x, solution
     return None
 
@@ -244,8 +242,8 @@ def performance_step(
     every scale at or above :data:`~spgl.gaussian.THETA_MIN`.
     """
     h_inv = dist.theta**2
-    norm_u_sq = float(np.sum(stats.u_bar**2 * _mean_precision(dist)))
-    norm_psi_sq = float(np.sum(stats.psi_bar**2 * h_inv))
+    norm_u_sq = float(np.add.reduce(stats.u_bar**2 * (1.0 / (dist.theta * dist.target.sigma_tilde_diag))))
+    norm_psi_sq = float(np.add.reduce(stats.psi_bar**2 * h_inv))
     u_degenerate = math.sqrt(norm_u_sq) < DEGENERATE_NORM
     psi_degenerate = math.sqrt(norm_psi_sq) < DEGENERATE_NORM
     if u_degenerate and psi_degenerate:
@@ -268,7 +266,183 @@ def performance_step(
 
 
 # ---------------------------------------------------------------------------
-# convergence step
+# convergence step: each block's constants are computed once per update and
+# shared by the budget split, the block's solve and its KKT certificate
+
+
+class _MeanBlock:
+    """The mean block of one convergence step (see :func:`solve_mu_block`)."""
+
+    def __init__(self, dist, target, stats, v_lower):
+        self.mu, self.mu_tilde, self.u = dist.mu, target.mu_tilde, stats.u_bar
+        self.precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)  # the old precision
+        self.a = target.mu_tilde - dist.mu
+        self.b = stats.v_bar - v_lower
+        self.norm_a_sq = float(np.add.reduce(self.a**2 * self.precision))
+        self.norm_u_sq = float(np.add.reduce(self.u**2 * self.precision))
+        self.inner_ua = float(np.add.reduce(self.u * self.a * self.precision))
+        self.u_metric = self.u * self.precision
+        self.u_scale = float(np.maximum.reduce(np.abs(self.u_metric)))
+        self.value_scale = max(1.0, abs(self.b))
+
+    def solve(self, eps):
+        mu, u, a, b = self.mu, self.u, self.a, self.b
+        norm_a_sq, norm_u_sq, inner_ua = self.norm_a_sq, self.norm_u_sq, self.inner_ua
+        denom = 2.0 * eps * norm_u_sq - b * b
+        _require_reach(b, denom)
+
+        candidates = [
+            (np.array(self.mu_tilde, dtype=float, copy=True), MultiplierSolution(0.0, 1.0, BOTH_INACTIVE))
+        ]
+        if norm_u_sq > DEGENERATE_NORM**2:
+            lam1 = -(b + inner_ua) / norm_u_sq
+            candidates.append((self.mu_tilde + lam1 * u, MultiplierSolution(lam1, 1.0, PERF_ACTIVE)))
+        if norm_a_sq > DEGENERATE_NORM**2:
+            lam2 = math.sqrt(norm_a_sq / (2.0 * eps))
+            candidates.append((mu + a / lam2, MultiplierSolution(0.0, lam2, PROXIMITY_ACTIVE)))
+        if norm_u_sq > DEGENERATE_NORM**2:
+            numer = max(norm_a_sq * norm_u_sq - inner_ua**2, 0.0)
+            if denom > 0.0 and numer > 0.0:
+                lam2 = math.sqrt(numer / denom)
+                if lam2 > DEGENERATE_NORM:
+                    lam1 = -(lam2 * b + inner_ua) / norm_u_sq
+                    candidates.append(
+                        (mu + (a + lam1 * u) / lam2, MultiplierSolution(lam1, lam2, BOTH_ACTIVE))
+                    )
+
+        best = _best_case(candidates, self, eps)
+        if best is None:
+            raise CurriculumError("no KKT case matched the mean subproblem")
+        return best
+
+    def objective(self, mu_new):
+        return 0.5 * float(np.add.reduce((mu_new - self.mu_tilde) ** 2 * self.precision))
+
+    def residuals(self, mu_new, solution, eps):
+        """The ``(name, residual)`` pairs of :func:`mu_kkt_residuals`, the
+        primal ones first so that an admission test can stop at the first
+        failure."""
+        lam1, lam2 = solution.lambda_perf, solution.lambda_ball
+        value_scale, geom_scale = self.value_scale, max(1.0, eps)
+        delta = mu_new - self.mu
+        delta_metric = delta * self.precision
+        perf = self.b + float(np.add.reduce(self.u * delta_metric))
+        yield "primal_perf", max(0.0, -perf) / value_scale
+        ball = 0.5 * float(np.add.reduce(delta * delta_metric))
+        yield "primal_ball", max(0.0, ball - eps) / geom_scale
+        yield "dual", max(0.0, -lam1) + max(0.0, 1.0 - lam2)
+        grad = (mu_new - self.mu_tilde) * self.precision
+        stationarity = grad - lam1 * self.u_metric + (lam2 - 1.0) * delta_metric
+        scale = max(1.0, float(np.maximum.reduce(np.abs(grad))), self.u_scale * max(lam1, 1.0))
+        yield "stationarity", float(np.maximum.reduce(np.abs(stationarity))) / scale
+        yield "slack_perf", abs(lam1 * perf) / (value_scale * max(lam1, 1.0))
+        yield "slack_ball", abs((lam2 - 1.0) * (ball - eps)) / (geom_scale * max(lam2, 1.0))
+
+
+class _ScaleBlock:
+    """The scale block of one convergence step (see :func:`solve_theta_block`)."""
+
+    def __init__(self, dist, stats, v_lower):
+        self.dist, self.theta, self.psi, self.omega = dist, dist.theta, stats.psi_bar, stats.omega
+        self.h_inv = self.theta**2
+        self.h_diag = 1.0 / self.h_inv
+        self.b = stats.v_bar - v_lower
+        self.norm_om_sq = float(np.add.reduce(self.omega**2 * self.h_inv))
+        self.norm_psi_sq = float(np.add.reduce(self.psi**2 * self.h_inv))
+        self.inner_po = float(np.add.reduce(self.psi * self.omega * self.h_inv))
+        self.omega_scale = max(1.0, float(np.maximum.reduce(np.abs(self.omega))))
+        self.psi_scale = float(np.maximum.reduce(np.abs(self.psi)))
+        self.value_scale = max(1.0, abs(self.b))
+
+    def solve(self, eps):
+        theta, h_inv, psi, omega, b = self.theta, self.h_inv, self.psi, self.omega, self.b
+        norm_psi_sq, inner_po = self.norm_psi_sq, self.inner_po
+        denom = 4.0 * eps * norm_psi_sq - b * b
+        _require_reach(b, denom)
+
+        candidates = []
+        # the metric projection of the center onto the performance face
+        face = theta - b * h_inv * psi / norm_psi_sq if norm_psi_sq > DEGENERATE_NORM**2 else None
+        norm_om = math.sqrt(self.norm_om_sq)
+        if norm_om >= DEGENERATE_NORM:
+            lam4 = norm_om / (2.0 * math.sqrt(eps))
+            candidates.append(
+                (theta - h_inv * omega / lam4, MultiplierSolution(0.0, lam4, PROXIMITY_ACTIVE))
+            )
+            if face is not None:
+                # Performance face active with the trust region slack.  It is a
+                # KKT point only when omega is colinear with psi_bar (generic in
+                # one dimension); the stationarity residual decides.
+                lam3 = inner_po / norm_psi_sq
+                candidates.append((face, MultiplierSolution(lam3, 0.0, PERF_ACTIVE)))
+                if denom > 0.0:
+                    # Both active: leave the face along omega's metric-orthogonal
+                    # residual (orthogonalised twice), so the performance slack
+                    # holds to rounding however nearly omega is parallel to psi_bar.
+                    residual = omega - lam3 * psi
+                    residual -= float(np.add.reduce(psi * residual * h_inv)) / norm_psi_sq * psi
+                    lam4 = math.sqrt(norm_psi_sq * float(np.add.reduce(residual**2 * h_inv)) / denom)
+                    if lam4 > DEGENERATE_NORM:
+                        lam3 = (inner_po - lam4 * b) / norm_psi_sq
+                        candidates.append(
+                            (face - h_inv * residual / lam4, MultiplierSolution(lam3, lam4, BOTH_ACTIVE))
+                        )
+        else:
+            # Zero objective gradient: any feasible point is optimal; stay, or,
+            # when the centre violates the bound, move to the performance face
+            # (a KKT point with zero multipliers).
+            candidates.append(
+                (np.array(theta, dtype=float, copy=True), MultiplierSolution(0.0, 0.0, PROXIMITY_ACTIVE))
+            )
+            if b < 0.0 and face is not None:
+                candidates.append((face, MultiplierSolution(0.0, 0.0, PERF_ACTIVE)))
+
+        ones = np.ones_like(theta)
+        jump = MultiplierSolution(0.0, 0.0, BOTH_INACTIVE)
+        jump_certified = _certified(self.residuals(ones, jump, eps))
+        best = _best_case(candidates, self, eps)
+        if best is None:
+            if jump_certified:
+                return ones, jump, False
+            raise CurriculumError("no KKT case matched the scale subproblem")
+        theta_new, solution = best
+        theta_new, backtracked = _clip_theta_step(theta, theta_new - theta)
+
+        # Jumping straight to the target scale is allowed whenever it is certified
+        # (feasible) AND it serves the convergence objective at least as well as the
+        # constrained descent step; the comparison uses the true KL to the target
+        # with the mean held at its pre-update value, which the linear model
+        # approximates but cannot rank (it would always prefer the boundary).
+        mu, target = self.dist.mu, self.dist.target
+        kl_score = lambda t: kl_to_target_params(mu, t, target.mu_tilde, target.sigma_tilde_diag)
+        if jump_certified and kl_score(ones) <= kl_score(theta_new):
+            return ones, jump, False
+        return theta_new, solution, backtracked
+
+    def objective(self, theta_new):
+        return float(np.add.reduce(self.omega * (theta_new - self.theta)))
+
+    def residuals(self, theta_new, solution, eps):
+        """The ``(name, residual)`` pairs of :func:`theta_kkt_residuals`, the
+        primal ones first so that an admission test can stop at the first
+        failure."""
+        lam3, lam4 = solution.lambda_perf, solution.lambda_ball
+        value_scale, geom_scale = self.value_scale, max(1.0, eps)
+        delta = theta_new - self.theta
+        perf = self.b + float(np.add.reduce(self.psi * delta))
+        yield "primal_perf", max(0.0, -perf) / value_scale
+        delta_metric = self.h_diag * delta
+        ball = 0.25 * float(np.add.reduce(delta * delta_metric))
+        yield "primal_ball", max(0.0, ball - eps) / geom_scale
+        yield "dual", max(0.0, -lam3) + max(0.0, -lam4)
+        if solution.active_case == BOTH_INACTIVE:
+            yield from (("stationarity", 0.0), ("slack_perf", 0.0), ("slack_ball", 0.0))
+            return
+        stationarity = self.omega - lam3 * self.psi + lam4 * delta_metric
+        scale = max(self.omega_scale, self.psi_scale * max(lam3, 1.0))
+        yield "stationarity", float(np.maximum.reduce(np.abs(stationarity))) / scale
+        yield "slack_perf", abs(lam3 * perf) / (value_scale * max(lam3, 1.0))
+        yield "slack_ball", abs(lam4 * (ball - eps)) / (geom_scale * max(lam4, 1.0))
 
 
 def solve_mu_block(dist, target, stats, eps, v_lower):
@@ -277,43 +451,7 @@ def solve_mu_block(dist, target, stats, eps, v_lower):
 
     Returns ``(mu_new, MultiplierSolution)``.
     """
-    precision = _mean_precision(dist)
-    u = stats.u_bar
-    a = target.mu_tilde - dist.mu
-    b = stats.v_bar - v_lower
-
-    norm_a_sq = float(np.add.reduce(a**2 * precision))
-    norm_u_sq = float(np.add.reduce(u**2 * precision))
-    inner_ua = float(np.add.reduce(u * a * precision))
-    denom = 2.0 * eps * norm_u_sq - b * b
-    _require_reach(b, denom)
-
-    candidates = [
-        (np.array(target.mu_tilde, dtype=float, copy=True), MultiplierSolution(0.0, 1.0, BOTH_INACTIVE))
-    ]
-    if norm_u_sq > DEGENERATE_NORM**2:
-        lam1 = -(b + inner_ua) / norm_u_sq
-        candidates.append((target.mu_tilde + lam1 * u, MultiplierSolution(lam1, 1.0, PERF_ACTIVE)))
-    if norm_a_sq > DEGENERATE_NORM**2:
-        lam2 = math.sqrt(norm_a_sq / (2.0 * eps))
-        candidates.append((dist.mu + a / lam2, MultiplierSolution(0.0, lam2, PROXIMITY_ACTIVE)))
-    if norm_u_sq > DEGENERATE_NORM**2:
-        numer = max(norm_a_sq * norm_u_sq - inner_ua**2, 0.0)
-        if denom > 0.0 and numer > 0.0:
-            lam2 = math.sqrt(numer / denom)
-            if lam2 > DEGENERATE_NORM:
-                lam1 = -(lam2 * b + inner_ua) / norm_u_sq
-                candidates.append(
-                    (dist.mu + (a + lam1 * u) / lam2, MultiplierSolution(lam1, lam2, BOTH_ACTIVE))
-                )
-
-    def objective(mu_new):
-        return 0.5 * float(np.add.reduce((mu_new - target.mu_tilde) ** 2 * precision))
-
-    best = _best_case(candidates, _mu_certificate(dist, target, stats, eps, v_lower), objective)
-    if best is None:
-        raise CurriculumError("no KKT case matched the mean subproblem")
-    return best
+    return _MeanBlock(dist, target, stats, v_lower).solve(eps)
 
 
 def solve_theta_block(dist, stats, eps, v_lower):
@@ -328,86 +466,7 @@ def solve_theta_block(dist, stats, eps, v_lower):
     least as well; near the target this pins the scales at exactly one.
     Returns ``(theta_new, MultiplierSolution, backtracked)``.
     """
-    theta = dist.theta
-    h_inv = theta**2
-    psi = stats.psi_bar
-    omega = stats.omega
-    b = stats.v_bar - v_lower
-
-    norm_om_sq = float(np.add.reduce(omega**2 * h_inv))
-    norm_psi_sq = float(np.add.reduce(psi**2 * h_inv))
-    inner_po = float(np.add.reduce(psi * omega * h_inv))
-    denom = 4.0 * eps * norm_psi_sq - b * b
-    _require_reach(b, denom)
-
-    def kl_score(theta_vec):
-        """KL to the target as a function of the scales (mean held at its
-        pre-update value): the convergence objective the linear model
-        approximates.  Used only to arbitrate between the reachable target
-        scale and the constrained descent step."""
-        return kl_to_target_params(
-            dist.mu, theta_vec, dist.target.mu_tilde, dist.target.sigma_tilde_diag
-        )
-
-    candidates = []
-    # the metric projection of the center onto the performance face
-    face = theta - b * h_inv * psi / norm_psi_sq if norm_psi_sq > DEGENERATE_NORM**2 else None
-    norm_om = math.sqrt(norm_om_sq)
-    if norm_om >= DEGENERATE_NORM:
-        lam4 = norm_om / (2.0 * math.sqrt(eps))
-        candidates.append(
-            (theta - h_inv * omega / lam4, MultiplierSolution(0.0, lam4, PROXIMITY_ACTIVE))
-        )
-        if face is not None:
-            # Performance face active with the trust region slack.  It is a
-            # KKT point only when omega is colinear with psi_bar (generic in
-            # one dimension); the stationarity residual decides.
-            lam3 = inner_po / norm_psi_sq
-            candidates.append((face, MultiplierSolution(lam3, 0.0, PERF_ACTIVE)))
-            if denom > 0.0:
-                # Both active: leave the face along omega's metric-orthogonal
-                # residual (orthogonalised twice), so the performance slack
-                # holds to rounding however nearly omega is parallel to psi_bar.
-                residual = omega - lam3 * psi
-                residual -= float(np.add.reduce(psi * residual * h_inv)) / norm_psi_sq * psi
-                lam4 = math.sqrt(norm_psi_sq * float(np.add.reduce(residual**2 * h_inv)) / denom)
-                if lam4 > DEGENERATE_NORM:
-                    lam3 = (inner_po - lam4 * b) / norm_psi_sq
-                    candidates.append(
-                        (face - h_inv * residual / lam4, MultiplierSolution(lam3, lam4, BOTH_ACTIVE))
-                    )
-    else:
-        # Zero objective gradient: any feasible point is optimal; stay, or,
-        # when the centre violates the bound, move to the performance face
-        # (a KKT point with zero multipliers).
-        candidates.append(
-            (np.array(theta, dtype=float, copy=True), MultiplierSolution(0.0, 0.0, PROXIMITY_ACTIVE))
-        )
-        if b < 0.0 and face is not None:
-            candidates.append((face, MultiplierSolution(0.0, 0.0, PERF_ACTIVE)))
-
-    def objective(theta_new):
-        return float(np.add.reduce(omega * (theta_new - theta)))
-
-    certificate = _theta_certificate(dist, stats, eps, v_lower)
-    ones = np.ones_like(theta)
-    jump = MultiplierSolution(0.0, 0.0, BOTH_INACTIVE)
-    jump_certified = _certified(certificate(ones, jump))
-    best = _best_case(candidates, certificate, objective)
-    if best is None:
-        if jump_certified:
-            return ones, jump, False
-        raise CurriculumError("no KKT case matched the scale subproblem")
-    theta_new, solution = best
-    theta_new, backtracked = _clip_theta_step(theta, theta_new - theta)
-
-    # Jumping straight to the target scale is allowed whenever it is certified
-    # (feasible) AND it serves the convergence objective at least as well as the
-    # constrained descent step; the comparison uses the true KL, which the
-    # linear model cannot rank (it would always prefer the boundary).
-    if jump_certified and kl_score(ones) <= kl_score(theta_new):
-        return ones, jump, False
-    return theta_new, solution, backtracked
+    return _ScaleBlock(dist, stats, v_lower).solve(eps)
 
 
 def convergence_step(
@@ -431,9 +490,9 @@ def convergence_step(
     Returns ``(mu_new, theta_new, mu_solution, theta_solution, backtracked)``,
     ``backtracked`` as in :func:`solve_theta_block`.
     """
-    precision = _mean_precision(dist)
-    dist_sq = float(np.sum((target.mu_tilde - dist.mu) ** 2 * precision))
-    omega_sq = float(np.sum(stats.omega**2 * dist.theta**2))
+    mean = _MeanBlock(dist, target, stats, v_lower)
+    scale = _ScaleBlock(dist, stats, v_lower)
+    dist_sq, omega_sq = mean.norm_a_sq, scale.norm_om_sq
     mean_degenerate = math.sqrt(dist_sq) < DEGENERATE_NORM
     omega_degenerate = math.sqrt(omega_sq) < DEGENERATE_NORM
     if mean_degenerate and omega_degenerate:
@@ -444,84 +503,14 @@ def convergence_step(
         eps_mu = 0.0
     else:
         eps_mu = eps * dist_sq / (dist_sq + 2.0 * omega_sq)
-    mu_new, mu_sol = solve_mu_block(dist, target, stats, max(eps_mu, 1e-6 * eps), v_lower)
-    spent = 0.5 * float(np.sum((mu_new - dist.mu) ** 2 * precision))
-    theta_new, theta_sol, backtracked = solve_theta_block(
-        dist, stats, max(eps - spent, 1e-18), v_lower
-    )
+    mu_new, mu_sol = mean.solve(max(eps_mu, 1e-6 * eps))
+    spent = 0.5 * float(np.add.reduce((mu_new - dist.mu) ** 2 * mean.precision))
+    theta_new, theta_sol, backtracked = scale.solve(max(eps - spent, 1e-18))
     return mu_new, theta_new, mu_sol, theta_sol, backtracked
 
 
 # ---------------------------------------------------------------------------
 # KKT certificates (shared by tests and the verify suite)
-
-
-def _mu_certificate(dist, target, stats, eps, v_lower):
-    """The mean block's KKT certificate, with the block's constants computed
-    once: a function of ``(mu_new, solution)`` yielding the ``(name,
-    residual)`` pairs of :func:`mu_kkt_residuals`, the primal ones first so
-    that an admission test can stop at the first failure."""
-    precision = _mean_precision(dist)
-    u = stats.u_bar
-    b = stats.v_bar - v_lower
-    u_metric = u * precision
-    u_scale = float(np.maximum.reduce(np.abs(u_metric)))
-    value_scale = max(1.0, abs(b))
-    geom_scale = max(1.0, eps)
-
-    def residuals(mu_new, solution):
-        lam1, lam2 = solution.lambda_perf, solution.lambda_ball
-        delta = mu_new - dist.mu
-        delta_metric = delta * precision
-        perf = b + float(np.add.reduce(u * delta_metric))
-        yield "primal_perf", max(0.0, -perf) / value_scale
-        ball = 0.5 * float(np.add.reduce(delta * delta_metric))
-        yield "primal_ball", max(0.0, ball - eps) / geom_scale
-        yield "dual", max(0.0, -lam1) + max(0.0, 1.0 - lam2)
-        grad = (mu_new - target.mu_tilde) * precision
-        stationarity = grad - lam1 * u_metric + (lam2 - 1.0) * delta_metric
-        scale = max(1.0, float(np.maximum.reduce(np.abs(grad))), u_scale * max(lam1, 1.0))
-        yield "stationarity", float(np.maximum.reduce(np.abs(stationarity))) / scale
-        yield "slack_perf", abs(lam1 * perf) / (value_scale * max(lam1, 1.0))
-        yield "slack_ball", abs((lam2 - 1.0) * (ball - eps)) / (geom_scale * max(lam2, 1.0))
-
-    return residuals
-
-
-def _theta_certificate(dist, stats, eps, v_lower):
-    """The scale block's KKT certificate, with the block's constants computed
-    once: a function of ``(theta_new, solution)`` yielding the ``(name,
-    residual)`` pairs of :func:`theta_kkt_residuals`, the primal ones first
-    so that an admission test can stop at the first failure."""
-    theta = dist.theta
-    h_diag = 1.0 / theta**2
-    psi = stats.psi_bar
-    omega = stats.omega
-    b = stats.v_bar - v_lower
-    omega_scale = max(1.0, float(np.maximum.reduce(np.abs(omega))))
-    psi_scale = float(np.maximum.reduce(np.abs(psi)))
-    value_scale = max(1.0, abs(b))
-    geom_scale = max(1.0, eps)
-
-    def residuals(theta_new, solution):
-        lam3, lam4 = solution.lambda_perf, solution.lambda_ball
-        delta = theta_new - theta
-        perf = b + float(np.add.reduce(psi * delta))
-        yield "primal_perf", max(0.0, -perf) / value_scale
-        delta_metric = h_diag * delta
-        ball = 0.25 * float(np.add.reduce(delta * delta_metric))
-        yield "primal_ball", max(0.0, ball - eps) / geom_scale
-        yield "dual", max(0.0, -lam3) + max(0.0, -lam4)
-        if solution.active_case == BOTH_INACTIVE:
-            yield from (("stationarity", 0.0), ("slack_perf", 0.0), ("slack_ball", 0.0))
-            return
-        stationarity = omega - lam3 * psi + lam4 * delta_metric
-        scale = max(omega_scale, psi_scale * max(lam3, 1.0))
-        yield "stationarity", float(np.maximum.reduce(np.abs(stationarity))) / scale
-        yield "slack_perf", abs(lam3 * perf) / (value_scale * max(lam3, 1.0))
-        yield "slack_ball", abs(lam4 * (ball - eps)) / (geom_scale * max(lam4, 1.0))
-
-    return residuals
 
 
 def mu_kkt_residuals(dist, target, stats, eps, v_lower, mu_new, solution):
@@ -531,7 +520,7 @@ def mu_kkt_residuals(dist, target, stats, eps, v_lower, mu_new, solution):
     complementary slackness), each normalized by the problem scale; the case
     is certified when each is at most :data:`KKT_TOL`.
     """
-    return dict(_mu_certificate(dist, target, stats, eps, v_lower)(np.asarray(mu_new), solution))
+    return dict(_MeanBlock(dist, target, stats, v_lower).residuals(np.asarray(mu_new), solution, eps))
 
 
 def theta_kkt_residuals(dist, stats, eps, v_lower, theta_new, solution):
@@ -541,7 +530,7 @@ def theta_kkt_residuals(dist, stats, eps, v_lower, theta_new, solution):
     both constraints alone; the multiplier cases additionally satisfy the
     stationarity and slackness conditions of the linearized problem.
     """
-    return dict(_theta_certificate(dist, stats, eps, v_lower)(np.asarray(theta_new), solution))
+    return dict(_ScaleBlock(dist, stats, v_lower).residuals(np.asarray(theta_new), solution, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +639,15 @@ def _backtrack_joint_kl(mu0, theta0, sigma, mu_new, theta_new, eps):
     if budget <= 0.0:
         theta = theta0
     else:
-        # one row, against row-shaped constants: the KL's array operations
-        # then need no broadcasting
-        mu_row, theta_row, sigma_row = mu0[None], theta0[None], sigma[None]
-        scale_kl = lambda theta: kl_params(mu_row, theta, mu_row, theta_row, sigma_row)
+        # one row against a row-shaped centre, so the array operations need
+        # no broadcasting; the ray solve needs only the scale part
+        # 0.5 sum(r - 1 - ln r), as kl_params' mean term is zero along the ray
+        theta_row = theta0[None]
+
+        def scale_kl(theta):
+            ratio = theta / theta_row
+            return 0.5 * np.add.reduce(ratio - 1.0 - np.log(ratio), axis=-1)
+
         theta = project_to_ball(scale_kl, theta_row, theta_new[None], budget)[0]
     return theta, float(kl_params(mu_new, theta, mu0, theta0, sigma)), mean_part, True
 
@@ -693,7 +687,6 @@ def update(
 
     new_dist, kl_step, kl_mean_part, tr_backtracked = dist, 0.0, 0.0, False
     if moved:
-        mu_new, theta_new = np.asarray(mu_new, dtype=float), np.asarray(theta_new, dtype=float)
         theta_new, kl_step, kl_mean_part, tr_backtracked = _backtrack_joint_kl(
             dist.mu, dist.theta, dist.target.sigma_tilde_diag, mu_new, theta_new, config.epsilon
         )
@@ -707,7 +700,7 @@ def update(
         kl_step=kl_step,
         kl_step_mean_part=kl_mean_part,
         kl_to_target_before=kl_before,
-        kl_to_target_after=kl_to_target(new_dist),
+        kl_to_target_after=kl_to_target(new_dist) if moved else kl_before,
         theta_backtracked=theta_backtracked,
         trust_region_backtracked=tr_backtracked,
     )

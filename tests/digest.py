@@ -1,5 +1,5 @@
-"""Bit-identity digest of the rollout loop, the training loop and the exact
-solver.
+"""Bit-identity digest of the rollout loop, the training loop, the exact
+solver and the closed-form update at extreme inputs.
 
 Prints one sha256 per part and one over all parts.  Two trees whose digests
 agree produced the same float64 bits everywhere below, so a change that is
@@ -33,7 +33,17 @@ Parts (NumPy and hashlib only; this is a script, not a pytest module):
   :func:`spgl.oracle.solve_exact_sampled` on 500 random instances: d in
   {1, 2, 3, 5, 16}, both modes, eps log-uniform on [1e-6, 1], and in
   convergence mode ``v_lower`` within 10 % of the batch mean on either side,
-  so the sampled constraint binds.
+  so the sampled constraint binds;
+* ``updates``: 20,000 seeded :func:`spgl.update.update` calls far outside
+  the presets' ranges (those of ``tests/test_update.py``
+  ``TestUpdateAtExtremeInputs``): d in {1, 2, 3, 8, 32, 64}, K in {2, 4,
+  16, 64}, returns scaled by 10^U(-6, 6) with one batch in five all equal,
+  theta per entry 10^U(-6, 5) (at least ``THETA_MIN``), sigma~ 10^U(-3, 2),
+  epsilon 10^U(-6, 0) and ``v_lower`` within one return scale of the batch
+  mean.  Each call hashes the new ``mu`` and ``theta`` and every
+  :class:`~spgl.update.UpdateReport` field, or the class and message of
+  what it raised.  It checks the closed-form update alone, in about ten
+  seconds: ``PYTHONPATH=src python tests/digest.py updates``.
 
 A change to the exact solver therefore moves ``exact`` alone.
 
@@ -50,16 +60,19 @@ import numpy as np
 
 from spgl.config import load_config, preset_path
 from spgl.envs import PointMassEnv, SyntheticEnv
-from spgl.gaussian import ContextDistribution, TargetSpec
+from spgl.gaussian import THETA_MIN, ContextDistribution, TargetSpec
 from spgl.harness import train_runs
 from spgl.learner import LearnerConfig, PolicyParameters, collect_rollouts, feature_dim
 from spgl.oracle import solve_exact_sampled
 from spgl.stats import RolloutBatch
-from spgl.update import CurriculumConfig
+from spgl.update import CurriculumConfig, MultiplierSolution, update
 
 EXACT_INSTANCES = 500
 EXACT_DIMS = (1, 2, 3, 5, 16)
 ROLLOUT_SHAPES = ((1, 1), (4, 64), (10, 64))  # (R, K)
+UPDATE_INSTANCES = 20_000
+UPDATE_DIMS = (1, 2, 3, 8, 32, 64)
+UPDATE_BATCHES = (2, 4, 16, 64)
 
 
 def _floats(h, *values):
@@ -223,7 +236,53 @@ def digest_exact(h):
     return n + EXACT_INSTANCES
 
 
-PARTS = {"rollouts": digest_rollouts, "training": digest_training, "exact": digest_exact}
+def update_instance(i):
+    rng = np.random.default_rng([i, 88])
+    d = int(rng.choice(UPDATE_DIMS))
+    k = int(rng.choice(UPDATE_BATCHES))
+    target = TargetSpec(
+        mu_tilde=rng.normal(0.0, 2.0, d), sigma_tilde_diag=10.0 ** rng.uniform(-3.0, 2.0, d)
+    )
+    theta = np.maximum(10.0 ** rng.uniform(-6.0, 5.0, d), THETA_MIN)
+    dist = ContextDistribution(mu=rng.normal(0.0, 2.0, d), theta=theta, target=target)
+    contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(k, d))
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+    values = np.full(k, scale * rng.normal()) if rng.random() < 0.2 else scale * rng.normal(size=k)
+    v_lower = float(np.mean(values)) + rng.uniform(-1.0, 1.0) * scale
+    config = CurriculumConfig(epsilon=10.0 ** rng.uniform(-6.0, 0.0), v_lower=v_lower, k_contexts=k)
+    return dist, RolloutBatch(contexts, values, dist), config
+
+
+def digest_updates(h):
+    raised = 0
+    for i in range(UPDATE_INSTANCES):
+        dist, batch, config = update_instance(i)
+        try:
+            new_dist, report = update(dist, batch, dist.target, config)
+        except Exception as exc:  # noqa: BLE001 -- what raises is part of the result
+            _text(h, f"{type(exc).__name__}: {exc}")
+            raised += 1
+            continue
+        _floats(h, new_dist.mu, new_dist.theta)
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            if isinstance(value, MultiplierSolution):
+                _floats(h, value.lambda_perf, value.lambda_ball)
+                _text(h, value.active_case)
+            elif isinstance(value, (float, np.floating)):
+                _floats(h, value)
+            else:
+                _text(h, repr(value))
+    print(f"  raised {raised}")
+    return UPDATE_INSTANCES
+
+
+PARTS = {
+    "rollouts": digest_rollouts,
+    "training": digest_training,
+    "exact": digest_exact,
+    "updates": digest_updates,
+}
 
 
 def main(sections=()):

@@ -61,6 +61,26 @@ class TestConstruction:
         dist = ContextDistribution.at_target(SETUP1_TARGET)
         assert kl_to_target(dist) == 0.0
 
+    def test_with_params_copies_and_validates(self):
+        dist = make_dist([0.0, 1.0], [1.0, 2.0])
+        mu, theta = np.array([0.5, -0.5]), np.array([3.0, 0.25])
+        new = dist.with_params(mu=mu, theta=theta)
+        mu[0] = theta[0] = 9.0
+        assert new.mu.tolist() == [0.5, -0.5] and new.theta.tolist() == [3.0, 0.25]
+        assert new.target is dist.target
+        for arr in (new.mu, new.theta):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        kept = dist.with_params(theta=np.array([THETA_MIN, 1.0]))
+        assert np.array_equal(kept.mu, dist.mu) and kept.theta[0] == THETA_MIN
+        with pytest.raises(ValueError, match="theta entries must be >="):
+            dist.with_params(theta=np.array([0.5 * THETA_MIN, 1.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                dist.with_params(mu=np.array([bad, 0.0]))
+            with pytest.raises(ValueError, match="theta must be finite"):
+                dist.with_params(theta=np.array([1.0, bad]))
+
 
 class TestSampling:
     def test_degenerate_variance_limit(self):

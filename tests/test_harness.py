@@ -167,6 +167,18 @@ class TestConfig:
             ("theta = 0.5, 0.25", "theta = 0.5, 1e-7", r"theta entries must be >= 1e-06"),
             ("sigma = 1.0, 1.0", "sigma = 1.0, -1.0", r"\[target\] sigma_tilde_diag entries"),
             ("[curriculum]", "[learner]\ngamma = 1.5\n[curriculum]", r"\[learner\] gamma must"),
+            # non-finite or non-positive settings: a traceback from the
+            # environment or the first update, or every update failed
+            ("width = 50.0", "width = 0", r"\[environment\] width must be positive and finite"),
+            ("width = 50.0", "width = nan", r"\[environment\] width must be positive and finite"),
+            ("epsilon = 0.05", "epsilon = inf", r"\[curriculum\] epsilon must be positive and finite"),
+            ("epsilon = 0.05", "epsilon = nan", r"\[curriculum\] epsilon must be positive and finite"),
+            ("v_lower = 1", "v_lower = nan", r"\[curriculum\] v_lower must be finite"),
+            (
+                "[curriculum]",
+                "[learner]\nlearning_rate = nan\n[curriculum]",
+                r"\[learner\] learning_rate must be positive and finite",
+            ),
         ],
     )
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, old, new, message):
@@ -719,6 +731,8 @@ class TestCli:
             (["verify", "--instances", "0"], "instance_count must be >= 1, got 0"),
             (["verify", "--timing-updates", "0"], "timing_updates must be >= 1, got 0"),
             (["verify", "--seed", "-1"], "non-negative integers, got -1"),
+            # used to be ignored without --seeds
+            (["train", "--config", "synthetic_convergence", "--compare", "spgl"], "--compare needs --seeds"),
         ],
     )
     def test_bad_arguments_are_config_errors(self, capsys, argv, message):

@@ -8,6 +8,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spgl.gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between, kl_to_target
 from spgl.stats import RolloutBatch, compute_stats
@@ -109,6 +111,66 @@ class TestValueStats:
         dist = make_dist([0.0], [1.0])
         with pytest.raises(ValueError, match="finite"):
             RolloutBatch([[0.0], [1.0]], [1.0, bad], dist)
+
+
+def reference_stats(batch, dist, target):
+    """The statistics written with ``np.mean``, as the definitions read."""
+    theta, sigma = dist.theta, dist.target.sigma_tilde_diag
+    delta = batch.contexts - dist.mu
+    u_bar = np.mean(batch.values[:, None] * delta, axis=0)
+    psi_terms = delta**2 / (theta**2 * sigma) - 1.0 / theta
+    psi_bar = 0.5 * np.mean(batch.values[:, None] * psi_terms, axis=0)
+    gap = target.mu_tilde - dist.mu
+    omega = 0.5 * (1.0 / theta - 1.0 / theta**2 - gap**2 / (theta**2 * target.sigma_tilde_diag))
+    return u_bar, float(np.mean(batch.values)), psi_bar, omega
+
+
+def same_bits(stats, expected):
+    got = (stats.u_bar, stats.v_bar, stats.psi_bar, stats.omega)
+    return all(
+        np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+        for a, b in zip(got, expected)
+    )
+
+
+class TestFastPaths:
+    """``compute_stats`` reduces with ``np.add.reduce`` and a division by K
+    and skips the snapshot compare for the generating object itself; both
+    must give the bits of the plain definitions."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 128),
+        d=st.integers(1, 32),
+        value_exp=st.floats(-6.0, 6.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_mean_reference_bit_for_bit(self, seed, k, d, value_exp):
+        rng = np.random.default_rng(seed)
+        dist = make_dist(
+            rng.normal(0.0, 2.0, d),
+            10.0 ** rng.uniform(-3.0, 3.0, d),
+            mu_tilde=rng.normal(0.0, 2.0, d),
+            sigma=10.0 ** rng.uniform(-2.0, 2.0, d),
+        )
+        contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(k, d))
+        batch = RolloutBatch(contexts, 10.0**value_exp * rng.normal(size=k), dist)
+        stats = compute_stats(batch, dist, dist.target)
+        assert same_bits(stats, reference_stats(batch, dist, dist.target))
+
+    def test_equal_snapshot_gives_the_same_stats(self):
+        rng = np.random.default_rng(5)
+        dist, batch = random_instance(rng, 4)
+        target = dist.target
+        twin = ContextDistribution(
+            mu=dist.mu.copy(),
+            theta=dist.theta.copy(),
+            target=TargetSpec(target.mu_tilde.copy(), target.sigma_tilde_diag.copy()),
+        )
+        assert twin is not dist
+        from_twin = compute_stats(RolloutBatch(batch.contexts, batch.values, twin), dist, target)
+        assert same_bits(from_twin, reference_stats(batch, dist, target))
+        assert same_bits(compute_stats(batch, dist, target), reference_stats(batch, dist, target))
 
 
 class TestGeometryStats:

@@ -388,18 +388,13 @@ class TestConvergenceBudget:
 
     def budgets(self, monkeypatch, dist, stats):
         seen = []
-        real_mu, real_theta = update_module.solve_mu_block, update_module.solve_theta_block
+        for block in (update_module._MeanBlock, update_module._ScaleBlock):
 
-        def mu_spy(dist, target, stats, eps, v_lower):
-            seen.append(eps)
-            return real_mu(dist, target, stats, eps, v_lower)
+            def spy(self, eps, real=block.solve):
+                seen.append(eps)
+                return real(self, eps)
 
-        def theta_spy(dist, stats, eps, v_lower):
-            seen.append(eps)
-            return real_theta(dist, stats, eps, v_lower)
-
-        monkeypatch.setattr(update_module, "solve_mu_block", mu_spy)
-        monkeypatch.setattr(update_module, "solve_theta_block", theta_spy)
+            monkeypatch.setattr(block, "solve", spy)
         convergence_step(dist, dist.target, stats, self.EPS, 0.0)
         return seen
 
