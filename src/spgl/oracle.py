@@ -19,9 +19,9 @@ The exact solver's densities and KLs are the array-level functions of
 :mod:`spgl.gaussian`, and its ray projection onto the KL ball is
 :func:`spgl.update.project_to_ball`, the solve that also backtracks the
 closed-form update's joint KL.  Both take rows of parameters, so the step
-halvings along one direction are projected and scored as one block of trial
-rows: a handful of vectorised KL calls in place of one call per trial point
-and secant step, with each row's bits those of the one-row call.
+halvings along one direction, or along all eight escape probes, are projected
+and scored as one block of trial rows: a few vectorised KL calls in place of
+one per trial point and secant step, each row with the one-row call's bits.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
     if problem.performance is not None:
         a, b0 = problem.performance
         a = np.asarray(a, dtype=float)
-        norm_a = math.sqrt(float(np.sum(a**2 * m_inv)))
+        norm_a = math.sqrt(float(np.add.reduce(a**2 * m_inv)))
         reach = b0 + r * norm_a
         if reach < -_CERT_TOL * max(1.0, abs(b0)):
             raise InfeasibleSubproblem(
@@ -181,7 +181,7 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
 
     def objective(x):
         if quadratic:
-            return 0.5 * float(np.sum((x - q) ** 2 * m))
+            return 0.5 * float(np.add.reduce((x - q) ** 2 * m))
         return -float(np.dot(w, x - x0))
 
     def grad_f(x):
@@ -194,10 +194,10 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
         stationarity = grad_f(x) + lam_b * m * delta
         if a is not None:
             stationarity = stationarity - lam_p * a
-        stat_scale = max(1.0, float(np.max(np.abs(grad_f(x)))))
-        ball = float(np.sum(delta**2 * m))
+        stat_scale = max(1.0, float(np.maximum.reduce(np.abs(grad_f(x)))))
+        ball = float(np.add.reduce(delta**2 * m))
         residuals = {
-            "stationarity": float(np.max(np.abs(stationarity))) / stat_scale,
+            "stationarity": float(np.maximum.reduce(np.abs(stationarity))) / stat_scale,
             "primal_ball": max(0.0, ball - problem.radius_sq) / max(1.0, problem.radius_sq),
             "dual": max(0.0, -lam_p) + max(0.0, -lam_b),
             "slack_ball": lam_b
@@ -229,14 +229,14 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
     # --- both constraints inactive
     if quadratic:
         consider(certify(q.copy(), 0.0, 0.0, BOTH_INACTIVE))
-    elif float(np.max(np.abs(w))) < 1e-14:
+    elif float(np.maximum.reduce(np.abs(w))) < 1e-14:
         # Zero objective gradient: any feasible point is optimal; prefer the
         # center, else restore performance feasibility on the boundary.
         if a is None or b0 >= 0.0:
             consider(certify(x0.copy(), 0.0, 0.0, BOTH_INACTIVE))
         else:
             direction = m_inv * a
-            nrm = math.sqrt(float(np.sum(a**2 * m_inv)))
+            nrm = math.sqrt(float(np.add.reduce(a**2 * m_inv)))
             lam = _bisect(lambda t: b0 + t * nrm * nrm, 0.0, BRACKET_HI)
             if lam is not None:
                 consider(certify(x0 + min(lam, r / nrm) * direction, 0.0, 0.0, PERF_ACTIVE))
@@ -245,7 +245,7 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
     if a is not None:
         if quadratic:
             base = b0 + float(np.dot(a, q - x0))
-            slope = float(np.sum(a**2 * m_inv))
+            slope = float(np.add.reduce(a**2 * m_inv))
             if slope > 0.0:
                 lam = _bisect(lambda t: base + t * slope, 0.0, BRACKET_HI)
                 if lam is not None:
@@ -254,27 +254,27 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
             norm_a_sq = float(np.dot(a, a))
             if norm_a_sq > 0.0:
                 lam = -float(np.dot(w, a)) / norm_a_sq
-                if lam > 0.0 and float(np.max(np.abs(w + lam * a))) <= 1e-9 * max(
-                    1.0, float(np.max(np.abs(w)))
+                if lam > 0.0 and float(np.maximum.reduce(np.abs(w + lam * a))) <= 1e-9 * max(
+                    1.0, float(np.maximum.reduce(np.abs(w)))
                 ):
                     # Gradient anti-parallel to the constraint normal: every
                     # point of the active hyperplane is stationary; use the
                     # metric projection of the center onto the face.
-                    norm_a_metric = float(np.sum(a**2 * m_inv))
+                    norm_a_metric = float(np.add.reduce(a**2 * m_inv))
                     if norm_a_metric > 0.0:
                         x = x0 - b0 * (m_inv * a) / norm_a_metric
                         consider(certify(x, lam, 0.0, PERF_ACTIVE))
 
     # --- trust region active only
     if quadratic:
-        dist0 = math.sqrt(float(np.sum((q - x0) ** 2 * m)))
+        dist0 = math.sqrt(float(np.add.reduce((q - x0) ** 2 * m)))
         if dist0 >= r > 0.0:
             lam = _bisect(lambda t: dist0 / (1.0 + t) - r, 0.0, BRACKET_HI)
             if lam is not None:
                 x = (q + lam * x0) / (1.0 + lam)
                 consider(certify(x, 0.0, lam, PROXIMITY_ACTIVE))
     else:
-        norm_w = math.sqrt(float(np.sum(w**2 * m_inv)))
+        norm_w = math.sqrt(float(np.add.reduce(w**2 * m_inv)))
         if norm_w > 0.0:
             lam = _bisect(lambda t: norm_w / t - r, BRACKET_LO, BRACKET_HI)
             if lam is not None:
@@ -292,7 +292,7 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
                 v = (q - x0) + lam_p * (m_inv * a)
             else:
                 v = m_inv * (w + lam_p * a)
-            nrm = math.sqrt(float(np.sum(v**2 * m)))
+            nrm = math.sqrt(float(np.add.reduce(v**2 * m)))
             if nrm < 1e-300:
                 return None, 0.0
             return x0 + (r / nrm) * v, nrm
@@ -415,23 +415,22 @@ def solve_exact_sampled(
     iteration follows the closed-form gradient of the objective in these
     coordinates (:func:`_objective_gradient`), which costs one pass over the
     batch whatever the dimension.  The trial points along a direction are
-    the step and its halvings (up to 40; 12 for the random escape probes
-    tried when the gradient direction fails).  The first step is tried on its
-    own and the remaining halvings as one block of rows: the block is pulled
-    back onto the KL ball along the rays from the old parameters by one
-    :func:`project_to_ball` call, a bracketed secant solve per ray with one
-    vectorised KL evaluation per secant round, and its objective is
-    evaluated over chunks of 2, 4, 8, ... rows, which bounds the rows scored
-    past the taken one where the sampled value is costly (high ``d``, large
-    batches).  The first row, in halving order, that lowers the
-    objective and meets the sampled performance constraint, tested in that
-    order, is taken; so the sampled value is computed only for rows that
-    lower the objective.  Each row has the bits of a one-point evaluation,
-    so the iterates are those of trying the halvings one by one.  The
-    log-densities of the batch under the old parameters are computed once
-    per solve.  The best feasible iterate is returned, flagged when no
-    restart converged; when no start is feasible the old parameters come
-    back flagged infeasible.
+    the step and its halvings: 40 along the gradient, then, if none is
+    taken, 12 along each of 8 random escape probes.  The first gradient step
+    is tried on its own; the other gradient halvings, or all 8 x 12 probe
+    rows in (probe, halving) order, form one block, pulled back onto the KL
+    ball along the rays from the old parameters by one
+    :func:`project_to_ball` call and scored in chunks of 1 or 2, then twice
+    as many rows each time, which bounds the rows scored past the taken one
+    where the sampled value is costly (high ``d``, large batches).  The
+    first row in block order that lowers the objective and meets the
+    sampled performance constraint, tested in that order, is taken.  Each
+    row has the bits of a one-point evaluation and the generator advances
+    by the probes up to the one taken, so the iterates are those of trying
+    the halvings and probes one by one.  The log-densities of the batch
+    under the old parameters are computed once per solve.  The best
+    feasible iterate is returned, flagged when no restart converged; when
+    no start is feasible the old parameters come back flagged infeasible.
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
@@ -493,6 +492,36 @@ def solve_exact_sampled(
     any_converged = False
 
     alpha0 = 0.25 * math.sqrt(eps) * max(1.0, float(np.max(np.sqrt(var0))))
+    probe_steps = [alpha0]
+    for _ in range(11):
+        probe_steps.append(probe_steps[-1] * 0.5)
+    # normals drawn for probes not tried yet: a block of 8 probes draws only
+    # the rows it lacks and keeps those after the probe it takes, so the
+    # generator yields the directions of trying the probes one by one
+    pending = np.empty((0, 2 * d))
+
+    def search(steps, directions, size):
+        # one projection of the rows z + step * direction, in (direction,
+        # step) order, scored in chunks of size, 2 size, 4 size, ... rows.
+        # Projected rows have step KL <= eps, so only the performance
+        # constraint is left, checked only for a row that lowers the
+        # objective (in convergence mode the cheap KL to the target, where
+        # the sampled value is a mean over the batch).  Takes the first row
+        # that passes both and returns the number of directions up to its
+        # own, or 0 when none is taken.
+        nonlocal z, fz, alpha
+        points = z + (np.array(steps)[:, None] * directions[:, None, :]).reshape(-1, z.size)
+        trials = project_to_ball(step_kl, z0, points, eps)
+        start = 0
+        while start < len(trials):
+            for i, f_try in enumerate(f(trials[start : start + size]).tolist(), start):
+                if f_try < fz - 1e-15 and meets_performance(trials[i]):
+                    z, fz = trials[i], f_try
+                    alpha = min(steps[i % len(steps)] * 2.0, 1e3)
+                    return i // len(steps) + 1
+            start += size
+            size *= 2
+        return 0
 
     for z in starts:
         if not feasible(z):
@@ -500,40 +529,7 @@ def solve_exact_sampled(
         fz = float(f(z))
         alpha = alpha0
         converged = False
-
         escapes_left = 50
-
-        def try_direction(direction, a, depth=40):
-            # the trial steps are a, a/2, a/4, ...: the first is projected
-            # on its own, so a step taken at once costs one row, and the
-            # other halvings in one block, whose objective is scored in
-            # chunks of 2, 4, 8, ... rows (at high d the sampled value costs
-            # more per row than per call).  The projected rows have step KL <= eps, so only the
-            # performance constraint is left to check, and only for a row
-            # that lowers the objective: in convergence mode the objective
-            # is the cheap KL to the target, the sampled value an
-            # importance-weighted mean over the batch.  The first row in
-            # halving order that passes both is taken.
-            nonlocal z, fz, alpha
-            halvings = [a]
-            for _ in range(depth - 1):
-                halvings.append(halvings[-1] * 0.5)
-            size = 1
-            for block in (halvings[:1], halvings[1:]):
-                points = z + np.array(block)[:, None] * direction
-                trials = project_to_ball(step_kl, z0, points, eps)
-                start = 0
-                while start < len(block):
-                    rows = slice(start, start + size)
-                    scored = zip(block[rows], trials[rows], f(trials[rows]).tolist())
-                    for step, z_try, f_try in scored:
-                        if f_try < fz - 1e-15 and meets_performance(z_try):
-                            z, fz = z_try, f_try
-                            alpha = min(step * 2.0, 1e3)
-                            return True
-                    start += size
-                    size *= 2
-            return False
 
         for _ in range(iterations):
             g = _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min)
@@ -541,18 +537,22 @@ def solve_exact_sampled(
             if gn < 1e-12:
                 converged = True
                 break
-            improved = try_direction(-g / gn, alpha)
+            # the step and its halvings: the first is projected on its own,
+            # so a step taken at once costs one row
+            halvings = [alpha]
+            for _ in range(39):
+                halvings.append(halvings[-1] * 0.5)
+            direction = (-g / gn)[None]
+            improved = search(halvings[:1], direction, 1) or search(halvings[1:], direction, 2)
             if not improved and escapes_left > 0:
                 # the ray projection can null the gradient direction on the
                 # boundary without the point being optimal; probe a few random
-                # directions before giving up
+                # directions before giving up, all in one block
                 escapes_left -= 1
-                for _ in range(8):
-                    probe = rng.standard_normal(z.size)
-                    probe /= float(np.linalg.norm(probe))
-                    if try_direction(probe, alpha0, depth=12):
-                        improved = True
-                        break
+                probes = np.concatenate([pending, rng.standard_normal((8 - len(pending), z.size))])
+                norms = np.array([np.linalg.norm(p) for p in probes])
+                improved = search(probe_steps, probes / norms[:, None], 1)
+                pending = probes[improved or 8 :]
             if not improved:
                 converged = True
                 break

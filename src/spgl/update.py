@@ -568,50 +568,55 @@ def project_to_ball(kl, z0, z, eps):
     steps = (z if n == len(z) else z[rays]) - z0
     target = eps * (1.0 - 1e-12)
     floor = eps * (1.0 - 2e-12)
+    k_gap = 1e-10 * eps
     w_aim = math.log(eps * (1.0 - 1.5e-12))
-    # per ray: the bracket [lo, hi] with its KLs and log-KLs, the local
-    # exponent of kl in t (used while lo has no finite log-KL) and the side
-    # of the last step
-    lo, k_lo, w_lo = [0.0] * n, [0.0] * n, [-math.inf] * n
-    hi, k_hi = [1.0] * n, [ks[i] for i in rays]
-    w_hi = [math.log(k) for k in k_hi]
-    power, side = [2.0] * n, [0] * n
-    open_rays, open_steps = list(range(n)), steps
+    inf, log = math.inf, math.log
+    # one record per open ray: its index, the bracket [lo, hi] with its KLs
+    # and log-KLs, log kl(hi) (w_hi drifts with the Illinois halvings), the
+    # local exponent of kl in t (used while lo has no finite log-KL) and the
+    # side of the last step; ends holds each ray's feasible end
+    records = []
+    for j, i in enumerate(rays):
+        w = log(ks[i])
+        records.append((j, 0.0, 0.0, -inf, 1.0, ks[i], w, w, 2.0, 0))
+    ends = [0.0] * n
+    open_steps = steps
     for _ in range(100):
-        keep, ts = [], []
-        for p, j in enumerate(open_rays):
-            if k_lo[j] >= floor or k_hi[j] - k_lo[j] <= 1e-10 * eps:
+        keep, live, ts = [], [], []
+        for p, record in enumerate(records):
+            _, lo, k_lo, w_lo, hi, k_hi, w_hi, _, power, _ = record
+            if k_lo >= floor or k_hi - k_lo <= k_gap or hi - lo <= 1e-15 * hi:
                 continue
-            if hi[j] - lo[j] <= 1e-15 * hi[j]:
-                continue
-            if w_lo[j] > -math.inf:
-                t = hi[j] * (lo[j] / hi[j]) ** ((w_hi[j] - w_aim) / (w_hi[j] - w_lo[j]))
+            if w_lo > -inf:
+                t = hi * (lo / hi) ** ((w_hi - w_aim) / (w_hi - w_lo))
             else:
-                t = hi[j] * math.exp((w_aim - w_hi[j]) / power[j])
-            if not lo[j] < t < hi[j]:
-                t = 0.5 * (lo[j] + hi[j])
+                t = hi * math.exp((w_aim - w_hi) / power)
+            if not lo < t < hi:
+                t = 0.5 * (lo + hi)
             keep.append(p)
+            live.append(record)
             ts.append(t)
         if not keep:
             break
-        if len(keep) < len(open_rays):
-            open_rays = [open_rays[p] for p in keep]
+        if len(keep) < len(records):
             open_steps = open_steps[keep]
         ks = kl(z0 + np.array(ts)[:, None] * open_steps).tolist()
-        for j, t, k in zip(open_rays, ts, ks):
-            w = math.log(k) if k > 0.0 else -math.inf
+        records = []
+        for (j, lo, k_lo, w_lo, hi, k_hi, w_hi, log_k_hi, power, side), t, k in zip(live, ts, ks):
+            w = log(k) if k > 0.0 else -inf
             if k <= target:
-                if side[j] < 0:
-                    w_hi[j] = w_aim + 0.5 * (w_hi[j] - w_aim)
-                lo[j], k_lo[j], w_lo[j], side[j] = t, k, w, -1
+                if side < 0:
+                    w_hi = w_aim + 0.5 * (w_hi - w_aim)
+                ends[j] = t
+                records.append((j, t, k, w, hi, k_hi, w_hi, log_k_hi, power, -1))
             else:
-                slope = (math.log(k_hi[j]) - w) / math.log(hi[j] / t)
-                if 0.0 < slope < math.inf:
-                    power[j] = slope
-                if side[j] > 0 and w_lo[j] > -math.inf:
-                    w_lo[j] = w_aim + 0.5 * (w_lo[j] - w_aim)
-                hi[j], k_hi[j], w_hi[j], side[j] = t, k, w, 1
-    projected = z0 + np.array(lo)[:, None] * steps
+                slope = (log_k_hi - w) / log(hi / t)
+                if 0.0 < slope < inf:
+                    power = slope
+                if side > 0 and w_lo > -inf:
+                    w_lo = w_aim + 0.5 * (w_lo - w_aim)
+                records.append((j, lo, k_lo, w_lo, t, k, w, w, power, 1))
+    projected = z0 + np.array(ends)[:, None] * steps
     if n == len(z):
         return projected
     rows = z.copy()
