@@ -298,7 +298,10 @@ def improve(policy: PolicyParameters, episodes: Episodes, config: LearnerConfig)
 
 
 def save_policy(policy: PolicyParameters, path) -> None:
-    np.savez(path, weights=policy.weights, log_action_noise=policy.log_action_noise)
+    """Write ``policy`` as an ``.npz`` archive to exactly ``path``: given a
+    name, ``np.savez`` would append ``.npz`` to one that lacks it."""
+    with open(path, "wb") as file:
+        np.savez(file, weights=policy.weights, log_action_noise=policy.log_action_noise)
 
 
 def load_policy(path) -> PolicyParameters:

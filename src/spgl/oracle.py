@@ -123,11 +123,17 @@ class OracleSolution:
 
 
 def _bisect(f, lo, hi, iters=BISECT_ITERS):
-    """Root of a monotone function with a sign change on [lo, hi].
+    """Root of a monotone function with a sign change on [lo, hi]: the value
+    of ``iters`` halvings of the bracket, each keeping the half where f
+    changes sign, or the first midpoint where f is exactly 0.
 
     Stops early once the midpoint rounds onto ``lo`` or ``hi``: from then on
-    every halving would leave the bracket as it is, so the result equals that
-    of all ``iters`` halvings."""
+    every halving would leave the bracket as it is.  The first halvings do
+    not call f one by one: while ``lo`` keeps its starting value the k-th
+    midpoint is ``0.5 * (lo + previous)`` whatever f says, and along these
+    midpoints a monotone f changes sign once, so the first halving that moves
+    ``lo`` is found by doubling k and then bisecting it.  The halvings go on
+    one by one from there.  The result is that of the halvings one by one."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -136,7 +142,40 @@ def _bisect(f, lo, hi, iters=BISECT_ITERS):
         return hi
     if flo * fhi > 0.0:
         return None
-    for _ in range(iters):
+    # run[k] is the k-th midpoint while lo keeps its value, and f is called
+    # at k = 1, 2, 4, ...: every midpoint up to run[keep] moves hi, the one
+    # at run[move] (if found) moves lo.  A run that ends at the cap or on lo
+    # before moving it goes on one by one from run[keep].
+    run = [hi]
+    keep = move = 0
+    probe = 1
+    mid = hi
+    for k in range(1, iters + 1):
+        prev = mid
+        mid = 0.5 * (lo + prev)
+        if not lo < mid < prev:
+            break
+        run.append(mid)
+        if k == probe:
+            fm = f(mid)
+            if flo * fm < 0.0:
+                keep, probe = k, 2 * k
+            else:
+                move, f_move = k, fm
+                break
+    while move - keep > 1:
+        k = (keep + move) // 2
+        fm = f(run[k])
+        if flo * fm < 0.0:
+            keep = k
+        else:
+            move, f_move = k, fm
+    hi = run[keep]
+    if move:
+        if f_move == 0.0:
+            return run[move]
+        lo, flo = run[move], f_move
+    for _ in range(iters - max(keep, move)):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -287,9 +326,12 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
         # the performance value at the resulting boundary point grows
         # monotonically with lam_p, so one bisection finds the active point.
 
+        if quadratic:
+            gap, m_inv_a = q - x0, m_inv * a
+
         def boundary_point(lam_p):
             if quadratic:
-                v = (q - x0) + lam_p * (m_inv * a)
+                v = gap + lam_p * m_inv_a
             else:
                 v = m_inv * (w + lam_p * a)
             nrm = math.sqrt(float(np.add.reduce(v**2 * m)))

@@ -1,5 +1,6 @@
 """Bit-identity digest of the rollout loop, the training loop, the exact
-solver and the closed-form update at extreme inputs.
+solver, the closed-form update at extreme inputs and the verification
+suites' reports.
 
 Prints one sha256 per part and one over all parts.  Two trees whose digests
 agree produced the same float64 bits everywhere below, so a change that is
@@ -43,7 +44,14 @@ Parts (NumPy and hashlib only; this is a script, not a pytest module):
   mean.  Each call hashes the new ``mu`` and ``theta`` and every
   :class:`~spgl.update.UpdateReport` field, or the class and message of
   what it raised.  It checks the closed-form update alone, in about ten
-  seconds: ``PYTHONPATH=src python tests/digest.py updates``.
+  seconds: ``PYTHONPATH=src python tests/digest.py updates``;
+* ``verify``: every :class:`~spgl.verification.VerifyReport` field but the
+  two timings (``closed_form_seconds``, ``exact_solver_seconds``) of
+  :func:`spgl.harness.verify` without its timing race, at 100 instances on
+  seeds 0-19 and, with the closed forms perturbed by 1e-3 so that the
+  failure lines are hashed too, at 6 instances on seeds 0-4.  It checks the
+  oracle and finite-difference suites alone, in a few seconds:
+  ``PYTHONPATH=src python tests/digest.py verify``.
 
 A change to the exact solver therefore moves ``exact`` alone.
 
@@ -61,7 +69,7 @@ import numpy as np
 from spgl.config import load_config, preset_path
 from spgl.envs import PointMassEnv, SyntheticEnv
 from spgl.gaussian import THETA_MIN, ContextDistribution, TargetSpec
-from spgl.harness import train_runs
+from spgl.harness import train_runs, verify
 from spgl.learner import LearnerConfig, PolicyParameters, collect_rollouts, feature_dim
 from spgl.oracle import solve_exact_sampled
 from spgl.stats import RolloutBatch
@@ -73,6 +81,8 @@ ROLLOUT_SHAPES = ((1, 1), (4, 64), (10, 64))  # (R, K)
 UPDATE_INSTANCES = 20_000
 UPDATE_DIMS = (1, 2, 3, 8, 32, 64)
 UPDATE_BATCHES = (2, 4, 16, 64)
+VERIFY_RUNS = [(seed, 100, 0.0) for seed in range(20)] + [(seed, 6, 1e-3) for seed in range(5)]
+VERIFY_TIMINGS = ("closed_form_seconds", "exact_solver_seconds")
 
 
 def _floats(h, *values):
@@ -277,11 +287,29 @@ def digest_updates(h):
     return UPDATE_INSTANCES
 
 
+def digest_verify(h):
+    failures = 0
+    for seed, instances, perturb in VERIFY_RUNS:
+        report = verify(seed, instances, perturb=perturb, include_timing=False)
+        for field in dataclasses.fields(report):
+            if field.name in VERIFY_TIMINGS:
+                continue
+            value = getattr(report, field.name)
+            if isinstance(value, float):
+                _floats(h, value)
+            else:
+                _text(h, repr(value))
+        failures += len(report.failures)
+    print(f"  failure lines {failures}")
+    return len(VERIFY_RUNS)
+
+
 PARTS = {
     "rollouts": digest_rollouts,
     "training": digest_training,
     "exact": digest_exact,
     "updates": digest_updates,
+    "verify": digest_verify,
 }
 
 

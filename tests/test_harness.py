@@ -30,7 +30,7 @@ from spgl.envs import PointMassEnv
 from spgl.gaussian import TargetSpec
 from spgl.learner import LearnerConfig, init_policy
 from spgl.update import CurriculumError
-from spgl.verification import run_timing_suite
+from spgl.verification import run_fd_suite, run_timing_suite
 
 
 SYNTH_CONFIG = """
@@ -565,6 +565,21 @@ class TestVerify:
         assert not report.passed
         assert report.failures and all(f.startswith(label) for f in report.failures)
 
+    @pytest.mark.parametrize("name", ["u_bar", "psi_bar", "omega"])
+    def test_fd_suite_fails_on_a_wrong_statistic(self, monkeypatch, name):
+        # --perturb corrupts only the closed forms; this corrupts one
+        # statistic, which only its own finite differences may catch
+        real = spgl.verification.compute_stats
+
+        def scaled(batch, dist, target):
+            stats = real(batch, dist, target)
+            return dataclasses.replace(stats, **{name: getattr(stats, name) * (1.0 + 1e-3)})
+
+        monkeypatch.setattr(spgl.verification, "compute_stats", scaled)
+        report = run_fd_suite(seed=1, instances=12)
+        assert not report.passed
+        assert all(f.startswith(f"fd-{name}[") for f in report.failures)
+
 
 class TestCli:
     def test_train_and_eval_roundtrip(self, tmp_path, synth_config, capsys):
@@ -592,6 +607,18 @@ class TestCli:
             ["eval", "--config", str(config_path), "--policy", str(policy_path), "--episodes", "4"]
         )
         assert code == 0
+        assert "success" in capsys.readouterr().out
+
+    def test_saved_policy_without_suffix_evaluates(self, tmp_path, capsys):
+        # np.savez appends ".npz" to a file name, so eval found no file
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        policy_path = tmp_path / "mypolicy"
+        argv = ["--config", str(config_path), "--quiet"]
+        saved = ["--out", str(tmp_path / "c.csv"), "--save-policy", str(policy_path)]
+        assert main(["train", *argv, *saved]) == 0
+        assert policy_path.exists() and not policy_path.with_suffix(".npz").exists()
+        assert main(["eval", *argv, "--policy", str(policy_path), "--episodes", "4"]) == 0
         assert "success" in capsys.readouterr().out
 
     def test_train_multi_seed_writes_summary(self, tmp_path):

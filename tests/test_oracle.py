@@ -1,5 +1,6 @@
-"""Numerical solver tests: the dual bisection's early exit against the full
-loop, dual-bisection subproblem solutions with KKT certificates,
+"""Numerical solver tests: the dual bisection's early exit and its search of
+the first halving that moves the lower end against the full loop,
+dual-bisection subproblem solutions with KKT certificates,
 infeasibility detection, the exact solver's ray projection onto the KL ball,
 the row independence of its scores, its closed-form gradient against central
 differences, and the exact sampled solver's feasibility / consistency /
@@ -90,6 +91,60 @@ class TestBisect:
         for f in (lambda t: t + 1.0, lambda t: -1.0 - t, lambda t: 1.0 / t):
             assert _bisect(f, 1e-12, 1e12) is None
             assert bisect_all_iterations(f, 1e-12, 1e12) is None
+
+    @staticmethod
+    def run_midpoints(lo, hi, count):
+        """The first ``count`` midpoints of a bisection whose lo never moves."""
+        mids = [hi]
+        for _ in range(count):
+            mids.append(0.5 * (lo + mids[-1]))
+        return mids[1:]
+
+    def run_search_cases(self, rng):
+        """Cases for the search of the first halving that moves lo."""
+        # brackets from 1e-12: the midpoints are not powers of two
+        for r in np.exp(rng.uniform(math.log(1e-12), math.log(1e12), 40)):
+            yield (lambda t, r=r: t - r), 1e-12, 1e12, BISECT_ITERS
+            yield (lambda t, r=r: r / t - 1.0), 1e-12, 1e12, BISECT_ITERS
+        # roots exactly on a midpoint of the run, for f rising and falling
+        for lo in (0.0, 1e-12):
+            for m in self.run_midpoints(lo, 1e12, 80)[::3]:
+                yield (lambda t, m=m: t - m), lo, 1e12, BISECT_ITERS
+                yield (lambda t, m=m: m - t), lo, 1e12, BISECT_ITERS
+                yield (lambda t, m=m: math.atan(t - m)), lo, 1e12, BISECT_ITERS
+        # roots below the floats: between 1e-12 and the next float up, and
+        # below the smallest subnormal, so the bracket collapses onto lo
+        yield (lambda t: (t - 1e-12) - 1e-40), 1e-12, 1e12, BISECT_ITERS
+        yield (lambda t: t * 2.0**1000 * 2.0**100 - 1.0), 0.0, 1e12, 2000
+        # caps that end the bisection inside the run (it ends at k = 40)
+        for iters in (0, 1, 2, 3, 5, 16, 31, 32, 33, 39, 40, 41, 64):
+            yield (lambda t: t - 1.2345), 0.0, 1e12, iters
+            yield (lambda t: 1.2345 / t - 1.0), 1e-12, 1e12, iters
+
+    def test_run_search_returns_the_plain_loop_value(self):
+        rng = np.random.default_rng(1)
+        cases = 0
+        for f, lo, hi, iters in self.run_search_cases(rng):
+            expected = bisect_all_iterations(f, lo, hi, iters)
+            got = _bisect(f, lo, hi, iters)
+            assert expected is not None
+            assert got == expected, (got, expected, lo, iters)
+            cases += 1
+        assert cases == 80 + 2 * 27 * 3 + 2 + 26
+
+    def test_run_search_calls_f_fewer_times(self):
+        # a root near 1 on [0, 1e12]: lo first moves at the 40th halving, so
+        # the halvings one by one call f 93-94 times
+        for r in (0.8, 1.0, 1.2345, 1.9):
+            calls = []
+
+            def f(t, r=r):
+                calls.append(t)
+                return t - r
+
+            root = _bisect(f, 0.0, 1e12)
+            assert len(calls) <= 70, len(calls)
+            assert root == bisect_all_iterations(f, 0.0, 1e12)
 
     def test_stops_once_the_bracket_is_two_adjacent_floats(self):
         calls = []
