@@ -10,10 +10,8 @@ from .envs import PointMassEnv, SyntheticEnv, synthetic_value
 from .gaussian import (
     ContextDistribution,
     TargetSpec,
-    importance_ratio,
     kl_between,
     kl_to_target,
-    log_density,
     sample,
 )
 from .learner import Episodes, LearnerConfig, PolicyParameters, collect_rollouts, improve

@@ -8,8 +8,8 @@ Subcommands:
 * ``verify`` -- randomized closed-form-vs-oracle, finite-difference and
   timing suites; exits nonzero on any violation.
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
-3 runtime warnings escalated by ``--warnings-as-errors``.
+Exit codes: 0 success, 1 configuration or file error, 2 verification
+failure, 3 runtime warnings escalated by ``--warnings-as-errors``.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     parser.error("unknown command")
     return EXIT_CONFIG

@@ -4,8 +4,8 @@ Sections: ``[experiment]`` (environment, curriculum mode, iteration budget),
 ``[environment]`` (for the point mass ``context_visible``, for the synthetic
 environment the value bump's ``width``), ``[target]`` and ``[initial]`` (context
 distribution parameters), ``[curriculum]``, ``[learner]`` and
-``[evaluation]``.  A key that a section does not read is an error, so a
-misspelt key cannot silently leave its default in place.
+``[evaluation]``.  A section or a key that is not read is an error, so a
+misspelt name cannot silently leave a default in place.
 
 Shipped presets live in ``spgl/presets``: the two point-mass setups and the
 synthetic convergence run.
@@ -40,8 +40,9 @@ ENVIRONMENT_KEYS = {
     "point_mass": ("context_visible",),
     "synthetic": ("width",),
 }
-# The keys each other section reads; any other key is an error.  The
-# retired [experiment] flag `runnable` is still accepted and ignored.
+# The keys each other section reads; any other section or key is an error.
+# The retired [experiment] flag `runnable` is still accepted and ignored, and
+# the retired [curriculum] key `update_period` is accepted as 1 only.
 SECTION_KEYS = {
     "experiment": ("name", "environment", "curriculum", "iterations", "seed", "runnable"),
     "target": ("mu", "sigma"),
@@ -122,9 +123,14 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path is not a regular file: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
+        with path.open(encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {path}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
 
@@ -140,12 +146,18 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"unknown curriculum mode '{curriculum_mode}'")
 
     known = {**SECTION_KEYS, "environment": ENVIRONMENT_KEYS[environment]}
-    for section, keys in known.items():
-        if parser.has_section(section):
-            for key in parser.options(section):
-                if key not in keys:
-                    where = f" for {environment}" if section == "environment" else ""
-                    raise ConfigError(f"unknown [{section}] key '{key}'{where}")
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}] in {path}")
+        for key in parser.options(section):
+            if key not in known[section]:
+                where = f" for {environment}" if section == "environment" else ""
+                raise ConfigError(f"unknown [{section}] key '{key}'{where}")
+    if _get(parser, "curriculum", "update_period", int, default=1) != 1:
+        raise ConfigError(
+            "[curriculum] update_period is retired: the curriculum updates every "
+            "iteration, so the key may only be 1"
+        )
 
     target = _build(
         "target",
@@ -164,7 +176,6 @@ def load_config(path) -> ExperimentConfig:
         epsilon=_get(parser, "curriculum", "epsilon", float, required=True),
         v_lower=_get(parser, "curriculum", "v_lower", float, required=True),
         k_contexts=_get(parser, "curriculum", "k_contexts", int, default=64),
-        update_period=_get(parser, "curriculum", "update_period", int, default=1),
     )
     learner = _build(
         "learner",

@@ -9,17 +9,19 @@ distributions coincide.
 
 All covariances here are diagonal, which keeps every density, importance
 ratio and KL divergence in closed form as simple vector expressions.  Each
-formula exists once, as an array-level function on raw parameters
-(:func:`log_density_params`, :func:`kl_params`, :func:`kl_to_target_params`);
-the distribution-level functions check the family and call them, and the
-closed-form update, its joint-KL backtrack and the exact solver in
-:mod:`spgl.oracle` call them directly.  They reduce over the last axis with
-``np.add.reduce``, the reduction that ``np.sum`` and the ndarray ``.sum()``
-method both end in, without their Python-level wrappers on the exact
-solver's hot path.  So each serves one set of parameters or a stack of rows
-of them, and a row of the stack gets the same bits as the one-row call: the
-exact solver projects and scores the step halvings of one direction as
-blocks of rows.
+formula exists once, as an array-level function on raw parameters: the log
+density (:func:`log_density_params`), the clamped importance-weighted batch
+value (:func:`sampled_value`) and the two KLs (:func:`kl_params`,
+:func:`kl_to_target_params`).  The distribution-level KLs check the family
+and call them; the closed-form update, its joint-KL backtrack, the exact
+solver in :mod:`spgl.oracle` and the finite-difference suite in
+:mod:`spgl.verification` call them directly.  They reduce over the last
+axis with ``np.add.reduce``, the reduction that ``np.sum`` and the ndarray
+``.sum()`` method both end in, without their Python-level wrappers on the
+exact solver's hot path.  So each serves one set of parameters or a stack
+of rows of them, and a row of the stack gets the same bits as the one-row
+call: the exact solver projects and scores the step halvings of one
+direction as blocks of rows.
 Distributions are immutable after construction and safe to share across
 threads; sampling takes an explicit seeded generator owned by the caller.
 """
@@ -31,31 +33,26 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "LOG_RATIO_LIMIT",
     "THETA_MIN",
     "ContextDistribution",
-    "ContextSample",
     "TargetSpec",
-    "importance_ratio",
     "kl_between",
     "kl_params",
     "kl_to_target",
     "kl_to_target_params",
-    "log_density",
     "log_density_params",
-    "mean_shift_kl",
     "sample",
+    "sampled_value",
 ]
 
 # Scale floor for the covariance multipliers.  Values below this are rejected
 # at construction so precision matrices stay finite and well conditioned.
 THETA_MIN = 1e-6
 
-# Importance ratios are clamped to this range before use; with very narrow
-# target variances the raw ratio overflows double precision.
-_LOG_RATIO_LIMIT = np.log(1e30)
-
-# A context sample is a plain float vector of length d.
-ContextSample = np.ndarray
+# Importance ratios are clamped to [1e-30, 1e30] before use; with very
+# narrow target variances the raw ratio overflows double precision.
+LOG_RATIO_LIMIT = np.log(1e30)
 
 
 def _as_readonly_vector(value, name: str) -> np.ndarray:
@@ -169,6 +166,18 @@ def log_density_params(c: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.nda
     return -0.5 * quad - 0.5 * np.add.reduce(np.log(2.0 * np.pi * var), axis=-1)
 
 
+def sampled_value(contexts, values, log_p0, mu, var) -> np.ndarray:
+    """Importance-weighted mean of ``values`` under ``N(mu, diag(var))``,
+    given the log-densities ``log_p0`` of the ``(k, d)`` contexts under the
+    distribution that drew them: a scalar for parameters ``(d,)``, one value
+    per row for rows ``(n, d)``.  Each ratio is clamped to ``[1e-30, 1e30]``
+    through its log (:data:`LOG_RATIO_LIMIT`); ``np.minimum(np.maximum(...))``
+    is the clamp of ``np.clip`` without its Python-level wrapper."""
+    log_ratio = log_density_params(contexts, mu[..., None, :], var[..., None, :]) - log_p0
+    ratio = np.exp(np.minimum(np.maximum(log_ratio, -LOG_RATIO_LIMIT), LOG_RATIO_LIMIT))
+    return np.mean(values * ratio, axis=-1)
+
+
 def kl_params(mu1, theta1, mu0, theta0, sigma) -> np.ndarray:
     """``KL(N(mu1, theta1 sigma) || N(mu0, theta0 sigma))`` on raw arrays:
     ``0.5 * sum(r - 1 - ln(r) + (mu1 - mu0)^2 / (theta0 * sigma))`` with
@@ -185,31 +194,6 @@ def kl_to_target_params(mu, theta, mu_tilde, sigma) -> np.ndarray:
     summed over the last axis like :func:`kl_params`."""
     terms = (mu - mu_tilde) ** 2 / (theta * sigma) + 1.0 / theta + np.log(theta) - 1.0
     return 0.5 * np.add.reduce(terms, axis=-1)
-
-
-def log_density(dist: ContextDistribution, c: np.ndarray) -> np.ndarray | float:
-    """Log of the Gaussian density at ``c``.
-
-    Accepts a single context ``(d,)`` or a batch ``(k, d)``; returns a scalar
-    or a ``(k,)`` array accordingly.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape[-1] != dist.d:
-        raise ValueError("context dimension mismatch")
-    return log_density_params(c, dist.mu, dist.covariance_diag())
-
-
-def importance_ratio(
-    new_dist: ContextDistribution, old_dist: ContextDistribution, c: np.ndarray
-) -> np.ndarray | float:
-    """Density ratio ``p_new(c) / p_old(c)``, clamped to ``[1e-30, 1e30]``.
-
-    Both distributions must share the target spec.
-    """
-    if not new_dist.same_family(old_dist):
-        raise ValueError("importance ratio requires a common target spec")
-    log_ratio = log_density(new_dist, c) - log_density(old_dist, c)
-    return np.exp(np.clip(log_ratio, -_LOG_RATIO_LIMIT, _LOG_RATIO_LIMIT))
 
 
 def kl_to_target(dist: ContextDistribution) -> float:
@@ -229,14 +213,3 @@ def kl_between(new_dist: ContextDistribution, old_dist: ContextDistribution) -> 
         raise ValueError("kl_between requires a common target spec")
     sigma = old_dist.target.sigma_tilde_diag
     return float(kl_params(new_dist.mu, new_dist.theta, old_dist.mu, old_dist.theta, sigma))
-
-
-def mean_shift_kl(new_dist: ContextDistribution, old_dist: ContextDistribution) -> float:
-    """Mean-only component of ``kl_between``: ``0.5 ||mu_new - mu_old||^2``
-    in the old precision metric.  For mean-only updates this equals
-    :func:`kl_between` exactly.
-    """
-    if not new_dist.same_family(old_dist):
-        raise ValueError("mean_shift_kl requires a common target spec")
-    sigma = old_dist.target.sigma_tilde_diag
-    return float(kl_params(new_dist.mu, old_dist.theta, old_dist.mu, old_dist.theta, sigma))

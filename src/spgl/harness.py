@@ -46,7 +46,7 @@ CSV_FLOAT_FORMAT = ".9g"
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One row of the training curve, emitted per curriculum update."""
+    """One row of the training curve, emitted per training iteration."""
 
     iteration: int
     mean_return: float
@@ -204,8 +204,6 @@ def _lockstep_iteration(states, env, i: int, config: ExperimentConfig, progress)
     for run, episodes in zip(states, all_episodes):
         batch = RolloutBatch(episodes.contexts, episodes.values, run.dist)
         run.policy = improve(run.policy, episodes, config.learner)
-        if i % config.curriculum.update_period != 0:
-            continue
         step_kind, active_case, kl_step, kl = _curriculum_step(run, batch, i, config)
         record = IterationRecord(
             iteration=i,
@@ -287,18 +285,18 @@ def evaluate(
     return [_eval_result(episodes) for episodes in all_episodes]
 
 
+def _mean_se(values) -> tuple[float, float]:
+    """Mean and standard error of the mean; the error is 0 for one value."""
+    values = np.asarray(values)
+    n = len(values)
+    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), se
+
+
 def _eval_result(episodes) -> EvalResult:
-    returns = episodes.values
-    successes = 100.0 * episodes.successes
-    n = len(returns)
-    if n == 1:
-        return EvalResult(float(returns[0]), float(successes[0]), 0.0, 0.0)
-    return EvalResult(
-        mean_return=float(np.mean(returns)),
-        success_rate=float(np.mean(successes)),
-        return_se=float(np.std(returns, ddof=1) / math.sqrt(n)),
-        success_se=float(np.std(successes, ddof=1) / math.sqrt(n)),
-    )
+    mean_return, return_se = _mean_se(episodes.values)
+    success_rate, success_se = _mean_se(100.0 * episodes.successes)
+    return EvalResult(mean_return, success_rate, return_se, success_se)
 
 
 def evaluate_run(config: ExperimentConfig, policies, seeds) -> list[EvalResult]:
@@ -340,31 +338,26 @@ def run_multi_seed(
     for (mode, seed), result, ev in zip(runs, results, evals):
         per_mode_returns[mode].append(ev.mean_return)
         per_mode_success[mode].append(ev.success_rate)
-        per_mode_kl[mode].append(result.records[-1].kl_to_target if result.records else 0.0)
+        per_mode_kl[mode].append(result.records[-1].kl_to_target)
         all_records[(mode, seed)] = result.records
 
     summaries = []
     spgl_returns = per_mode_returns.get("spgl")
     for mode in modes:
-        returns = np.array(per_mode_returns[mode])
-        successes = np.array(per_mode_success[mode])
+        returns = per_mode_returns[mode]
         p_value = None
         if mode != "spgl" and spgl_returns is not None and len(seeds) > 1:
             p_value = welch_p_value(returns, spgl_returns)
-        se = float(np.std(returns, ddof=1) / math.sqrt(len(returns))) if len(returns) > 1 else 0.0
-        sse = (
-            float(np.std(successes, ddof=1) / math.sqrt(len(successes)))
-            if len(successes) > 1
-            else 0.0
-        )
+        return_mean, return_se = _mean_se(returns)
+        success_mean, success_se = _mean_se(per_mode_success[mode])
         summaries.append(
             ModeSummary(
                 curriculum=mode,
-                return_mean=float(np.mean(returns)),
-                return_se=se,
+                return_mean=return_mean,
+                return_se=return_se,
                 return_p_value=p_value,
-                success_mean=float(np.mean(successes)),
-                success_se=sse,
+                success_mean=success_mean,
+                success_se=success_se,
                 final_kl_median=float(np.median(per_mode_kl[mode])),
             )
         )

@@ -15,8 +15,9 @@ Two solvers live here:
   numerical self-paced baseline and measures the linearization error of the
   closed forms.
 
-The exact solver's densities and KLs are the array-level functions of
-:mod:`spgl.gaussian`, and its ray projection onto the KL ball is
+The exact solver's densities, importance-weighted value
+(:func:`spgl.gaussian.sampled_value`) and KLs are the array-level functions
+of :mod:`spgl.gaussian`, and its ray projection onto the KL ball is
 :func:`spgl.update.project_to_ball`, the solve that also backtracks the
 closed-form update's joint KL.  Both take rows of parameters, so the step
 halvings along one direction, or along all eight escape probes, are projected
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import (
+    LOG_RATIO_LIMIT,
     THETA_MIN,
-    _LOG_RATIO_LIMIT,
     ContextDistribution,
     TargetSpec,
     kl_between,
@@ -41,9 +42,9 @@ from .gaussian import (
     kl_to_target,
     kl_to_target_params,
     log_density_params,
-    mean_shift_kl,
+    sampled_value,
 )
-from .stats import RolloutBatch
+from .stats import RolloutBatch, compute_stats
 from .update import (
     BOTH_ACTIVE,
     BOTH_INACTIVE,
@@ -52,6 +53,7 @@ from .update import (
     CurriculumConfig,
     UpdateReport,
     project_to_ball,
+    should_run_performance_step,
 )
 
 __all__ = [
@@ -386,18 +388,6 @@ class ExactSolveResult:
     feasible: bool
 
 
-def _sampled_value(contexts, values, log_p0, mu, var):
-    """Importance-weighted mean of ``values`` under ``N(mu, diag(var))``,
-    given the log-densities ``log_p0`` of the contexts under the
-    distribution that drew them: a scalar for parameters ``(d,)``, one value
-    per row for rows ``(n, d)``.  The log-ratio is clamped as in
-    :func:`spgl.gaussian.importance_ratio`; ``np.minimum(np.maximum(...))``
-    is the same clamp as ``np.clip`` without its Python-level wrapper."""
-    log_ratio = log_density_params(contexts, mu[..., None, :], var[..., None, :]) - log_p0
-    ratio = np.exp(np.minimum(np.maximum(log_ratio, -_LOG_RATIO_LIMIT), _LOG_RATIO_LIMIT))
-    return np.mean(values * ratio, axis=-1)
-
-
 def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min):
     """Closed-form gradient of :func:`solve_exact_sampled`'s objective in its
     coordinates ``z = (mu, log theta)``, with ``log theta`` clipped to
@@ -427,8 +417,8 @@ def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min
     else:
         diff = contexts - mu
         log_ratio = log_density_params(contexts, mu, var) - log_p0
-        inside = np.abs(log_ratio) < _LOG_RATIO_LIMIT
-        ratio = np.exp(np.minimum(log_ratio, _LOG_RATIO_LIMIT))
+        inside = np.abs(log_ratio) < LOG_RATIO_LIMIT
+        ratio = np.exp(np.minimum(log_ratio, LOG_RATIO_LIMIT))
         weight = np.where(inside, values * ratio, 0.0) / values.size
         scaled = diff / var
         g_mu = -(weight @ scaled)
@@ -493,7 +483,7 @@ def solve_exact_sampled(
     # takes one point or rows of points (``z[..., :d]`` is the mean part).
     def sampled(z):
         theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
-        return _sampled_value(contexts, values, log_p0, z[..., :d], theta * sigma)
+        return sampled_value(contexts, values, log_p0, z[..., :d], theta * sigma)
 
     def step_kl(z):
         theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
@@ -627,24 +617,25 @@ def numerical_update(
 ) -> tuple[ContextDistribution, UpdateReport]:
     """Baseline curriculum update driven by the exact numerical solver.
 
-    Uses the same dispatch rule as the closed-form update, then hands the
-    selected subproblem to :func:`solve_exact_sampled`.
+    Dispatches like the closed-form update, on the statistics of a batch
+    that ``dist`` must have drawn, then hands the selected subproblem to
+    :func:`solve_exact_sampled`.
     """
-    values = batch.values
-    v_bar = float(np.mean(values))
-    mode = "performance" if v_bar < config.v_lower else "convergence"
+    stats = compute_stats(batch, dist, target)
+    mode = "performance" if should_run_performance_step(stats, config) else "convergence"
     kl_before = kl_to_target(dist)
     result = solve_exact_sampled(
         batch, dist, target, config, mode, seed=seed, restarts=restarts, iterations=iterations
     )
     new_dist = result.distribution
+    sigma = dist.target.sigma_tilde_diag
     report = UpdateReport(
         kind=mode,
         degenerate=False,
         mu_solution=None,
         theta_solution=None,
         kl_step=kl_between(new_dist, dist),
-        kl_step_mean_part=mean_shift_kl(new_dist, dist),
+        kl_step_mean_part=float(kl_params(new_dist.mu, dist.theta, dist.mu, dist.theta, sigma)),
         kl_to_target_before=kl_before,
         kl_to_target_after=kl_to_target(new_dist),
         theta_backtracked=False,

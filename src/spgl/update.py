@@ -88,7 +88,6 @@ class CurriculumConfig:
         epsilon: KL trust-region radius per update.
         v_lower: Minimum mean value required before convergence steps run.
         k_contexts: Batch size K.
-        update_period: Curriculum update period in training iterations.
 
     Every update keeps the covariance scales at or above the distribution
     floor :data:`spgl.gaussian.THETA_MIN`, which the read-only
@@ -98,7 +97,6 @@ class CurriculumConfig:
     epsilon: float
     v_lower: float
     k_contexts: int = 64
-    update_period: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
@@ -107,8 +105,6 @@ class CurriculumConfig:
             raise ValueError("v_lower must be finite")
         if self.k_contexts < 2:
             raise ValueError("k_contexts must be >= 2")
-        if self.update_period < 1:
-            raise ValueError("update_period must be >= 1")
 
     @property
     def theta_min(self) -> float:

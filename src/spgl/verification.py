@@ -23,8 +23,9 @@ from .gaussian import (
     kl_between,
     kl_to_target_params,
     log_density_params,
+    sampled_value,
 )
-from .oracle import LinearizedSubproblem, _sampled_value, numerical_update, solve_numeric
+from .oracle import LinearizedSubproblem, numerical_update, solve_numeric
 from .stats import CurriculumStats, RolloutBatch, compute_stats
 from .update import (
     BOTH_INACTIVE,
@@ -342,7 +343,7 @@ def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
     """Central finite-difference checks of u_bar, psi_bar, omega and h.
 
     The importance-weighted batch value is the exact solver's
-    :func:`spgl.oracle._sampled_value`, with the batch's log-densities under
+    :func:`spgl.gaussian.sampled_value`, with the batch's log-densities under
     the drawing distribution computed once per instance, and the KL to the
     target is :func:`spgl.gaussian.kl_to_target_params`.  Both take rows of
     parameters, so an instance's 2d mean bumps, its 2d scale bumps and the
@@ -373,12 +374,8 @@ def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
         theta_rows = np.concatenate([theta + bumps, theta - bumps])
         mu_rows = np.concatenate([mu + bumps, mu - bumps])
         checks = [
-            ("u_bar", precision * u_bar, _sampled_value(contexts, values, log_p0, mu_rows, var)),
-            (
-                "psi_bar",
-                psi_bar,
-                _sampled_value(contexts, values, log_p0, mu, theta_rows * sigma),
-            ),
+            ("u_bar", precision * u_bar, sampled_value(contexts, values, log_p0, mu_rows, var)),
+            ("psi_bar", psi_bar, sampled_value(contexts, values, log_p0, mu, theta_rows * sigma)),
             ("omega", omega, kl_to_target_params(mu, theta_rows, dist.target.mu_tilde, sigma)),
         ]
         for label, analytic, bumped in checks:

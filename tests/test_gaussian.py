@@ -1,6 +1,7 @@
-"""Distribution-level tests: sampling moments, densities, importance ratios
-and closed-form KL divergences, each checked against an independent oracle
-(quadrature, Monte Carlo, or direct density evaluation)."""
+"""Distribution-level tests: sampling moments, densities, the clamped
+importance weights of the sampled value and closed-form KL divergences, each
+checked against an independent oracle (quadrature, Monte Carlo, scipy or
+direct density evaluation)."""
 
 import math
 
@@ -8,17 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from spgl.gaussian import (
     THETA_MIN,
     ContextDistribution,
     TargetSpec,
-    importance_ratio,
     kl_between,
+    kl_params,
     kl_to_target,
-    log_density,
-    mean_shift_kl,
+    log_density_params,
     sample,
+    sampled_value,
 )
 
 
@@ -31,6 +33,18 @@ def make_dist(mu, theta, mu_tilde=None, sigma=None):
         sigma_tilde_diag=np.ones(d) if sigma is None else np.atleast_1d(sigma),
     )
     return ContextDistribution(mu=mu, theta=theta, target=target)
+
+
+def log_density(dist, c):
+    return log_density_params(np.asarray(c, dtype=float), dist.mu, dist.covariance_diag())
+
+
+def importance_ratio(new, old, c):
+    """``p_new(c) / p_old(c)`` as the weight :func:`sampled_value` gives the
+    single context ``c`` with value 1."""
+    contexts = np.atleast_2d(c)
+    log_p0 = log_density(old, contexts)
+    return sampled_value(contexts, np.ones(len(contexts)), log_p0, new.mu, new.covariance_diag())
 
 
 # Table-style point-mass setup used in several moment checks.
@@ -137,6 +151,21 @@ class TestLogDensity:
         singles = np.array([log_density(dist, p) for p in pts])
         assert np.array_equal(batched, singles)
 
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(8)
+        mu, var = rng.normal(size=3), np.exp(rng.uniform(-8.0, 2.0, 3))
+        pts = mu + rng.standard_normal((6, 3)) * 3.0 * np.sqrt(var)
+        expected = norm.logpdf(pts, loc=mu, scale=np.sqrt(var)).sum(axis=1)
+        np.testing.assert_allclose(log_density_params(pts, mu, var), expected, rtol=1e-12)
+        # parameter rows (n, 1, d) give one row of batch densities each
+        rows = log_density_params(
+            pts, np.stack([mu, -mu])[:, None], np.stack([var, 2 * var])[:, None]
+        )
+        np.testing.assert_allclose(rows[0], expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            rows[1], norm.logpdf(pts, loc=-mu, scale=np.sqrt(2 * var)).sum(axis=1), rtol=1e-12
+        )
+
 
 class TestImportanceRatio:
     def test_identical_distributions(self):
@@ -174,6 +203,11 @@ class TestImportanceRatio:
         ratio = importance_ratio(new, old, np.array([3.0]))
         assert ratio == pytest.approx(1e30, rel=1e-12)
         assert importance_ratio(old, new, np.array([3.0])) == pytest.approx(1e-30, rel=1e-12)
+        # the sampled value weights each value by its clamped ratio
+        contexts = np.array([[3.0], [0.0]])
+        log_p0 = log_density(old, contexts)
+        value = sampled_value(contexts, np.array([2.0, 5.0]), log_p0, new.mu, new.covariance_diag())
+        assert value == pytest.approx(0.5 * (2.0 * 1e30 + 5.0 * 1e-30), rel=1e-12)
 
     @given(
         mu_new=st.floats(-3, 3),
@@ -221,7 +255,9 @@ class TestKL:
         old = make_dist([0.0], [1.0])
         new = make_dist([0.4], [1.0])
         assert kl_between(new, old) == pytest.approx(0.08)
-        assert mean_shift_kl(new, old) == pytest.approx(kl_between(new, old), abs=1e-15)
+        # at equal scales kl_params is the mean-shift part alone
+        sigma = old.target.sigma_tilde_diag
+        assert float(kl_params(new.mu, old.theta, old.mu, old.theta, sigma)) == kl_between(new, old)
 
     def test_kl_between_theta_change_against_monte_carlo(self):
         rng = np.random.default_rng(6)

@@ -9,12 +9,16 @@ the files in the same change:
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spgl.config import load_config, preset_path
 from spgl.harness import records_to_csv, run_multi_seed, run_training, summary_to_csv, verify
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# The benchmark's synth_selfpaced workload trains this file (read only here).
+BENCHMARK_CONFIG = Path(__file__).parents[1] / "perfbench" / "synth_selfpaced.ini"
 
 
 def selfpaced_variant():
@@ -96,6 +100,22 @@ def test_selfpaced_variant_survives_near_colinear_scale_gradients():
     result = run_training(config, seed=413)
     assert len(result.records) == config.iterations
     assert all(r.kl_step <= config.curriculum.epsilon + 1e-12 for r in result.records)
+
+
+def test_benchmark_config_is_the_selfpaced_variant():
+    # a config change that the benchmark file no longer loads under, or that
+    # moves it off the variant the goldens pin, fails here and not in a
+    # benchmark run
+    bench = load_config(BENCHMARK_CONFIG)
+    variant = selfpaced_variant()
+    assert (bench.environment, bench.curriculum_mode) == ("synthetic", "spgl")
+    assert bench.curriculum == variant.curriculum
+    assert bench.learner == variant.learner
+    assert bench.width == variant.width
+    for field in ("mu_tilde", "sigma_tilde_diag"):
+        assert np.array_equal(getattr(bench.target, field), getattr(variant.target, field))
+    assert np.array_equal(bench.initial_mu, variant.initial_mu)
+    assert np.array_equal(bench.initial_theta, variant.initial_theta)
 
 
 if __name__ == "__main__":

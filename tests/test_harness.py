@@ -56,7 +56,6 @@ theta = 0.5, 0.25
 epsilon = 0.05
 v_lower = 1
 k_contexts = 8
-update_period = {period}
 
 [evaluation]
 episodes = 8
@@ -65,9 +64,9 @@ episodes = 8
 
 @pytest.fixture
 def synth_config(tmp_path):
-    def build(iterations=20, period=1):
+    def build(iterations=20):
         path = tmp_path / "synth.ini"
-        path.write_text(SYNTH_CONFIG.format(iterations=iterations, period=period))
+        path.write_text(SYNTH_CONFIG.format(iterations=iterations))
         return load_config(path)
 
     return build
@@ -97,7 +96,7 @@ class TestConfig:
 
     def test_external_engine_environments_are_unknown(self, tmp_path):
         path = tmp_path / "lander.ini"
-        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = SYNTH_CONFIG.format(iterations=5)
         path.write_text(text.replace("environment = synthetic", "environment = lunar_lander"))
         with pytest.raises(ConfigError, match="unknown environment 'lunar_lander'"):
             load_config(path)
@@ -115,7 +114,7 @@ class TestConfig:
     def test_unknown_environment_keys_rejected(self, tmp_path, environment, key):
         # a misspelt key used to be dropped silently, running width 50
         path = tmp_path / "typo.ini"
-        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = SYNTH_CONFIG.format(iterations=5)
         text = text.replace("environment = synthetic", f"environment = {environment}")
         path.write_text(text.replace("width = 50.0", f"{key} = 1.0"))
         with pytest.raises(ConfigError, match=rf"unknown \[environment\] key '{key}'"):
@@ -124,7 +123,7 @@ class TestConfig:
     def test_unknown_section_keys_rejected(self, tmp_path):
         # a misspelt k_contexts used to be dropped silently, running K = 64
         path = tmp_path / "typo.ini"
-        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = SYNTH_CONFIG.format(iterations=5)
         path.write_text(text.replace("k_contexts = 8", "k_context = 16"))
         with pytest.raises(ConfigError, match=r"unknown \[curriculum\] key 'k_context'"):
             load_config(path)
@@ -132,21 +131,43 @@ class TestConfig:
     def test_unknown_experiment_keys_rejected(self, tmp_path):
         # a misspelt iterations used to be dropped silently, running 200
         path = tmp_path / "typo.ini"
-        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = SYNTH_CONFIG.format(iterations=5)
         path.write_text(text.replace("iterations = 5", "iteration = 5"))
         with pytest.raises(ConfigError, match=r"unknown \[experiment\] key 'iteration'"):
             load_config(path)
 
     def test_retired_runnable_flag_is_ignored(self, tmp_path):
         path = tmp_path / "old.ini"
-        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = SYNTH_CONFIG.format(iterations=5)
         path.write_text(text.replace("seed = 3", "seed = 3\nrunnable = true"))
         assert load_config(path).iterations == 5
+
+    def test_retired_update_period_must_be_one(self, tmp_path):
+        # the curriculum updates every iteration; a period of 1 still loads,
+        # since older files (the benchmark's among them) set it
+        path = tmp_path / "old.ini"
+        text = SYNTH_CONFIG.format(iterations=5)
+        path.write_text(text.replace("k_contexts = 8", "k_contexts = 8\nupdate_period = 1"))
+        assert load_config(path).iterations == 5
+        path.write_text(text.replace("k_contexts = 8", "k_contexts = 8\nupdate_period = 3"))
+        with pytest.raises(ConfigError, match=r"\[curriculum\] update_period is retired"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("learnr", "learning_rate = 0.5"), ("evalution", "episodes = 3"), ("Curriculum", "")],
+    )
+    def test_unknown_sections_rejected(self, tmp_path, section, key):
+        # a misspelt section used to be dropped whole, leaving its defaults
+        path = tmp_path / "typo.ini"
+        path.write_text(SYNTH_CONFIG.format(iterations=5) + f"\n[{section}]\n{key}\n")
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+            load_config(path)
 
     @pytest.mark.parametrize("episodes", [0, -2])
     def test_evaluation_episodes_must_be_positive(self, tmp_path, episodes):
         path = tmp_path / "none.ini"
-        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = SYNTH_CONFIG.format(iterations=5)
         path.write_text(text.replace("episodes = 8", f"episodes = {episodes}"))
         with pytest.raises(ConfigError, match=r"\[evaluation\] episodes must be >= 1"):
             load_config(path)
@@ -183,7 +204,7 @@ class TestConfig:
     )
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, old, new, message):
         path = tmp_path / "bad.ini"
-        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = SYNTH_CONFIG.format(iterations=5)
         assert old in text
         path.write_text(text.replace(old, new, 1))
         with pytest.raises(ConfigError, match=message):
@@ -194,12 +215,21 @@ class TestConfig:
 
     def test_synthetic_width_is_read(self, tmp_path):
         path = tmp_path / "narrow.ini"
-        path.write_text(SYNTH_CONFIG.format(iterations=5, period=1).replace("50.0", "1.5"))
+        path.write_text(SYNTH_CONFIG.format(iterations=5).replace("50.0", "1.5"))
         assert load_config(path).make_environment().width == 1.5
 
     def test_missing_file_raises(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.ini")
+
+    def test_unreadable_files_are_config_errors(self, tmp_path):
+        with pytest.raises(ConfigError, match="not a regular file"):
+            load_config(tmp_path)
+        path = tmp_path / "latin1.ini"
+        text = SYNTH_CONFIG.format(iterations=5).replace("harness_test", "caf\xe9")
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(path)
 
     REMOVED_KEY_SECTIONS = {
         "standardize_values": "curriculum",
@@ -212,7 +242,7 @@ class TestConfig:
         # a deleted option is an unknown key like any misspelling
         section = self.REMOVED_KEY_SECTIONS[key]
         path = tmp_path / "old.ini"
-        text = SYNTH_CONFIG.format(iterations=5, period=1)
+        text = SYNTH_CONFIG.format(iterations=5)
         if f"[{section}]" not in text:
             text += f"\n[{section}]\n"
         path.write_text(text.replace(f"[{section}]", f"[{section}]\n{key} = 1"))
@@ -236,13 +266,6 @@ class TestConfig:
 
 
 class TestRunTraining:
-    def test_record_count_matches_period(self, synth_config):
-        config = synth_config(iterations=20, period=3)
-        result = run_training(config, seed=1)
-        assert len(result.records) == 20 // 3
-        iterations = [r.iteration for r in result.records]
-        assert iterations == sorted(iterations)
-
     def test_default_mode_kl_identically_zero(self, synth_config):
         config = synth_config(iterations=10)
         result = run_training(config, seed=1, curriculum_mode="default")
@@ -444,7 +467,7 @@ class TestLockStep:
         with pytest.raises(ConfigError, match="non-negative integers, got -1"):
             train_runs(synth_config(iterations=2), [("spgl", -1)])
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2))
         argv = ["train", "--config", str(config_path), "--seed", "-1", "--quiet"]
         assert main(argv + ["--out", str(tmp_path / "curve.csv")]) == EXIT_CONFIG
         assert "non-negative integers" in capsys.readouterr().err
@@ -462,7 +485,7 @@ class TestLockStep:
         with pytest.raises(ConfigError, match="at least one run"):
             train_runs(synth_config(iterations=2), [])
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2))
         out = tmp_path / "summary.csv"
         argv = ["train", "--config", str(config_path), "--seeds", ",", "--out", str(out)]
         assert main(argv + ["--quiet"]) == 1
@@ -584,7 +607,7 @@ class TestVerify:
 class TestCli:
     def test_train_and_eval_roundtrip(self, tmp_path, synth_config, capsys):
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=10, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=10))
         out = tmp_path / "curve.csv"
         policy_path = tmp_path / "policy.npz"
         code = main(
@@ -612,7 +635,7 @@ class TestCli:
     def test_saved_policy_without_suffix_evaluates(self, tmp_path, capsys):
         # np.savez appends ".npz" to a file name, so eval found no file
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2))
         policy_path = tmp_path / "mypolicy"
         argv = ["--config", str(config_path), "--quiet"]
         saved = ["--out", str(tmp_path / "c.csv"), "--save-policy", str(policy_path)]
@@ -623,7 +646,7 @@ class TestCli:
 
     def test_train_multi_seed_writes_summary(self, tmp_path):
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=8, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=8))
         out = tmp_path / "summary.csv"
         code = main(
             [
@@ -672,7 +695,7 @@ class TestCli:
 
         monkeypatch.setattr(spgl.harness, "update", failing_update)
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=3, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=3))
         out = tmp_path / "curve.csv"
         argv = ["train", "--config", str(config_path), "--out", str(out), "--quiet"]
         with pytest.warns(RuntimeWarning, match="curriculum update failed"):
@@ -686,9 +709,33 @@ class TestCli:
         code = main(["train", "--config", str(tmp_path / "missing.ini"), "--quiet"])
         assert code == 1
 
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "latin1.ini"
+        text = SYNTH_CONFIG.format(iterations=2).replace("harness_test", "caf\xe9")
+        config_path.write_bytes(text.encode("latin-1"))
+        assert main(["train", "--config", str(config_path), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "not UTF-8" in err
+
+    def test_eval_policy_directory_is_a_file_error(self, tmp_path, capsys):
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2))
+        argv = ["eval", "--config", str(config_path), "--policy", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and "Traceback" not in err
+
+    def test_train_out_directory_is_a_file_error(self, tmp_path, capsys):
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2))
+        argv = ["train", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and "Traceback" not in err
+
     def test_eval_negative_seed_is_a_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2))
         policy_path = tmp_path / "policy.npz"
         argv = ["--config", str(config_path), "--quiet"]
         saved = ["--out", str(tmp_path / "c.csv"), "--save-policy", str(policy_path)]
@@ -702,7 +749,7 @@ class TestCli:
         # --episodes 0 used to run the config's episode count, -2 to die in
         # a ValueError traceback
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=2, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2))
         policy_path = tmp_path / "policy.npz"
         argv = ["--config", str(config_path), "--quiet"]
         saved = ["--out", str(tmp_path / "c.csv"), "--save-policy", str(policy_path)]
@@ -826,7 +873,7 @@ class TestCli:
 
     def test_deterministic_csv_across_cli_runs(self, tmp_path):
         config_path = tmp_path / "synth.ini"
-        config_path.write_text(SYNTH_CONFIG.format(iterations=10, period=1))
+        config_path.write_text(SYNTH_CONFIG.format(iterations=10))
         outs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name

@@ -15,11 +15,11 @@ import spgl.oracle
 from spgl.gaussian import (
     ContextDistribution,
     TargetSpec,
-    importance_ratio,
     kl_between,
     kl_params,
     kl_to_target_params,
     log_density_params,
+    sampled_value,
 )
 from spgl.oracle import (
     BISECT_ITERS,
@@ -27,7 +27,6 @@ from spgl.oracle import (
     LinearizedSubproblem,
     _bisect,
     _objective_gradient,
-    _sampled_value,
     numerical_update,
     solve_exact_sampled,
     solve_numeric,
@@ -381,7 +380,7 @@ class TestStackedRowsScore:
             def scores(rows):
                 theta = np.exp(np.minimum(np.maximum(rows[:, d:], log_theta_min), 50.0))
                 kl = kl_to_target_params(rows[:, :d], theta, mu_tilde, sigma)
-                value = _sampled_value(contexts, values, log_p0, rows[:, :d], theta * sigma)
+                value = sampled_value(contexts, values, log_p0, rows[:, :d], theta * sigma)
                 return kl, value
 
             stacked_kl, stacked_value = scores(z)
@@ -591,7 +590,7 @@ def gradient_instance(rng, d, mode, log_theta_min=math.log(1e-6), clamped=False,
     def f(z):
         theta = np.exp(np.clip(z[d:], log_theta_min, 50.0))
         if mode == "performance":
-            return -_sampled_value(contexts, values, log_p0, z[:d], theta * sigma)
+            return -sampled_value(contexts, values, log_p0, z[:d], theta * sigma)
         return kl_to_target_params(z[:d], theta, target.mu_tilde, sigma)
 
     def grad(z):
@@ -678,8 +677,12 @@ class TestSolveExactSampled:
         assert result.kl_step <= config.epsilon + 1e-8
 
         closed_dist, _ = update(dist, batch, target, config)
-        ratios = importance_ratio(closed_dist, dist, batch.contexts)
-        closed_value = float(np.mean(batch.values * ratios))
+        log_p0 = log_density_params(batch.contexts, dist.mu, dist.covariance_diag())
+        closed_value = float(
+            sampled_value(
+                batch.contexts, batch.values, log_p0, closed_dist.mu, closed_dist.covariance_diag()
+            )
+        )
         assert result.sampled_value >= closed_value - 1e-4
 
     def test_small_radius_matches_closed_form(self):
@@ -786,7 +789,7 @@ class TestSolveExactSampled:
         # lower it, far fewer than the projected trial rows
         counts = {"project": 0, "sampled": 0}
         real_project = spgl.oracle.project_to_ball
-        real_sampled = spgl.oracle._sampled_value
+        real_sampled = spgl.oracle.sampled_value
 
         def counted_project(kl, z0, z, eps):
             counts["project"] += len(z)
@@ -797,7 +800,7 @@ class TestSolveExactSampled:
             return real_sampled(*args)
 
         monkeypatch.setattr(spgl.oracle, "project_to_ball", counted_project)
-        monkeypatch.setattr(spgl.oracle, "_sampled_value", counted_sampled)
+        monkeypatch.setattr(spgl.oracle, "sampled_value", counted_sampled)
         dist, target, batch = exact_setting(seed=9, width=50.0)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=16)
         solve_exact_sampled(batch, dist, target, config, "convergence", seed=10)
@@ -838,6 +841,17 @@ class TestNumericalUpdate:
         _, report_high = numerical_update(dist, batch, target, high, seed=1, restarts=2, iterations=50)
         assert report_low.kind == "performance"
         assert report_high.kind == "convergence"
+
+    def test_rejects_a_batch_drawn_by_another_distribution(self):
+        # the importance weights are only valid against the drawing density,
+        # so the baseline checks the batch as the closed-form update does
+        dist, target, batch = exact_setting(seed=9, width=50.0)
+        config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=16)
+        moved = dist.with_params(mu=dist.mu + 0.1)
+        with pytest.raises(ValueError, match="generated by a different distribution"):
+            update(moved, batch, target, config)
+        with pytest.raises(ValueError, match="generated by a different distribution"):
+            numerical_update(moved, batch, target, config, seed=1, restarts=1, iterations=5)
 
     def test_step_stays_in_trust_region(self):
         dist, target, batch = exact_setting(seed=11, width=50.0)

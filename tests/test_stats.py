@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spgl.gaussian import ContextDistribution, TargetSpec, importance_ratio, kl_between, kl_to_target
+from spgl.gaussian import (
+    ContextDistribution,
+    TargetSpec,
+    kl_between,
+    kl_to_target,
+    log_density_params,
+    sampled_value,
+)
 from spgl.stats import RolloutBatch, compute_stats
 from spgl.update import performance_step
 
@@ -47,8 +54,12 @@ def sampled_objective(batch, dist, mu=None, theta=None):
     """The importance-weighted batch value as a function of the candidate
     parameters; the quantity u_bar and psi_bar linearize."""
     candidate = dist.with_params(mu=mu, theta=theta)
-    ratios = importance_ratio(candidate, dist, batch.contexts)
-    return float(np.mean(batch.values * ratios))
+    log_p0 = log_density_params(batch.contexts, dist.mu, dist.covariance_diag())
+    return float(
+        sampled_value(
+            batch.contexts, batch.values, log_p0, candidate.mu, candidate.covariance_diag()
+        )
+    )
 
 
 class TestValueStats:

@@ -14,8 +14,8 @@ from spgl.gaussian import (
     ContextDistribution,
     TargetSpec,
     kl_between,
+    kl_params,
     kl_to_target,
-    mean_shift_kl,
 )
 from spgl.stats import CurriculumStats, RolloutBatch
 from spgl.update import (
@@ -124,9 +124,11 @@ class TestPerformanceStep:
             dist = make_dist(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
             stats = make_stats(d, u_bar=rng.normal(size=d), psi_bar=np.zeros(d))
             eps = float(rng.uniform(0.001, 0.1))
-            mu, theta, _, _ = performance_step(dist, stats, eps)
-            new = dist.with_params(mu=mu, theta=theta)
-            assert mean_shift_kl(new, dist) == pytest.approx(eps, rel=1e-10)
+            mu, _, _, _ = performance_step(dist, stats, eps)
+            # the mean part of the step KL: kl_params at equal scales
+            sigma = dist.target.sigma_tilde_diag
+            mean_kl = kl_params(mu, dist.theta, dist.mu, dist.theta, sigma)
+            assert mean_kl == pytest.approx(eps, rel=1e-10)
 
     def test_linearized_objective_strictly_improves(self):
         rng = np.random.default_rng(1)
