@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import sys
 from pathlib import Path
 
@@ -41,6 +42,18 @@ def _resolve_config(raw: str):
     if path.exists():
         return load_config(path)
     return load_config(preset_path(raw))
+
+
+def _output_path(raw: str) -> Path:
+    """``raw`` as a path that a run can write, checked before the run: not a
+    directory, and inside a directory that exists.  Raises ``OSError``,
+    which exits as a file error."""
+    path = Path(raw)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, "is a directory", raw)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(path.parent))
+    return path
 
 
 def _add_common(parser):
@@ -125,8 +138,8 @@ def _cmd_train(args) -> int:
         except ValueError:
             raise ConfigError(f"--seeds must be integers, got {args.seeds!r}") from None
         modes = [m.strip() for m in (args.compare or "default,spgl").split(",") if m.strip()]
+        out = _output_path(args.out or f"{config.name}_summary.csv")
         summaries, all_records = run_multi_seed(config, seeds, modes=modes)
-        out = Path(args.out or f"{config.name}_summary.csv")
         out.write_text(summary_to_csv(summaries))
         for (mode, run_seed), records in all_records.items():
             curve_path = out.with_name(f"{out.stem}_{mode}_seed{run_seed}.csv")
@@ -137,6 +150,9 @@ def _cmd_train(args) -> int:
         return EXIT_OK
 
     mode = args.curriculum or config.curriculum_mode
+    out = _output_path(args.out or f"{config.name}_{mode}_seed{seed}.csv")
+    if args.save_policy:
+        _output_path(args.save_policy)
     progress = None
     if not args.quiet:
 
@@ -149,7 +165,6 @@ def _cmd_train(args) -> int:
                 )
 
     result = run_training(config, seed, curriculum_mode=mode, progress=progress)
-    out = Path(args.out or f"{config.name}_{mode}_seed{seed}.csv")
     out.write_text(records_to_csv(result.records, config.target.d))
     ev = evaluate_run(config, [result.policy], [seed])[0]
     if args.save_policy:

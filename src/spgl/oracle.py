@@ -74,6 +74,12 @@ BISECT_ITERS = 200
 
 _CERT_TOL = 1e-10
 
+# The exact solver takes a trial point only when it lowers the objective by
+# more than this share of |f| (and by more than 1e-15): ``project_to_ball``
+# settles a point on the KL boundary only within a band of 1e-12 eps, and a
+# smaller decrease is a move by rounding inside that band.
+MIN_RELATIVE_DECREASE = 1e-12
+
 
 class InfeasibleSubproblem(RuntimeError):
     """The performance half-space excludes the whole trust region."""
@@ -455,8 +461,13 @@ def solve_exact_sampled(
     :func:`project_to_ball` call and scored in chunks of 1 or 2, then twice
     as many rows each time, which bounds the rows scored past the taken one
     where the sampled value is costly (high ``d``, large batches).  The
-    first row in block order that lowers the objective and meets the
-    sampled performance constraint, tested in that order, is taken.  Each
+    first row in block order that lowers the objective by more than
+    ``max(1e-15, MIN_RELATIVE_DECREASE |f|)`` and meets the sampled
+    performance constraint, tested in that order, is taken.  The relative
+    bar of 1e-12 is the band within which :func:`project_to_ball` settles a
+    point on the KL boundary: a smaller decrease only moves the point by
+    rounding inside that band, and taking it would let the solve crawl by
+    ulps, each step paying for a gradient and a projection.  Each
     row has the bits of a one-point evaluation and the generator advances
     by the probes up to the one taken, so the iterates are those of trying
     the halvings and probes one by one.  The log-densities of the batch
@@ -537,17 +548,18 @@ def solve_exact_sampled(
         # step) order, scored in chunks of size, 2 size, 4 size, ... rows.
         # Projected rows have step KL <= eps, so only the performance
         # constraint is left, checked only for a row that lowers the
-        # objective (in convergence mode the cheap KL to the target, where
-        # the sampled value is a mean over the batch).  Takes the first row
-        # that passes both and returns the number of directions up to its
-        # own, or 0 when none is taken.
+        # objective below the bar (in convergence mode the cheap KL to the
+        # target, where the sampled value is a mean over the batch).  Takes
+        # the first row that passes both and returns the number of
+        # directions up to its own, or 0 when none is taken.
         nonlocal z, fz, alpha
         points = z + (np.array(steps)[:, None] * directions[:, None, :]).reshape(-1, z.size)
         trials = project_to_ball(step_kl, z0, points, eps)
+        bar = fz - max(1e-15, MIN_RELATIVE_DECREASE * abs(fz))
         start = 0
         while start < len(trials):
             for i, f_try in enumerate(f(trials[start : start + size]).tolist(), start):
-                if f_try < fz - 1e-15 and meets_performance(trials[i]):
+                if f_try < bar and meets_performance(trials[i]):
                     z, fz = trials[i], f_try
                     alpha = min(steps[i % len(steps)] * 2.0, 1e3)
                     return i // len(steps) + 1

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spgl.cli
 import spgl.harness
 import spgl.verification
 from spgl.cli import EXIT_CONFIG, EXIT_WARNINGS, main
@@ -725,13 +726,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and "Traceback" not in err
 
-    def test_train_out_directory_is_a_file_error(self, tmp_path, capsys):
+    @staticmethod
+    def forbid_training(monkeypatch):
+        # an output path that cannot be written fails before any training
+        def no_run(*args, **kwargs):
+            raise AssertionError("trained before checking the output paths")
+
+        monkeypatch.setattr(spgl.cli, "run_training", no_run)
+        monkeypatch.setattr(spgl.cli, "run_multi_seed", no_run)
+
+    def test_train_out_directory_is_a_file_error(self, tmp_path, capsys, monkeypatch):
+        self.forbid_training(monkeypatch)
         config_path = tmp_path / "synth.ini"
         config_path.write_text(SYNTH_CONFIG.format(iterations=2))
         argv = ["train", "--config", str(config_path), "--out", str(tmp_path), "--quiet"]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--out", "{tmp}/missing/c.csv"],
+            ["--out", "{tmp}/c.csv", "--save-policy", "{tmp}"],
+            ["--out", "{tmp}/c.csv", "--save-policy", "{tmp}/missing/p.npz"],
+            ["--seeds", "0,1", "--out", "{tmp}"],
+            ["--seeds", "0,1", "--out", "{tmp}/missing/s.csv"],
+        ],
+        ids=[
+            "out-in-missing-dir",
+            "policy-dir",
+            "policy-in-missing-dir",
+            "summary-dir",
+            "summary-in-missing-dir",
+        ],
+    )
+    def test_unwritable_output_fails_before_training(self, tmp_path, capsys, monkeypatch, flags):
+        self.forbid_training(monkeypatch)
+        config_path = tmp_path / "synth.ini"
+        config_path.write_text(SYNTH_CONFIG.format(iterations=2))
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        assert main(["train", "--config", str(config_path), "--quiet", *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and "Traceback" not in err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_eval_negative_seed_is_a_config_error(self, tmp_path, capsys):
         config_path = tmp_path / "synth.ini"
