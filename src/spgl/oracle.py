@@ -53,6 +53,7 @@ from .update import (
     CurriculumConfig,
     UpdateReport,
     project_to_ball,
+    returns_in_range,
     should_run_performance_step,
 )
 
@@ -66,11 +67,10 @@ __all__ = [
     "solve_numeric",
 ]
 
-# Dual bisection bracket and iteration budget: the duals are monotone, so the
-# bracket is guaranteed for nondegenerate gradients.
+# Dual bisection bracket: the duals are monotone, so the bracket is
+# guaranteed for nondegenerate gradients.
 BRACKET_LO = 1e-12
 BRACKET_HI = 1e12
-BISECT_ITERS = 200
 
 _CERT_TOL = 1e-10
 
@@ -130,18 +130,17 @@ class OracleSolution:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def _bisect(f, lo, hi, iters=BISECT_ITERS):
-    """Root of a monotone function with a sign change on [lo, hi]: the value
-    of ``iters`` halvings of the bracket, each keeping the half where f
-    changes sign, or the first midpoint where f is exactly 0.
+def _bisect(f, lo, hi):
+    """Root of a monotone function with a sign change on [lo, hi], or None
+    when f(lo) and f(hi) have the same sign.
 
-    Stops early once the midpoint rounds onto ``lo`` or ``hi``: from then on
-    every halving would leave the bracket as it is.  The first halvings do
-    not call f one by one: while ``lo`` keeps its starting value the k-th
-    midpoint is ``0.5 * (lo + previous)`` whatever f says, and along these
-    midpoints a monotone f changes sign once, so the first halving that moves
-    ``lo`` is found by doubling k and then bisecting it.  The halvings go on
-    one by one from there.  The result is that of the halvings one by one."""
+    From ``t = max(1, lo)``, ``t`` doubles until f changes sign between
+    ``lo`` and ``t``, each ``t`` without a change becoming the new ``lo``:
+    that brackets the root in ``[t/2, t]`` (in ``[lo, t]`` at the first
+    ``t``, in ``[t/2, hi]`` once ``t`` reaches ``hi``).  Then the bracket is
+    halved, each time keeping the half where f changes sign, until its
+    midpoint rounds onto an end, which is returned.  A point where f is
+    exactly 0 is returned as soon as it is met."""
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -150,43 +149,20 @@ def _bisect(f, lo, hi, iters=BISECT_ITERS):
         return hi
     if flo * fhi > 0.0:
         return None
-    # run[k] is the k-th midpoint while lo keeps its value, and f is called
-    # at k = 1, 2, 4, ...: every midpoint up to run[keep] moves hi, the one
-    # at run[move] (if found) moves lo.  A run that ends at the cap or on lo
-    # before moving it goes on one by one from run[keep].
-    run = [hi]
-    keep = move = 0
-    probe = 1
-    mid = hi
-    for k in range(1, iters + 1):
-        prev = mid
-        mid = 0.5 * (lo + prev)
-        if not lo < mid < prev:
+    t = max(1.0, lo)
+    while t < hi:
+        ft = f(t)
+        if ft == 0.0:
+            return t
+        if flo * ft < 0.0:
+            hi = t
             break
-        run.append(mid)
-        if k == probe:
-            fm = f(mid)
-            if flo * fm < 0.0:
-                keep, probe = k, 2 * k
-            else:
-                move, f_move = k, fm
-                break
-    while move - keep > 1:
-        k = (keep + move) // 2
-        fm = f(run[k])
-        if flo * fm < 0.0:
-            keep = k
-        else:
-            move, f_move = k, fm
-    hi = run[keep]
-    if move:
-        if f_move == 0.0:
-            return run[move]
-        lo, flo = run[move], f_move
-    for _ in range(iters - max(keep, move)):
+        lo, flo = t, ft
+        t *= 2.0
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
+            return mid
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -194,7 +170,6 @@ def _bisect(f, lo, hi, iters=BISECT_ITERS):
             hi = mid
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
@@ -202,7 +177,8 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
 
     Enumerates the (at most four) active sets of the two-constraint program;
     for each, the stationarity system fixes the primal point as a function of
-    the multipliers and the active constraints are solved by bisection.  All
+    one multiplier, which :func:`_bisect` finds on ``[0, BRACKET_HI]`` (from
+    ``BRACKET_LO`` for the ball multiplier of a linear objective).  All
     candidates passing the certificate are collected and the one with the
     smallest objective is returned.
     """
@@ -217,8 +193,8 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
     if problem.performance is not None:
         a, b0 = problem.performance
         a = np.asarray(a, dtype=float)
-        norm_a = math.sqrt(float(np.add.reduce(a**2 * m_inv)))
-        reach = b0 + r * norm_a
+        norm_a_sq = float(np.add.reduce(a**2 * m_inv))
+        reach = b0 + r * math.sqrt(norm_a_sq)
         if reach < -_CERT_TOL * max(1.0, abs(b0)):
             raise InfeasibleSubproblem(
                 "performance half-space does not intersect the trust region"
@@ -238,10 +214,11 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
 
     def certify(x, lam_p, lam_b, case):
         delta = x - x0
-        stationarity = grad_f(x) + lam_b * m * delta
+        grad = grad_f(x)
+        stationarity = grad + lam_b * m * delta
         if a is not None:
             stationarity = stationarity - lam_p * a
-        stat_scale = max(1.0, float(np.maximum.reduce(np.abs(grad_f(x)))))
+        stat_scale = max(1.0, float(np.maximum.reduce(np.abs(grad))))
         ball = float(np.add.reduce(delta**2 * m))
         residuals = {
             "stationarity": float(np.maximum.reduce(np.abs(stationarity))) / stat_scale,
@@ -282,34 +259,31 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
         if a is None or b0 >= 0.0:
             consider(certify(x0.copy(), 0.0, 0.0, BOTH_INACTIVE))
         else:
-            direction = m_inv * a
-            nrm = math.sqrt(float(np.add.reduce(a**2 * m_inv)))
-            lam = _bisect(lambda t: b0 + t * nrm * nrm, 0.0, BRACKET_HI)
+            lam = _bisect(lambda t: b0 + t * norm_a_sq, 0.0, BRACKET_HI)
             if lam is not None:
-                consider(certify(x0 + min(lam, r / nrm) * direction, 0.0, 0.0, PERF_ACTIVE))
+                step = min(lam, r / math.sqrt(norm_a_sq))
+                consider(certify(x0 + step * (m_inv * a), 0.0, 0.0, PERF_ACTIVE))
 
     # --- performance constraint active only
     if a is not None:
         if quadratic:
             base = b0 + float(np.dot(a, q - x0))
-            slope = float(np.add.reduce(a**2 * m_inv))
-            if slope > 0.0:
-                lam = _bisect(lambda t: base + t * slope, 0.0, BRACKET_HI)
+            if norm_a_sq > 0.0:
+                lam = _bisect(lambda t: base + t * norm_a_sq, 0.0, BRACKET_HI)
                 if lam is not None:
                     consider(certify(q + lam * m_inv * a, lam, 0.0, PERF_ACTIVE))
         else:
-            norm_a_sq = float(np.dot(a, a))
-            if norm_a_sq > 0.0:
-                lam = -float(np.dot(w, a)) / norm_a_sq
+            a_dot_a = float(np.dot(a, a))
+            if a_dot_a > 0.0:
+                lam = -float(np.dot(w, a)) / a_dot_a
                 if lam > 0.0 and float(np.maximum.reduce(np.abs(w + lam * a))) <= 1e-9 * max(
                     1.0, float(np.maximum.reduce(np.abs(w)))
                 ):
                     # Gradient anti-parallel to the constraint normal: every
                     # point of the active hyperplane is stationary; use the
                     # metric projection of the center onto the face.
-                    norm_a_metric = float(np.add.reduce(a**2 * m_inv))
-                    if norm_a_metric > 0.0:
-                        x = x0 - b0 * (m_inv * a) / norm_a_metric
+                    if norm_a_sq > 0.0:
+                        x = x0 - b0 * (m_inv * a) / norm_a_sq
                         consider(certify(x, lam, 0.0, PERF_ACTIVE))
 
     # --- trust region active only
@@ -353,21 +327,18 @@ def solve_numeric(problem: LinearizedSubproblem) -> OracleSolution:
                 return -math.inf
             return b0 + float(np.dot(a, x - x0))
 
-        lo_val = perf_residual(0.0)
-        hi_val = perf_residual(BRACKET_HI)
-        if math.isfinite(lo_val) and lo_val <= 0.0 <= hi_val:
-            lam_p = _bisect(perf_residual, 0.0, BRACKET_HI)
-            if lam_p is not None:
-                x, nrm = boundary_point(lam_p)
-                if x is not None:
-                    if quadratic:
-                        # stationarity along the step gives lam_b = (1-s)/s
-                        # with s the shrink factor onto the boundary
-                        s = r / nrm
-                        lam_b = max((1.0 - s) / s, 0.0)
-                    else:
-                        lam_b = nrm / r
-                    consider(certify(x, lam_p, lam_b, BOTH_ACTIVE))
+        lam_p = _bisect(perf_residual, 0.0, BRACKET_HI)
+        if lam_p is not None:
+            x, nrm = boundary_point(lam_p)
+            if x is not None:
+                if quadratic:
+                    # stationarity along the step gives lam_b = (1-s)/s
+                    # with s the shrink factor onto the boundary
+                    s = r / nrm
+                    lam_b = max((1.0 - s) / s, 0.0)
+                else:
+                    lam_b = nrm / r
+                consider(certify(x, lam_p, lam_b, BOTH_ACTIVE))
 
     if not candidates:
         raise RuntimeError("dual bisection found no certified solution")
@@ -631,8 +602,9 @@ def numerical_update(
 
     Dispatches like the closed-form update, on the statistics of a batch
     that ``dist`` must have drawn, then hands the selected subproblem to
-    :func:`solve_exact_sampled`.
+    :func:`solve_exact_sampled`, the returns brought in range first.
     """
+    batch, config, _ = returns_in_range(batch, config)
     stats = compute_stats(batch, dist, target)
     mode = "performance" if should_run_performance_step(stats, config) else "convergence"
     kl_before = kl_to_target(dist)

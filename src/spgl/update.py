@@ -27,7 +27,7 @@ candidates the one with the smaller objective wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,6 +52,7 @@ __all__ = [
     "mu_kkt_residuals",
     "performance_step",
     "project_to_ball",
+    "returns_in_range",
     "should_run_performance_step",
     "solve_mu_block",
     "solve_theta_block",
@@ -65,6 +66,11 @@ DEGENERATE_NORM = 1e-10
 # Largest normalised KKT residual that certifies a block solution; a block
 # solver admits a case exactly when its certificate passes at this tolerance.
 KKT_TOL = 1e-8
+
+# The steps square statistics that scale with the returns, which overflows
+# from returns of about 1e150; every step is homogeneous in the scale of the
+# returns and v_lower, and a power-of-two scale is exact.
+RETURN_LIMIT = 2.0**64
 
 BOTH_INACTIVE = "both_inactive"
 PERF_ACTIVE = "perf_active"
@@ -155,6 +161,20 @@ class UpdateReport:
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+def returns_in_range(batch: RolloutBatch, config: CurriculumConfig):
+    """``(batch, config, scale)``, the returns and ``v_lower`` times ``scale``:
+    1 unless a return passes :data:`RETURN_LIMIT` in magnitude, else the
+    power of two that brings the largest into [0.5, 1).  A performance
+    multiplier times ``scale`` is that of the unscaled problem."""
+    scale = 1.0
+    peak = float(np.maximum.reduce(np.abs(batch.values)))
+    if peak > RETURN_LIMIT:
+        scale = math.ldexp(1.0, -math.frexp(peak)[1])
+        batch = RolloutBatch(batch.contexts, batch.values * scale, batch.source_distribution)
+        config = replace(config, v_lower=config.v_lower * scale)
+    return batch, config, scale
 
 
 def should_run_performance_step(stats: CurriculumStats, config: CurriculumConfig) -> bool:
@@ -672,8 +692,10 @@ def update(
     the mean block left unspent, and the composed step is verified against the
     exact KL (backtracking the scale displacement when the second-order
     expansion undershot the true divergence).  A degenerate performance step
-    leaves the distribution unchanged and flags the report.
+    leaves the distribution unchanged and flags the report.  The returns
+    are brought in range first (:func:`returns_in_range`).
     """
+    batch, config, scale = returns_in_range(batch, config)
     stats = compute_stats(batch, dist, target)
     kl_before = kl_to_target(dist)
     mu_sol = theta_sol = None
@@ -685,6 +707,9 @@ def update(
         mu_new, theta_new, mu_sol, theta_sol, theta_backtracked = convergence_step(
             dist, target, stats, config.epsilon, config.v_lower
         )
+        if scale != 1.0:
+            mu_sol = replace(mu_sol, lambda_perf=mu_sol.lambda_perf * scale)
+            theta_sol = replace(theta_sol, lambda_perf=theta_sol.lambda_perf * scale)
 
     new_dist, kl_step, kl_mean_part, tr_backtracked = dist, 0.0, 0.0, False
     if moved:

@@ -96,7 +96,9 @@ def _text(h, s):
 
 def selfpaced_variant():
     """``synthetic_convergence`` with a narrow value bump and a high
-    threshold (the variant of ``tests/test_golden.py``)."""
+    threshold, so performance and convergence steps alternate with binding
+    KKT cases and joint-KL backtracks.  ``tests/test_golden.py`` pins it,
+    and the benchmark's ``synth_selfpaced`` workload trains it."""
     config = load_config(preset_path("synthetic_convergence"))
     return dataclasses.replace(
         config,

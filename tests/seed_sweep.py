@@ -14,7 +14,9 @@ lock-step, and writes one CSV row per run:
 * ``train_success_last50``: mean training success over the last 50
   iterations;
 * ``first_kl_below_0.1``: the first iteration whose KL to the target is
-  below 0.1, empty if none.
+  below 0.1, empty if none;
+* ``v_lower``: the performance threshold the run trained with, the
+  preset's unless ``--v-lower`` overrides it for both presets.
 
 Then it prints, per preset and mode, the median and quartiles of
 ``det_success`` and the number of seeds below 20 %.  Given two CSVs with
@@ -23,13 +25,18 @@ and mode, the two-sided Fisher exact p-value of the counts of seeds below
 20 % (stdlib ``math.comb``).  This is a script, not a pytest module:
 
     PYTHONPATH=src python tests/seed_sweep.py --out sweep.csv
+    PYTHONPATH=src python tests/seed_sweep.py --v-lower=-1e9 --out ablation.csv
     PYTHONPATH=src python tests/seed_sweep.py --compare before.csv after.csv
+
+(``--v-lower=X`` with ``=``, so that a negative X is not read as an
+option.)  ``--compare`` also reads files without the ``v_lower`` column.
 
 One preset's 40 runs train in about two minutes on a laptop-class core.
 """
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -53,6 +60,7 @@ FIELDS = (
     "noisy_success",
     "train_success_last50",
     "first_kl_below_0.1",
+    "v_lower",
 )
 
 
@@ -77,8 +85,11 @@ def noisy_success(config, policies, seeds):
     return [100.0 * float(np.mean(e.successes)) for e in episodes]
 
 
-def sweep_preset(name):
+def sweep_preset(name, v_lower=None):
     config = load_config(preset_path(name))
+    if v_lower is not None:
+        curriculum = dataclasses.replace(config.curriculum, v_lower=v_lower)
+        config = dataclasses.replace(config, curriculum=curriculum)
     runs = [(mode, seed) for mode in MODES for seed in SEEDS]
     results = train_runs(config, runs)
     policies = [r.policy for r in results]
@@ -98,6 +109,7 @@ def sweep_preset(name):
                 "noisy_success": f"{noisy_pct:.9g}",
                 "train_success_last50": f"{float(np.mean(last)):.9g}",
                 "first_kl_below_0.1": reached[0] if reached else "",
+                "v_lower": f"{config.curriculum.v_lower:.9g}",
             }
         )
     return rows
@@ -117,7 +129,8 @@ def groups(rows):
 
 
 def summary_lines(rows):
-    lines = []
+    used = sorted({row.get("v_lower") or "not recorded" for row in rows})
+    lines = [f"v_lower: {', '.join(used)}"]
     for (preset, mode), det in groups(rows).items():
         q1, med, q3 = np.percentile(det, [25, 50, 75])
         low = sum(v < LOW_SUCCESS for v in det)
@@ -166,13 +179,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="seed_sweep.csv", help="CSV to write")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"))
+    parser.add_argument(
+        "--v-lower", type=float, help="override [curriculum] v_lower of both presets"
+    )
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
         return
     rows = []
     for name in PRESETS:
-        rows += sweep_preset(name)
+        rows += sweep_preset(name, args.v_lower)
         print(f"{name}: {len(rows)} runs done", file=sys.stderr)
     with open(args.out, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=FIELDS, lineterminator="\n")

@@ -15,22 +15,13 @@ import pytest
 from spgl.config import load_config, preset_path
 from spgl.harness import records_to_csv, run_multi_seed, run_training, summary_to_csv, verify
 
+# the digest script defines the variant once, for its digest and these goldens
+from digest import selfpaced_variant
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # The benchmark's synth_selfpaced workload trains this file (read only here).
 BENCHMARK_CONFIG = Path(__file__).parents[1] / "perfbench" / "synth_selfpaced.ini"
-
-
-def selfpaced_variant():
-    """``synthetic_convergence`` with a narrow value bump and a high
-    threshold, so performance and convergence steps alternate with binding
-    KKT cases and joint-KL backtracks."""
-    config = load_config(preset_path("synthetic_convergence"))
-    return dataclasses.replace(
-        config,
-        width=1.0,
-        curriculum=dataclasses.replace(config.curriculum, v_lower=5.0),
-    )
 
 
 def _preset(name, iterations=None):

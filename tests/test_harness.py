@@ -27,7 +27,7 @@ from spgl.harness import (
     verify,
     welch_p_value,
 )
-from spgl.envs import PointMassEnv
+from spgl.envs import PointMassEnv, SyntheticEnv
 from spgl.gaussian import TargetSpec
 from spgl.learner import LearnerConfig, init_policy
 from spgl.update import CurriculumError
@@ -327,6 +327,19 @@ class TestRunTraining:
         assert len(seen) == config.iterations and seen[3] is seen[2]
         assert result.records[3].step_kind != "failed"
         assert records_to_csv(result.records[:2], 2) == records_to_csv(clean.records[:2], 2)
+
+    def test_run_at_huge_returns_completes(self, monkeypatch):
+        # unscaled, returns of 1e300 overflow the update's squared
+        # statistics; the curriculum does not depend on the return scale
+        config = load_config(preset_path("synthetic_convergence"))
+        shipped = train_runs(config, [("spgl", 0)])[0]
+        monkeypatch.setattr(SyntheticEnv, "peak", 1e300)
+        result = train_runs(config, [("spgl", 0)])[0]
+        assert len(result.records) == config.iterations and result.failed_updates == 0
+        for huge, unit in zip(result.records, shipped.records):
+            assert huge.step_kind == unit.step_kind
+            np.testing.assert_allclose(huge.mu, unit.mu, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(huge.theta, unit.theta, rtol=1e-9)
 
     def test_unknown_curriculum_mode_rejected(self, synth_config):
         with pytest.raises(ConfigError, match="unknown curriculum mode"):

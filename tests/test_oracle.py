@@ -1,6 +1,6 @@
-"""Numerical solver tests: the dual bisection's early exit and its search of
-the first halving that moves the lower end against the full loop,
-dual-bisection subproblem solutions with KKT certificates,
+"""Numerical solver tests: the dual bisection's contract (a result within one
+float of a sign change, None without one, exact zeros, and its f-call
+budget), dual-bisection subproblem solutions with KKT certificates,
 infeasibility detection, the exact solver's ray projection onto the KL ball,
 the row independence of its scores, its closed-form gradient against central
 differences, and the exact sampled solver's feasibility / consistency /
@@ -21,8 +21,8 @@ from spgl.gaussian import (
     log_density_params,
     sampled_value,
 )
+from spgl.harness import verify
 from spgl.oracle import (
-    BISECT_ITERS,
     InfeasibleSubproblem,
     LinearizedSubproblem,
     _bisect,
@@ -36,26 +36,15 @@ from spgl.update import CurriculumConfig, project_to_ball, update
 from spgl.verification import run_timing_suite
 
 
-def bisect_all_iterations(f, lo, hi, iters=BISECT_ITERS):
-    """Reference: the bisection run for all ``iters`` halvings."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def assert_within_one_float_of_a_sign_change(f, lo, hi, root):
+    """``root`` is a zero of f, or f changes sign between ``root`` and the
+    next float below or above it (clipped to ``[lo, hi]``)."""
+    f_root = f(root)
+    if f_root == 0.0:
+        return
+    below = max(lo, math.nextafter(root, -math.inf))
+    above = min(hi, math.nextafter(root, math.inf))
+    assert f(below) * f_root < 0.0 or f(above) * f_root < 0.0, (root, lo, hi)
 
 
 class TestBisect:
@@ -74,67 +63,68 @@ class TestBisect:
                 yield (lambda t, r=r, s=sign: s * math.log(t / r)), 1e-12, 1e12
                 yield (lambda t, r=r: math.atan(t - r) + 1e-3 * (t - r)), 0.0, 1e12
 
-    def test_early_exit_returns_the_full_loop_value(self):
-        rng = np.random.default_rng(0)
-        cases = 0
-        for f, lo, hi in self.monotone_functions(rng):
-            expected = bisect_all_iterations(f, lo, hi)
-            got = _bisect(f, lo, hi)
-            assert expected is not None
-            assert got == expected, (got, expected)
-            cases += 1
-        assert cases == 300
-
-    def test_exact_root_and_no_sign_change(self):
-        # the first midpoint is the root; f keeps one sign on the bracket
-        assert _bisect(lambda t: t - 0.5e12, 0.0, 1e12) == 0.5e12
-        for f in (lambda t: t + 1.0, lambda t: -1.0 - t, lambda t: 1.0 / t):
-            assert _bisect(f, 1e-12, 1e12) is None
-            assert bisect_all_iterations(f, 1e-12, 1e12) is None
-
     @staticmethod
-    def run_midpoints(lo, hi, count):
-        """The first ``count`` midpoints of a bisection whose lo never moves."""
+    def halving_midpoints(lo, hi, count):
+        """The first ``count`` midpoints of halvings of ``[lo, hi]`` that
+        each keep the lower half."""
         mids = [hi]
         for _ in range(count):
             mids.append(0.5 * (lo + mids[-1]))
         return mids[1:]
 
-    def run_search_cases(self, rng):
-        """Cases for the search of the first halving that moves lo."""
+    def edge_cases(self, rng):
+        """Roots spread over the whole bracket, roots on exact halving
+        midpoints, roots below the floats and a root just past the first
+        doubling step."""
         # brackets from 1e-12: the midpoints are not powers of two
         for r in np.exp(rng.uniform(math.log(1e-12), math.log(1e12), 40)):
-            yield (lambda t, r=r: t - r), 1e-12, 1e12, BISECT_ITERS
-            yield (lambda t, r=r: r / t - 1.0), 1e-12, 1e12, BISECT_ITERS
-        # roots exactly on a midpoint of the run, for f rising and falling
+            yield (lambda t, r=r: t - r), 1e-12, 1e12
+            yield (lambda t, r=r: r / t - 1.0), 1e-12, 1e12
+        # roots exactly on a midpoint, for f rising and falling
         for lo in (0.0, 1e-12):
-            for m in self.run_midpoints(lo, 1e12, 80)[::3]:
-                yield (lambda t, m=m: t - m), lo, 1e12, BISECT_ITERS
-                yield (lambda t, m=m: m - t), lo, 1e12, BISECT_ITERS
-                yield (lambda t, m=m: math.atan(t - m)), lo, 1e12, BISECT_ITERS
+            for m in self.halving_midpoints(lo, 1e12, 80)[::3]:
+                yield (lambda t, m=m: t - m), lo, 1e12
+                yield (lambda t, m=m: m - t), lo, 1e12
+                yield (lambda t, m=m: math.atan(t - m)), lo, 1e12
         # roots below the floats: between 1e-12 and the next float up, and
         # below the smallest subnormal, so the bracket collapses onto lo
-        yield (lambda t: (t - 1e-12) - 1e-40), 1e-12, 1e12, BISECT_ITERS
-        yield (lambda t: t * 2.0**1000 * 2.0**100 - 1.0), 0.0, 1e12, 2000
-        # caps that end the bisection inside the run (it ends at k = 40)
-        for iters in (0, 1, 2, 3, 5, 16, 31, 32, 33, 39, 40, 41, 64):
-            yield (lambda t: t - 1.2345), 0.0, 1e12, iters
-            yield (lambda t: 1.2345 / t - 1.0), 1e-12, 1e12, iters
+        yield (lambda t: (t - 1e-12) - 1e-40), 1e-12, 1e12
+        yield (lambda t: t * 2.0**1000 * 2.0**100 - 1.0), 0.0, 1e12
+        # a root between the first two doubling steps, f rising and falling
+        yield (lambda t: t - 1.2345), 0.0, 1e12
+        yield (lambda t: 1.2345 / t - 1.0), 1e-12, 1e12
 
-    def test_run_search_returns_the_plain_loop_value(self):
+    def test_result_is_within_one_float_of_a_sign_change(self):
+        rng = np.random.default_rng(0)
+        cases = 0
+        for f, lo, hi in self.monotone_functions(rng):
+            root = _bisect(f, lo, hi)
+            assert root is not None
+            assert_within_one_float_of_a_sign_change(f, lo, hi, root)
+            cases += 1
+        assert cases == 300
+
+    def test_edge_case_results_are_within_one_float_of_a_sign_change(self):
         rng = np.random.default_rng(1)
         cases = 0
-        for f, lo, hi, iters in self.run_search_cases(rng):
-            expected = bisect_all_iterations(f, lo, hi, iters)
-            got = _bisect(f, lo, hi, iters)
-            assert expected is not None
-            assert got == expected, (got, expected, lo, iters)
+        for f, lo, hi in self.edge_cases(rng):
+            root = _bisect(f, lo, hi)
+            assert root is not None
+            assert_within_one_float_of_a_sign_change(f, lo, hi, root)
             cases += 1
-        assert cases == 80 + 2 * 27 * 3 + 2 + 26
+        assert cases == 80 + 2 * 27 * 3 + 2 + 2
+
+    def test_exact_root_and_no_sign_change(self):
+        # a midpoint of the halvings and a point of the doubling are roots;
+        # f keeps one sign on the bracket
+        assert _bisect(lambda t: t - 0.5e12, 0.0, 1e12) == 0.5e12
+        assert _bisect(lambda t: 8.0 - t, 1e-12, 1e12) == 8.0
+        for f in (lambda t: t + 1.0, lambda t: -1.0 - t, lambda t: 1.0 / t):
+            assert _bisect(f, 1e-12, 1e12) is None
 
     def test_run_search_calls_f_fewer_times(self):
-        # a root near 1 on [0, 1e12]: lo first moves at the 40th halving, so
-        # the halvings one by one call f 93-94 times
+        # a root near 1 on [0, 1e12]: halving the whole bracket would call
+        # f 93-94 times, doubling from 1 brackets it in [1, 2] or [0.5, 1]
         for r in (0.8, 1.0, 1.2345, 1.9):
             calls = []
 
@@ -144,7 +134,7 @@ class TestBisect:
 
             root = _bisect(f, 0.0, 1e12)
             assert len(calls) <= 70, len(calls)
-            assert root == bisect_all_iterations(f, 0.0, 1e12)
+            assert_within_one_float_of_a_sign_change(f, 0.0, 1e12, root)
 
     def test_stops_once_the_bracket_is_two_adjacent_floats(self):
         calls = []
@@ -154,9 +144,27 @@ class TestBisect:
             return t * t - 2.0  # no float is a root
 
         root = _bisect(f, 1e-12, 1e12)
-        assert root == bisect_all_iterations(lambda t: t * t - 2.0, 1e-12, 1e12)
         assert abs(root - math.sqrt(2.0)) <= 4e-16
-        assert len(calls) < BISECT_ITERS
+        # f(lo), f(hi), the doublings t = 1, 2 and 52 halvings of [1, 2]
+        assert len(calls) <= 4 + 52, len(calls)
+
+    def test_verify_call_budget(self, monkeypatch):
+        # every f call of the bisections behind one verify run: 6,026 with
+        # the doubled bracket, 9,042 when each one halves all of [0, 1e12]
+        calls = 0
+        bisect = spgl.oracle._bisect
+
+        def counted(f, lo, hi):
+            def g(t):
+                nonlocal calls
+                calls += 1
+                return f(t)
+
+            return bisect(g, lo, hi)
+
+        monkeypatch.setattr(spgl.oracle, "_bisect", counted)
+        assert verify(0, 20, include_timing=False).passed
+        assert calls <= 6026, calls
 
 
 class TestSolveNumeric:

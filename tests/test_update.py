@@ -17,6 +17,7 @@ from spgl.gaussian import (
     kl_params,
     kl_to_target,
 )
+from spgl.oracle import numerical_update
 from spgl.stats import CurriculumStats, RolloutBatch
 from spgl.update import (
     BOTH_ACTIVE,
@@ -629,6 +630,8 @@ class TestUpdateAtExtremeInputs:
     """``update`` keeps its contracts far outside the presets' ranges: it
     raises nothing but :class:`CurriculumError`, the joint step KL stays
     within ``epsilon`` and every scale at or above :data:`THETA_MIN`.
+    Returns up to the largest float take the step of the same batch at
+    unit scale, in ``update`` and in ``numerical_update``.
 
     Vectors come from a seeded generator; hypothesis drives the dimension,
     the batch size and the scales.  "No KKT case matched the mean
@@ -668,3 +671,41 @@ class TestUpdateAtExtremeInputs:
             return
         assert report.kl_step <= config.epsilon + 1e-12
         assert np.all(new_dist.theta >= THETA_MIN)
+
+    @pytest.mark.parametrize("return_scale", [1e160, 1e300, 1.5e308])
+    @pytest.mark.parametrize("kind", ["performance", "convergence"])
+    @pytest.mark.parametrize("step", [update, numerical_update], ids=["update", "numerical_update"])
+    def test_huge_returns_take_the_step_of_unit_returns(self, step, kind, return_scale):
+        # unscaled, the squared statistics overflow: an OverflowError or a
+        # silent no-op from 1e155, a ValueError from the statistics at 1.5e308
+        rng = np.random.default_rng(5)
+        dist = make_dist(
+            rng.normal(0.0, 2.0, 2), rng.uniform(0.5, 2.0, 2), rng.normal(0.0, 2.0, 2), np.ones(2)
+        )
+        contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, 2))
+        values = rng.uniform(0.1, 1.0, 16)
+        # above every return, or just below their mean, where both blocks of
+        # the convergence step have both constraints active
+        v_lower = 1.0 if kind == "performance" else float(np.mean(values)) - 0.01
+
+        def take(scale):
+            batch = RolloutBatch(contexts, scale * values, dist)
+            return step(dist, batch, dist.target, CurriculumConfig(0.05, scale * v_lower, 16))
+
+        (new, report), (unit, unit_report) = take(return_scale), take(1.0)
+        assert report.kind == kind and not report.degenerate
+        assert 0.0 < report.kl_step <= 0.05
+        # the closed forms agree to rounding, the exact solver to its tolerance
+        rtol = 1e-12 if step is update else 1e-8
+        np.testing.assert_allclose(new.mu, unit.mu, rtol=rtol)
+        np.testing.assert_allclose(new.theta, unit.theta, rtol=rtol)
+        for solution, unit_solution in (
+            (report.mu_solution, unit_report.mu_solution),
+            (report.theta_solution, unit_report.theta_solution),
+        ):
+            if unit_solution is not None:
+                assert solution.active_case == unit_solution.active_case
+                # a performance multiplier is in units of 1 / return
+                assert solution.lambda_perf * return_scale == pytest.approx(
+                    unit_solution.lambda_perf, rel=1e-9
+                )
