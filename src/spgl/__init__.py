@@ -20,13 +20,13 @@ from .stats import CurriculumStats, RolloutBatch, compute_stats
 from .update import (
     CurriculumConfig,
     InfeasiblePerformanceConstraint,
+    MeanBlock,
     MultiplierSolution,
+    ScaleBlock,
     UpdateReport,
     convergence_step,
     performance_step,
     should_run_performance_step,
-    solve_mu_block,
-    solve_theta_block,
 )
 
 __version__ = "0.1.0"

@@ -207,7 +207,7 @@ def _lockstep_iteration(states, env, i: int, config: ExperimentConfig, progress)
         step_kind, active_case, kl_step, kl = _curriculum_step(run, batch, i, config)
         record = IterationRecord(
             iteration=i,
-            mean_return=float(np.add.reduce(batch.values) / len(batch.values)),
+            mean_return=_mean(batch.values),
             success_rate=100.0 * np.count_nonzero(episodes.successes) / len(episodes.successes),
             kl_to_target=kl,
             kl_step=kl_step,
@@ -228,11 +228,9 @@ def _curriculum_step(run: _Run, batch: RolloutBatch, i: int, config: ExperimentC
         return "default", "-", 0.0, kl_to_target(run.dist)
     try:
         if run.mode == "spgl":
-            run.dist, report = update(run.dist, batch, config.target, config.curriculum)
+            run.dist, report = update(batch, config.curriculum)
         else:
-            run.dist, report = numerical_update(
-                run.dist, batch, config.target, config.curriculum, seed=run.seed + i
-            )
+            run.dist, report = numerical_update(batch, config.curriculum, seed=run.seed + i)
     except CurriculumError as exc:
         warnings.warn(
             f"curriculum update failed at iteration {i} of the {run.mode} run with seed "
@@ -285,12 +283,38 @@ def evaluate(
     return [_eval_result(episodes) for episodes in all_episodes]
 
 
+def _unit_scale(values) -> float:
+    """The power of two that brings the largest magnitude of ``values`` into
+    [0.5, 1); scaling by it is exact."""
+    return math.ldexp(1.0, -math.frexp(float(np.maximum.reduce(np.abs(values))))[1])
+
+
+def _mean(values) -> float:
+    """Mean of finite values: the plain sum over the count, or, when that
+    sum overflows, the same of the values times :func:`_unit_scale`, scaled
+    back."""
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(values)
+    if math.isfinite(total):
+        return float(total / len(values))
+    scale = _unit_scale(values)
+    return float(np.add.reduce(values * scale) / len(values) / scale)
+
+
 def _mean_se(values) -> tuple[float, float]:
-    """Mean and standard error of the mean; the error is 0 for one value."""
+    """Mean and standard error of the mean; the error is 0 for one value.
+    When either overflows, both are those of the values times
+    :func:`_unit_scale`, scaled back."""
     values = np.asarray(values)
     n = len(values)
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(values)), se
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if math.isfinite(mean) and math.isfinite(se):
+        return mean, se
+    scale = _unit_scale(values)
+    mean, se = _mean_se(values * scale)
+    return mean / scale, se / scale
 
 
 def _eval_result(episodes) -> EvalResult:

@@ -36,7 +36,6 @@ from .gaussian import (
     LOG_RATIO_LIMIT,
     THETA_MIN,
     ContextDistribution,
-    TargetSpec,
     kl_between,
     kl_params,
     kl_to_target,
@@ -406,15 +405,14 @@ def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min
 
 def solve_exact_sampled(
     batch: RolloutBatch,
-    dist: ContextDistribution,
-    target: TargetSpec,
     config: CurriculumConfig,
     mode: str,
     seed: int = 0,
     restarts: int = 8,
     iterations: int = 500,
 ) -> ExactSolveResult:
-    """Multi-start projected-gradient solve of the exact sampled subproblem.
+    """Multi-start projected-gradient solve of the exact sampled subproblem
+    of the distribution that drew ``batch``.
 
     ``mode="performance"`` maximizes the importance-weighted batch value under
     the exact step-KL constraint; ``mode="convergence"`` minimizes the exact
@@ -448,6 +446,8 @@ def solve_exact_sampled(
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
+    dist = batch.source_distribution
+    target = dist.target
     contexts = batch.contexts
     values = batch.values
     sigma = target.sigma_tilde_diag
@@ -590,26 +590,26 @@ def solve_exact_sampled(
 
 
 def numerical_update(
-    dist: ContextDistribution,
     batch: RolloutBatch,
-    target: TargetSpec,
     config: CurriculumConfig,
     seed: int = 0,
     restarts: int = 8,
     iterations: int = 500,
 ) -> tuple[ContextDistribution, UpdateReport]:
-    """Baseline curriculum update driven by the exact numerical solver.
+    """Baseline curriculum update of the distribution that drew ``batch``,
+    driven by the exact numerical solver.
 
-    Dispatches like the closed-form update, on the statistics of a batch
-    that ``dist`` must have drawn, then hands the selected subproblem to
-    :func:`solve_exact_sampled`, the returns brought in range first.
+    Dispatches like the closed-form update, on the batch statistics, then
+    hands the selected subproblem to :func:`solve_exact_sampled`, the returns
+    brought in range first.
     """
+    dist = batch.source_distribution
     batch, config, _ = returns_in_range(batch, config)
-    stats = compute_stats(batch, dist, target)
+    stats = compute_stats(batch)
     mode = "performance" if should_run_performance_step(stats, config) else "convergence"
     kl_before = kl_to_target(dist)
     result = solve_exact_sampled(
-        batch, dist, target, config, mode, seed=seed, restarts=restarts, iterations=iterations
+        batch, config, mode, seed=seed, restarts=restarts, iterations=iterations
     )
     new_dist = result.distribution
     sigma = dist.target.sigma_tilde_diag

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import ContextDistribution, TargetSpec
+from .gaussian import ContextDistribution
 
 __all__ = [
     "CurriculumStats",
@@ -76,34 +76,16 @@ class CurriculumStats:
             object.__setattr__(self, name, arr)
 
 
-def _check_snapshot(batch: RolloutBatch, dist: ContextDistribution) -> None:
-    src = batch.source_distribution
-    if src is dist:  # frozen, with read-only arrays: nothing to compare
-        return
-    if not (
-        np.array_equal(src.mu, dist.mu)
-        and np.array_equal(src.theta, dist.theta)
-        and np.array_equal(src.target.sigma_tilde_diag, dist.target.sigma_tilde_diag)
-    ):
-        raise ValueError(
-            "batch was generated by a different distribution; importance "
-            "weights are only valid against the generating parameters"
-        )
-
-
-def compute_stats(
-    batch: RolloutBatch, dist: ContextDistribution, target: TargetSpec
-) -> CurriculumStats:
-    """All curriculum statistics for one update.
+def compute_stats(batch: RolloutBatch) -> CurriculumStats:
+    """All curriculum statistics for one update, taken against the
+    distribution that drew the batch and that distribution's target.
 
     ``u_bar``, ``v_bar`` and ``psi_bar`` come from the raw batch returns (the
     performance threshold is in raw return units); ``omega`` is the exact
     gradient of :func:`spgl.gaussian.kl_to_target` with respect to ``theta``.
     The batch summation order is fixed, so results are bit-reproducible.
     """
-    _check_snapshot(batch, dist)
-    if target.d != dist.d:
-        raise ValueError("target dimension mismatch")
+    dist = batch.source_distribution
     contexts = batch.contexts
     values = batch.values
     theta = dist.theta
@@ -115,8 +97,7 @@ def compute_stats(
     psi_terms = delta**2 / (theta**2 * sigma) - 1.0 / theta
     psi_bar = 0.5 * (np.add.reduce(values[:, None] * psi_terms, axis=0) / k)
 
-    sigma_target = target.sigma_tilde_diag
-    gap = target.mu_tilde - dist.mu
-    omega = 0.5 * (1.0 / theta - 1.0 / theta**2 - gap**2 / (theta**2 * sigma_target))
+    gap = dist.target.mu_tilde - dist.mu
+    omega = 0.5 * (1.0 / theta - 1.0 / theta**2 - gap**2 / (theta**2 * sigma))
     v_bar = float(np.add.reduce(values) / k)
     return CurriculumStats(u_bar=u_bar, v_bar=v_bar, psi_bar=psi_bar, omega=omega)

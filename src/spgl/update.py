@@ -34,7 +34,6 @@ import numpy as np
 from .gaussian import (
     THETA_MIN,
     ContextDistribution,
-    TargetSpec,
     kl_params,
     kl_to_target,
     kl_to_target_params,
@@ -46,17 +45,15 @@ __all__ = [
     "CurriculumError",
     "InfeasiblePerformanceConstraint",
     "KKT_TOL",
+    "MeanBlock",
     "MultiplierSolution",
+    "ScaleBlock",
     "UpdateReport",
     "convergence_step",
-    "mu_kkt_residuals",
     "performance_step",
     "project_to_ball",
     "returns_in_range",
     "should_run_performance_step",
-    "solve_mu_block",
-    "solve_theta_block",
-    "theta_kkt_residuals",
     "update",
 ]
 
@@ -286,13 +283,20 @@ def performance_step(
 # shared by the budget split, the block's solve and its KKT certificate
 
 
-class _MeanBlock:
-    """The mean block of one convergence step (see :func:`solve_mu_block`)."""
+class MeanBlock:
+    """The mean block of one convergence step from ``dist``: minimize the
+    (quadratic) distance to the target mean inside the trust region, subject
+    to the linearized performance constraint ``stats.v_bar - v_lower +
+    <u_bar, delta>_precision >= 0``.
 
-    def __init__(self, dist, target, stats, v_lower):
-        self.mu, self.mu_tilde, self.u = dist.mu, target.mu_tilde, stats.u_bar
+    :meth:`solve` returns ``(mu_new, MultiplierSolution)``; :meth:`residuals`
+    is its KKT certificate.
+    """
+
+    def __init__(self, dist, stats, v_lower):
+        self.mu, self.mu_tilde, self.u = dist.mu, dist.target.mu_tilde, stats.u_bar
         self.precision = 1.0 / (dist.theta * dist.target.sigma_tilde_diag)  # the old precision
-        self.a = target.mu_tilde - dist.mu
+        self.a = self.mu_tilde - dist.mu
         self.b = stats.v_bar - v_lower
         self.norm_a_sq = float(np.add.reduce(self.a**2 * self.precision))
         self.norm_u_sq = float(np.add.reduce(self.u**2 * self.precision))
@@ -335,9 +339,12 @@ class _MeanBlock:
         return 0.5 * float(np.add.reduce((mu_new - self.mu_tilde) ** 2 * self.precision))
 
     def residuals(self, mu_new, solution, eps):
-        """The ``(name, residual)`` pairs of :func:`mu_kkt_residuals`, the
-        primal ones first so that an admission test can stop at the first
-        failure."""
+        """Residuals of the KKT system at a candidate solution: ``(name,
+        residual)`` pairs, primal, dual, stationarity and complementary
+        slackness in that order, each nonnegative and normalized by the
+        problem scale; the case is certified when each is at most
+        :data:`KKT_TOL`.  An admission test can stop at the first failure,
+        and ``dict`` of the pairs is the whole certificate."""
         lam1, lam2 = solution.lambda_perf, solution.lambda_ball
         value_scale, geom_scale = self.value_scale, max(1.0, eps)
         delta = mu_new - self.mu
@@ -355,8 +362,20 @@ class _MeanBlock:
         yield "slack_ball", abs((lam2 - 1.0) * (ball - eps)) / (geom_scale * max(lam2, 1.0))
 
 
-class _ScaleBlock:
-    """The scale block of one convergence step (see :func:`solve_theta_block`)."""
+class ScaleBlock:
+    """The scale block of one convergence step from ``dist``: descend the
+    KL-to-target gradient ``stats.omega`` in ``theta`` inside the trust
+    region, subject to the linearized performance constraint.
+
+    :meth:`solve` takes the constrained descent step of the KKT cases of the
+    linearized problem, shortened when needed to keep every scale at or above
+    :data:`~spgl.gaussian.THETA_MIN`.  Jumping straight to scales of one (the
+    target scale, where both constraints sit inactive) is taken instead
+    whenever the certificate admits it as that case and it serves the true
+    convergence objective at least as well; near the target this pins the
+    scales at exactly one.  It returns ``(theta_new, MultiplierSolution,
+    backtracked)``; :meth:`residuals` is its certificate.
+    """
 
     def __init__(self, dist, stats, v_lower):
         self.dist, self.theta, self.psi, self.omega = dist, dist.theta, stats.psi_bar, stats.omega
@@ -439,9 +458,11 @@ class _ScaleBlock:
         return float(np.add.reduce(self.omega * (theta_new - self.theta)))
 
     def residuals(self, theta_new, solution, eps):
-        """The ``(name, residual)`` pairs of :func:`theta_kkt_residuals`, the
-        primal ones first so that an admission test can stop at the first
-        failure."""
+        """Residuals of the certificate at a candidate solution, as ``(name,
+        residual)`` pairs in the order of :meth:`MeanBlock.residuals`.  The
+        jump case (scales reset to one) is certified by primal feasibility of
+        both constraints alone; the multiplier cases additionally satisfy the
+        stationarity and slackness conditions of the linearized problem."""
         lam3, lam4 = solution.lambda_perf, solution.lambda_ball
         value_scale, geom_scale = self.value_scale, max(1.0, eps)
         delta = theta_new - self.theta
@@ -461,33 +482,8 @@ class _ScaleBlock:
         yield "slack_ball", abs(lam4 * (ball - eps)) / (geom_scale * max(lam4, 1.0))
 
 
-def solve_mu_block(dist, target, stats, eps, v_lower):
-    """Minimize the (quadratic) distance to the target mean inside the trust
-    region, subject to the linearized performance constraint.
-
-    Returns ``(mu_new, MultiplierSolution)``.
-    """
-    return _MeanBlock(dist, target, stats, v_lower).solve(eps)
-
-
-def solve_theta_block(dist, stats, eps, v_lower):
-    """Descend the KL-to-target gradient in ``theta`` inside the trust region,
-    subject to the linearized performance constraint.
-
-    The KKT cases of the linearized problem produce the constrained descent
-    step, shortened when needed to keep every scale at or above
-    :data:`~spgl.gaussian.THETA_MIN`.  Jumping straight to scales of one (the target scale, where both
-    constraints sit inactive) is taken instead whenever the certificate
-    admits it as that case and it serves the true convergence objective at
-    least as well; near the target this pins the scales at exactly one.
-    Returns ``(theta_new, MultiplierSolution, backtracked)``.
-    """
-    return _ScaleBlock(dist, stats, v_lower).solve(eps)
-
-
 def convergence_step(
     dist: ContextDistribution,
-    target: TargetSpec,
     stats: CurriculumStats,
     eps: float,
     v_lower: float,
@@ -504,10 +500,10 @@ def convergence_step(
     everything the mean block did not spend (jump cases leave most of it).
 
     Returns ``(mu_new, theta_new, mu_solution, theta_solution, backtracked)``,
-    ``backtracked`` as in :func:`solve_theta_block`.
+    ``backtracked`` as in :class:`ScaleBlock`.
     """
-    mean = _MeanBlock(dist, target, stats, v_lower)
-    scale = _ScaleBlock(dist, stats, v_lower)
+    mean = MeanBlock(dist, stats, v_lower)
+    scale = ScaleBlock(dist, stats, v_lower)
     dist_sq, omega_sq = mean.norm_a_sq, scale.norm_om_sq
     mean_degenerate = math.sqrt(dist_sq) < DEGENERATE_NORM
     omega_degenerate = math.sqrt(omega_sq) < DEGENERATE_NORM
@@ -523,30 +519,6 @@ def convergence_step(
     spent = 0.5 * float(np.add.reduce((mu_new - dist.mu) ** 2 * mean.precision))
     theta_new, theta_sol, backtracked = scale.solve(max(eps - spent, 1e-18))
     return mu_new, theta_new, mu_sol, theta_sol, backtracked
-
-
-# ---------------------------------------------------------------------------
-# KKT certificates (shared by tests and the verify suite)
-
-
-def mu_kkt_residuals(dist, target, stats, eps, v_lower, mu_new, solution):
-    """Residuals of the mean-block KKT system at a candidate solution.
-
-    Returns a dict of nonnegative residuals (stationarity, primal, dual,
-    complementary slackness), each normalized by the problem scale; the case
-    is certified when each is at most :data:`KKT_TOL`.
-    """
-    return dict(_MeanBlock(dist, target, stats, v_lower).residuals(np.asarray(mu_new), solution, eps))
-
-
-def theta_kkt_residuals(dist, stats, eps, v_lower, theta_new, solution):
-    """Residuals of the scale-block certificate at a candidate solution.
-
-    The jump case (scales reset to one) is certified by primal feasibility of
-    both constraints alone; the multiplier cases additionally satisfy the
-    stationarity and slackness conditions of the linearized problem.
-    """
-    return dict(_ScaleBlock(dist, stats, v_lower).residuals(np.asarray(theta_new), solution, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +650,9 @@ def _backtrack_joint_kl(mu0, theta0, sigma, mu_new, theta_new, eps):
 
 
 def update(
-    dist: ContextDistribution,
-    batch: RolloutBatch,
-    target: TargetSpec,
-    config: CurriculumConfig,
+    batch: RolloutBatch, config: CurriculumConfig
 ) -> tuple[ContextDistribution, UpdateReport]:
-    """One full curriculum update.
+    """One full curriculum update of the distribution that drew ``batch``.
 
     Computes the batch statistics, dispatches on the performance condition,
     and applies the selected step.  The trust-region budget ``epsilon`` bounds
@@ -695,8 +664,9 @@ def update(
     leaves the distribution unchanged and flags the report.  The returns
     are brought in range first (:func:`returns_in_range`).
     """
+    dist = batch.source_distribution
     batch, config, scale = returns_in_range(batch, config)
-    stats = compute_stats(batch, dist, target)
+    stats = compute_stats(batch)
     kl_before = kl_to_target(dist)
     mu_sol = theta_sol = None
     if should_run_performance_step(stats, config):
@@ -705,7 +675,7 @@ def update(
     else:
         kind, moved = "convergence", True
         mu_new, theta_new, mu_sol, theta_sol, theta_backtracked = convergence_step(
-            dist, target, stats, config.epsilon, config.v_lower
+            dist, stats, config.epsilon, config.v_lower
         )
         if scale != 1.0:
             mu_sol = replace(mu_sol, lambda_perf=mu_sol.lambda_perf * scale)

@@ -31,11 +31,9 @@ from .update import (
     BOTH_INACTIVE,
     KKT_TOL,
     CurriculumConfig,
-    mu_kkt_residuals,
+    MeanBlock,
+    ScaleBlock,
     performance_step,
-    solve_mu_block,
-    solve_theta_block,
-    theta_kkt_residuals,
     update,
 )
 
@@ -248,8 +246,8 @@ def run_oracle_suite(
             b = _sample_threshold_gap(rng, math.sqrt(2.0 * eps * float(np.sum(u_bar**2 * precision))))
             if b + math.sqrt(2.0 * eps * float(np.sum(u_bar**2 * precision))) >= 1e-8:
                 break
-        stats = _make_stats(d, u_bar=u_bar, v_bar=b)
-        mu_new, mu_sol = solve_mu_block(dist, target, stats, eps, 0.0)
+        block = MeanBlock(dist, _make_stats(d, u_bar=u_bar, v_bar=b), 0.0)
+        mu_new, mu_sol = block.solve(eps)
         mu_new = _perturbed(mu_new, perturb, rng)
         counts[f"mu:{mu_sol.active_case}"] += 1
         oracle = solve_numeric(
@@ -265,10 +263,7 @@ def run_oracle_suite(
         record_param(f"conv-mu[{i}]", mu_new, oracle.x)
         record_mult(f"conv-mu-l1[{i}]", mu_sol.lambda_perf, oracle.lambda_perf)
         record_mult(f"conv-mu-l2[{i}]", mu_sol.lambda_ball, oracle.lambda_ball + 1.0)
-        record_kkt(
-            f"conv-mu-kkt[{i}]",
-            mu_kkt_residuals(dist, target, stats, eps, 0.0, mu_new, mu_sol),
-        )
+        record_kkt(f"conv-mu-kkt[{i}]", dict(block.residuals(mu_new, mu_sol, eps)))
 
         # ---- convergence scale block (jump branch excluded: it is not the
         # solution of the linearized problem and is tested directly instead)
@@ -289,8 +284,8 @@ def run_oracle_suite(
                 break
         else:
             continue
-        stats = _make_stats(d, psi_bar=psi_bar, v_bar=b, omega=omega)
-        theta_new, th_sol, backtracked = solve_theta_block(dist, stats, eps, 0.0)
+        block = ScaleBlock(dist, _make_stats(d, psi_bar=psi_bar, v_bar=b, omega=omega), 0.0)
+        theta_new, th_sol, backtracked = block.solve(eps)
         if th_sol.active_case == BOTH_INACTIVE or backtracked:
             continue
         theta_new = _perturbed(theta_new, perturb, rng)
@@ -307,10 +302,7 @@ def run_oracle_suite(
         record_param(f"conv-theta[{i}]", theta_new, oracle.x)
         record_mult(f"conv-theta-l3[{i}]", th_sol.lambda_perf, oracle.lambda_perf)
         record_mult(f"conv-theta-l4[{i}]", th_sol.lambda_ball, oracle.lambda_ball)
-        record_kkt(
-            f"conv-theta-kkt[{i}]",
-            theta_kkt_residuals(dist, stats, eps, 0.0, theta_new, th_sol),
-        )
+        record_kkt(f"conv-theta-kkt[{i}]", dict(block.residuals(theta_new, th_sol, eps)))
 
     report.oracle_case_counts = dict(counts)
     return report
@@ -363,7 +355,7 @@ def run_fd_suite(seed: int, instances: int = 100) -> VerifyReport:
         var = dist.covariance_diag()
         log_p0 = log_density_params(contexts, mu, var)
 
-        stats = compute_stats(batch, dist, dist.target)
+        stats = compute_stats(batch)
         u_bar, psi_bar, omega = stats.u_bar, stats.psi_bar, stats.omega
         h_diag = 1.0 / theta**2
         precision = 1.0 / var
@@ -423,11 +415,11 @@ def run_timing_suite(seed: int, updates: int = 50, d: int = 3, k: int = 64) -> V
         batch = _timing_batch(rng, dist, center, k)
 
         start = time.perf_counter()
-        new_dist, _ = update(dist, batch, target, config)
+        new_dist, _ = update(batch, config)
         closed_total += time.perf_counter() - start
 
         start = time.perf_counter()
-        numerical_update(dist, batch, target, config, seed=seed + step)
+        numerical_update(batch, config, seed=seed + step)
         exact_total += time.perf_counter() - start
 
         dist = new_dist

@@ -45,18 +45,19 @@ PRESET = "point_mass_setup1"
 
 
 def record_updates(config, seed, every):
-    """Train and return ``(iteration, dist, batch, new_dist, kind)`` of every
-    ``every``-th update; the wrapped update computes the same bits."""
+    """Train and return ``(iteration, batch, new_dist, kind)`` of every
+    ``every``-th update, the old distribution being the batch's
+    ``source_distribution``; the wrapped update computes the same bits."""
     real_update = spgl.harness.update
     recorded = []
     iteration = 0
 
-    def recording_update(dist, batch, target, curriculum):
+    def recording_update(batch, curriculum):
         nonlocal iteration
-        new_dist, report = real_update(dist, batch, target, curriculum)
+        new_dist, report = real_update(batch, curriculum)
         iteration += 1
         if iteration % every == 0 and report.kind in ("performance", "convergence"):
-            recorded.append((iteration, dist, batch, new_dist, report.kind))
+            recorded.append((iteration, batch, new_dist, report.kind))
         return new_dist, report
 
     spgl.harness.update = recording_update
@@ -85,7 +86,8 @@ def main():
         "kl_closed,kl_exact,meets_closed,meets_exact"
     )
     rows = []
-    for iteration, dist, batch, closed, kind in record_updates(config, args.seed, args.every):
+    for iteration, batch, closed, kind in record_updates(config, args.seed, args.every):
+        dist = batch.source_distribution
         log_p0 = log_density_params(batch.contexts, dist.mu, dist.theta * sigma)
 
         def value(d):
@@ -100,7 +102,7 @@ def main():
             return float(kl_params(d.mu, d.theta, dist.mu, dist.theta, sigma))
 
         exact = solve_exact_sampled(
-            batch, dist, target, curriculum, kind, seed=args.seed + iteration
+            batch, curriculum, kind, seed=args.seed + iteration
         ).distribution
         f_old, f_closed, f_exact = objective(dist), objective(closed), objective(exact)
         gain_exact = f_old - f_exact

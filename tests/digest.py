@@ -234,14 +234,14 @@ def exact_instance(i):
     else:
         v_lower = float(np.mean(values)) * float(rng.uniform(0.9, 1.1))
     config = CurriculumConfig(epsilon=eps, v_lower=v_lower, k_contexts=k)
-    return batch, dist, target, config, mode
+    return batch, config, mode
 
 
 def digest_exact(h):
     n = _digest_runs(h, numerical_runs())
     for i in range(EXACT_INSTANCES):
-        batch, dist, target, config, mode = exact_instance(i)
-        r = solve_exact_sampled(batch, dist, target, config, mode, seed=i)
+        batch, config, mode = exact_instance(i)
+        r = solve_exact_sampled(batch, config, mode, seed=i)
         _floats(h, r.distribution.mu, r.distribution.theta)
         _floats(h, r.objective, r.sampled_value, r.kl_step)
         h.update(struct.pack("??", r.converged, not r.converged))
@@ -262,15 +262,15 @@ def update_instance(i):
     values = np.full(k, scale * rng.normal()) if rng.random() < 0.2 else scale * rng.normal(size=k)
     v_lower = float(np.mean(values)) + rng.uniform(-1.0, 1.0) * scale
     config = CurriculumConfig(epsilon=10.0 ** rng.uniform(-6.0, 0.0), v_lower=v_lower, k_contexts=k)
-    return dist, RolloutBatch(contexts, values, dist), config
+    return RolloutBatch(contexts, values, dist), config
 
 
 def digest_updates(h):
     raised = 0
     for i in range(UPDATE_INSTANCES):
-        dist, batch, config = update_instance(i)
+        batch, config = update_instance(i)
         try:
-            new_dist, report = update(dist, batch, dist.target, config)
+            new_dist, report = update(batch, config)
         except Exception as exc:  # noqa: BLE001 -- what raises is part of the result
             _text(h, f"{type(exc).__name__}: {exc}")
             raised += 1

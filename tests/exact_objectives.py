@@ -37,11 +37,11 @@ def main():
 
     print("index,mode,d,eps,objective,converged,kl_step")
     for i in range(EXACT_INSTANCES):
-        batch, dist, target, config, mode = exact_instance(i)
-        r = solve_exact_sampled(batch, dist, target, config, mode, seed=i)
+        batch, config, mode = exact_instance(i)
+        r = solve_exact_sampled(batch, config, mode, seed=i)
         print(
-            f"{i},{mode},{dist.d},{config.epsilon.hex()},{r.objective.hex()},{r.converged},"
-            f"{r.kl_step.hex()}"
+            f"{i},{mode},{batch.source_distribution.d},{config.epsilon.hex()},"
+            f"{r.objective.hex()},{r.converged},{r.kl_step.hex()}"
         )
         sys.stdout.flush()
 

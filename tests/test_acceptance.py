@@ -31,9 +31,9 @@ from spgl.update import (
     BOTH_INACTIVE,
     CurriculumConfig,
     InfeasiblePerformanceConstraint,
+    MeanBlock,
+    ScaleBlock,
     performance_step,
-    solve_mu_block,
-    solve_theta_block,
     update,
 )
 
@@ -226,16 +226,16 @@ def test_criterion_8_degenerate_cases():
         dist, make_stats(1, u_bar=np.array([1e-12]), psi_bar=np.array([1e-12])), 0.05
     )
     flat = RolloutBatch([[0.9], [-0.1]], [0.0, 0.0], dist)
-    unchanged, flat_report = update(dist, flat, target, CurriculumConfig(epsilon=0.05, v_lower=10.0))
+    unchanged, flat_report = update(flat, CurriculumConfig(epsilon=0.05, v_lower=10.0))
     checks.append(
         ("degenerate-no-op", moved is False and unchanged is dist and flat_report.degenerate)
     )
 
     # omega = 0 at the target: the scale step is the identity
     at_target = ContextDistribution.at_target(target)
-    theta_new, _, _ = solve_theta_block(
-        at_target, make_stats(1, v_bar=10.0, psi_bar=np.array([0.3])), 0.05, 0.0
-    )
+    theta_new, _, _ = ScaleBlock(
+        at_target, make_stats(1, v_bar=10.0, psi_bar=np.array([0.3])), 0.0
+    ).solve(0.05)
     checks.append(("omega-zero-identity", bool(np.array_equal(theta_new, at_target.theta))))
 
     # both constraints inactive near the target: exact jump to (mu_tilde, 1)
@@ -244,8 +244,8 @@ def test_criterion_8_degenerate_cases():
         1, v_bar=50.0, u_bar=np.array([0.2]), psi_bar=np.array([0.1]),
         omega=0.5 * (1.0 / near.theta - 1.0 / near.theta**2 - (target.mu_tilde - near.mu) ** 2 / near.theta**2),
     )
-    mu_new, mu_sol = solve_mu_block(near, target, stats_near, 0.05, 0.0)
-    theta_jump, theta_sol, _ = solve_theta_block(near, stats_near, 0.05, 0.0)
+    mu_new, mu_sol = MeanBlock(near, stats_near, 0.0).solve(0.05)
+    theta_jump, theta_sol, _ = ScaleBlock(near, stats_near, 0.0).solve(0.05)
     checks.append(
         (
             "both-inactive-jump",
@@ -264,12 +264,12 @@ def test_criterion_8_degenerate_cases():
     # infeasible performance constraint is reported, closed form and oracle
     infeasible_stats = make_stats(1, v_bar=-100.0, u_bar=np.array([1e-4]), psi_bar=np.array([1e-4]), omega=np.array([0.3]))
     try:
-        solve_mu_block(dist, target, infeasible_stats, 0.01, 0.0)
+        MeanBlock(dist, infeasible_stats, 0.0).solve(0.01)
         checks.append(("mu-infeasible", False))
     except InfeasiblePerformanceConstraint:
         checks.append(("mu-infeasible", True))
     try:
-        solve_theta_block(dist, infeasible_stats, 0.01, 0.0)
+        ScaleBlock(dist, infeasible_stats, 0.0).solve(0.01)
         checks.append(("theta-infeasible", False))
     except InfeasiblePerformanceConstraint:
         checks.append(("theta-infeasible", True))

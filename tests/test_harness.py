@@ -4,9 +4,11 @@ lock-step runs equal to the same runs alone), evaluation statistics,
 verification wiring and the CLI surface."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from spgl.harness import (
 from spgl.envs import PointMassEnv, SyntheticEnv
 from spgl.gaussian import TargetSpec
 from spgl.learner import LearnerConfig, init_policy
-from spgl.update import CurriculumError
+from spgl.update import CurriculumError, update
 from spgl.verification import run_fd_suite, run_timing_suite
 
 
@@ -308,11 +310,11 @@ class TestRunTraining:
         real_update = spgl.harness.update
         seen = []
 
-        def flaky_update(dist, batch, target, curriculum):
-            seen.append(dist)
+        def flaky_update(batch, curriculum):
+            seen.append(batch.source_distribution)
             if len(seen) == 3:
                 raise CurriculumError("no KKT case matched the scale subproblem")
-            return real_update(dist, batch, target, curriculum)
+            return real_update(batch, curriculum)
 
         monkeypatch.setattr(spgl.harness, "update", flaky_update)
         with pytest.warns(RuntimeWarning, match="iteration 3.*no KKT case matched"):
@@ -328,6 +330,23 @@ class TestRunTraining:
         assert result.records[3].step_kind != "failed"
         assert records_to_csv(result.records[:2], 2) == records_to_csv(clean.records[:2], 2)
 
+    def test_closed_form_gap_records_every_tenth_update(self):
+        # tests/closed_form_gap.py wraps spgl.harness.update with a fake of
+        # its signature, so a change of that signature must fail here too
+        from closed_form_gap import PRESET, record_updates
+
+        config = dataclasses.replace(load_config(preset_path(PRESET)), iterations=20)
+        recorded = record_updates(config, 5, 10)
+        assert [iteration for iteration, *_ in recorded] == [10, 20]
+        records = run_training(config, 5, curriculum_mode="spgl").records
+        for iteration, batch, new_dist, kind in recorded:
+            assert kind in ("performance", "convergence")
+            replayed, report = update(batch, config.curriculum)
+            assert report.kind == kind
+            for taken in (replayed, records[iteration - 1]):
+                assert np.array_equal(taken.mu, new_dist.mu)
+                assert np.array_equal(taken.theta, new_dist.theta)
+
     def test_run_at_huge_returns_completes(self, monkeypatch):
         # unscaled, returns of 1e300 overflow the update's squared
         # statistics; the curriculum does not depend on the return scale
@@ -340,6 +359,24 @@ class TestRunTraining:
             assert huge.step_kind == unit.step_kind
             np.testing.assert_allclose(huge.mu, unit.mu, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(huge.theta, unit.theta, rtol=1e-9)
+
+    def test_returns_near_the_largest_float_give_finite_means(self, monkeypatch):
+        # the returns of a batch sum past the largest float: every record's
+        # mean return and the evaluation's means and errors stay finite,
+        # without an overflow warning
+        config = load_config(preset_path("synthetic_convergence"))
+        config = dataclasses.replace(config, iterations=5)
+        monkeypatch.setattr(SyntheticEnv, "peak", 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = train_runs(config, [("spgl", 0)])[0]
+            (evaluation,) = evaluate_run(config, [result.policy], [0])
+        assert all(math.isfinite(r.mean_return) for r in result.records)
+        assert max(r.mean_return for r in result.records) > 1e307
+        csv = records_to_csv(result.records, config.target.d)
+        assert all(math.isfinite(float(row.split(",")[1])) for row in csv.splitlines()[1:])
+        assert math.isfinite(evaluation.mean_return) and evaluation.mean_return > 1e307
+        assert math.isfinite(evaluation.return_se)
 
     def test_unknown_curriculum_mode_rejected(self, synth_config):
         with pytest.raises(ConfigError, match="unknown curriculum mode"):
@@ -448,12 +485,12 @@ class TestLockStep:
         real_update = spgl.harness.update
         calls = []
 
-        def flaky_update(dist, batch, target, curriculum):
+        def flaky_update(batch, curriculum):
             # the two spgl runs update in turn: call 5 is (spgl, 0) at iteration 3
-            calls.append(dist)
+            calls.append(batch)
             if len(calls) == 5:
                 raise CurriculumError("no KKT case matched the scale subproblem")
-            return real_update(dist, batch, target, curriculum)
+            return real_update(batch, curriculum)
 
         monkeypatch.setattr(spgl.harness, "update", flaky_update)
         with pytest.warns(RuntimeWarning, match="iteration 3 of the spgl run with seed 0"):
@@ -608,8 +645,8 @@ class TestVerify:
         # statistic, which only its own finite differences may catch
         real = spgl.verification.compute_stats
 
-        def scaled(batch, dist, target):
-            stats = real(batch, dist, target)
+        def scaled(batch):
+            stats = real(batch)
             return dataclasses.replace(stats, **{name: getattr(stats, name) * (1.0 + 1e-3)})
 
         monkeypatch.setattr(spgl.verification, "compute_stats", scaled)

@@ -543,7 +543,7 @@ def pinned_solve(index):
     dist, target, batch = exact_setting(seed=30 + index, d=d, width=width)
     v_lower = 100.0 if v_frac is None else v_frac * float(np.mean(batch.values))
     config = CurriculumConfig(epsilon=eps, v_lower=v_lower, k_contexts=16)
-    return solve_exact_sampled(batch, dist, target, config, mode, seed=index)
+    return solve_exact_sampled(batch, config, mode, seed=index)
 
 
 def fd_grad(f, z):
@@ -671,9 +671,7 @@ class TestObjectiveGradient:
         )
         contexts = np.random.default_rng(0).normal(size=(16, d)) * 1e-3
         batch = RolloutBatch(contexts, np.ones(16), dist)
-        result = solve_exact_sampled(
-            batch, dist, target, config, "convergence", seed=0, restarts=1
-        )
+        result = solve_exact_sampled(batch, config, "convergence", seed=0, restarts=1)
         assert result.feasible
         assert np.all(result.distribution.theta > 1.3 * config.theta_min)
         assert config.epsilon - 1e-9 <= result.kl_step <= config.epsilon + 1e-9
@@ -683,10 +681,10 @@ class TestSolveExactSampled:
     def test_feasible_and_dominates_closed_form(self):
         dist, target, batch = exact_setting()
         config = CurriculumConfig(epsilon=0.05, v_lower=100.0, k_contexts=16)
-        result = solve_exact_sampled(batch, dist, target, config, "performance", seed=1)
+        result = solve_exact_sampled(batch, config, "performance", seed=1)
         assert result.kl_step <= config.epsilon + 1e-8
 
-        closed_dist, _ = update(dist, batch, target, config)
+        closed_dist, _ = update(batch, config)
         log_p0 = log_density_params(batch.contexts, dist.mu, dist.covariance_diag())
         closed_value = float(
             sampled_value(
@@ -699,8 +697,8 @@ class TestSolveExactSampled:
         dist, target, batch = exact_setting(seed=2)
         eps = 1e-6
         config = CurriculumConfig(epsilon=eps, v_lower=100.0, k_contexts=16)
-        result = solve_exact_sampled(batch, dist, target, config, "performance", seed=3)
-        closed_dist, _ = update(dist, batch, target, config)
+        result = solve_exact_sampled(batch, config, "performance", seed=3)
+        closed_dist, _ = update(batch, config)
         gap = np.concatenate(
             [
                 result.distribution.mu - closed_dist.mu,
@@ -716,13 +714,13 @@ class TestSolveExactSampled:
         contexts = np.tile(dist.mu, (8, 1))
         batch = RolloutBatch(contexts, [2.0] * 8, dist)
         config = CurriculumConfig(epsilon=0.01, v_lower=100.0, k_contexts=8)
-        result = solve_exact_sampled(batch, dist, target, config, "performance", seed=4)
+        result = solve_exact_sampled(batch, config, "performance", seed=4)
         assert np.allclose(result.distribution.mu, dist.mu, atol=1e-5)
 
     def test_convergence_mode_respects_constraints(self):
         dist, target, batch = exact_setting(seed=5, width=50.0)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=16)
-        result = solve_exact_sampled(batch, dist, target, config, "convergence", seed=6)
+        result = solve_exact_sampled(batch, config, "convergence", seed=6)
         assert result.feasible and result.converged
         assert result.kl_step <= config.epsilon + 1e-8
         assert result.sampled_value >= config.v_lower - 1e-6
@@ -735,7 +733,7 @@ class TestSolveExactSampled:
         dist, target, batch = exact_setting(seed=5, width=50.0)
         v_lower = v_frac * float(np.mean(batch.values))
         config = CurriculumConfig(epsilon=0.05, v_lower=v_lower, k_contexts=16)
-        result = solve_exact_sampled(batch, dist, target, config, "convergence", seed=6)
+        result = solve_exact_sampled(batch, config, "convergence", seed=6)
         assert result.feasible is feasible
         assert (result.sampled_value >= v_lower - 1e-6) is feasible
         if not feasible:
@@ -749,8 +747,8 @@ class TestSolveExactSampled:
             dist, target, batch = exact_setting(seed=seed + 10)
             eps = 1e-3
             config = CurriculumConfig(epsilon=eps, v_lower=100.0, k_contexts=16)
-            result = solve_exact_sampled(batch, dist, target, config, "performance", seed=seed)
-            closed_dist, _ = update(dist, batch, target, config)
+            result = solve_exact_sampled(batch, config, "performance", seed=seed)
+            closed_dist, _ = update(batch, config)
             gap = np.concatenate(
                 [
                     result.distribution.mu - closed_dist.mu,
@@ -762,8 +760,8 @@ class TestSolveExactSampled:
     def test_seeded_determinism(self):
         dist, target, batch = exact_setting(seed=7)
         config = CurriculumConfig(epsilon=0.02, v_lower=100.0, k_contexts=16)
-        a = solve_exact_sampled(batch, dist, target, config, "performance", seed=8)
-        b = solve_exact_sampled(batch, dist, target, config, "performance", seed=8)
+        a = solve_exact_sampled(batch, config, "performance", seed=8)
+        b = solve_exact_sampled(batch, config, "performance", seed=8)
         assert np.array_equal(a.distribution.mu, b.distribution.mu)
         assert np.array_equal(a.distribution.theta, b.distribution.theta)
 
@@ -788,7 +786,7 @@ class TestSolveExactSampled:
         dist, target, batch = exact_setting(seed=9, width=width)
         v_lower = 5.0 if mode == "convergence" else 100.0
         config = CurriculumConfig(epsilon=eps, v_lower=v_lower, k_contexts=16)
-        result = solve_exact_sampled(batch, dist, target, config, mode, seed=10)
+        result = solve_exact_sampled(batch, config, mode, seed=10)
         assert len(kls) > 100
         assert max(kls) <= eps + 1e-9
         assert result.kl_step <= eps + 1e-9
@@ -813,7 +811,7 @@ class TestSolveExactSampled:
         monkeypatch.setattr(spgl.oracle, "sampled_value", counted_sampled)
         dist, target, batch = exact_setting(seed=9, width=50.0)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=16)
-        solve_exact_sampled(batch, dist, target, config, "convergence", seed=10)
+        solve_exact_sampled(batch, config, "convergence", seed=10)
         assert counts["project"] > 100
         assert counts["sampled"] < counts["project"] / 2
 
@@ -863,25 +861,14 @@ class TestNumericalUpdate:
         dist, target, batch = exact_setting(seed=9, width=50.0)
         low = CurriculumConfig(epsilon=0.05, v_lower=1e3, k_contexts=16)
         high = CurriculumConfig(epsilon=0.05, v_lower=-1e3, k_contexts=16)
-        _, report_low = numerical_update(dist, batch, target, low, seed=1, restarts=2, iterations=50)
-        _, report_high = numerical_update(dist, batch, target, high, seed=1, restarts=2, iterations=50)
+        _, report_low = numerical_update(batch, low, seed=1, restarts=2, iterations=50)
+        _, report_high = numerical_update(batch, high, seed=1, restarts=2, iterations=50)
         assert report_low.kind == "performance"
         assert report_high.kind == "convergence"
-
-    def test_rejects_a_batch_drawn_by_another_distribution(self):
-        # the importance weights are only valid against the drawing density,
-        # so the baseline checks the batch as the closed-form update does
-        dist, target, batch = exact_setting(seed=9, width=50.0)
-        config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=16)
-        moved = dist.with_params(mu=dist.mu + 0.1)
-        with pytest.raises(ValueError, match="generated by a different distribution"):
-            update(moved, batch, target, config)
-        with pytest.raises(ValueError, match="generated by a different distribution"):
-            numerical_update(moved, batch, target, config, seed=1, restarts=1, iterations=5)
 
     def test_step_stays_in_trust_region(self):
         dist, target, batch = exact_setting(seed=11, width=50.0)
         config = CurriculumConfig(epsilon=0.03, v_lower=5.0, k_contexts=16)
-        new_dist, report = numerical_update(dist, batch, target, config, seed=2, restarts=3, iterations=100)
+        new_dist, report = numerical_update(batch, config, seed=2, restarts=3, iterations=100)
         assert kl_between(new_dist, dist) <= config.epsilon + 1e-8
         assert report.kl_step <= config.epsilon + 1e-8

@@ -28,13 +28,11 @@ from spgl.update import (
     CurriculumError,
     KKT_TOL,
     InfeasiblePerformanceConstraint,
+    MeanBlock,
+    ScaleBlock,
     convergence_step,
-    mu_kkt_residuals,
     performance_step,
     should_run_performance_step,
-    solve_mu_block,
-    solve_theta_block,
-    theta_kkt_residuals,
     update,
 )
 
@@ -81,8 +79,8 @@ class TestDispatch:
         assert should_run_performance_step(base, config) == should_run_performance_step(
             scaled, config
         )
-        _, sol = solve_mu_block(dist, dist.target, base, 0.02, 0.0)
-        _, sol_scaled = solve_mu_block(dist, dist.target, scaled, 0.02, 0.0)
+        _, sol = MeanBlock(dist, base, 0.0).solve(0.02)
+        _, sol_scaled = MeanBlock(dist, scaled, 0.0).solve(0.02)
         assert sol.active_case == sol_scaled.active_case
 
 
@@ -156,7 +154,7 @@ class TestMuConvergence:
     def test_both_inactive_returns_target_exactly(self):
         dist = make_dist([0.9], [1.0], mu_tilde=[1.0])
         stats = make_stats(1, u_bar=[0.2], v_bar=50.0)
-        mu_new, sol = solve_mu_block(dist, dist.target, stats, 0.1, 0.0)
+        mu_new, sol = MeanBlock(dist, stats, 0.0).solve(0.1)
         assert sol.active_case == BOTH_INACTIVE
         assert (sol.lambda_perf, sol.lambda_ball) == (0.0, 1.0)
         assert mu_new[0] == 1.0
@@ -166,7 +164,7 @@ class TestMuConvergence:
         # the mean covers a fifth of the gap
         dist = make_dist([0.0], [1.0], mu_tilde=[1.0])
         stats = make_stats(1, u_bar=[0.1], v_bar=1000.0)
-        mu_new, sol = solve_mu_block(dist, dist.target, stats, 0.02, 0.0)
+        mu_new, sol = MeanBlock(dist, stats, 0.0).solve(0.02)
         assert sol.active_case == PROXIMITY_ACTIVE
         assert sol.lambda_ball == pytest.approx(5.0, rel=1e-12)
         assert mu_new[0] == pytest.approx(0.2, rel=1e-12)
@@ -175,16 +173,17 @@ class TestMuConvergence:
         # target reachable but the performance constraint binds
         dist = make_dist([0.0], [1.0], mu_tilde=[0.1])
         stats = make_stats(1, u_bar=[1.0], v_bar=-0.5)
-        mu_new, sol = solve_mu_block(dist, dist.target, stats, 0.5, 0.0)
+        block = MeanBlock(dist, stats, 0.0)
+        mu_new, sol = block.solve(0.5)
         assert sol.active_case == PERF_ACTIVE
-        res = mu_kkt_residuals(dist, dist.target, stats, 0.5, 0.0, mu_new, sol)
+        res = dict(block.residuals(mu_new, sol, 0.5))
         assert max(res.values()) <= 1e-8
 
     def test_infeasible_performance_raises(self):
         dist = make_dist([0.0], [1.0], mu_tilde=[1.0])
         stats = make_stats(1, u_bar=[1e-4], v_bar=-100.0)
         with pytest.raises(InfeasiblePerformanceConstraint):
-            solve_mu_block(dist, dist.target, stats, 0.01, 0.0)
+            MeanBlock(dist, stats, 0.0).solve(0.01)
 
     def test_kkt_certificate_on_random_instances(self):
         rng = np.random.default_rng(2)
@@ -205,8 +204,9 @@ class TestMuConvergence:
             if v_bar + reach < 0:
                 v_bar = -0.9 * reach
             stats = make_stats(d, u_bar=u_bar, v_bar=v_bar)
-            mu_new, sol = solve_mu_block(dist, dist.target, stats, eps, 0.0)
-            res = mu_kkt_residuals(dist, dist.target, stats, eps, 0.0, mu_new, sol)
+            block = MeanBlock(dist, stats, 0.0)
+            mu_new, sol = block.solve(eps)
+            res = dict(block.residuals(mu_new, sol, eps))
             assert max(res.values()) <= 1e-8, (sol.active_case, res)
 
 
@@ -216,7 +216,7 @@ class TestThetaConvergence:
         # H^-1 omega; the metric norm of omega = 0.15 is theta * 0.15 = 0.3
         dist = make_dist([0.0], [2.0], sigma=[1.0])
         stats = make_stats(1, psi_bar=[0.01], v_bar=10.0, omega=[0.3 / 2.0])
-        theta_new, sol, _ = solve_theta_block(dist, stats, 0.0225, 0.0)
+        theta_new, sol, _ = ScaleBlock(dist, stats, 0.0).solve(0.0225)
         assert sol.active_case == PROXIMITY_ACTIVE
         assert sol.lambda_ball == pytest.approx(1.0, rel=1e-12)
         # step is H^-1 omega / lambda_4 = theta^2 * 0.15 = 0.6
@@ -225,7 +225,7 @@ class TestThetaConvergence:
     def test_jump_branch_returns_ones(self):
         dist = make_dist([0.0], [1.05], sigma=[1.0])
         stats = make_stats(1, psi_bar=[0.2], v_bar=10.0, omega=[0.1])
-        theta_new, sol, _ = solve_theta_block(dist, stats, 0.05, 0.0)
+        theta_new, sol, _ = ScaleBlock(dist, stats, 0.0).solve(0.05)
         assert sol.active_case == BOTH_INACTIVE
         assert np.array_equal(theta_new, np.ones(1))
 
@@ -233,7 +233,7 @@ class TestThetaConvergence:
         target = TargetSpec(mu_tilde=np.array([0.5]), sigma_tilde_diag=np.array([1.0]))
         dist = ContextDistribution.at_target(target)
         stats = make_stats(1, psi_bar=[0.3], v_bar=10.0, omega=[0.0])
-        theta_new, _, _ = solve_theta_block(dist, stats, 0.01, 0.0)
+        theta_new, _, _ = ScaleBlock(dist, stats, 0.0).solve(0.01)
         assert np.array_equal(theta_new, dist.theta)
 
     def test_zero_omega_below_the_bound_moves_to_the_face(self):
@@ -241,11 +241,12 @@ class TestThetaConvergence:
         # ball, but the face point is a KKT point with zero multipliers
         dist = make_dist([0.0, 0.0], [3.0, 4.0])
         stats = make_stats(2, psi_bar=[0.5, -0.2], v_bar=-0.05, omega=[0.0, 0.0])
-        theta_new, sol, backtracked = solve_theta_block(dist, stats, 0.01, 0.0)
+        block = ScaleBlock(dist, stats, 0.0)
+        theta_new, sol, backtracked = block.solve(0.01)
         assert sol.active_case == PERF_ACTIVE
         assert sol.lambda_perf == 0.0 and sol.lambda_ball == 0.0
         assert not backtracked
-        residuals = theta_kkt_residuals(dist, stats, 0.01, 0.0, theta_new, sol)
+        residuals = dict(block.residuals(theta_new, sol, 0.01))
         assert all(r <= KKT_TOL for r in residuals.values()), residuals
         assert -0.05 + float(np.dot(stats.psi_bar, theta_new - dist.theta)) == pytest.approx(0.0, abs=1e-15)
 
@@ -253,7 +254,7 @@ class TestThetaConvergence:
         dist = make_dist([0.0], [1.0])
         stats = make_stats(1, psi_bar=[1e-4], v_bar=-50.0, omega=[0.3])
         with pytest.raises(InfeasiblePerformanceConstraint):
-            solve_theta_block(dist, stats, 0.01, 0.0)
+            ScaleBlock(dist, stats, 0.0).solve(0.01)
 
     def test_kkt_certificate_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -269,10 +270,11 @@ class TestThetaConvergence:
             if v_bar + reach < 0:
                 v_bar = -0.9 * reach
             stats = make_stats(d, psi_bar=psi_bar, v_bar=v_bar, omega=omega)
-            theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0)
+            block = ScaleBlock(dist, stats, 0.0)
+            theta_new, sol, backtracked = block.solve(eps)
             if backtracked:
                 continue
-            res = theta_kkt_residuals(dist, stats, eps, 0.0, theta_new, sol)
+            res = dict(block.residuals(theta_new, sol, eps))
             assert max(res.values()) <= 1e-8, (sol.active_case, res)
 
     def test_near_colinear_gradients_keep_both_active_on_the_ball(self):
@@ -294,9 +296,10 @@ class TestThetaConvergence:
             omega=[-0.275522006315253, -0.22400420516805036],
         )
         eps = 0.043265779443782515
-        theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 5.0)
+        block = ScaleBlock(dist, stats, 5.0)
+        theta_new, sol, backtracked = block.solve(eps)
         assert sol.active_case == BOTH_ACTIVE and not backtracked
-        res = theta_kkt_residuals(dist, stats, eps, 5.0, theta_new, sol)
+        res = dict(block.residuals(theta_new, sol, eps))
         assert max(res.values()) <= 1e-10, res
 
     def test_near_colinear_both_active_is_certified(self):
@@ -318,9 +321,10 @@ class TestThetaConvergence:
             omega=[2.497359162512075, -11.884274948553093],
         )
         eps = 0.0019335267435009384
-        theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0)
+        block = ScaleBlock(dist, stats, 0.0)
+        theta_new, sol, backtracked = block.solve(eps)
         assert sol.active_case == BOTH_ACTIVE and not backtracked
-        res = theta_kkt_residuals(dist, stats, eps, 0.0, theta_new, sol)
+        res = dict(block.residuals(theta_new, sol, eps))
         assert max(res.values()) <= KKT_TOL, res
 
 
@@ -365,21 +369,23 @@ class TestCertifiedByConstruction:
         b_mu, b_theta = sign * gap * reach_mu, sign * gap * reach_theta
         stats = make_stats(d, u_bar=u_bar, v_bar=b_mu, psi_bar=psi_bar, omega=omega)
         try:
-            mu_new, sol = solve_mu_block(dist, dist.target, stats, eps, 0.0)
+            block = MeanBlock(dist, stats, 0.0)
+            mu_new, sol = block.solve(eps)
         except InfeasiblePerformanceConstraint:
             assert b_mu + reach_mu <= 1e-12 * reach_mu
         else:
-            res = mu_kkt_residuals(dist, dist.target, stats, eps, 0.0, mu_new, sol)
+            res = dict(block.residuals(mu_new, sol, eps))
             assert max(res.values()) <= KKT_TOL, (sol.active_case, res)
 
         stats = make_stats(d, u_bar=u_bar, v_bar=b_theta, psi_bar=psi_bar, omega=omega)
         try:
-            theta_new, sol, backtracked = solve_theta_block(dist, stats, eps, 0.0)
+            block = ScaleBlock(dist, stats, 0.0)
+            theta_new, sol, backtracked = block.solve(eps)
         except InfeasiblePerformanceConstraint:
             assert b_theta + reach_theta <= 1e-12 * reach_theta
         else:
             if not backtracked:
-                res = theta_kkt_residuals(dist, stats, eps, 0.0, theta_new, sol)
+                res = dict(block.residuals(theta_new, sol, eps))
                 assert max(res.values()) <= KKT_TOL, (sol.active_case, res)
 
 
@@ -391,14 +397,14 @@ class TestConvergenceBudget:
 
     def budgets(self, monkeypatch, dist, stats):
         seen = []
-        for block in (update_module._MeanBlock, update_module._ScaleBlock):
+        for block in (MeanBlock, ScaleBlock):
 
             def spy(self, eps, real=block.solve):
                 seen.append(eps)
                 return real(self, eps)
 
             monkeypatch.setattr(block, "solve", spy)
-        convergence_step(dist, dist.target, stats, self.EPS, 0.0)
+        convergence_step(dist, stats, self.EPS, 0.0)
         return seen
 
     def test_both_blocks_degenerate_split_evenly(self, monkeypatch):
@@ -441,13 +447,13 @@ class TestFullUpdate:
     def test_dispatch_to_performance(self):
         dist, batch = self.make_setting([1.0] * 8)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=8)
-        _, report = update(dist, batch, dist.target, config)
+        _, report = update(batch, config)
         assert report.kind == "performance"
 
     def test_near_target_composes_to_target(self):
         dist, batch = self.make_setting([50.0] * 8, mu=(0.99, -0.49), theta=(0.98, 1.01))
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=8)
-        new_dist, report = update(dist, batch, dist.target, config)
+        new_dist, report = update(batch, config)
         assert report.kind == "convergence"
         assert np.array_equal(new_dist.mu, dist.target.mu_tilde)
         assert np.array_equal(new_dist.theta, np.ones(2))
@@ -458,7 +464,7 @@ class TestFullUpdate:
         dist = make_dist([0.0], [1.0])
         batch = RolloutBatch([[0.5], [-0.5]], [0.0, 0.0], dist)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=2)
-        new_dist, report = update(dist, batch, dist.target, config)
+        new_dist, report = update(batch, config)
         assert report.degenerate
         assert new_dist is dist
 
@@ -477,7 +483,7 @@ class TestFullUpdate:
             batch = RolloutBatch(contexts, values, dist)
             eps = float(rng.uniform(0.2, 1.0))
             config = CurriculumConfig(epsilon=eps, v_lower=100.0, k_contexts=16)
-            new_dist, report = update(dist, batch, target, config)
+            new_dist, report = update(batch, config)
             assert report.kind == "performance"
             assert new_dist.theta[0] >= THETA_MIN
             clipped += int(new_dist.theta[0] == THETA_MIN)
@@ -508,7 +514,7 @@ class TestFullUpdate:
                 0, 0.3, 16
             )
             batch = RolloutBatch(contexts, values, dist)
-            new_dist, report = update(dist, batch, dist.target, config)
+            new_dist, report = update(batch, config)
             assert report.kl_step <= eps + 1e-12
             assert report.kl_step_mean_part <= eps + 1e-10
             assert kl_between(new_dist, dist) == pytest.approx(report.kl_step, abs=1e-12)
@@ -517,7 +523,7 @@ class TestFullUpdate:
     def test_report_kl_bookkeeping(self):
         dist, batch = self.make_setting([10.0] * 8)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=8)
-        new_dist, report = update(dist, batch, dist.target, config)
+        new_dist, report = update(batch, config)
         assert report.kl_to_target_before == pytest.approx(kl_to_target(dist))
         assert report.kl_to_target_after == pytest.approx(kl_to_target(new_dist))
         assert report.kl_step == pytest.approx(kl_between(new_dist, dist))
@@ -534,7 +540,7 @@ class TestFullUpdate:
             contexts = rng.normal(dist.mu, np.sqrt(dist.covariance_diag()), size=(16, 2))
             values = 10.0 * np.exp(-np.sum((contexts - target.mu_tilde) ** 2, axis=1) / (2 * 50.0**2))
             batch = RolloutBatch(contexts, values, dist)
-            dist, report = update(dist, batch, target, config)
+            dist, report = update(batch, config)
             assert report.kind == "convergence"
             kl_trace.append(kl_to_target(dist))
         diffs = np.diff(kl_trace)
@@ -592,7 +598,7 @@ class TestJointKlBacktrack:
         for _ in range(600):
             dist, batch, config = self.random_update(rng)
             solves = len(evals)
-            new_dist, report = update(dist, batch, dist.target, config)
+            new_dist, report = update(batch, config)
             eps = config.epsilon
             assert report.kl_step <= eps + 1e-12
             if not report.trust_region_backtracked:
@@ -666,7 +672,7 @@ class TestUpdateAtExtremeInputs:
     def test_contracts_hold(self, seed, d, k, return_exp, flat, eps_exp, gap):
         dist, batch, config = self.instance(seed, d, k, return_exp, flat, eps_exp, gap)
         try:
-            new_dist, report = update(dist, batch, dist.target, config)
+            new_dist, report = update(batch, config)
         except CurriculumError:
             return
         assert report.kl_step <= config.epsilon + 1e-12
@@ -690,7 +696,7 @@ class TestUpdateAtExtremeInputs:
 
         def take(scale):
             batch = RolloutBatch(contexts, scale * values, dist)
-            return step(dist, batch, dist.target, CurriculumConfig(0.05, scale * v_lower, 16))
+            return step(batch, CurriculumConfig(0.05, scale * v_lower, 16))
 
         (new, report), (unit, unit_report) = take(return_scale), take(1.0)
         assert report.kind == kind and not report.degenerate
