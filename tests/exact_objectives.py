@@ -2,32 +2,37 @@
 ``exact`` part of ``tests/digest.py``.
 
 Prints one CSV line per instance,
-``index,mode,d,eps,objective,converged,kl_step``, with ``eps``, the
+``index,mode,d,eps,objective,converged,kl_step,cpu_s``, with ``eps``, the
 objective and the step KL as ``float.hex``, so two trees can be compared
-instance by instance rather than by one hash:
+instance by instance rather than by one hash; ``cpu_s`` is the solve's
+``time.process_time``:
 
     PYTHONPATH=<tree>/src python tests/exact_objectives.py > <tree>.csv
 
-Takes about a minute on one core of a 2-core virtual machine.  Two such
+Takes about 20 s on one core of a 2-core virtual machine.  Two such
 files are compared with
 
     python tests/exact_objectives.py --compare PARENT.csv CHANGE.csv
 
 which prints the whole distribution of the change: how many instances are
 identical and how many infeasible on both trees, how many got worse or
-better by more than each relative threshold, the worst instances, and every
-change in feasibility (an infinite objective) or in ``converged``.  Both
-modes minimise, so a larger objective is worse; the relative change is
-``(change - parent) / |parent|``.  For each file it also prints the largest
-``kl_step - eps`` and every instance whose step KL exceeds ``eps + 1e-9``;
-a file without the ``kl_step`` column compares on the objective alone.
+better by more than each relative threshold, every instance worse by more
+than 1e-8 (at least the worst five), and every change in feasibility (an
+infinite objective) or in ``converged``.  Both modes minimise, so a larger
+objective is worse; the relative change is ``(change - parent) / |parent|``.
+For each file it also prints the largest ``kl_step - eps`` and every
+instance whose step KL exceeds ``eps + 1e-9``, and, when both files have the
+``cpu_s`` column, each file's total CPU time and their ratio.  A file
+without the ``kl_step`` or ``cpu_s`` column compares without it.
 """
 
 import math
 import sys
+import time
 
 THRESHOLDS = (1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3)
 WORST_SHOWN = 5
+WORSE_LISTED = 1e-8
 KL_SLACK = 1e-9
 
 
@@ -35,32 +40,36 @@ def main():
     from digest import EXACT_INSTANCES, exact_instance
     from spgl.oracle import solve_exact_sampled
 
-    print("index,mode,d,eps,objective,converged,kl_step")
+    print("index,mode,d,eps,objective,converged,kl_step,cpu_s")
     for i in range(EXACT_INSTANCES):
         batch, config, mode = exact_instance(i)
+        start = time.process_time()
         r = solve_exact_sampled(batch, config, mode, seed=i)
+        cpu_s = time.process_time() - start
         print(
             f"{i},{mode},{batch.source_distribution.d},{config.epsilon.hex()},"
-            f"{r.objective.hex()},{r.converged},{r.kl_step.hex()}"
+            f"{r.objective.hex()},{r.converged},{r.kl_step.hex()},{cpu_s:.6f}"
         )
         sys.stdout.flush()
 
 
 def read(path):
-    """``{index: (mode, d, eps, objective, converged, kl_step)}`` of one
-    output file, with ``kl_step`` None in a file without that column."""
+    """``{index: (mode, d, eps, objective, converged, kl_step, cpu_s)}`` of
+    one output file, with ``kl_step`` or ``cpu_s`` None in a file without
+    that column."""
     rows = {}
     with open(path) as lines:
-        next(lines)
+        names = next(lines).strip().split(",")
         for line in lines:
-            index, mode, d, eps, objective, converged, *kl_step = line.strip().split(",")
-            rows[int(index)] = (
-                mode,
-                int(d),
-                float.fromhex(eps),
-                float.fromhex(objective),
-                converged == "True",
-                float.fromhex(kl_step[0]) if kl_step else None,
+            row = dict(zip(names, line.strip().split(",")))
+            rows[int(row["index"])] = (
+                row["mode"],
+                int(row["d"]),
+                float.fromhex(row["eps"]),
+                float.fromhex(row["objective"]),
+                row["converged"] == "True",
+                float.fromhex(row["kl_step"]) if "kl_step" in row else None,
+                float(row["cpu_s"]) if "cpu_s" in row else None,
             )
     return rows
 
@@ -84,7 +93,7 @@ def compare(parent_path, change_path):
     identical = infeasible = 0
     flips, converged_flips, changes = [], [], []
     for i in sorted(parent):
-        mode, d, eps, f_parent, conv_parent, _ = parent[i]
+        mode, d, eps, f_parent, conv_parent, *_ = parent[i]
         f_change, conv_change = change[i][3], change[i][4]
         if conv_parent != conv_change:
             converged_flips.append(f"{i} ({conv_parent} -> {conv_change})")
@@ -114,8 +123,9 @@ def compare(parent_path, change_path):
         better = sum(rel < -t for rel, *_ in changes)
         print(f"  {t:>9.0e}  {worse:>5}  {better:>6}")
     ranked = sorted(changes, reverse=True)
-    print(f"worst {WORST_SHOWN} (index, mode, d, eps, parent, change, relative):")
-    for rel, i, mode, d, eps, f_parent, f_change in ranked[:WORST_SHOWN]:
+    shown = max(WORST_SHOWN, sum(rel > WORSE_LISTED for rel, *_ in changes))
+    print(f"worst {shown} (index, mode, d, eps, parent, change, relative):")
+    for rel, i, mode, d, eps, f_parent, f_change in ranked[:shown]:
         print(f"  {i} {mode} {d} {eps:.3g} {f_parent!r} {f_change!r} {rel:+.3g}")
     if ranked:
         rel, i = ranked[-1][:2]
@@ -124,6 +134,12 @@ def compare(parent_path, change_path):
     print(f"converged changed: {len(converged_flips)} {' '.join(converged_flips)}".rstrip())
     print_kl_steps("parent", parent)
     print_kl_steps("change", change)
+    if all(row[6] is not None for rows in (parent, change) for row in rows.values()):
+        cpu_parent, cpu_change = (sum(row[6] for row in rows.values()) for rows in (parent, change))
+        print(
+            f"cpu_s total: parent {cpu_parent:.2f}, change {cpu_change:.2f}, "
+            f"ratio {cpu_change / cpu_parent:.3f}"
+        )
 
 
 if __name__ == "__main__":
