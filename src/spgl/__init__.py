@@ -14,7 +14,7 @@ from .gaussian import (
     kl_to_target,
     sample,
 )
-from .learner import Episodes, LearnerConfig, PolicyParameters, collect_rollouts, improve
+from .learner import Episodes, PolicyParameters, collect_rollouts, improve
 from .oracle import LinearizedSubproblem, solve_exact_sampled, solve_numeric
 from .stats import CurriculumStats, RolloutBatch, compute_stats
 from .update import (

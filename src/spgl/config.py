@@ -3,9 +3,9 @@
 Sections: ``[experiment]`` (environment, curriculum mode, iteration budget),
 ``[environment]`` (for the point mass ``context_visible``, for the synthetic
 environment the value bump's ``width``), ``[target]`` and ``[initial]`` (context
-distribution parameters), ``[curriculum]``, ``[learner]`` and
-``[evaluation]``.  A section or a key that is not read is an error, so a
-misspelt name cannot silently leave a default in place.
+distribution parameters), ``[curriculum]`` and ``[evaluation]``.  A section or
+a key that is not read is an error, so a misspelt name cannot silently leave a
+default in place; a retired key (:data:`RETIRED`) loads at its one value only.
 
 Shipped presets live in ``spgl/presets``: the two point-mass setups and the
 synthetic convergence run.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .envs import PointMassEnv, SyntheticEnv
 from .gaussian import ContextDistribution, TargetSpec
-from .learner import LearnerConfig
+from .learner import GAMMA, LEARNING_RATE
 from .update import CurriculumConfig
 
 __all__ = [
@@ -41,15 +41,21 @@ ENVIRONMENT_KEYS = {
     "synthetic": ("width",),
 }
 # The keys each other section reads; any other section or key is an error.
-# The retired [experiment] flag `runnable` is still accepted and ignored, and
-# the retired [curriculum] key `update_period` is accepted as 1 only.
 SECTION_KEYS = {
-    "experiment": ("name", "environment", "curriculum", "iterations", "seed", "runnable"),
+    "experiment": ("name", "environment", "curriculum", "iterations", "seed"),
     "target": ("mu", "sigma"),
     "initial": ("mu", "theta"),
-    "curriculum": ("epsilon", "v_lower", "k_contexts", "update_period"),
-    "learner": ("gamma", "learning_rate"),
+    "curriculum": ("epsilon", "v_lower", "k_contexts"),
     "evaluation": ("episodes",),
+}
+# Keys that older files still set, each loadable only at the one value every
+# file used and parsed by that value's type: the curriculum updates every
+# iteration, and the learner's discount and step size are constants.
+RETIRED = {
+    ("experiment", "runnable"): True,
+    ("curriculum", "update_period"): 1,
+    ("learner", "gamma"): GAMMA,
+    ("learner", "learning_rate"): LEARNING_RATE,
 }
 
 
@@ -74,7 +80,6 @@ class ExperimentConfig:
     initial_mu: np.ndarray
     initial_theta: np.ndarray
     curriculum: CurriculumConfig
-    learner: LearnerConfig
     eval_episodes: int
     context_visible: bool
     width: float
@@ -147,17 +152,16 @@ def load_config(path) -> ExperimentConfig:
 
     known = {**SECTION_KEYS, "environment": ENVIRONMENT_KEYS[environment]}
     for section in parser.sections():
-        if section not in known:
+        keys = known.get(section, ()) + tuple(k for s, k in RETIRED if s == section)
+        if not keys:
             raise ConfigError(f"unknown section [{section}] in {path}")
         for key in parser.options(section):
-            if key not in known[section]:
+            if key not in keys:
                 where = f" for {environment}" if section == "environment" else ""
                 raise ConfigError(f"unknown [{section}] key '{key}'{where}")
-    if _get(parser, "curriculum", "update_period", int, default=1) != 1:
-        raise ConfigError(
-            "[curriculum] update_period is retired: the curriculum updates every "
-            "iteration, so the key may only be 1"
-        )
+    for (section, key), value in RETIRED.items():
+        if parser.has_option(section, key) and _get(parser, section, key, type(value)) != value:
+            raise ConfigError(f"[{section}] {key} is retired: it may only be {str(value).lower()}")
 
     target = _build(
         "target",
@@ -177,12 +181,6 @@ def load_config(path) -> ExperimentConfig:
         v_lower=_get(parser, "curriculum", "v_lower", float, required=True),
         k_contexts=_get(parser, "curriculum", "k_contexts", int, default=64),
     )
-    learner = _build(
-        "learner",
-        LearnerConfig,
-        gamma=_get(parser, "learner", "gamma", float, default=0.99),
-        learning_rate=_get(parser, "learner", "learning_rate", float, default=0.05),
-    )
 
     config = ExperimentConfig(
         name=_get(parser, "experiment", "name", str, default=path.stem),
@@ -194,7 +192,6 @@ def load_config(path) -> ExperimentConfig:
         initial_mu=initial_mu,
         initial_theta=initial_theta,
         curriculum=curriculum,
-        learner=learner,
         eval_episodes=_get(parser, "evaluation", "episodes", int, default=50)
         if parser.has_section("evaluation")
         else 50,

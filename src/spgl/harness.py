@@ -19,9 +19,9 @@ import numpy as np
 
 from .config import CURRICULUM_MODES, ConfigError, ExperimentConfig
 from .gaussian import ContextDistribution, kl_to_target, sample
-from .learner import LearnerConfig, PolicyParameters, collect_rollouts, improve, init_policy
+from .learner import PolicyParameters, collect_rollouts, improve, init_policy
 from .oracle import numerical_update
-from .stats import RolloutBatch
+from .stats import RolloutBatch, unit_scale
 from .update import CurriculumError, update
 from .verification import VerifyReport, run_fd_suite, run_oracle_suite, run_timing_suite
 
@@ -194,16 +194,11 @@ def _lockstep_iteration(states, env, i: int, config: ExperimentConfig, progress)
         [sample(run.dist, run.context_rng, config.curriculum.k_contexts) for run in states]
     )
     all_episodes = collect_rollouts(
-        [run.policy for run in states],
-        env,
-        contexts,
-        config.learner,
-        [run.seed for run in states],
-        i,
+        [run.policy for run in states], env, contexts, [run.seed for run in states], i
     )
     for run, episodes in zip(states, all_episodes):
         batch = RolloutBatch(episodes.contexts, episodes.values, run.dist)
-        run.policy = improve(run.policy, episodes, config.learner)
+        run.policy = improve(run.policy, episodes)
         step_kind, active_case, kl_step, kl = _curriculum_step(run, batch, i, config)
         record = IterationRecord(
             iteration=i,
@@ -256,14 +251,7 @@ def run_training(
     return train_runs(config, [(mode, seed)], progress)[0]
 
 
-def evaluate(
-    policies,
-    target,
-    env,
-    n_episodes: int,
-    rngs,
-    learner_config: LearnerConfig,
-) -> list[EvalResult]:
+def evaluate(policies, target, env, n_episodes: int, rngs) -> list[EvalResult]:
     """Mean return and success rate (percent) of each policy over episodes
     with contexts drawn from the target distribution, with standard errors.
 
@@ -275,36 +263,28 @@ def evaluate(
         raise ValueError("n_episodes must be >= 1")
     target_dist = ContextDistribution.at_target(target)
     contexts = np.stack([sample(target_dist, rng, n_episodes) for rng in rngs])
-    all_episodes = collect_rollouts(
-        policies, env, contexts, learner_config, [0] * len(rngs), 0, deterministic=True
-    )
+    all_episodes = collect_rollouts(policies, env, contexts, [0] * len(rngs), 0, deterministic=True)
     if n_episodes == 1:
         warnings.warn("single-episode evaluation; standard errors are zero", RuntimeWarning)
     return [_eval_result(episodes) for episodes in all_episodes]
 
 
-def _unit_scale(values) -> float:
-    """The power of two that brings the largest magnitude of ``values`` into
-    [0.5, 1); scaling by it is exact."""
-    return math.ldexp(1.0, -math.frexp(float(np.maximum.reduce(np.abs(values))))[1])
-
-
 def _mean(values) -> float:
     """Mean of finite values: the plain sum over the count, or, when that
-    sum overflows, the same of the values times :func:`_unit_scale`, scaled
-    back."""
+    sum overflows, the same of the values times the
+    :func:`~spgl.stats.unit_scale` of their peak, scaled back."""
     with np.errstate(over="ignore"):
         total = np.add.reduce(values)
     if math.isfinite(total):
         return float(total / len(values))
-    scale = _unit_scale(values)
+    scale = unit_scale(np.maximum.reduce(np.abs(values)))
     return float(np.add.reduce(values * scale) / len(values) / scale)
 
 
 def _mean_se(values) -> tuple[float, float]:
     """Mean and standard error of the mean; the error is 0 for one value.
-    When either overflows, both are those of the values times
-    :func:`_unit_scale`, scaled back."""
+    When either overflows, both are those of the values times the
+    :func:`~spgl.stats.unit_scale` of their peak, scaled back."""
     values = np.asarray(values)
     n = len(values)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -312,7 +292,7 @@ def _mean_se(values) -> tuple[float, float]:
         se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     if math.isfinite(mean) and math.isfinite(se):
         return mean, se
-    scale = _unit_scale(values)
+    scale = unit_scale(np.maximum.reduce(np.abs(values)))
     mean, se = _mean_se(values * scale)
     return mean / scale, se / scale
 
@@ -331,7 +311,7 @@ def evaluate_run(config: ExperimentConfig, policies, seeds) -> list[EvalResult]:
         _check_seed(seed)
     env = config.make_environment()
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 10_000])) for seed in seeds]
-    return evaluate(policies, config.target, env, config.eval_episodes, rngs, config.learner)
+    return evaluate(policies, config.target, env, config.eval_episodes, rngs)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 A linear-Gaussian policy over polynomial features of the observation stands
 in for a deep RL learner at desk scale: enough capacity for the point-mass
 task, no extra dependencies, and fully deterministic given seeds.  One
-likelihood-ratio gradient step with a mean-return baseline is applied per
-batch; value estimates are plain discounted Monte Carlo returns.
+likelihood-ratio gradient step of size :data:`LEARNING_RATE` with a
+mean-return baseline is applied per batch; value estimates are plain Monte
+Carlo returns discounted by :data:`GAMMA`.  Both are constants: every
+experiment uses the same values, so neither is a setting.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Episodes",
-    "LearnerConfig",
     "PolicyParameters",
     "collect_rollouts",
     "feature_dim",
@@ -32,20 +33,9 @@ NOISE_MIN = 1e-3
 # Exploration noise of a fresh policy, per action dimension; improve holds it fixed.
 INITIAL_NOISE = 0.8
 GRAD_CLIP = 10.0
-
-
-@dataclass(frozen=True)
-class LearnerConfig:
-    """Learner hyper-parameters."""
-
-    gamma: float = 0.99
-    learning_rate: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be positive and finite")
+# Discount of the Monte Carlo returns and the policy-gradient step size.
+GAMMA = 0.99
+LEARNING_RATE = 0.05
 
 
 @dataclass(frozen=True)
@@ -159,7 +149,6 @@ def collect_rollouts(
     policies,
     env,
     contexts: np.ndarray,
-    config: LearnerConfig,
     master_seeds,
     iteration: int,
     deterministic: bool = False,
@@ -243,7 +232,7 @@ def collect_rollouts(
         n_alive = np.count_nonzero(alive)
         if not n_alive:
             break
-        discount *= config.gamma
+        discount *= GAMMA
 
     steps = lengths.max(initial=0)
     if np.any(lengths < steps):
@@ -267,7 +256,7 @@ def collect_rollouts(
     ]
 
 
-def improve(policy: PolicyParameters, episodes: Episodes, config: LearnerConfig) -> PolicyParameters:
+def improve(policy: PolicyParameters, episodes: Episodes) -> PolicyParameters:
     """One likelihood-ratio policy-gradient step with a mean-return baseline.
 
     Exploration noise is held fixed; only the mean weights move.  The
@@ -294,7 +283,7 @@ def improve(policy: PolicyParameters, episodes: Episodes, config: LearnerConfig)
     norm = float(np.linalg.norm(grad))
     if norm > GRAD_CLIP:
         grad *= GRAD_CLIP / norm
-    return replace(policy, weights=policy.weights + config.learning_rate * grad)
+    return replace(policy, weights=policy.weights + LEARNING_RATE * grad)
 
 
 def save_policy(policy: PolicyParameters, path) -> None:

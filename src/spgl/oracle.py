@@ -635,7 +635,6 @@ def numerical_update(
     batch, config, _ = returns_in_range(batch, config)
     stats = compute_stats(batch)
     mode = "performance" if should_run_performance_step(stats, config) else "convergence"
-    kl_before = kl_to_target(dist)
     result = solve_exact_sampled(
         batch, config, mode, seed=seed, restarts=restarts, iterations=iterations
     )
@@ -648,7 +647,6 @@ def numerical_update(
         theta_solution=None,
         kl_step=kl_between(new_dist, dist),
         kl_step_mean_part=float(kl_params(new_dist.mu, dist.theta, dist.mu, dist.theta, sigma)),
-        kl_to_target_before=kl_before,
         kl_to_target_after=kl_to_target(new_dist),
         theta_backtracked=False,
         trust_region_backtracked=not result.converged,

@@ -16,6 +16,7 @@ finite-difference test against the corresponding objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "CurriculumStats",
     "RolloutBatch",
     "compute_stats",
+    "unit_scale",
 ]
 
 
@@ -101,3 +103,9 @@ def compute_stats(batch: RolloutBatch) -> CurriculumStats:
     omega = 0.5 * (1.0 / theta - 1.0 / theta**2 - gap**2 / (theta**2 * sigma))
     v_bar = float(np.add.reduce(values) / k)
     return CurriculumStats(u_bar=u_bar, v_bar=v_bar, psi_bar=psi_bar, omega=omega)
+
+
+def unit_scale(peak: float) -> float:
+    """The power of two that brings a positive finite ``peak`` into [0.5, 1);
+    scaling by it is exact."""
+    return math.ldexp(1.0, -math.frexp(peak)[1])

@@ -38,7 +38,7 @@ from .gaussian import (
     kl_to_target,
     kl_to_target_params,
 )
-from .stats import CurriculumStats, RolloutBatch, compute_stats
+from .stats import CurriculumStats, RolloutBatch, compute_stats, unit_scale
 
 __all__ = [
     "CurriculumConfig",
@@ -141,7 +141,6 @@ class UpdateReport:
     theta_solution: MultiplierSolution | None
     kl_step: float
     kl_step_mean_part: float
-    kl_to_target_before: float
     kl_to_target_after: float
     theta_backtracked: bool
     trust_region_backtracked: bool
@@ -168,7 +167,7 @@ def returns_in_range(batch: RolloutBatch, config: CurriculumConfig):
     scale = 1.0
     peak = float(np.maximum.reduce(np.abs(batch.values)))
     if peak > RETURN_LIMIT:
-        scale = math.ldexp(1.0, -math.frexp(peak)[1])
+        scale = unit_scale(peak)
         batch = RolloutBatch(batch.contexts, batch.values * scale, batch.source_distribution)
         config = replace(config, v_lower=config.v_lower * scale)
     return batch, config, scale
@@ -667,7 +666,6 @@ def update(
     dist = batch.source_distribution
     batch, config, scale = returns_in_range(batch, config)
     stats = compute_stats(batch)
-    kl_before = kl_to_target(dist)
     mu_sol = theta_sol = None
     if should_run_performance_step(stats, config):
         kind = "performance"
@@ -695,8 +693,7 @@ def update(
         theta_solution=theta_sol,
         kl_step=kl_step,
         kl_step_mean_part=kl_mean_part,
-        kl_to_target_before=kl_before,
-        kl_to_target_after=kl_to_target(new_dist) if moved else kl_before,
+        kl_to_target_after=kl_to_target(new_dist),
         theta_backtracked=theta_backtracked,
         trust_region_backtracked=tr_backtracked,
     )

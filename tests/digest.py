@@ -70,7 +70,7 @@ from spgl.config import load_config, preset_path
 from spgl.envs import PointMassEnv, SyntheticEnv
 from spgl.gaussian import THETA_MIN, ContextDistribution, TargetSpec
 from spgl.harness import train_runs, verify
-from spgl.learner import LearnerConfig, PolicyParameters, collect_rollouts, feature_dim
+from spgl.learner import PolicyParameters, collect_rollouts, feature_dim
 from spgl.oracle import solve_exact_sampled
 from spgl.stats import RolloutBatch
 from spgl.update import CurriculumConfig, MultiplierSolution, update
@@ -195,11 +195,10 @@ def rollout_runs():
 
 def digest_rollouts(h):
     n, groups = 0, {}
-    config = LearnerConfig()
     for i, (label, env, runs, k, deterministic) in enumerate(rollout_runs()):
         group = groups.setdefault(label, hashlib.sha256())
         policies, contexts, seeds = rollout_inputs(env, runs, k, i)
-        episodes = collect_rollouts(policies, env, contexts, config, seeds, i + 1, deterministic)
+        episodes = collect_rollouts(policies, env, contexts, seeds, i + 1, deterministic)
         for e in episodes:
             _floats(_Tee(h, group), e.contexts, e.values, e.successes, e.lengths, e.features, e.actions)
             n += 1

@@ -75,12 +75,7 @@ def noisy_success(config, policies, seeds):
         ]
     )
     episodes = collect_rollouts(
-        policies,
-        config.make_environment(),
-        contexts,
-        config.learner,
-        list(seeds),
-        config.iterations + 1,
+        policies, config.make_environment(), contexts, list(seeds), config.iterations + 1
     )
     return [100.0 * float(np.mean(e.successes)) for e in episodes]
 

@@ -101,7 +101,6 @@ def test_benchmark_config_is_the_selfpaced_variant():
     variant = selfpaced_variant()
     assert (bench.environment, bench.curriculum_mode) == ("synthetic", "spgl")
     assert bench.curriculum == variant.curriculum
-    assert bench.learner == variant.learner
     assert bench.width == variant.width
     for field in ("mu_tilde", "sigma_tilde_diag"):
         assert np.array_equal(getattr(bench.target, field), getattr(variant.target, field))

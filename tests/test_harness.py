@@ -3,6 +3,7 @@
 lock-step runs equal to the same runs alone), evaluation statistics,
 verification wiring and the CLI surface."""
 
+import configparser
 import dataclasses
 import math
 import os
@@ -18,7 +19,7 @@ import spgl.cli
 import spgl.harness
 import spgl.verification
 from spgl.cli import EXIT_CONFIG, EXIT_WARNINGS, main
-from spgl.config import ConfigError, available_presets, load_config, preset_path
+from spgl.config import RETIRED, ConfigError, available_presets, load_config, preset_path
 from spgl.harness import (
     evaluate,
     evaluate_run,
@@ -31,7 +32,7 @@ from spgl.harness import (
 )
 from spgl.envs import PointMassEnv, SyntheticEnv
 from spgl.gaussian import TargetSpec
-from spgl.learner import LearnerConfig, init_policy
+from spgl.learner import init_policy
 from spgl.update import CurriculumError, update
 from spgl.verification import run_fd_suite, run_timing_suite
 
@@ -82,6 +83,12 @@ class TestConfig:
         assert "synthetic_convergence.ini" in names
         for name in ("point_mass_setup1", "point_mass_setup2", "synthetic_convergence"):
             load_config(preset_path(name))
+
+    def test_presets_set_no_retired_key(self):
+        for name in available_presets():
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            parser.read(preset_path(name), encoding="utf-8")
+            assert not [key for key in RETIRED if parser.has_option(*key)], name
 
     def test_setup1_preset_parameters(self):
         config = load_config(preset_path("point_mass_setup1"))
@@ -139,21 +146,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown \[experiment\] key 'iteration'"):
             load_config(path)
 
-    def test_retired_runnable_flag_is_ignored(self, tmp_path):
-        path = tmp_path / "old.ini"
-        text = SYNTH_CONFIG.format(iterations=5)
-        path.write_text(text.replace("seed = 3", "seed = 3\nrunnable = true"))
-        assert load_config(path).iterations == 5
+    # one value of each retired key other than the one it loads at
+    RETIRED_OTHER = {"runnable": "false", "update_period": "3", "gamma": "0.9", "learning_rate": "0.5"}
 
-    def test_retired_update_period_must_be_one(self, tmp_path):
-        # the curriculum updates every iteration; a period of 1 still loads,
-        # since older files (the benchmark's among them) set it
+    @pytest.mark.parametrize("section, key", sorted(RETIRED))
+    def test_retired_keys_load_at_their_value_only(self, tmp_path, section, key):
+        # older files, the benchmark's among them, still set these keys
         path = tmp_path / "old.ini"
         text = SYNTH_CONFIG.format(iterations=5)
-        path.write_text(text.replace("k_contexts = 8", "k_contexts = 8\nupdate_period = 1"))
+        if f"[{section}]" not in text:
+            text += f"\n[{section}]\n"
+
+        def write(raw):
+            path.write_text(text.replace(f"[{section}]", f"[{section}]\n{key} = {raw}"))
+
+        write(str(RETIRED[section, key]).lower())
         assert load_config(path).iterations == 5
-        path.write_text(text.replace("k_contexts = 8", "k_contexts = 8\nupdate_period = 3"))
-        with pytest.raises(ConfigError, match=r"\[curriculum\] update_period is retired"):
+        write(self.RETIRED_OTHER[key])
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} is retired"):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -190,7 +200,7 @@ class TestConfig:
             ),
             ("theta = 0.5, 0.25", "theta = 0.5, 1e-7", r"theta entries must be >= 1e-06"),
             ("sigma = 1.0, 1.0", "sigma = 1.0, -1.0", r"\[target\] sigma_tilde_diag entries"),
-            ("[curriculum]", "[learner]\ngamma = 1.5\n[curriculum]", r"\[learner\] gamma must"),
+            ("[curriculum]", "[learner]\ngamma = 1.5\n[curriculum]", r"\[learner\] gamma is retired"),
             # non-finite or non-positive settings: a traceback from the
             # environment or the first update, or every update failed
             ("width = 50.0", "width = 0", r"\[environment\] width must be positive and finite"),
@@ -201,7 +211,7 @@ class TestConfig:
             (
                 "[curriculum]",
                 "[learner]\nlearning_rate = nan\n[curriculum]",
-                r"\[learner\] learning_rate must be positive and finite",
+                r"\[learner\] learning_rate is retired",
             ),
         ],
     )
@@ -409,22 +419,22 @@ class TestEvaluate:
         policy = init_policy(env.observation_dim, env.action_dim)
         target = TargetSpec(mu_tilde=np.array([0.0, 4.0, 0.0]), sigma_tilde_diag=np.full(3, 1e-4))
         with pytest.warns(RuntimeWarning):
-            (result,) = evaluate([policy], target, env, 1, [np.random.default_rng(0)], LearnerConfig())
+            (result,) = evaluate([policy], target, env, 1, [np.random.default_rng(0)])
         assert result.return_se == 0.0 and result.success_se == 0.0
 
     def test_seeded_repeatability(self):
         env = PointMassEnv()
         policy = init_policy(env.observation_dim, env.action_dim)
         target = TargetSpec(mu_tilde=np.array([0.0, 4.0, 0.0]), sigma_tilde_diag=np.full(3, 1e-4))
-        a = evaluate([policy], target, env, 10, [np.random.default_rng(5)], LearnerConfig())
-        b = evaluate([policy], target, env, 10, [np.random.default_rng(5)], LearnerConfig())
+        a = evaluate([policy], target, env, 10, [np.random.default_rng(5)])
+        b = evaluate([policy], target, env, 10, [np.random.default_rng(5)])
         assert a == b
 
     def test_success_rate_is_percentage(self, synth_config):
         config = synth_config(iterations=5)
         env = config.make_environment()
         policy = init_policy(env.observation_dim, env.action_dim)
-        (result,) = evaluate([policy], config.target, env, 16, [np.random.default_rng(1)], config.learner)
+        (result,) = evaluate([policy], config.target, env, 16, [np.random.default_rng(1)])
         assert result.success_rate == 100.0
         assert result.success_se == 0.0
 

@@ -16,8 +16,9 @@ from spgl.harness import evaluate
 from spgl.learner import (
     GRAD_CLIP,
     NOISE_MIN,
+    GAMMA,
+    LEARNING_RATE,
     Episodes,
-    LearnerConfig,
     PolicyParameters,
     collect_rollouts,
     feature_dim,
@@ -31,10 +32,10 @@ from spgl.learner import (
 EASY = np.array([0.0, 4.0, 0.0])
 
 
-def collect_one(policy, env, contexts, config, master_seed, iteration, **kwargs):
+def collect_one(policy, env, contexts, master_seed, iteration, **kwargs):
     """The episodes of one run collected alone."""
     contexts = np.asarray(contexts, dtype=float)[None]
-    return collect_rollouts([policy], env, contexts, config, [master_seed], iteration, **kwargs)[0]
+    return collect_rollouts([policy], env, contexts, [master_seed], iteration, **kwargs)[0]
 
 
 def make_policy(env, scale=0.0, seed=0):
@@ -48,7 +49,7 @@ def make_policy(env, scale=0.0, seed=0):
     return policy
 
 
-def reference_improve(policy, episodes, config):
+def reference_improve(policy, episodes):
     """The policy-gradient step as one term per episode, added in episode
     order to a zero gradient: the definition :func:`improve` must match to
     rounding."""
@@ -70,7 +71,7 @@ def reference_improve(policy, episodes, config):
     norm = float(np.linalg.norm(grad))
     if norm > GRAD_CLIP:
         grad *= GRAD_CLIP / norm
-    return dataclasses.replace(policy, weights=policy.weights + config.learning_rate * grad)
+    return dataclasses.replace(policy, weights=policy.weights + LEARNING_RATE * grad)
 
 
 def random_episodes(rng, lengths, horizon=30, observation_dim=4, action_dim=2, scale=1.0):
@@ -97,29 +98,33 @@ class TestRollout:
         env = SyntheticEnv(difficulty_center=np.zeros(2), width=1.0)
         policy = make_policy(env)
         contexts = np.random.default_rng(0).normal(0.0, 1.5, (16, 2))
-        episodes = collect_one(policy, env, contexts, LearnerConfig(), 0, 0)
+        episodes = collect_one(policy, env, contexts, 0, 0)
         for c, v, ok in zip(contexts, episodes.values, episodes.successes):
             assert v == synthetic_value(c, env.difficulty_center, env.width)
             assert ok == (v >= env.success_threshold)
         assert np.array_equal(episodes.lengths, np.ones(16, dtype=int))
         assert episodes.actions.shape == (16, 1, 0)
 
-    def test_gamma_zero_keeps_first_reward(self):
+    def test_two_step_return_is_discounted_by_gamma(self):
+        # with a horizon of two the value is the first reward plus GAMMA
+        # times the second, replayed from the recorded actions
         env = PointMassEnv()
+        env.horizon = 2
         policy = make_policy(env, scale=0.1)
         contexts = np.array([EASY, [1.0, 2.0, 0.3]])
-        episodes = collect_one(policy, env, contexts, LearnerConfig(gamma=0.0), 1, 0)
-        _, rewards, _, _ = env.step(env.reset(contexts), episodes.actions[:, 0].T, 0)
-        assert np.array_equal(episodes.values, rewards)
+        episodes = collect_one(policy, env, contexts, 1, 0)
+        assert np.array_equal(episodes.lengths, [2, 2])
+        state, first, _, _ = env.step(env.reset(contexts), episodes.actions[:, 0].T, 0)
+        _, second, _, _ = env.step(state, episodes.actions[:, 1].T, 1)
+        assert np.array_equal(episodes.values, first + GAMMA * second)
 
     def test_seeded_repeatability(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
-        config = LearnerConfig()
         contexts = np.array([EASY, EASY])
-        a = collect_one(policy, env, contexts, config, master_seed=7, iteration=0)
-        b = collect_one(policy, env, contexts, config, master_seed=7, iteration=0)
-        c = collect_one(policy, env, contexts, config, master_seed=8, iteration=0)
+        a = collect_one(policy, env, contexts, master_seed=7, iteration=0)
+        b = collect_one(policy, env, contexts, master_seed=7, iteration=0)
+        c = collect_one(policy, env, contexts, master_seed=8, iteration=0)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.actions, b.actions)
         # each row draws its own noise, and the seed changes it
@@ -131,11 +136,10 @@ class TestRollout:
         # contexts; feats @ W.T may round differently with K, never more
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
-        config = LearnerConfig()
         contexts = np.array([EASY, [1.0, 2.0, 0.3], [-1.0, 1.0, 0.1], [2.5, 0.7, 0.1]])
-        full = collect_one(policy, env, contexts, config, master_seed=5, iteration=3)
+        full = collect_one(policy, env, contexts, master_seed=5, iteration=3)
         for i in range(len(contexts)):
-            prefix = collect_one(policy, env, contexts[: i + 1], config, 5, 3)
+            prefix = collect_one(policy, env, contexts[: i + 1], 5, 3)
             assert prefix.values[i] == pytest.approx(full.values[i], rel=1e-9)
             assert prefix.lengths[i] == full.lengths[i]
             assert prefix.successes[i] == full.successes[i]
@@ -146,7 +150,6 @@ class TestRollout:
         # with a different policy, seed and context set per run; the second
         # seed list mixes one- and two-word seeds
         env = PointMassEnv()
-        config = LearnerConfig()
         rng = np.random.default_rng(11)
         policies = [make_policy(env, scale=0.3, seed=s) for s in range(3)]
         contexts = np.stack(
@@ -159,11 +162,11 @@ class TestRollout:
         policies[0] = type(policies[0])(weights, policies[0].log_action_noise)
         contexts[0, :, :2] = [3.5, 0.1]
         for seeds in ([4, 9, 4], [0, 2**40 + 3, 0]):
-            together = collect_rollouts(policies, env, contexts, config, seeds, 2)
+            together = collect_rollouts(policies, env, contexts, seeds, 2)
             assert len(together) == 3
             assert together[0].lengths.max() < env.horizon == together[1].lengths.max()
             for policy, ctx, seed, block in zip(policies, contexts, seeds, together):
-                alone = collect_one(policy, env, ctx, config, seed, 2)
+                alone = collect_one(policy, env, ctx, seed, 2)
                 for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
                     a, b = getattr(block, name), getattr(alone, name)
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -208,9 +211,8 @@ class TestRollout:
                 contexts = np.where(rng.random((runs, k, 1)) < 0.5, wide, narrow)
                 contexts[0, 0], contexts[-1, -1] = wide[0, 0], narrow[-1, -1]
         policies = [PolicyParameters(w, n) for w, n in zip(weights, log_noise)]
-        config = LearnerConfig()
 
-        together = collect_rollouts(policies, env, contexts, config, seeds, 4, deterministic)
+        together = collect_rollouts(policies, env, contexts, seeds, 4, deterministic)
         lengths = np.concatenate([block.lengths for block in together])
         if exit == "horizon":
             assert np.all(lengths == env.horizon)
@@ -219,7 +221,7 @@ class TestRollout:
         else:
             assert lengths.min() < lengths.max()
         for policy, ctx, seed_r, block in zip(policies, contexts, seeds, together):
-            alone = collect_one(policy, env, ctx, config, seed_r, 4, deterministic=deterministic)
+            alone = collect_one(policy, env, ctx, seed_r, 4, deterministic=deterministic)
             for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
                 a, b = getattr(block, name), getattr(alone, name)
                 assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -238,7 +240,7 @@ class TestRollout:
         policy = make_policy(env)
         contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY])
         runs = collect_rollouts(
-            [policy] * 3, env, np.stack([contexts] * 3), LearnerConfig(), seeds, iteration
+            [policy] * 3, env, np.stack([contexts] * 3), seeds, iteration
         )
         shape = (len(contexts), env.horizon, env.action_dim)
         for seed, episodes in zip(seeds, runs):
@@ -253,7 +255,7 @@ class TestRollout:
         env = PointMassEnv()
         policy = make_policy(env)
         contexts = np.array([EASY, EASY])
-        (episodes,) = collect_rollouts([policy], env, contexts[None], LearnerConfig(), [3], 10_000)
+        (episodes,) = collect_rollouts([policy], env, contexts[None], [3], 10_000)
         shape = (len(contexts), env.horizon, env.action_dim)
         context_draws = np.random.default_rng([3, 10_000]).standard_normal(shape)
         assert not np.any(episodes.actions[:, 0] == policy.action_noise * context_draws[:, 0])
@@ -263,23 +265,22 @@ class TestRollout:
         env = PointMassEnv()
         policy = init_policy(0, 0)
         with pytest.raises(ValueError, match=r"shape \(0, 1\), the environment needs \(2, 15\)"):
-            collect_one(policy, env, np.array([EASY]), LearnerConfig(), 0, 0)
+            collect_one(policy, env, np.array([EASY]), 0, 0)
 
     def test_stacked_shapes_are_checked(self):
         env = PointMassEnv()
         policy = make_policy(env)
         with pytest.raises(ValueError, match=r"\(R, K, d\)"):
-            collect_rollouts([policy], env, np.array([EASY, EASY]), LearnerConfig(), [0], 0)
+            collect_rollouts([policy], env, np.array([EASY, EASY]), [0], 0)
         with pytest.raises(ValueError, match="R seeds"):
-            collect_rollouts([policy], env, np.array([[EASY, EASY]]), LearnerConfig(), [0, 1], 0)
+            collect_rollouts([policy], env, np.array([[EASY, EASY]]), [0, 1], 0)
 
     def test_collect_is_bit_reproducible(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
-        config = LearnerConfig()
         contexts = np.array([EASY, [1.0, 2.0, 0.3]])
-        a = collect_one(policy, env, contexts, config, master_seed=9, iteration=1)
-        b = collect_one(policy, env, contexts, config, master_seed=9, iteration=1)
+        a = collect_one(policy, env, contexts, master_seed=9, iteration=1)
+        b = collect_one(policy, env, contexts, master_seed=9, iteration=1)
         for name in ("values", "successes", "lengths", "features", "actions"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -288,7 +289,7 @@ class TestRollout:
         policy = make_policy(env, scale=0.3, seed=2)
         # a narrow, offset gate crashes some rows early
         contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY])
-        episodes = collect_one(policy, env, contexts, LearnerConfig(), 3, 0)
+        episodes = collect_one(policy, env, contexts, 3, 0)
         assert episodes.features.shape == (4, env.horizon, episodes.features.shape[2])
         assert episodes.lengths.min() < env.horizon
         for feats, actions, n in zip(episodes.features, episodes.actions, episodes.lengths):
@@ -299,13 +300,13 @@ class TestRollout:
     def test_raw_contexts_are_kept(self):
         env = PointMassEnv()
         raw = np.array([[0.0, -1.0, -0.5], EASY])
-        episodes = collect_one(make_policy(env), env, raw, LearnerConfig(), 0, 0)
+        episodes = collect_one(make_policy(env), env, raw, 0, 0)
         assert np.array_equal(episodes.contexts, raw)
 
     def test_return_bounds(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.3)
-        episodes = collect_one(policy, env, np.tile(EASY, (5, 1)), LearnerConfig(), 0, 0)
+        episodes = collect_one(policy, env, np.tile(EASY, (5, 1)), 0, 0)
         horizon = env.horizon
         upper = horizon * 1.0 + env.success_bonus
         lower = horizon * (-env.action_cost * 2 * env.action_limit**2) + env.crash_penalty
@@ -327,7 +328,6 @@ class TestImprove:
             "zero_advantages": rng.integers(1, horizon + 1, 16),
             "clipped": rng.integers(1, horizon + 1, 16),
         }[case]
-        config = LearnerConfig()
         for trial in range(50):
             scale = 100.0 if case == "clipped" else 1.0
             episodes = random_episodes(rng, lengths, horizon, scale=scale)
@@ -338,53 +338,49 @@ class TestImprove:
                 weights=rng.normal(0.0, 0.5, zero.weights.shape),
                 log_action_noise=rng.normal(-0.5, 0.3, 2),
             )
-            new = improve(policy, episodes, config)
-            ref = reference_improve(policy, episodes, config)
+            new = improve(policy, episodes)
+            ref = reference_improve(policy, episodes)
             assert np.allclose(new.weights, ref.weights, rtol=1e-12, atol=1e-12), trial
             if case == "clipped":
-                step = np.linalg.norm(ref.weights - policy.weights) / config.learning_rate
+                step = np.linalg.norm(ref.weights - policy.weights) / LEARNING_RATE
                 assert step == pytest.approx(GRAD_CLIP)
             if case == "zero_advantages":
                 assert np.array_equal(new.weights, policy.weights)
 
     def test_matches_reference_on_collected_rollouts(self):
         env = PointMassEnv()
-        config = LearnerConfig()
         policy = make_policy(env, scale=0.3, seed=2)
         contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY] * 4)
         for it in range(5):
-            episodes = collect_one(policy, env, contexts, config, 3, it)
+            episodes = collect_one(policy, env, contexts, 3, it)
             assert len(np.unique(episodes.lengths)) > 1
-            new = improve(policy, episodes, config)
-            ref = reference_improve(policy, episodes, config)
+            new = improve(policy, episodes)
+            ref = reference_improve(policy, episodes)
             assert np.allclose(new.weights, ref.weights, rtol=1e-12, atol=1e-12)
             policy = new
 
     def test_equal_returns_leave_parameters_unchanged(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.1)
-        config = LearnerConfig()
-        episodes = collect_one(policy, env, np.array([EASY, EASY]), config, 0, 0)
+        episodes = collect_one(policy, env, np.array([EASY, EASY]), 0, 0)
         # identical seeds per index differ, so force equal return estimates
         episodes = dataclasses.replace(episodes, values=np.ones(2))
-        new_policy = improve(policy, episodes, config)
+        new_policy = improve(policy, episodes)
         assert np.allclose(new_policy.weights, policy.weights, atol=1e-12)
 
     def test_synthetic_env_leaves_parameters_unchanged(self):
         env = SyntheticEnv(difficulty_center=np.zeros(3), width=2.0)
         policy = make_policy(env)
-        config = LearnerConfig()
         episodes = collect_one(
-            policy, env, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), config, 0, 0
+            policy, env, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0, 0
         )
-        assert improve(policy, episodes, config) is policy
+        assert improve(policy, episodes) is policy
 
     def test_gradient_matches_finite_differences(self):
         env = PointMassEnv()
         policy = make_policy(env, scale=0.05)
-        config = LearnerConfig(learning_rate=1.0)
         contexts = np.tile(EASY, (6, 1))
-        episodes = collect_one(policy, env, contexts, config, 3, 0)
+        episodes = collect_one(policy, env, contexts, 3, 0)
         baseline = float(np.mean(episodes.values))
         var = policy.action_noise**2
 
@@ -402,8 +398,8 @@ class TestImprove:
                 total += (value - baseline) * float(np.sum(logp))
             return total / len(episodes.values)
 
-        new_policy = improve(policy, episodes, config)
-        grad = new_policy.weights - policy.weights  # lr = 1, no clip expected below
+        new_policy = improve(policy, episodes)
+        step = new_policy.weights - policy.weights
 
         fd = np.zeros_like(policy.weights)
         h = 1e-6
@@ -417,25 +413,25 @@ class TestImprove:
         norm = np.linalg.norm(fd)
         if norm > 10.0:  # improve() clips at this global norm
             fd *= 10.0 / norm
-        assert np.linalg.norm(grad - fd) <= 1e-3 * max(np.linalg.norm(fd), 1e-8)
+        # the step is the clipped gradient times LEARNING_RATE
+        assert np.linalg.norm(step / LEARNING_RATE - fd) <= 1e-3 * max(np.linalg.norm(fd), 1e-8)
 
     def test_learning_smoke_on_easy_contexts(self):
         # median over seeds of the mean return must grow by >= 10% after 50
         # policy-gradient steps on wide-gate contexts
         env = PointMassEnv()
-        config = LearnerConfig(gamma=0.99, learning_rate=0.05)
         contexts = np.tile(EASY, (32, 1))
         gains = []
         for seed in range(5):
             policy = make_policy(env)
             first = last = None
             for it in range(50):
-                episodes = collect_one(policy, env, contexts, config, seed, it)
+                episodes = collect_one(policy, env, contexts, seed, it)
                 mean_return = float(np.mean(episodes.values))
                 if first is None:
                     first = mean_return
                 last = mean_return
-                policy = improve(policy, episodes, config)
+                policy = improve(policy, episodes)
             gains.append(last / max(first, 1e-9))
         assert float(np.median(gains)) >= 1.10
 
@@ -460,5 +456,5 @@ class TestPersistence:
         loaded = load_policy(path)
         assert loaded.weights.shape == (0, 1) and loaded.log_action_noise.shape == (0,)
         target = TargetSpec(mu_tilde=np.zeros(2), sigma_tilde_diag=np.ones(2))
-        (ev,) = evaluate([loaded], target, env, 8, [np.random.default_rng(0)], LearnerConfig())
+        (ev,) = evaluate([loaded], target, env, 8, [np.random.default_rng(0)])
         assert 0.0 < ev.mean_return <= env.peak

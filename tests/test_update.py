@@ -467,6 +467,7 @@ class TestFullUpdate:
         new_dist, report = update(batch, config)
         assert report.degenerate
         assert new_dist is dist
+        assert report.kl_to_target_after == kl_to_target(dist)
 
     def test_clipped_scale_step_stays_on_the_floor(self):
         # theta + s * delta with s = (theta - THETA_MIN) / -delta can round
@@ -524,7 +525,6 @@ class TestFullUpdate:
         dist, batch = self.make_setting([10.0] * 8)
         config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=8)
         new_dist, report = update(batch, config)
-        assert report.kl_to_target_before == pytest.approx(kl_to_target(dist))
         assert report.kl_to_target_after == pytest.approx(kl_to_target(new_dist))
         assert report.kl_step == pytest.approx(kl_between(new_dist, dist))
 
