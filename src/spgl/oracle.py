@@ -20,11 +20,11 @@ The exact solver's densities, importance-weighted value
 (:func:`spgl.gaussian.sampled_value`) and KLs are the array-level functions
 of :mod:`spgl.gaussian`, and its ray projection onto the KL ball is
 :func:`spgl.update.project_to_ball`, the solve that also backtracks the
-closed-form update's joint KL.  Both take rows of parameters, so the step
-halvings along one direction (in two blocks), or along all eight escape
-probes, are projected and scored as blocks of trial rows: a few vectorised
-KL calls in place of one per trial point and secant step, each row with the
-one-row call's bits.
+closed-form update's joint KL.  Both take rows of parameters, and so does
+its gradient, so the restarts run in lock-step: each round takes the
+gradients of all live starts in one call and projects and scores the step
+halvings of all their directions as one block of trial rows, each row with
+the one-row call's bits.
 """
 
 from __future__ import annotations
@@ -367,9 +367,10 @@ class ExactSolveResult:
 
 
 def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min):
-    """Closed-form gradient of :func:`solve_exact_sampled`'s objective in its
-    coordinates ``z = (mu, log theta)``, with ``log theta`` clipped to
-    ``[log_theta_min, 50]`` and ``var = theta * sigma``.
+    """Closed-form gradient of :func:`solve_exact_sampled`'s objective at
+    each row of ``z`` ``(n, 2d)``, in its coordinates ``(mu, log theta)``,
+    with ``log theta`` clipped to ``[log_theta_min, 50]`` and ``var = theta
+    * sigma``; each row of the result has the bits of the one-row call.
 
     * ``"convergence"``: ``KL(target || N(mu, var))``, with derivatives
       ``(mu - mu_tilde) / var`` and ``0.5 (1 - (mu - mu_tilde)^2 / var - 1/theta)``;
@@ -384,8 +385,8 @@ def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min
     """
     d = target.d
     sigma = target.sigma_tilde_diag
-    mu = z[:d]
-    log_theta = z[d:]
+    mu = z[:, :d]
+    log_theta = z[:, d:]
     theta = np.exp(np.minimum(np.maximum(log_theta, log_theta_min), 50.0))
     var = theta * sigma
     if mode == "convergence":
@@ -393,16 +394,37 @@ def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min
         g_mu = diff / var
         g_log = 0.5 * (1.0 - diff * g_mu - 1.0 / theta)
     else:
-        diff = contexts - mu
-        log_ratio = log_density_params(contexts, mu, var) - log_p0
+        diff = contexts - mu[:, None]
+        log_ratio = log_density_params(contexts, mu[:, None], var[:, None]) - log_p0
         inside = np.abs(log_ratio) < LOG_RATIO_LIMIT
         ratio = np.exp(np.minimum(log_ratio, LOG_RATIO_LIMIT))
         weight = np.where(inside, values * ratio, 0.0) / values.size
-        scaled = diff / var
-        g_mu = -(weight @ scaled)
-        g_log = -0.5 * (weight @ (diff * scaled) - np.add.reduce(weight))
+        scaled = diff / var[:, None]
+        # one vector-matrix product per row: a stacked product may sum in
+        # another order than the one-row call
+        g_mu = -np.array([w @ s for w, s in zip(weight, scaled)])
+        g_log = -0.5 * (
+            np.array([w @ (c * s) for w, c, s in zip(weight, diff, scaled)])
+            - np.add.reduce(weight, axis=-1)[:, None]
+        )
     on_box = (log_theta >= log_theta_min) & (log_theta <= 50.0)
-    return np.concatenate([g_mu, np.where(on_box, g_log, 0.0)])
+    return np.concatenate([g_mu, np.where(on_box, g_log, 0.0)], axis=1)
+
+
+@dataclass
+class _Start:
+    """One start of :func:`solve_exact_sampled`'s lock-step loop: its
+    iterate and objective, the step its last search took, its gradient and
+    escape budgets, and whether it waits for an escape block or has ended."""
+
+    z: np.ndarray
+    fz: float
+    alpha: float
+    gradients: int = 0
+    escapes_left: int = 50
+    waiting: bool = False
+    ended: bool = False
+    converged: bool = False
 
 
 def solve_exact_sampled(
@@ -438,27 +460,38 @@ def solve_exact_sampled(
     taken, 12 along each of 8 random escape probes, unit standard normal
     directions scaled by ``sqrt(P)``.  Each search starts at the step the
     last search took, not at twice that step, which failed most first
-    trials and paid for a second projection each time.  The first
-    four gradient steps (about nine in ten of the steps taken on the
-    ``tests/digest.py`` exact instances) form one block; the other gradient
-    halvings, or all 8 x 12 probe rows in (probe, halving) order, form
-    another.  A block is pulled back onto the KL ball along the rays from the
-    old parameters by one :func:`project_to_ball` call and scored in chunks
+    trials and paid for a second projection each time.
+
+    The starts run in lock-step rounds.  A round takes the gradients of all
+    live starts as rows of one call, then searches the first four steps of
+    every start's direction (about nine in ten of the steps taken on the
+    ``tests/digest.py`` exact instances), then the other 36 halvings of the
+    starts that took none.  Each search pulls the trial rows of all its
+    starts back onto the KL ball along the rays from the old parameters by
+    one :func:`project_to_ball` call and scores each start's rows in chunks
     of 1 or 2, then twice as many rows each time, which bounds the rows
-    scored past the taken one where the sampled value is costly (high ``d``,
-    large batches).  The first row in block order that lowers the objective
-    by more than ``max(1e-15, MIN_RELATIVE_DECREASE |f|)`` and meets the
-    sampled performance constraint, tested in that order, is taken.  The
-    relative bar of 1e-12 is the band within which :func:`project_to_ball`
-    settles a point on the KL boundary: a smaller decrease only moves the
-    point by rounding inside that band, and taking it would let the solve
-    crawl by ulps, each step paying for a gradient and a projection.  Each
-    row has the bits of a one-point evaluation and the generator advances
-    by the probes up to the one taken, so the iterates are those of trying
+    scored past the taken one where the sampled value is costly (high
+    ``d``, large batches); one objective call scores the next chunk of
+    every start still searching.  A start takes the first row in its block
+    order that lowers its objective by more than ``max(1e-15,
+    MIN_RELATIVE_DECREASE |f|)`` and meets the sampled performance
+    constraint, tested in that order, the constraint in one call for the
+    rows of all starts that pass the bar.  The relative bar of 1e-12 is the
+    band within which :func:`project_to_ball` settles a point on the KL
+    boundary: a smaller decrease only moves the point by rounding inside
+    that band, and taking it would let the solve crawl by ulps, each step
+    paying for a gradient and a projection.  A start whose gradient search
+    fails waits for its escape block (all 8 x 12 probe rows, in (probe,
+    halving) order) until every start before it has ended, so that the
+    starts draw their probes from the one generator in start order, and the
+    generator advances by the probes up to the one taken.  Each row has the
+    bits of a one-point evaluation, so every start's iterates, and the
+    result, are those of running the starts one after another and trying
     the halvings and probes one by one.  The log-densities of the batch
     under the old parameters are computed once per solve.  The best
-    feasible iterate is returned, flagged when no restart converged; when
-    no start is feasible the old parameters come back flagged infeasible.
+    feasible iterate is returned, the earliest start's on a tie, flagged
+    when no restart converged; when no start is feasible the old parameters
+    come back flagged infeasible.
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
@@ -487,13 +520,10 @@ def solve_exact_sampled(
         theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
         return kl_params(z[..., :d], theta, mu0, theta0, sigma)
 
-    def meets_performance(z):
-        return mode == "performance" or not sampled(z) < config.v_lower - 1e-9 * max(
-            1.0, abs(config.v_lower)
-        )
+    v_floor = config.v_lower - 1e-9 * max(1.0, abs(config.v_lower))
 
     def feasible(z):
-        return not step_kl(z) > eps + 1e-9 and meets_performance(z)
+        return not step_kl(z) > eps + 1e-9 and (mode == "performance" or not sampled(z) < v_floor)
 
     if mode == "performance":
         f = lambda z: -sampled(z)
@@ -517,10 +547,6 @@ def solve_exact_sampled(
             z = z0 + 0.7 * (z - z0)
         starts.append(z)
 
-    best_z = z0.copy()
-    best_f = float(f(z0)) if feasible(z0) else math.inf
-    any_converged = False
-
     precond = np.concatenate([var0, np.full(d, 2.0)])
     alpha0 = math.sqrt(2.0 * eps)
     probe_steps = [alpha0]
@@ -531,79 +557,123 @@ def solve_exact_sampled(
     # generator yields the directions of trying the probes one by one
     pending = np.empty((0, 2 * d))
 
-    def search(steps, directions, size):
-        # one projection of the rows z + step * direction, in (direction,
-        # step) order, scored in chunks of size, 2 size, 4 size, ... rows.
+    def search(blocks):
+        # one projection of the rows z + step * direction of every block
+        # (start, steps, directions, size), each block in (direction, step)
+        # order, its rows scored in chunks of size, 2 size, 4 size, ...; one
+        # objective call scores the next chunk of every open block.
         # Projected rows have step KL <= eps, so only the performance
-        # constraint is left, checked only for a row that lowers the
-        # objective below the bar (in convergence mode the cheap KL to the
-        # target, where the sampled value is a mean over the batch).  Takes
-        # the first row that passes both and returns the number of
-        # directions up to its own, or 0 when none is taken.
-        nonlocal z, fz, alpha
-        points = z + (np.array(steps)[:, None] * directions[:, None, :]).reshape(-1, z.size)
+        # constraint is left, checked in one call for the rows that lower
+        # their start's objective below its bar.  A start takes the first
+        # row of its block that passes both; returns, per block, the number
+        # of directions up to the taken row, or 0 when none is taken.
+        if not blocks:
+            return []
+        points = np.concatenate(
+            [
+                s.z + (np.array(steps)[:, None] * directions[:, None, :]).reshape(-1, s.z.size)
+                for s, steps, directions, _ in blocks
+            ]
+        )
         trials = project_to_ball(step_kl, z0, points, eps)
-        bar = fz - max(1e-15, MIN_RELATIVE_DECREASE * abs(fz))
-        start = 0
-        while start < len(trials):
-            for i, f_try in enumerate(f(trials[start : start + size]).tolist(), start):
-                if f_try < bar and meets_performance(trials[i]):
-                    z, fz = trials[i], f_try
-                    alpha = steps[i % len(steps)]
-                    return i // len(steps) + 1
-            start += size
-            size *= 2
-        return 0
+        taken = [0] * len(blocks)
+        # one cursor per open block: its index, first row, next chunk's first
+        # row and size, end row and bar
+        cursors, base = [], 0
+        for j, (s, steps, directions, size) in enumerate(blocks):
+            end = base + len(steps) * len(directions)
+            bar = s.fz - max(1e-15, MIN_RELATIVE_DECREASE * abs(s.fz))
+            cursors.append((j, base, base, size, end, bar))
+            base = end
+        while cursors:
+            spans = [range(at, min(at + size, end)) for _, _, at, size, end, _ in cursors]
+            rows = [i for span in spans for i in span]
+            scores = dict(zip(rows, f(trials[rows]).tolist()))
+            below = [i for (*_, bar), span in zip(cursors, spans) for i in span if scores[i] < bar]
+            passed = set(below)
+            if mode == "convergence" and below:
+                low = (sampled(trials[below]) < v_floor).tolist()
+                passed = {i for i, fails in zip(below, low) if not fails}
+            kept = []
+            for (j, base, _, size, end, bar), span in zip(cursors, spans):
+                hit = next((i for i in span if i in passed), None)
+                if hit is not None:
+                    s, steps = blocks[j][:2]
+                    count, at = divmod(hit - base, len(steps))
+                    s.z, s.fz, s.alpha = trials[hit], scores[hit], steps[at]
+                    taken[j] = count + 1
+                elif span.stop < end:
+                    kept.append((j, base, span.stop, 2 * size, end, bar))
+            cursors = kept
+        return taken
 
-    for z in starts:
-        if not feasible(z):
-            continue
-        fz = float(f(z))
-        alpha = alpha0
-        converged = False
-        escapes_left = 50
-
-        for _ in range(iterations):
-            v = precond * _objective_gradient(
-                z, mode, contexts, values, log_p0, target, log_theta_min
+    runs = [_Start(z, float(f(z)), alpha0) for z in starts if feasible(z)]
+    live = runs
+    while live:
+        # one round: a gradient step of every live start that is not waiting
+        # for an escape block; a start that has spent its gradient budget
+        # ends unconverged
+        for s in live:
+            s.ended = s.gradients == iterations and not s.waiting
+        stepping = [s for s in live if not (s.ended or s.waiting)]
+        if stepping:
+            zs = np.array([s.z for s in stepping])
+            vs = precond * _objective_gradient(
+                zs, mode, contexts, values, log_p0, target, log_theta_min
             )
-            if step_kl(z) >= eps * (1.0 - 1e-9):
-                # on the boundary, drop the part of the step that leaves the
-                # ball: the ray projection would only undo it
-                theta = np.exp(np.minimum(np.maximum(z[d:], log_theta_min), 50.0))
-                normal = np.concatenate([(z[:d] - mu0) / var0, 0.5 * (theta / theta0 - 1.0)])
-                outward = float(normal @ v)
-                if outward < 0.0:
-                    p_normal = precond * normal
-                    v = v - p_normal * (outward / float(normal @ p_normal))
-            vn = math.sqrt(float(v @ (v / precond)))
-            if vn < 1e-12:
-                converged = True
-                break
-            # the step and its halvings: the first four are projected on
-            # their own, so a step taken early costs a block of four rows
-            halvings = [alpha]
-            for _ in range(39):
-                halvings.append(halvings[-1] * 0.5)
-            direction = (-v / vn)[None]
-            improved = search(halvings[:4], direction, 1) or search(halvings[4:], direction, 2)
-            if not improved and escapes_left > 0:
-                # the ray projection can null the gradient direction on the
-                # boundary without the point being optimal; probe a few random
-                # directions before giving up, all in one block
-                escapes_left -= 1
-                probes = np.concatenate([pending, rng.standard_normal((8 - len(pending), z.size))])
-                norms = np.array([np.linalg.norm(p) for p in probes])
-                improved = search(probe_steps, probes / norms[:, None] * np.sqrt(precond), 1)
-                pending = probes[improved or 8 :]
+            on_edge = (step_kl(zs) >= eps * (1.0 - 1e-9)).tolist()
+            theta = np.exp(np.minimum(np.maximum(zs[:, d:], log_theta_min), 50.0))
+            normals = np.concatenate([(zs[:, :d] - mu0) / var0, 0.5 * (theta / theta0 - 1.0)], 1)
+            moving = []
+            for s, v, normal, edge in zip(stepping, vs, normals, on_edge):
+                s.gradients += 1
+                if edge:
+                    # on the boundary, drop the part of the step that leaves
+                    # the ball: the ray projection would only undo it
+                    outward = float(normal @ v)
+                    if outward < 0.0:
+                        p_normal = precond * normal
+                        v = v - p_normal * (outward / float(normal @ p_normal))
+                vn = math.sqrt(float(v @ (v / precond)))
+                if vn < 1e-12:
+                    s.ended = s.converged = True
+                    continue
+                halvings = [s.alpha]
+                for _ in range(39):
+                    halvings.append(halvings[-1] * 0.5)
+                moving.append((s, halvings, (-v / vn)[None]))
+            # the step and its first three halvings, then, for the starts
+            # that took none, the other 36 halvings
+            for part, size in ((slice(4), 1), (slice(4, None), 2)):
+                taken = search([(s, steps[part], u, size) for s, steps, u in moving])
+                moving = [m for m, t in zip(moving, taken) if not t]
+            for s, _, _ in moving:
+                s.waiting = s.escapes_left > 0
+                s.ended = s.converged = not s.waiting
+        live = [s for s in live if not s.ended]
+        # the ray projection can null the gradient direction on the boundary
+        # without the point being optimal, so a start whose gradient search
+        # failed probes 8 random directions, in one block, before it gives
+        # up; it waits until every start before it has ended, so that the
+        # starts draw their probes in start order
+        while live and live[0].waiting:
+            s = live[0]
+            s.escapes_left -= 1
+            probes = np.concatenate([pending, rng.standard_normal((8 - len(pending), z0.size))])
+            norms = np.array([np.linalg.norm(p) for p in probes])
+            (improved,) = search([(s, probe_steps, probes / norms[:, None] * np.sqrt(precond), 1)])
+            pending = probes[improved or 8 :]
+            s.waiting = False
             if not improved:
-                converged = True
-                break
-        any_converged = any_converged or converged
-        if fz < best_f:
-            best_f = fz
-            best_z = z.copy()
+                s.ended = s.converged = True
+                live = live[1:]
 
+    best_z = z0.copy()
+    best_f = float(f(z0)) if feasible(z0) else math.inf
+    for s in runs:
+        if s.fz < best_f:
+            best_f = s.fz
+            best_z = s.z.copy()
     theta_best = np.exp(np.minimum(np.maximum(best_z[d:], log_theta_min), 50.0))
     theta_best = np.maximum(theta_best, THETA_MIN)
     result_dist = dist.with_params(mu=best_z[:d], theta=theta_best)
@@ -612,7 +682,7 @@ def solve_exact_sampled(
         objective=best_f,
         sampled_value=float(sampled(best_z)),
         kl_step=float(step_kl(best_z)),
-        converged=any_converged,
+        converged=any(s.converged for s in runs),
         feasible=best_f < math.inf,
     )
 

@@ -55,7 +55,7 @@ Parts (NumPy and hashlib only; this is a script, not a pytest module):
 
 A change to the exact solver therefore moves ``exact`` alone.
 
-Takes about 75 s on one core of a 2-core virtual machine.
+Takes about 25 s on one core of a 2-core virtual machine.
 """
 
 import dataclasses

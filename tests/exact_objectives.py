@@ -9,7 +9,7 @@ instance by instance rather than by one hash; ``cpu_s`` is the solve's
 
     PYTHONPATH=<tree>/src python tests/exact_objectives.py > <tree>.csv
 
-Takes about 20 s on one core of a 2-core virtual machine.  Two such
+Takes about 10 s on one core of a 2-core virtual machine.  Two such
 files are compared with
 
     python tests/exact_objectives.py --compare PARENT.csv CHANGE.csv

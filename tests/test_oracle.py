@@ -2,11 +2,11 @@
 float of a sign change, None without one, exact zeros, and its f-call
 budget), dual-bisection subproblem solutions with KKT certificates,
 infeasibility detection, the exact solver's ray projection onto the KL ball,
-the row independence of its scores, its closed-form gradient against central
-differences, and the exact sampled solver's feasibility / consistency /
-dominance properties, among them that a feasible closed-form step does not
-beat it on the benchmark's race instance or on recorded point-mass
-batches."""
+the row independence of its scores and gradients, its closed-form gradient
+against central differences, and the exact sampled solver's feasibility /
+consistency / dominance properties, among them that a feasible closed-form
+step does not beat it on the benchmark's race instance or on recorded
+point-mass batches."""
 
 import dataclasses
 import math
@@ -17,6 +17,7 @@ import pytest
 import spgl.oracle
 import spgl.verification
 from closed_form_gap import PRESET, compare_update, record_updates
+from digest import exact_instance
 from spgl.config import load_config, preset_path
 from spgl.gaussian import (
     ContextDistribution,
@@ -405,6 +406,45 @@ class TestStackedRowsScore:
                 assert kl[0].tobytes() == stacked_kl[i].tobytes()
                 assert value[0].tobytes() == stacked_value[i].tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 16, 64])
+    @pytest.mark.parametrize("mode", ["performance", "convergence"])
+    def test_gradient_rows_have_the_bits_of_the_one_row_call(self, mode, d):
+        # the exact solver computes the gradients of all its live starts in
+        # one call, so a row's gradient must not depend on the other rows:
+        # each row matches its one-row call bit for bit, with log-scales
+        # below, on and above both clip bounds and log-ratios past the clamp
+        # among them
+        rng = np.random.default_rng(500 + d)
+        log_theta_min = math.log(1e-6)
+        for _ in range(8):
+            k = int(rng.integers(1, 65))
+            n = int(rng.integers(2, 17))
+            sigma = np.exp(rng.uniform(-1.0, 1.0, d))
+            target = TargetSpec(mu_tilde=rng.normal(size=d), sigma_tilde_diag=sigma)
+            mu0 = rng.normal(size=d)
+            var0 = np.exp(rng.uniform(-0.7, 0.7, d)) * sigma
+            contexts = rng.normal(mu0, np.sqrt(var0), size=(k, d))
+            values = 10.0 * rng.normal(size=k)
+            log_p0 = log_density_params(contexts, mu0, var0)
+            # a quarter of the samples far below and far above the clamp
+            shift = rng.choice([-200.0, 0.0, 0.0, 200.0], size=k)
+            log_p0 = log_p0 + shift
+            offsets = rng.normal(size=(n, 2 * d)) * 10.0 ** rng.uniform(-3.0, 1.5, (n, 1))
+            z = np.concatenate([mu0, np.log(var0 / sigma)]) + offsets
+            clipped = rng.random((n, d)) < 0.3
+            bounds = rng.choice([log_theta_min - 5.0, log_theta_min, 50.0, 55.0], size=(n, d))
+            z[:, d:] = np.where(clipped, bounds, z[:, d:])
+
+            def gradient(rows):
+                return _objective_gradient(
+                    rows, mode, contexts, values, log_p0, target, log_theta_min
+                )
+
+            stacked = gradient(z)
+            assert stacked.shape == (n, 2 * d)
+            for i in range(n):
+                assert gradient(z[i : i + 1])[0].tobytes() == stacked[i].tobytes()
+
 
 def exact_setting(seed=0, d=2, k=16, width=2.0):
     rng = np.random.default_rng(seed)
@@ -609,7 +649,8 @@ def gradient_instance(rng, d, mode, log_theta_min=math.log(1e-6), clamped=False,
         return kl_to_target_params(z[:d], theta, target.mu_tilde, sigma)
 
     def grad(z):
-        return _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min)
+        rows = _objective_gradient(z[None], mode, contexts, values, log_p0, target, log_theta_min)
+        return rows[0]
 
     return f, grad, z
 
@@ -824,13 +865,14 @@ class TestSolveExactSampled:
         # a step that lowers the objective by less than 1e-12 relative only
         # moves the point inside project_to_ball's rounding band; taking such
         # steps made the race instance of the benchmark (timing seed 10) cost
-        # 142 gradient iterations, against 99 when they are refused
+        # 142 gradient iterations, against 99 when they are refused.  An
+        # iteration is one start's row of a gradient call
         counts = {"gradient": 0}
         real_gradient = spgl.oracle._objective_gradient
 
-        def counted_gradient(*args):
-            counts["gradient"] += 1
-            return real_gradient(*args)
+        def counted_gradient(z, *args):
+            counts["gradient"] += len(z)
+            return real_gradient(z, *args)
 
         monkeypatch.setattr(spgl.oracle, "_objective_gradient", counted_gradient)
         run_timing_suite(10, updates=1)
@@ -869,18 +911,23 @@ class TestSolveExactSampled:
         # rows; on the race instance only the block that ends a start finds
         # nothing, so the solve projects at most one block per start.  On
         # the raw gradient the ray projection undid the gradient step on the
-        # boundary and the solve ran 34 blocks for its 8 starts
-        counts = {"blocks": 0}
+        # boundary and the solve ran 34 blocks for its 8 starts.  The
+        # gradient searches of all live starts share their projections (4 or
+        # 36 rows per start, never 96 with 8 starts), so the solve makes 32
+        # projection calls, where one call per start and search made 126
+        counts = {"blocks": 0, "calls": 0}
         real_project = spgl.oracle.project_to_ball
 
         def counted_project(kl, z0, z, eps):
             counts["blocks"] += len(z) == 96
+            counts["calls"] += 1
             return real_project(kl, z0, z, eps)
 
         monkeypatch.setattr(spgl.oracle, "project_to_ball", counted_project)
         run_timing_suite(10, updates=1)
         restarts = 8  # numerical_update's default, the race's
         assert 0 < counts["blocks"] <= restarts
+        assert counts["calls"] <= 32
 
     def test_point_mass_updates_are_not_beaten_by_feasible_closed_form_steps(self):
         # recorded training batches of the point-mass preset (program seed 5,
@@ -910,6 +957,24 @@ class TestSolveExactSampled:
         assert [float(x).hex() for x in result.distribution.theta] == theta_hex
         scalars = (result.objective, result.sampled_value, result.kl_step)
         assert tuple(x.hex() for x in scalars) == scalars_hex
+
+    def test_escapes_partway_are_pinned_bit_for_bit(self):
+        # exact instance 15 of tests/digest.py (convergence, d = 1): four of
+        # its eight feasible starts take escape probes that succeed and then
+        # go on stepping, so the probe directions each start draws depend on
+        # how many probes the starts before it used; starts run out of
+        # order would draw other directions and move these bits
+        batch, config, mode = exact_instance(15)
+        result = solve_exact_sampled(batch, config, mode, seed=15)
+        assert [float(x).hex() for x in result.distribution.mu] == ["0x1.1513fb776c2efp+0"]
+        assert [float(x).hex() for x in result.distribution.theta] == ["0x1.91a709b937421p-1"]
+        scalars = (result.objective, result.sampled_value, result.kl_step)
+        assert tuple(x.hex() for x in scalars) == (
+            "0x1.442fbe51b2352p+1",
+            "0x1.359202e04985dp+3",
+            "0x1.30b39ec1033e2p-9",
+        )
+        assert result.converged and result.feasible
 
     @pytest.mark.parametrize("index", range(len(EXACT_PINS)))
     def test_results_agree_with_the_central_difference_solver(self, index):
