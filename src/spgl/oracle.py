@@ -22,9 +22,11 @@ of :mod:`spgl.gaussian`, and its ray projection onto the KL ball is
 :func:`spgl.update.project_to_ball`, the solve that also backtracks the
 closed-form update's joint KL.  Both take rows of parameters, and so does
 its gradient, so the restarts run in lock-step: each round takes the
-gradients of all live starts in one call and projects and scores the step
-halvings of all their directions as one block of trial rows, each row with
-the one-row call's bits.
+gradients of all live starts in one call and projects the step halvings of
+all their directions as one block of trial rows, each row with the one-row
+call's bits.  The rows are scored by the objective, in one call when it is
+the KL to the target and in chunks when it is the sampled value, and the
+sampled constraint is evaluated only on the rows that lower the objective.
 """
 
 from __future__ import annotations
@@ -411,6 +413,38 @@ def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min
     return np.concatenate([g_mu, np.where(on_box, g_log, 0.0)], axis=1)
 
 
+def _row_dots(a, b):
+    """``a[i] @ b[i]`` for each row ``i`` of ``a`` and ``b``, each with the
+    bits of the one-row product: a stack of vector-vector products runs the
+    one-row product's kernel on each row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _halvings(alphas, n):
+    """Rows of each step of ``alphas`` and its first ``n - 1`` halvings,
+    each halving rounded from the one before."""
+    factors = np.column_stack([alphas, np.full((len(alphas), n - 1), 0.5)])
+    return np.multiply.accumulate(factors, axis=1)
+
+
+def _chunks(base, end, size):
+    """The rows ``base`` to ``end`` in chunks of ``size``, ``2 size``, ``4
+    size``, ... rows, as ranges."""
+    while base < end:
+        yield range(base, min(base + size, end))
+        base += size
+        size *= 2
+
+
+def _below(chunks, scores, bar):
+    """The rows of each chunk whose score is below ``bar``, as lists,
+    chunks without any skipped."""
+    for span in chunks:
+        rows = [i for i in span if scores[i] < bar]
+        if rows:
+            yield rows
+
+
 @dataclass
 class _Start:
     """One start of :func:`solve_exact_sampled`'s lock-step loop: its
@@ -462,21 +496,26 @@ def solve_exact_sampled(
     last search took, not at twice that step, which failed most first
     trials and paid for a second projection each time.
 
-    The starts run in lock-step rounds.  A round takes the gradients of all
-    live starts as rows of one call, then searches the first four steps of
-    every start's direction (about nine in ten of the steps taken on the
-    ``tests/digest.py`` exact instances), then the other 36 halvings of the
-    starts that took none.  Each search pulls the trial rows of all its
-    starts back onto the KL ball along the rays from the old parameters by
-    one :func:`project_to_ball` call and scores each start's rows in chunks
-    of 1 or 2, then twice as many rows each time, which bounds the rows
-    scored past the taken one where the sampled value is costly (high
-    ``d``, large batches); one objective call scores the next chunk of
-    every start still searching.  A start takes the first row in its block
-    order that lowers its objective by more than ``max(1e-15,
-    MIN_RELATIVE_DECREASE |f|)`` and meets the sampled performance
-    constraint, tested in that order, the constraint in one call for the
-    rows of all starts that pass the bar.  The relative bar of 1e-12 is the
+    The restarts are shrunk toward the old parameters together, each
+    tested once per shrink, and the objectives of the feasible starts come
+    from one call.  The starts then run in lock-step rounds.  A round takes
+    the gradients of all live starts as rows of one call, then searches the
+    first four steps of every start's direction (about nine in ten of the
+    steps taken on the ``tests/digest.py`` exact instances), then the other
+    36 halvings of the starts that took none.  Each search pulls the trial
+    rows of all its starts back onto the KL ball along the rays from the old
+    parameters by one :func:`project_to_ball` call.  A start takes the first
+    row in its block order that lowers its objective by more than
+    ``max(1e-15, MIN_RELATIVE_DECREASE |f|)`` and, in convergence mode,
+    meets the sampled performance constraint.  The rows are tested in
+    chunks of 1 or 2 rows per start, then twice as many each time, one call
+    for the next chunk of every start still searching, which bounds the
+    rows evaluated past the taken one where the sampled value is costly
+    (high ``d``, large batches).  In convergence mode the objective, the KL
+    to the target, costs O(d) a row, so one call scores every row of the
+    search, and the chunks evaluate the sampled constraint only on the rows
+    below their start's bar; in performance mode the objective is the
+    sampled value and the chunks score it.  The relative bar of 1e-12 is the
     band within which :func:`project_to_ball` settles a point on the KL
     boundary: a smaller decrease only moves the point by rounding inside
     that band, and taking it would let the solve crawl by ulps, each step
@@ -523,7 +562,11 @@ def solve_exact_sampled(
     v_floor = config.v_lower - 1e-9 * max(1.0, abs(config.v_lower))
 
     def feasible(z):
-        return not step_kl(z) > eps + 1e-9 and (mode == "performance" or not sampled(z) < v_floor)
+        # rows of z; the sampled value only where the step KL is met
+        ok = ~(step_kl(z) > eps + 1e-9)
+        if mode == "convergence" and ok.any():
+            ok[ok] = ~(sampled(z[ok]) < v_floor)
+        return ok
 
     if mode == "performance":
         f = lambda z: -sampled(z)
@@ -535,79 +578,83 @@ def solve_exact_sampled(
 
     rng = np.random.default_rng(seed)
     z0 = np.concatenate([mu0, np.log(theta0)])
-    starts = [z0.copy()]
-    # overshoot the restarts, then shrink toward the center until feasible:
-    # the objective is not concave, so the boundary needs coverage
+    # overshoot the restarts, then shrink them toward the center until
+    # feasible, at most 80 times: the objective is not concave, so the
+    # boundary needs coverage
     scale = np.concatenate([3.0 * np.sqrt(eps * var0), 3.0 * math.sqrt(eps) * np.ones(d)])
-    for _ in range(max(restarts - 1, 0)):
-        z = z0 + rng.standard_normal(2 * d) * scale
-        for _ in range(80):
-            if feasible(z):
-                break
-            z = z0 + 0.7 * (z - z0)
-        starts.append(z)
+    draws = rng.standard_normal((max(restarts - 1, 0), 2 * d))
+    starts = np.concatenate([z0[None], z0 + draws * scale])
+    start_feasible = feasible(starts)
+    for _ in range(80):
+        shrinking = np.flatnonzero(~start_feasible[1:]) + 1
+        if not shrinking.size:
+            break
+        starts[shrinking] = z0 + 0.7 * (starts[shrinking] - z0)
+        start_feasible[shrinking] = feasible(starts[shrinking])
 
     precond = np.concatenate([var0, np.full(d, 2.0)])
     alpha0 = math.sqrt(2.0 * eps)
-    probe_steps = [alpha0]
-    for _ in range(11):
-        probe_steps.append(probe_steps[-1] * 0.5)
+    probe_steps = _halvings([alpha0], 12)
     # normals drawn for probes not tried yet: a block of 8 probes draws only
     # the rows it lacks and keeps those after the probe it takes, so the
     # generator yields the directions of trying the probes one by one
     pending = np.empty((0, 2 * d))
 
-    def search(blocks):
-        # one projection of the rows z + step * direction of every block
-        # (start, steps, directions, size), each block in (direction, step)
-        # order, its rows scored in chunks of size, 2 size, 4 size, ...; one
-        # objective call scores the next chunk of every open block.
-        # Projected rows have step KL <= eps, so only the performance
-        # constraint is left, checked in one call for the rows that lower
-        # their start's objective below its bar.  A start takes the first
-        # row of its block that passes both; returns, per block, the number
-        # of directions up to the taken row, or 0 when none is taken.
-        if not blocks:
+    def search(searching, steps, directions, size):
+        # one projection of the rows z + step * direction of one block per
+        # start, steps (n, S) and directions (n, N, 2d), each block in
+        # (direction, step) order and tested in chunks of size, 2 size, 4
+        # size, ... rows.  Projected rows have step KL <= eps, so only the
+        # bar and, in convergence mode, the performance constraint are
+        # left; there every row is scored at once and the chunks skip the
+        # rows above the bar.  Returns, per block, the number of directions
+        # up to the taken row, or 0 when none is taken.
+        if not searching:
             return []
-        points = np.concatenate(
-            [
-                s.z + (np.array(steps)[:, None] * directions[:, None, :]).reshape(-1, s.z.size)
-                for s, steps, directions, _ in blocks
-            ]
-        )
-        trials = project_to_ball(step_kl, z0, points, eps)
-        taken = [0] * len(blocks)
-        # one cursor per open block: its index, first row, next chunk's first
-        # row and size, end row and bar
-        cursors, base = [], 0
-        for j, (s, steps, directions, size) in enumerate(blocks):
-            end = base + len(steps) * len(directions)
+        zs = np.array([s.z for s in searching])
+        points = zs[:, None, None] + steps[:, None, :, None] * directions[:, :, None]
+        trials = project_to_ball(step_kl, z0, points.reshape(-1, zs.shape[1]), eps)
+        scores = f(trials).tolist() if mode == "convergence" else {}
+        taken = [0] * len(searching)
+        block = steps.shape[1] * directions.shape[1]
+        # per block: its index, bar and the rows of its chunks
+        cursors = []
+        for j, s in enumerate(searching):
             bar = s.fz - max(1e-15, MIN_RELATIVE_DECREASE * abs(s.fz))
-            cursors.append((j, base, base, size, end, bar))
-            base = end
+            chunks = _chunks(j * block, (j + 1) * block, size)
+            if mode == "convergence":
+                chunks = _below(chunks, scores, bar)
+            cursors.append((j, bar, chunks))
         while cursors:
-            spans = [range(at, min(at + size, end)) for _, _, at, size, end, _ in cursors]
-            rows = [i for span in spans for i in span]
-            scores = dict(zip(rows, f(trials[rows]).tolist()))
-            below = [i for (*_, bar), span in zip(cursors, spans) for i in span if scores[i] < bar]
-            passed = set(below)
-            if mode == "convergence" and below:
-                low = (sampled(trials[below]) < v_floor).tolist()
-                passed = {i for i, fails in zip(below, low) if not fails}
-            kept = []
-            for (j, base, _, size, end, bar), span in zip(cursors, spans):
+            drawn = [(cursor, next(cursor[2], None)) for cursor in cursors]
+            drawn = [(cursor, span) for cursor, span in drawn if span]
+            if not drawn:
+                break
+            rows = [i for _, span in drawn for i in span]
+            if mode == "convergence":
+                low = (sampled(trials[rows]) < v_floor).tolist()
+                passed = {i for i, fails in zip(rows, low) if not fails}
+            else:
+                scores.update(zip(rows, f(trials[rows]).tolist()))
+                passed = {i for (_, bar, _), span in drawn for i in span if scores[i] < bar}
+            cursors = []
+            for cursor, span in drawn:
                 hit = next((i for i in span if i in passed), None)
-                if hit is not None:
-                    s, steps = blocks[j][:2]
-                    count, at = divmod(hit - base, len(steps))
-                    s.z, s.fz, s.alpha = trials[hit], scores[hit], steps[at]
-                    taken[j] = count + 1
-                elif span.stop < end:
-                    kept.append((j, base, span.stop, 2 * size, end, bar))
-            cursors = kept
+                if hit is None:
+                    cursors.append(cursor)
+                    continue
+                j = cursor[0]
+                count, at = divmod(hit - j * block, steps.shape[1])
+                s = searching[j]
+                s.z, s.fz, s.alpha = trials[hit], scores[hit], steps[j, at]
+                taken[j] = count + 1
         return taken
 
-    runs = [_Start(z, float(f(z)), alpha0) for z in starts if feasible(z)]
+    # the shrink loop has tested every start; their objectives come from
+    # one call on their rows
+    feasible_starts = starts[start_feasible]
+    f_starts = f(feasible_starts).tolist()
+    runs = [_Start(z, fz, alpha0) for z, fz in zip(feasible_starts, f_starts)]
     live = runs
     while live:
         # one round: a gradient step of every live start that is not waiting
@@ -621,33 +668,34 @@ def solve_exact_sampled(
             vs = precond * _objective_gradient(
                 zs, mode, contexts, values, log_p0, target, log_theta_min
             )
-            on_edge = (step_kl(zs) >= eps * (1.0 - 1e-9)).tolist()
             theta = np.exp(np.minimum(np.maximum(zs[:, d:], log_theta_min), 50.0))
             normals = np.concatenate([(zs[:, :d] - mu0) / var0, 0.5 * (theta / theta0 - 1.0)], 1)
-            moving = []
-            for s, v, normal, edge in zip(stepping, vs, normals, on_edge):
+            # on the boundary, drop the part of the step that leaves the
+            # ball: the ray projection would only undo it
+            edge = np.flatnonzero(step_kl(zs) >= eps * (1.0 - 1e-9))
+            outward = _row_dots(normals[edge], vs[edge])
+            leaving = outward < 0.0
+            rows = edge[leaving]
+            p_normals = precond * normals[rows]
+            along = outward[leaving] / _row_dots(normals[rows], p_normals)
+            vs[rows] -= p_normals * along[:, None]
+            vns = np.sqrt(_row_dots(vs, vs / precond))
+            flat = vns < 1e-12
+            for s, stop in zip(stepping, flat.tolist()):
                 s.gradients += 1
-                if edge:
-                    # on the boundary, drop the part of the step that leaves
-                    # the ball: the ray projection would only undo it
-                    outward = float(normal @ v)
-                    if outward < 0.0:
-                        p_normal = precond * normal
-                        v = v - p_normal * (outward / float(normal @ p_normal))
-                vn = math.sqrt(float(v @ (v / precond)))
-                if vn < 1e-12:
-                    s.ended = s.converged = True
-                    continue
-                halvings = [s.alpha]
-                for _ in range(39):
-                    halvings.append(halvings[-1] * 0.5)
-                moving.append((s, halvings, (-v / vn)[None]))
+                s.ended = s.converged = stop
+            keep = np.flatnonzero(~flat)
+            moving = [stepping[i] for i in keep]
+            steps = _halvings([s.alpha for s in moving], 40)
+            directions = (-vs[keep] / vns[keep, None])[:, None]
             # the step and its first three halvings, then, for the starts
             # that took none, the other 36 halvings
             for part, size in ((slice(4), 1), (slice(4, None), 2)):
-                taken = search([(s, steps[part], u, size) for s, steps, u in moving])
-                moving = [m for m, t in zip(moving, taken) if not t]
-            for s, _, _ in moving:
+                taken = search(moving, steps[:, part], directions, size)
+                left = [i for i, t in enumerate(taken) if not t]
+                moving = [moving[i] for i in left]
+                steps, directions = steps[left], directions[left]
+            for s in moving:
                 s.waiting = s.escapes_left > 0
                 s.ended = s.converged = not s.waiting
         live = [s for s in live if not s.ended]
@@ -660,8 +708,9 @@ def solve_exact_sampled(
             s = live[0]
             s.escapes_left -= 1
             probes = np.concatenate([pending, rng.standard_normal((8 - len(pending), z0.size))])
-            norms = np.array([np.linalg.norm(p) for p in probes])
-            (improved,) = search([(s, probe_steps, probes / norms[:, None] * np.sqrt(precond), 1)])
+            norms = np.sqrt(_row_dots(probes, probes))
+            directions = probes / norms[:, None] * np.sqrt(precond)
+            (improved,) = search([s], probe_steps, directions[None], 1)
             pending = probes[improved or 8 :]
             s.waiting = False
             if not improved:
@@ -669,7 +718,7 @@ def solve_exact_sampled(
                 live = live[1:]
 
     best_z = z0.copy()
-    best_f = float(f(z0)) if feasible(z0) else math.inf
+    best_f = f_starts[0] if start_feasible[0] else math.inf
     for s in runs:
         if s.fz < best_f:
             best_f = s.fz

@@ -22,18 +22,22 @@ infinite objective) or in ``converged``.  Both modes minimise, so a larger
 objective is worse; the relative change is ``(change - parent) / |parent|``.
 For each file it also prints the largest ``kl_step - eps`` and every
 instance whose step KL exceeds ``eps + 1e-9``, and, when both files have the
-``cpu_s`` column, each file's total CPU time and their ratio.  A file
-without the ``kl_step`` or ``cpu_s`` column compares without it.
+``cpu_s`` column, each file's CPU time and their ratio, in total and per
+mode; the identical count is split by mode too, so a change to one mode can
+show that the other did not move.  A file without the ``kl_step`` or
+``cpu_s`` column compares without it.
 """
 
 import math
 import sys
 import time
+from collections import Counter
 
 THRESHOLDS = (1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3)
 WORST_SHOWN = 5
 WORSE_LISTED = 1e-8
 KL_SLACK = 1e-9
+MODES = ("performance", "convergence")
 
 
 def main():
@@ -90,7 +94,7 @@ def compare(parent_path, change_path):
     parent, change = read(parent_path), read(change_path)
     if parent.keys() != change.keys():
         raise SystemExit("the two files hold different instances")
-    identical = infeasible = 0
+    identical, infeasible = Counter(), 0
     flips, converged_flips, changes = [], [], []
     for i in sorted(parent):
         mode, d, eps, f_parent, conv_parent, *_ = parent[i]
@@ -104,7 +108,7 @@ def compare(parent_path, change_path):
                 flips.append(f"{i} ({f_parent!r} -> {f_change!r})")
             continue
         if f_change == f_parent:
-            identical += 1
+            identical[mode] += 1
             continue
         if f_parent:
             rel = (f_change - f_parent) / abs(f_parent)
@@ -113,7 +117,8 @@ def compare(parent_path, change_path):
         changes.append((rel, i, mode, d, eps, f_parent, f_change))
 
     print(f"instances: {len(parent)}")
-    print(f"identical objective: {identical}")
+    per_mode = ", ".join(f"{mode} {identical[mode]}" for mode in MODES)
+    print(f"identical objective: {sum(identical.values())} ({per_mode})")
     print(f"infeasible on both trees: {infeasible}")
     print(f"moved: {len(changes)}")
     print("relative change (change - parent) / |parent|:")
@@ -135,11 +140,15 @@ def compare(parent_path, change_path):
     print_kl_steps("parent", parent)
     print_kl_steps("change", change)
     if all(row[6] is not None for rows in (parent, change) for row in rows.values()):
-        cpu_parent, cpu_change = (sum(row[6] for row in rows.values()) for rows in (parent, change))
-        print(
-            f"cpu_s total: parent {cpu_parent:.2f}, change {cpu_change:.2f}, "
-            f"ratio {cpu_change / cpu_parent:.3f}"
-        )
+        for label in ("total", *MODES):
+            cpu_parent, cpu_change = (
+                sum(row[6] for row in rows.values() if label in ("total", row[0]))
+                for rows in (parent, change)
+            )
+            print(
+                f"cpu_s {label}: parent {cpu_parent:.2f}, change {cpu_change:.2f}, "
+                f"ratio {cpu_change / cpu_parent:.3f}"
+            )
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from spgl.oracle import (
     LinearizedSubproblem,
     _bisect,
     _objective_gradient,
+    _row_dots,
     numerical_update,
     solve_exact_sampled,
     solve_numeric,
@@ -372,11 +373,13 @@ class TestProjectToBall:
 class TestStackedRowsScore:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 16, 64])
     def test_each_row_has_the_bits_of_the_one_row_call(self, d):
-        # the exact solver scores its projected trial rows in chunks whose
-        # height and offset depend on where the taken row lies, so the KL to
-        # the target and the sampled value of each row of a stack must not
-        # depend on the other rows: each row matches its one-row call bit
-        # for bit, with log-ratios on and past the clamp among them
+        # the exact solver scores all projected trial rows of a search in
+        # one KL-to-target call, the objectives of all its starts in one
+        # call, and the sampled value in chunks whose height and offset
+        # depend on where the taken row lies, so the KL to the target and
+        # the sampled value of each row of a stack must not depend on the
+        # other rows: each row matches its one-row call bit for bit, with
+        # log-ratios on and past the clamp among them
         rng = np.random.default_rng(400 + d)
         log_theta_min = math.log(1e-6)
         for _ in range(12):
@@ -444,6 +447,22 @@ class TestStackedRowsScore:
             assert stacked.shape == (n, 2 * d)
             for i in range(n):
                 assert gradient(z[i : i + 1])[0].tobytes() == stacked[i].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 16, 64])
+    def test_row_dots_have_the_bits_of_the_one_row_product(self, d):
+        # the exact solver takes the boundary normal's products, the step
+        # length and the probe norms of all rows in one call each; a row's
+        # product must be the one-row `a @ b` (and its norm `np.linalg.norm`)
+        # bit for bit, at magnitudes from 1e-6 to 1e6
+        rng = np.random.default_rng(600 + d)
+        for _ in range(20):
+            n = int(rng.integers(1, 10))
+            a, b = rng.normal(size=(2, n, 2 * d)) * 10.0 ** rng.uniform(-6.0, 6.0, (2, n, 2 * d))
+            dots = _row_dots(a, b)
+            norms = np.sqrt(_row_dots(a, a))
+            for i in range(n):
+                assert (a[i] @ b[i]).tobytes() == dots[i].tobytes()
+                assert np.linalg.norm(a[i]).tobytes() == norms[i].tobytes()
 
 
 def exact_setting(seed=0, d=2, k=16, width=2.0):
@@ -928,6 +947,96 @@ class TestSolveExactSampled:
         restarts = 8  # numerical_update's default, the race's
         assert 0 < counts["blocks"] <= restarts
         assert counts["calls"] <= 32
+
+    def test_race_instance_scores_a_search_once_and_tests_the_rows_below_the_bar(
+        self, monkeypatch
+    ):
+        # convergence mode: the objective, the KL to the target, costs O(d) a
+        # row and scores all projected rows of a search in one call; the
+        # sampled constraint, O(K d) a row, is evaluated only on rows that
+        # lower their start's objective below its bar.  A row's start is the
+        # one at the base of its block (4, 36 or 96 rows in halving order,
+        # so twice the last row less the one before)
+        searches, starts = [], []
+        real_project = spgl.oracle.project_to_ball
+        real_kl = spgl.oracle.kl_to_target_params
+        real_sampled = spgl.oracle.sampled_value
+
+        class RecordedStart(spgl.oracle._Start):
+            def __init__(self, *args):
+                super().__init__(*args)
+                starts.append(self)
+
+        def project(kl, z0, z, eps):
+            trials = real_project(kl, z0, z, eps)
+            bars = [
+                (s.z.copy(), s.fz - max(1e-15, spgl.oracle.MIN_RELATIVE_DECREASE * abs(s.fz)))
+                for s in starts
+            ]
+            searches.append({"points": z, "trials": trials, "bars": bars, "kl": [], "rows": []})
+            return trials
+
+        def kl_to_target(mu, *args):
+            out = real_kl(mu, *args)
+            if searches:
+                searches[-1]["kl"].append((mu.copy(), out.copy()))
+            return out
+
+        def sampled(contexts, values, log_p0, mu, var):
+            if mu.ndim == 2 and searches:
+                searches[-1]["rows"].extend(mu)
+            return real_sampled(contexts, values, log_p0, mu, var)
+
+        monkeypatch.setattr(spgl.oracle, "_Start", RecordedStart)
+        monkeypatch.setattr(spgl.oracle, "project_to_ball", project)
+        monkeypatch.setattr(spgl.oracle, "kl_to_target_params", kl_to_target)
+        monkeypatch.setattr(spgl.oracle, "sampled_value", sampled)
+        run_timing_suite(10, updates=1)
+
+        projected = tested = 0
+        for search in searches:
+            points, trials = search["points"], search["trials"]
+            n, d = len(trials), trials.shape[1] // 2
+            (mu, scores), *more = search["kl"]
+            assert not more and np.array_equal(mu, trials[:, :d])
+            size = 4 if n <= 32 else 96 if n == 96 else 36
+            row_of = {mu[i].tobytes(): i for i in range(n)}
+            for row in search["rows"]:
+                i = row_of[row.tobytes()]
+                block = points[i - i % size : i - i % size + size]
+                base = 2.0 * block[-1] - block[-2]
+                _, bar = min(search["bars"], key=lambda zb: np.max(np.abs(zb[0] - base)))
+                assert scores[i] < bar
+            projected += n
+            tested += len(search["rows"])
+        assert len(searches) > 10 and 0 < tested < projected / 4
+
+    def test_performance_search_scores_its_first_chunk_alone(self, monkeypatch):
+        # performance mode: the objective is the sampled value itself, so a
+        # search scores its rows in chunks, the first of 1 row per block (2
+        # on the 36-row blocks after the first four halvings)
+        searches = []
+        real_project = spgl.oracle.project_to_ball
+        real_sampled = spgl.oracle.sampled_value
+
+        def project(kl, z0, z, eps):
+            searches.append([len(z)])
+            return real_project(kl, z0, z, eps)
+
+        def sampled(contexts, values, log_p0, mu, var):
+            if mu.ndim == 2 and searches:
+                searches[-1].append(len(mu))
+            return real_sampled(contexts, values, log_p0, mu, var)
+
+        monkeypatch.setattr(spgl.oracle, "project_to_ball", project)
+        monkeypatch.setattr(spgl.oracle, "sampled_value", sampled)
+        batch, config, mode = exact_instance(2)
+        assert mode == "performance"
+        solve_exact_sampled(batch, config, mode, seed=2)
+        assert len(searches) > 10
+        for n, first, *_ in searches:
+            size = 4 if n <= 32 else 96 if n == 96 else 36
+            assert first == n // size * (2 if size == 36 else 1)
 
     def test_point_mass_updates_are_not_beaten_by_feasible_closed_form_steps(self):
         # recorded training batches of the point-mass preset (program seed 5,
