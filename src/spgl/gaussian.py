@@ -140,12 +140,6 @@ class ContextDistribution:
             self.mu if mu is None else mu, self.theta if theta is None else theta, self.target
         )
 
-    def same_family(self, other: "ContextDistribution") -> bool:
-        """True when both distributions share dimension and target."""
-        return self.d == other.d and np.array_equal(
-            self.target.sigma_tilde_diag, other.target.sigma_tilde_diag
-        )
-
 
 def sample(dist: ContextDistribution, rng: np.random.Generator, k: int) -> np.ndarray:
     """Draw ``k`` independent contexts, returned as a ``(k, d)`` array.
@@ -209,7 +203,7 @@ def kl_to_target(dist: ContextDistribution) -> float:
 
 def kl_between(new_dist: ContextDistribution, old_dist: ContextDistribution) -> float:
     """KL divergence ``KL(new || old)`` between two members of the family."""
-    if not new_dist.same_family(old_dist):
-        raise ValueError("kl_between requires a common target spec")
     sigma = old_dist.target.sigma_tilde_diag
+    if not np.array_equal(new_dist.target.sigma_tilde_diag, sigma):
+        raise ValueError("kl_between requires a common target spec")
     return float(kl_params(new_dist.mu, new_dist.theta, old_dist.mu, old_dist.theta, sigma))

@@ -21,12 +21,9 @@ The exact solver's densities, importance-weighted value
 of :mod:`spgl.gaussian`, and its ray projection onto the KL ball is
 :func:`spgl.update.project_to_ball`, the solve that also backtracks the
 closed-form update's joint KL.  Both take rows of parameters, and so does
-its gradient, so the restarts run in lock-step: each round takes the
-gradients of all live starts in one call and projects the step halvings of
-all their directions as one block of trial rows, each row with the one-row
-call's bits.  The rows are scored by the objective, in one call when it is
-the KL to the target and in chunks when it is the sampled value, and the
-sampled constraint is evaluated only on the rows that lower the objective.
+its gradient, so the restarts run in lock-step, each row with the one-row
+call's bits; :func:`solve_exact_sampled` describes the schedule of its
+trial rows.
 """
 
 from __future__ import annotations
@@ -80,8 +77,15 @@ _CERT_TOL = 1e-10
 # The exact solver takes a trial point only when it lowers the objective by
 # more than this share of |f| (and by more than 1e-15): ``project_to_ball``
 # settles a point on the KL boundary only within a band of 1e-12 eps, and a
-# smaller decrease is a move by rounding inside that band.
+# smaller decrease is a move by rounding inside that band: taking it would
+# let the solve crawl by ulps, each step paying for a gradient and a
+# projection.
 MIN_RELATIVE_DECREASE = 1e-12
+
+# The exact solver's starts (the old parameters and RESTARTS - 1 random
+# ones) and each start's budget of gradient steps.
+RESTARTS = 8
+GRADIENT_STEPS = 500
 
 
 class InfeasibleSubproblem(RuntimeError):
@@ -127,10 +131,6 @@ class OracleSolution:
     active_case: str
     objective: float
     residuals: dict = field(default_factory=dict)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
 
 
 def _bisect(f, lo, hi):
@@ -427,24 +427,6 @@ def _halvings(alphas, n):
     return np.multiply.accumulate(factors, axis=1)
 
 
-def _chunks(base, end, size):
-    """The rows ``base`` to ``end`` in chunks of ``size``, ``2 size``, ``4
-    size``, ... rows, as ranges."""
-    while base < end:
-        yield range(base, min(base + size, end))
-        base += size
-        size *= 2
-
-
-def _below(chunks, scores, bar):
-    """The rows of each chunk whose score is below ``bar``, as lists,
-    chunks without any skipped."""
-    for span in chunks:
-        rows = [i for i in span if scores[i] < bar]
-        if rows:
-            yield rows
-
-
 @dataclass
 class _Start:
     """One start of :func:`solve_exact_sampled`'s lock-step loop: its
@@ -466,8 +448,6 @@ def solve_exact_sampled(
     config: CurriculumConfig,
     mode: str,
     seed: int = 0,
-    restarts: int = 8,
-    iterations: int = 500,
 ) -> ExactSolveResult:
     """Multi-start projected-gradient solve of the exact sampled subproblem
     of the distribution that drew ``batch``.
@@ -496,41 +476,42 @@ def solve_exact_sampled(
     last search took, not at twice that step, which failed most first
     trials and paid for a second projection each time.
 
-    The restarts are shrunk toward the old parameters together, each
-    tested once per shrink, and the objectives of the feasible starts come
-    from one call.  The starts then run in lock-step rounds.  A round takes
-    the gradients of all live starts as rows of one call, then searches the
-    first four steps of every start's direction (about nine in ten of the
-    steps taken on the ``tests/digest.py`` exact instances), then the other
-    36 halvings of the starts that took none.  Each search pulls the trial
-    rows of all its starts back onto the KL ball along the rays from the old
-    parameters by one :func:`project_to_ball` call.  A start takes the first
-    row in its block order that lowers its objective by more than
-    ``max(1e-15, MIN_RELATIVE_DECREASE |f|)`` and, in convergence mode,
-    meets the sampled performance constraint.  The rows are tested in
-    chunks of 1 or 2 rows per start, then twice as many each time, one call
-    for the next chunk of every start still searching, which bounds the
-    rows evaluated past the taken one where the sampled value is costly
-    (high ``d``, large batches).  In convergence mode the objective, the KL
-    to the target, costs O(d) a row, so one call scores every row of the
-    search, and the chunks evaluate the sampled constraint only on the rows
-    below their start's bar; in performance mode the objective is the
-    sampled value and the chunks score it.  The relative bar of 1e-12 is the
-    band within which :func:`project_to_ball` settles a point on the KL
-    boundary: a smaller decrease only moves the point by rounding inside
-    that band, and taking it would let the solve crawl by ulps, each step
-    paying for a gradient and a projection.  A start whose gradient search
-    fails waits for its escape block (all 8 x 12 probe rows, in (probe,
-    halving) order) until every start before it has ended, so that the
-    starts draw their probes from the one generator in start order, and the
-    generator advances by the probes up to the one taken.  Each row has the
-    bits of a one-point evaluation, so every start's iterates, and the
-    result, are those of running the starts one after another and trying
-    the halvings and probes one by one.  The log-densities of the batch
-    under the old parameters are computed once per solve.  The best
-    feasible iterate is returned, the earliest start's on a tie, flagged
-    when no restart converged; when no start is feasible the old parameters
-    come back flagged infeasible.
+    The solve has ``RESTARTS`` starts, the old parameters and random
+    draws, which are shrunk toward the old parameters together, each
+    tested once per shrink; the objectives of the feasible starts come from
+    one call.  The starts then run in lock-step rounds, and a start that
+    has taken ``GRADIENT_STEPS`` gradient steps ends unconverged.  A round
+    takes the gradients of all live starts as rows of one call, then
+    searches the first four steps of every start's direction (about nine in
+    ten of the steps taken on the ``tests/digest.py`` exact instances),
+    then the other 36 halvings of the starts that took none.  Each search
+    pulls the trial rows of all its starts back onto the KL ball along the
+    rays from the old parameters by one :func:`project_to_ball` call.  A
+    start takes the first row in its block order that lowers its objective
+    ``f`` below its bar, ``f - max(1e-15, MIN_RELATIVE_DECREASE |f|)``,
+    and, in convergence mode, meets the sampled performance constraint.
+    Each block lists its candidate rows in block order: in performance
+    mode, where the objective is the sampled value, every row; in
+    convergence mode the rows below the bar, as scored for all rows of the
+    search by one call of the objective, the KL to the target, which costs
+    O(d) a row.  Each round of the search then tests the next ``size``, ``2
+    size``, ``4 size``, ... candidates of every block still searching by
+    one call of the sampled value (``size`` is 2 on the 36-row blocks, else
+    1), which bounds the rows evaluated past the taken one where the
+    sampled value is costly (high ``d``, large batches).
+
+    A start whose gradient search fails waits for its escape block (all 8 x
+    12 probe rows, in (probe, halving) order) until every start before it
+    has ended, so that the starts draw their probes from the one generator
+    in start order, and the generator advances by the probes up to the one
+    taken.  Each row has the bits of a one-point evaluation, so every
+    start's iterates, and the result, are those of running the starts one
+    after another and trying the halvings and probes one by one.
+
+    The log-densities of the batch under the old parameters are computed
+    once per solve.  The best feasible iterate is returned, the earliest
+    start's on a tie, flagged when no restart converged; when no start is
+    feasible the old parameters come back flagged infeasible.
     """
     if mode not in ("performance", "convergence"):
         raise ValueError("mode must be 'performance' or 'convergence'")
@@ -562,7 +543,6 @@ def solve_exact_sampled(
     v_floor = config.v_lower - 1e-9 * max(1.0, abs(config.v_lower))
 
     def feasible(z):
-        # rows of z; the sampled value only where the step KL is met
         ok = ~(step_kl(z) > eps + 1e-9)
         if mode == "convergence" and ok.any():
             ok[ok] = ~(sampled(z[ok]) < v_floor)
@@ -582,7 +562,7 @@ def solve_exact_sampled(
     # feasible, at most 80 times: the objective is not concave, so the
     # boundary needs coverage
     scale = np.concatenate([3.0 * np.sqrt(eps * var0), 3.0 * math.sqrt(eps) * np.ones(d)])
-    draws = rng.standard_normal((max(restarts - 1, 0), 2 * d))
+    draws = rng.standard_normal((RESTARTS - 1, 2 * d))
     starts = np.concatenate([z0[None], z0 + draws * scale])
     start_feasible = feasible(starts)
     for _ in range(80):
@@ -603,65 +583,57 @@ def solve_exact_sampled(
     def search(searching, steps, directions, size):
         # one projection of the rows z + step * direction of one block per
         # start, steps (n, S) and directions (n, N, 2d), each block in
-        # (direction, step) order and tested in chunks of size, 2 size, 4
-        # size, ... rows.  Projected rows have step KL <= eps, so only the
-        # bar and, in convergence mode, the performance constraint are
-        # left; there every row is scored at once and the chunks skip the
-        # rows above the bar.  Returns, per block, the number of directions
-        # up to the taken row, or 0 when none is taken.
+        # (direction, step) order.  Returns, per block, the number of
+        # directions up to the taken row, or 0 when none is taken.
         if not searching:
             return []
         zs = np.array([s.z for s in searching])
         points = zs[:, None, None] + steps[:, None, :, None] * directions[:, :, None]
         trials = project_to_ball(step_kl, z0, points.reshape(-1, zs.shape[1]), eps)
-        scores = f(trials).tolist() if mode == "convergence" else {}
-        taken = [0] * len(searching)
         block = steps.shape[1] * directions.shape[1]
-        # per block: its index, bar and the rows of its chunks
-        cursors = []
-        for j, s in enumerate(searching):
-            bar = s.fz - max(1e-15, MIN_RELATIVE_DECREASE * abs(s.fz))
-            chunks = _chunks(j * block, (j + 1) * block, size)
-            if mode == "convergence":
-                chunks = _below(chunks, scores, bar)
-            cursors.append((j, bar, chunks))
-        while cursors:
-            drawn = [(cursor, next(cursor[2], None)) for cursor in cursors]
-            drawn = [(cursor, span) for cursor, span in drawn if span]
-            if not drawn:
-                break
-            rows = [i for _, span in drawn for i in span]
+        bars = [s.fz - max(1e-15, MIN_RELATIVE_DECREASE * abs(s.fz)) for s in searching]
+        blocks = [range(j * block, (j + 1) * block) for j in range(len(searching))]
+        if mode == "convergence":
+            scores = f(trials).tolist()
+            candidates = [[i for i in rows if scores[i] < bar] for rows, bar in zip(blocks, bars)]
+        else:
+            scores = [0.0] * len(trials)
+            candidates = blocks
+        taken = [0] * len(searching)
+        looking = [j for j, rows in enumerate(candidates) if rows]
+        first = 0
+        while looking:
+            spans = [candidates[j][first : first + size] for j in looking]
+            rows = [i for span in spans for i in span]
             if mode == "convergence":
                 low = (sampled(trials[rows]) < v_floor).tolist()
                 passed = {i for i, fails in zip(rows, low) if not fails}
             else:
-                scores.update(zip(rows, f(trials[rows]).tolist()))
-                passed = {i for (_, bar, _), span in drawn for i in span if scores[i] < bar}
-            cursors = []
-            for cursor, span in drawn:
+                for i, score in zip(rows, f(trials[rows]).tolist()):
+                    scores[i] = score
+                passed = {i for i in rows if scores[i] < bars[i // block]}
+            first += size
+            size *= 2
+            still = []
+            for j, span in zip(looking, spans):
                 hit = next((i for i in span if i in passed), None)
-                if hit is None:
-                    cursors.append(cursor)
-                    continue
-                j = cursor[0]
-                count, at = divmod(hit - j * block, steps.shape[1])
-                s = searching[j]
-                s.z, s.fz, s.alpha = trials[hit], scores[hit], steps[j, at]
-                taken[j] = count + 1
+                if hit is not None:
+                    count, k = divmod(hit - j * block, steps.shape[1])
+                    s = searching[j]
+                    s.z, s.fz, s.alpha = trials[hit], scores[hit], steps[j, k]
+                    taken[j] = count + 1
+                elif first < len(candidates[j]):
+                    still.append(j)
+            looking = still
         return taken
 
-    # the shrink loop has tested every start; their objectives come from
-    # one call on their rows
     feasible_starts = starts[start_feasible]
     f_starts = f(feasible_starts).tolist()
     runs = [_Start(z, fz, alpha0) for z, fz in zip(feasible_starts, f_starts)]
     live = runs
     while live:
-        # one round: a gradient step of every live start that is not waiting
-        # for an escape block; a start that has spent its gradient budget
-        # ends unconverged
         for s in live:
-            s.ended = s.gradients == iterations and not s.waiting
+            s.ended = s.gradients == GRADIENT_STEPS and not s.waiting
         stepping = [s for s in live if not (s.ended or s.waiting)]
         if stepping:
             zs = np.array([s.z for s in stepping])
@@ -688,8 +660,6 @@ def solve_exact_sampled(
             moving = [stepping[i] for i in keep]
             steps = _halvings([s.alpha for s in moving], 40)
             directions = (-vs[keep] / vns[keep, None])[:, None]
-            # the step and its first three halvings, then, for the starts
-            # that took none, the other 36 halvings
             for part, size in ((slice(4), 1), (slice(4, None), 2)):
                 taken = search(moving, steps[:, part], directions, size)
                 left = [i for i, t in enumerate(taken) if not t]
@@ -740,8 +710,6 @@ def numerical_update(
     batch: RolloutBatch,
     config: CurriculumConfig,
     seed: int = 0,
-    restarts: int = 8,
-    iterations: int = 500,
 ) -> tuple[ContextDistribution, UpdateReport]:
     """Baseline curriculum update of the distribution that drew ``batch``,
     driven by the exact numerical solver.
@@ -754,9 +722,7 @@ def numerical_update(
     batch, config, _ = returns_in_range(batch, config)
     stats = compute_stats(batch)
     mode = "performance" if should_run_performance_step(stats, config) else "convergence"
-    result = solve_exact_sampled(
-        batch, config, mode, seed=seed, restarts=restarts, iterations=iterations
-    )
+    result = solve_exact_sampled(batch, config, mode, seed=seed)
     new_dist = result.distribution
     sigma = dist.target.sigma_tilde_diag
     report = UpdateReport(

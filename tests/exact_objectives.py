@@ -2,10 +2,12 @@
 ``exact`` part of ``tests/digest.py``.
 
 Prints one CSV line per instance,
-``index,mode,d,eps,objective,converged,kl_step,cpu_s``, with ``eps``, the
-objective and the step KL as ``float.hex``, so two trees can be compared
-instance by instance rather than by one hash; ``cpu_s`` is the solve's
-``time.process_time``:
+``index,mode,d,eps,objective,converged,kl_step,cpu_s,value_calls,value_rows``,
+with ``eps``, the objective and the step KL as ``float.hex``, so two trees
+can be compared instance by instance rather than by one hash; ``cpu_s`` is
+the solve's ``time.process_time``, and ``value_calls`` and ``value_rows``
+count the solve's calls of :func:`spgl.gaussian.sampled_value` and the
+parameter rows they evaluate, by wrapping ``spgl.oracle.sampled_value``:
 
     PYTHONPATH=<tree>/src python tests/exact_objectives.py > <tree>.csv
 
@@ -24,8 +26,10 @@ For each file it also prints the largest ``kl_step - eps`` and every
 instance whose step KL exceeds ``eps + 1e-9``, and, when both files have the
 ``cpu_s`` column, each file's CPU time and their ratio, in total and per
 mode; the identical count is split by mode too, so a change to one mode can
-show that the other did not move.  A file without the ``kl_step`` or
-``cpu_s`` column compares without it.
+show that the other did not move.  For each file with the ``value_calls``
+and ``value_rows`` columns it prints their totals, in total and per mode.
+A file without the ``kl_step``, ``cpu_s`` or value columns compares without
+them.
 """
 
 import math
@@ -42,25 +46,38 @@ MODES = ("performance", "convergence")
 
 def main():
     from digest import EXACT_INSTANCES, exact_instance
+
+    import spgl.oracle
     from spgl.oracle import solve_exact_sampled
 
-    print("index,mode,d,eps,objective,converged,kl_step,cpu_s")
+    counts = Counter()
+    sampled_value = spgl.oracle.sampled_value
+
+    def counted(contexts, values, log_p0, mu, var):
+        counts["calls"] += 1
+        counts["rows"] += mu.shape[0] if mu.ndim > 1 else 1
+        return sampled_value(contexts, values, log_p0, mu, var)
+
+    spgl.oracle.sampled_value = counted
+    print("index,mode,d,eps,objective,converged,kl_step,cpu_s,value_calls,value_rows")
     for i in range(EXACT_INSTANCES):
         batch, config, mode = exact_instance(i)
+        counts.clear()
         start = time.process_time()
         r = solve_exact_sampled(batch, config, mode, seed=i)
         cpu_s = time.process_time() - start
         print(
             f"{i},{mode},{batch.source_distribution.d},{config.epsilon.hex()},"
-            f"{r.objective.hex()},{r.converged},{r.kl_step.hex()},{cpu_s:.6f}"
+            f"{r.objective.hex()},{r.converged},{r.kl_step.hex()},{cpu_s:.6f},"
+            f"{counts['calls']},{counts['rows']}"
         )
         sys.stdout.flush()
 
 
 def read(path):
-    """``{index: (mode, d, eps, objective, converged, kl_step, cpu_s)}`` of
-    one output file, with ``kl_step`` or ``cpu_s`` None in a file without
-    that column."""
+    """``{index: (mode, d, eps, objective, converged, kl_step, cpu_s,
+    value_calls, value_rows)}`` of one output file, with a field None in a
+    file without its column."""
     rows = {}
     with open(path) as lines:
         names = next(lines).strip().split(",")
@@ -74,6 +91,8 @@ def read(path):
                 row["converged"] == "True",
                 float.fromhex(row["kl_step"]) if "kl_step" in row else None,
                 float(row["cpu_s"]) if "cpu_s" in row else None,
+                int(row["value_calls"]) if "value_calls" in row else None,
+                int(row["value_rows"]) if "value_rows" in row else None,
             )
     return rows
 
@@ -88,6 +107,18 @@ def print_kl_steps(label, rows):
     above = [f"{i} ({over:+.3g})" for over, i in excess if over > KL_SLACK]
     print(f"{label}: largest kl_step - eps {max(excess)[0]:+.3g}")
     print(f"{label}: kl_step above eps + {KL_SLACK:g}: {len(above)} {' '.join(above)}".rstrip())
+
+
+def print_value_work(label, rows):
+    """The ``sampled_value`` calls and rows of one file, in total and per
+    mode."""
+    if any(row[7] is None for row in rows.values()):
+        print(f"{label}: no value_calls column")
+        return
+    for mode in ("total", *MODES):
+        picked = [row for row in rows.values() if mode in ("total", row[0])]
+        calls, value_rows = sum(row[7] for row in picked), sum(row[8] for row in picked)
+        print(f"{label}: sampled_value {mode}: {calls} calls, {value_rows} rows")
 
 
 def compare(parent_path, change_path):
@@ -139,6 +170,8 @@ def compare(parent_path, change_path):
     print(f"converged changed: {len(converged_flips)} {' '.join(converged_flips)}".rstrip())
     print_kl_steps("parent", parent)
     print_kl_steps("change", change)
+    print_value_work("parent", parent)
+    print_value_work("change", change)
     if all(row[6] is not None for rows in (parent, change) for row in rows.values()):
         for label in ("total", *MODES):
             cpu_parent, cpu_change = (

@@ -259,6 +259,15 @@ class TestKL:
         sigma = old.target.sigma_tilde_diag
         assert float(kl_params(new.mu, old.theta, old.mu, old.theta, sigma)) == kl_between(new, old)
 
+    @pytest.mark.parametrize(
+        "other", [([0.0, 0.0], [1.0, 1.0], [1.0, 1.0]), ([0.0], [1.0], [0.5])]
+    )
+    def test_kl_between_rejects_another_target_spec(self, other):
+        # another dimension or other target variances
+        mu, theta, sigma = other
+        with pytest.raises(ValueError, match="common target spec"):
+            kl_between(make_dist(mu, theta, sigma=sigma), make_dist([0.0], [1.0], sigma=[1.0]))
+
     def test_kl_between_theta_change_against_monte_carlo(self):
         rng = np.random.default_rng(6)
         old = make_dist([0.5], [2.0], sigma=[0.8])

@@ -195,7 +195,7 @@ class TestSolveNumeric:
             float(np.sum(direction**2 * metric))
         )
         assert np.allclose(sol.x, expected, rtol=1e-10)
-        assert sol.max_residual <= 1e-10
+        assert max(sol.residuals.values()) <= 1e-10
 
     def test_zero_gradient_returns_center(self):
         center = np.array([0.3])
@@ -256,7 +256,7 @@ class TestSolveNumeric:
                     offset = -0.5 * reach
                 kwargs["performance"] = (a, offset)
             sol = solve_numeric(LinearizedSubproblem(**kwargs))
-            assert sol.max_residual <= 1e-10
+            assert max(sol.residuals.values()) <= 1e-10
 
 
 def ray_kl(rng, d, theta_min=1e-6):
@@ -724,7 +724,7 @@ class TestObjectiveGradient:
         assert np.array_equal(grad(z), grad_rest(z))
         assert rel_error(grad(z), fd_grad(f_rest, z)) <= self.RTOL
 
-    def test_start_on_the_floor_raises_the_scales(self):
+    def test_start_on_the_floor_raises_the_scales(self, monkeypatch):
         # one start, at theta0 = theta_min and mu0 = mu_tilde: only the
         # one-sided scale derivative on the floor can move it toward the
         # target's scales; a derivative of 0 there would return the start
@@ -736,7 +736,8 @@ class TestObjectiveGradient:
         )
         contexts = np.random.default_rng(0).normal(size=(16, d)) * 1e-3
         batch = RolloutBatch(contexts, np.ones(16), dist)
-        result = solve_exact_sampled(batch, config, "convergence", seed=0, restarts=1)
+        monkeypatch.setattr(spgl.oracle, "RESTARTS", 1)
+        result = solve_exact_sampled(batch, config, "convergence", seed=0)
         assert result.feasible
         assert np.all(result.distribution.theta > 1.3 * config.theta_min)
         assert config.epsilon - 1e-9 <= result.kl_step <= config.epsilon + 1e-9
@@ -944,8 +945,7 @@ class TestSolveExactSampled:
 
         monkeypatch.setattr(spgl.oracle, "project_to_ball", counted_project)
         run_timing_suite(10, updates=1)
-        restarts = 8  # numerical_update's default, the race's
-        assert 0 < counts["blocks"] <= restarts
+        assert 0 < counts["blocks"] <= spgl.oracle.RESTARTS
         assert counts["calls"] <= 32
 
     def test_race_instance_scores_a_search_once_and_tests_the_rows_below_the_bar(
@@ -1010,6 +1010,43 @@ class TestSolveExactSampled:
             projected += n
             tested += len(search["rows"])
         assert len(searches) > 10 and 0 < tested < projected / 4
+
+    def test_race_instance_doubles_the_rows_tested_per_block_each_call(self, monkeypatch):
+        # convergence mode: a block's candidates are its rows below the bar,
+        # and the r-th sampled-value call of a search tests the next 2^r of
+        # them (2 * 2^r on the 36-row blocks).  Chunks of raw row offsets
+        # that skipped those without a candidate tested up to a whole later
+        # chunk in an early call
+        searches = []
+        real_project = spgl.oracle.project_to_ball
+        real_sampled = spgl.oracle.sampled_value
+
+        def project(kl, z0, z, eps):
+            trials = real_project(kl, z0, z, eps)
+            searches.append({"trials": trials, "calls": []})
+            return trials
+
+        def sampled(contexts, values, log_p0, mu, var):
+            if mu.ndim == 2 and searches:
+                searches[-1]["calls"].append(mu.copy())
+            return real_sampled(contexts, values, log_p0, mu, var)
+
+        monkeypatch.setattr(spgl.oracle, "project_to_ball", project)
+        monkeypatch.setattr(spgl.oracle, "sampled_value", sampled)
+        run_timing_suite(10, updates=1)
+
+        calls = 0
+        for search in searches:
+            trials = search["trials"]
+            n, d = len(trials), trials.shape[1] // 2
+            size = 4 if n <= 32 else 96 if n == 96 else 36
+            first = 2 if size == 36 else 1
+            row_of = {trials[i, :d].tobytes(): i for i in range(n)}
+            for r, mu in enumerate(search["calls"]):
+                per_block = np.bincount([row_of[row.tobytes()] // size for row in mu])
+                assert per_block.max() <= first * 2**r
+                calls += 1
+        assert len(searches) > 10 and calls > 10
 
     def test_performance_search_scores_its_first_chunk_alone(self, monkeypatch):
         # performance mode: the objective is the sampled value itself, so a
@@ -1105,14 +1142,14 @@ class TestNumericalUpdate:
         dist, target, batch = exact_setting(seed=9, width=50.0)
         low = CurriculumConfig(epsilon=0.05, v_lower=1e3, k_contexts=16)
         high = CurriculumConfig(epsilon=0.05, v_lower=-1e3, k_contexts=16)
-        _, report_low = numerical_update(batch, low, seed=1, restarts=2, iterations=50)
-        _, report_high = numerical_update(batch, high, seed=1, restarts=2, iterations=50)
+        _, report_low = numerical_update(batch, low, seed=1)
+        _, report_high = numerical_update(batch, high, seed=1)
         assert report_low.kind == "performance"
         assert report_high.kind == "convergence"
 
     def test_step_stays_in_trust_region(self):
         dist, target, batch = exact_setting(seed=11, width=50.0)
         config = CurriculumConfig(epsilon=0.03, v_lower=5.0, k_contexts=16)
-        new_dist, report = numerical_update(batch, config, seed=2, restarts=3, iterations=100)
+        new_dist, report = numerical_update(batch, config, seed=2)
         assert kl_between(new_dist, dist) <= config.epsilon + 1e-8
         assert report.kl_step <= config.epsilon + 1e-8
