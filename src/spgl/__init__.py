@@ -6,7 +6,7 @@ verification and baseline comparison, native desk-scale environments, a
 minimal episodic learner, and a CLI training harness.
 """
 
-from .envs import PointMassEnv, SyntheticEnv, synthetic_value
+from .envs import PointMassEnv, SyntheticEnv
 from .gaussian import (
     ContextDistribution,
     TargetSpec,

@@ -106,12 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--timing-updates", type=int, default=50, help="updates in the timing comparison"
     )
-    ver.add_argument(
-        "--perturb",
-        type=float,
-        default=0.0,
-        help="fault injection: corrupt closed forms by this relative amount",
-    )
     ver.add_argument("--quiet", action="store_true")
     return parser
 
@@ -210,7 +204,6 @@ def _cmd_verify(args) -> int:
     report = verify(
         seed=args.seed,
         instance_count=args.instances,
-        perturb=args.perturb,
         include_timing=not args.no_timing,
         timing_updates=args.timing_updates,
     )
@@ -228,16 +221,13 @@ def main(argv=None) -> int:
             return _cmd_train(args)
         if args.command == "eval":
             return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return _cmd_verify(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    parser.error("unknown command")
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

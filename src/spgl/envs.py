@@ -42,7 +42,6 @@ import numpy as np
 __all__ = [
     "PointMassEnv",
     "SyntheticEnv",
-    "synthetic_value",
 ]
 
 
@@ -84,22 +83,18 @@ class PointMassEnv:
     def observation_dim(self) -> int:
         return 4 + (self.context_dim if self.context_visible else 0)
 
-    def clamp_contexts(self, contexts: np.ndarray) -> np.ndarray:
-        """Clamp raw context draws to physically meaningful values."""
+    def reset(self, contexts: np.ndarray) -> np.ndarray:
+        """Start states: the fixed start at rest, then the context clamped
+        to physical values, the gate width to at least ``min_gate_width``
+        and the friction to at least zero."""
         contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
         if contexts.shape[-1] != self.context_dim:
             raise ValueError("point-mass contexts have three dimensions")
-        clamped = contexts.copy()
-        clamped[:, 1] = np.maximum(clamped[:, 1], self.min_gate_width)
-        clamped[:, 2] = np.maximum(clamped[:, 2], 0.0)
-        return clamped
-
-    def reset(self, contexts: np.ndarray) -> np.ndarray:
-        """Start states: the fixed start at rest, then the clamped context."""
-        contexts = self.clamp_contexts(contexts)
         state = np.empty((4 + self.context_dim, contexts.shape[0]))
         state[0:4] = np.array([*self.start, 0.0, 0.0])[:, None]
         state[4:] = contexts.T
+        np.maximum(state[5], self.min_gate_width, out=state[5])
+        np.maximum(state[6], 0.0, out=state[6])
         return state
 
     def observe(self, state: np.ndarray) -> np.ndarray:
@@ -167,25 +162,12 @@ class PointMassEnv:
         return new_state, reward, terminated, success
 
 
-def synthetic_value(context, difficulty_center, width: float) -> float:
-    """Deterministic episode return of the synthetic environment:
-    ``peak * exp(-|c - center|^2 / (2 width^2))`` with ``peak =``
-    :attr:`SyntheticEnv.peak`."""
-    context = np.asarray(context, dtype=float)
-    center = np.asarray(difficulty_center, dtype=float)
-    if context.shape[-1] != center.shape[-1]:
-        raise ValueError("context dimension mismatch")
-    if width <= 0.0:
-        raise ValueError("width must be positive")
-    gap = np.sum((context - center) ** 2, axis=-1)
-    return SyntheticEnv.peak * np.exp(-gap / (2.0 * width**2))
-
-
 class SyntheticEnv:
-    """Analytic one-step environment: the episode return is a known bump
-    function of the context, and there is nothing to act on or observe.  An
-    episode counts as a success when its return reaches half the peak.  A
-    state column is the context itself."""
+    """Analytic one-step environment: the episode return is the bump
+    ``peak * exp(-|c - difficulty_center|^2 / (2 width^2))`` of the context
+    ``c``, and there is nothing to act on or observe.  An episode counts as
+    a success when its return reaches half the peak.  A state column is the
+    context itself."""
 
     action_dim = 0
     observation_dim = 0
@@ -214,6 +196,7 @@ class SyntheticEnv:
     def step(self, state: np.ndarray, actions: np.ndarray, t: int):
         # one contiguous context row per episode, so each sum over the
         # context runs as it does for that context alone
-        values = synthetic_value(state.T.copy(), self.difficulty_center, self.width)
+        gap = np.sum((state.T.copy() - self.difficulty_center) ** 2, axis=-1)
+        values = self.peak * np.exp(-gap / (2.0 * self.width**2))
         done = np.ones(state.shape[1], dtype=bool)
         return state.copy(), values, done, values >= self.success_threshold

@@ -30,7 +30,6 @@ __all__ = [
     "IterationRecord",
     "ModeSummary",
     "TrainingResult",
-    "evaluate",
     "evaluate_run",
     "records_to_csv",
     "run_multi_seed",
@@ -46,7 +45,8 @@ CSV_FLOAT_FORMAT = ".9g"
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One row of the training curve, emitted per training iteration."""
+    """One row of the training curve, emitted per training iteration;
+    ``mu`` and ``theta`` are the distribution's own read-only arrays."""
 
     iteration: int
     mean_return: float
@@ -208,8 +208,8 @@ def _lockstep_iteration(states, env, i: int, config: ExperimentConfig, progress)
             kl_step=kl_step,
             step_kind=step_kind,
             active_case=active_case,
-            mu=np.array(run.dist.mu),
-            theta=np.array(run.dist.theta),
+            mu=run.dist.mu,
+            theta=run.dist.theta,
         )
         run.records.append(record)
         if progress is not None:
@@ -251,24 +251,6 @@ def run_training(
     return train_runs(config, [(mode, seed)], progress)[0]
 
 
-def evaluate(policies, target, env, n_episodes: int, rngs) -> list[EvalResult]:
-    """Mean return and success rate (percent) of each policy over episodes
-    with contexts drawn from the target distribution, with standard errors.
-
-    Policy ``r`` draws its contexts from ``rngs[r]``, and all policies'
-    episodes are stepped in one batch.  Evaluation executes the mean action,
-    so no exploration noise is drawn and the rollout seeds are unused.
-    """
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
-    target_dist = ContextDistribution.at_target(target)
-    contexts = np.stack([sample(target_dist, rng, n_episodes) for rng in rngs])
-    all_episodes = collect_rollouts(policies, env, contexts, [0] * len(rngs), 0, deterministic=True)
-    if n_episodes == 1:
-        warnings.warn("single-episode evaluation; standard errors are zero", RuntimeWarning)
-    return [_eval_result(episodes) for episodes in all_episodes]
-
-
 def _mean(values) -> float:
     """Mean of finite values: the plain sum over the count, or, when that
     sum overflows, the same of the values times the
@@ -304,14 +286,28 @@ def _eval_result(episodes) -> EvalResult:
 
 
 def evaluate_run(config: ExperimentConfig, policies, seeds) -> list[EvalResult]:
-    """Evaluate policies on the target distribution over the config's
-    ``eval_episodes``; policy ``r`` is evaluated with generators derived from
-    ``seeds[r]``, which must be non-negative integers."""
+    """Mean return and success rate (percent) of each policy, with standard
+    errors, over the config's ``eval_episodes`` episodes with contexts drawn
+    from the target distribution.
+
+    Policy ``r`` draws its contexts from a generator keyed on
+    ``[seeds[r], 10_000]``; the seeds must be non-negative integers.  All
+    policies' episodes are stepped in one batch.  Evaluation executes the
+    mean action, so no exploration noise is drawn and the rollout seeds are
+    unused.
+    """
     for seed in seeds:
         _check_seed(seed)
-    env = config.make_environment()
+    n_episodes = config.eval_episodes
+    target_dist = ContextDistribution.at_target(config.target)
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 10_000])) for seed in seeds]
-    return evaluate(policies, config.target, env, config.eval_episodes, rngs)
+    contexts = np.stack([sample(target_dist, rng, n_episodes) for rng in rngs])
+    all_episodes = collect_rollouts(
+        policies, config.make_environment(), contexts, [0] * len(seeds), 0, deterministic=True
+    )
+    if n_episodes == 1:
+        warnings.warn("single-episode evaluation; standard errors are zero", RuntimeWarning)
+    return [_eval_result(episodes) for episodes in all_episodes]
 
 
 @dataclass(frozen=True)
@@ -455,7 +451,6 @@ def summary_to_csv(summaries) -> str:
 def verify(
     seed: int,
     instance_count: int = 100,
-    perturb: float = 0.0,
     include_timing: bool = True,
     timing_updates: int = 50,
 ) -> VerifyReport:
@@ -463,17 +458,16 @@ def verify(
 
     Closed-form solutions are compared against the dual-bisection oracle and
     the gradient statistics against finite differences; with timing enabled
-    the closed-form update is raced against the exact numerical solver.  A
-    nonzero ``perturb`` injects an artificial error into the closed forms so
-    the suite's sensitivity can be demonstrated.  Invalid arguments raise
-    :class:`~spgl.config.ConfigError` before any suite runs.
+    the closed-form update is raced against the exact numerical solver.
+    Invalid arguments raise :class:`~spgl.config.ConfigError` before any
+    suite runs.
     """
     _check_seed(seed)
     if instance_count < 1:
         raise ConfigError(f"instance_count must be >= 1, got {instance_count}")
     if include_timing and timing_updates < 1:
         raise ConfigError(f"timing_updates must be >= 1, got {timing_updates}")
-    report = run_oracle_suite(seed, instance_count, perturb=perturb)
+    report = run_oracle_suite(seed, instance_count)
     report.merge(run_fd_suite(seed + 1, instance_count))
     if include_timing:
         report.merge(run_timing_suite(seed + 2, updates=timing_updates))

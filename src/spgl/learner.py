@@ -72,15 +72,13 @@ def _upper_pairs(n: int):
     return iu, ju
 
 
-def policy_features(observations: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def policy_features(observations: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Degree-<=2 polynomial features of ``(n, k)`` observations, one column
     per episode as ``observe`` returns them: constant, linear and pairwise
-    terms, shape ``(k, F)``, written into ``out`` when given."""
+    terms, written into ``out`` of shape ``(k, F)``, which is returned."""
     obs = np.asarray(observations, dtype=float)
     n, k = obs.shape
     iu, ju = _upper_pairs(n)
-    if out is None:
-        out = np.empty((k, feature_dim(n)))
     # built as contiguous rows of one (F, k) array, then transposed once
     columns = np.empty((out.shape[1], k))
     columns[0] = 1.0

@@ -149,21 +149,8 @@ def _make_stats(d, u_bar=None, v_bar=0.0, psi_bar=None, omega=None):
     )
 
 
-def _perturbed(x, perturb, rng):
-    if perturb == 0.0:
-        return x
-    noise = rng.standard_normal(np.shape(x)) if np.ndim(x) else rng.standard_normal()
-    return x + perturb * (1.0 + np.abs(x)) * noise
-
-
-def run_oracle_suite(
-    seed: int, instances_per_block: int = 100, perturb: float = 0.0
-) -> VerifyReport:
-    """Compare every closed-form block against the dual-bisection oracle.
-
-    ``perturb`` deliberately corrupts the closed-form outputs before the
-    comparison; nonzero values must make the suite fail (sensitivity check).
-    """
+def run_oracle_suite(seed: int, instances_per_block: int = 100) -> VerifyReport:
+    """Compare every closed-form block against the dual-bisection oracle."""
     rng = np.random.default_rng(seed)
     report = VerifyReport()
     counts = Counter()
@@ -210,7 +197,6 @@ def run_oracle_suite(
             u_bar = u_bar + 0.1
         # the scale gradient is zero, so the mean block gets the whole budget
         closed_mu, _, _, _ = performance_step(dist, _make_stats(d, u_bar=u_bar), eps)
-        closed_mu = _perturbed(closed_mu, perturb, rng)
         oracle = solve_numeric(
             LinearizedSubproblem(
                 center=mu,
@@ -229,7 +215,6 @@ def run_oracle_suite(
             psi_bar = psi_bar + 0.1
         # the mean gradient is zero, so the scale block gets the whole budget
         _, closed_theta, _, _ = performance_step(dist, _make_stats(d, psi_bar=psi_bar), eps)
-        closed_theta = _perturbed(closed_theta, perturb, rng)
         oracle = solve_numeric(
             LinearizedSubproblem(
                 center=theta,
@@ -248,7 +233,6 @@ def run_oracle_suite(
                 break
         block = MeanBlock(dist, _make_stats(d, u_bar=u_bar, v_bar=b), 0.0)
         mu_new, mu_sol = block.solve(eps)
-        mu_new = _perturbed(mu_new, perturb, rng)
         counts[f"mu:{mu_sol.active_case}"] += 1
         oracle = solve_numeric(
             LinearizedSubproblem(
@@ -288,7 +272,6 @@ def run_oracle_suite(
         theta_new, th_sol, backtracked = block.solve(eps)
         if th_sol.active_case == BOTH_INACTIVE or backtracked:
             continue
-        theta_new = _perturbed(theta_new, perturb, rng)
         counts[f"theta:{th_sol.active_case}"] += 1
         oracle = solve_numeric(
             LinearizedSubproblem(

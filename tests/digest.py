@@ -48,9 +48,12 @@ Parts (NumPy and hashlib only; this is a script, not a pytest module):
 * ``verify``: every :class:`~spgl.verification.VerifyReport` field but the
   two timings (``closed_form_seconds``, ``exact_solver_seconds``) of
   :func:`spgl.harness.verify` without its timing race, at 100 instances on
-  seeds 0-19 and, with the closed forms perturbed by 1e-3 so that the
-  failure lines are hashed too, at 6 instances on seeds 0-4.  It checks the
-  oracle and finite-difference suites alone, in a few seconds:
+  seeds 0-19, then at 6 instances on seeds 0-4 with the closed forms
+  perturbed so that the failure lines are hashed too.  The perturbed runs
+  patch ``performance_step``, ``MeanBlock`` and ``ScaleBlock`` in
+  :mod:`spgl.verification` (see :func:`perturbed_closed_forms`), and each
+  set of runs prints its own digest.  It checks the oracle and
+  finite-difference suites alone, in a few seconds:
   ``PYTHONPATH=src python tests/digest.py verify``.
 
 A change to the exact solver therefore moves ``exact`` alone.
@@ -63,9 +66,11 @@ import hashlib
 import struct
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
+import spgl.verification
 from spgl.config import load_config, preset_path
 from spgl.envs import PointMassEnv, SyntheticEnv
 from spgl.gaussian import THETA_MIN, ContextDistribution, TargetSpec
@@ -81,7 +86,9 @@ ROLLOUT_SHAPES = ((1, 1), (4, 64), (10, 64))  # (R, K)
 UPDATE_INSTANCES = 20_000
 UPDATE_DIMS = (1, 2, 3, 8, 32, 64)
 UPDATE_BATCHES = (2, 4, 16, 64)
-VERIFY_RUNS = [(seed, 100, 0.0) for seed in range(20)] + [(seed, 6, 1e-3) for seed in range(5)]
+VERIFY_RUNS = [(seed, 100) for seed in range(20)]
+PERTURBED_RUNS = [(seed, 6) for seed in range(5)]
+PERTURBATION = 1e-3
 VERIFY_TIMINGS = ("closed_form_seconds", "exact_solver_seconds")
 
 
@@ -288,21 +295,69 @@ def digest_updates(h):
     return UPDATE_INSTANCES
 
 
+def perturbation(rng):
+    """``x`` moved by ``PERTURBATION * (1 + |x|)`` times standard normals
+    drawn from ``rng``."""
+    return lambda x: x + PERTURBATION * (1.0 + np.abs(x)) * rng.standard_normal(x.shape)
+
+
+def perturbed_closed_forms(moved):
+    """A patch of :mod:`spgl.verification`, as a context manager, under which
+    every closed-form point its oracle suite compares (the mean and scales
+    of ``performance_step``, the point of ``MeanBlock.solve`` and of
+    ``ScaleBlock.solve``) comes out as ``moved(x)``."""
+    real_step = spgl.verification.performance_step
+
+    def performance_step(dist, stats, eps):
+        mu, theta, *flags = real_step(dist, stats, eps)
+        return (moved(mu), moved(theta), *flags)
+
+    class MeanBlock(spgl.verification.MeanBlock):
+        def solve(self, eps):
+            mu, solution = super().solve(eps)
+            return moved(mu), solution
+
+    class ScaleBlock(spgl.verification.ScaleBlock):
+        def solve(self, eps):
+            theta, solution, backtracked = super().solve(eps)
+            return moved(theta), solution, backtracked
+
+    return mock.patch.multiple(
+        spgl.verification,
+        performance_step=performance_step,
+        MeanBlock=MeanBlock,
+        ScaleBlock=ScaleBlock,
+    )
+
+
+def _digest_report(h, report):
+    for field in dataclasses.fields(report):
+        if field.name in VERIFY_TIMINGS:
+            continue
+        value = getattr(report, field.name)
+        if isinstance(value, float):
+            _floats(h, value)
+        else:
+            _text(h, repr(value))
+
+
 def digest_verify(h):
     failures = 0
-    for seed, instances, perturb in VERIFY_RUNS:
-        report = verify(seed, instances, perturb=perturb, include_timing=False)
-        for field in dataclasses.fields(report):
-            if field.name in VERIFY_TIMINGS:
-                continue
-            value = getattr(report, field.name)
-            if isinstance(value, float):
-                _floats(h, value)
-            else:
-                _text(h, repr(value))
+    group = hashlib.sha256()
+    for seed, instances in VERIFY_RUNS:
+        report = verify(seed, instances, include_timing=False)
+        _digest_report(_Tee(h, group), report)
         failures += len(report.failures)
+    print(f"  unperturbed {group.hexdigest()}")
+    group = hashlib.sha256()
+    for seed, instances in PERTURBED_RUNS:
+        with perturbed_closed_forms(perturbation(np.random.default_rng([seed, 66]))):
+            report = verify(seed, instances, include_timing=False)
+        _digest_report(_Tee(h, group), report)
+        failures += len(report.failures)
+    print(f"  perturbed   {group.hexdigest()}")
     print(f"  failure lines {failures}")
-    return len(VERIFY_RUNS)
+    return len(VERIFY_RUNS) + len(PERTURBED_RUNS)
 
 
 PARTS = {

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spgl.envs import PointMassEnv, SyntheticEnv, synthetic_value
+from spgl.envs import PointMassEnv, SyntheticEnv
 
 
 @pytest.fixture
@@ -110,13 +110,12 @@ class TestReset:
         assert np.array_equal(state[:4, 0], state[:4, 1])
 
     def test_negative_gate_width_clamped(self, env):
-        clamped = env.clamp_contexts(np.array([0.0, -1.0, 0.5]))
-        assert clamped[0, 1] == 0.05
-        assert env.reset(np.array([0.0, -1.0, 0.5]))[5, 0] == 0.05
+        contexts = np.array([0.0, -1.0, 0.5])
+        assert env.reset(contexts)[5, 0] == 0.05
+        assert contexts[1] == -1.0  # the state is clamped, not the argument
 
     def test_negative_friction_clamped(self, env):
-        clamped = env.clamp_contexts(np.array([0.0, 1.0, -2.0]))
-        assert clamped[0, 2] == 0.0
+        assert env.reset(np.array([0.0, 1.0, -2.0]))[6, 0] == 0.0
 
 
 class TestStep:
@@ -243,18 +242,29 @@ class TestStep:
         assert all(count > 0 for count in seen.values()), seen
 
 
+def synthetic_values(center, width, contexts):
+    """Returns of one synthetic step from ``(K, d)`` contexts."""
+    env = SyntheticEnv(difficulty_center=center, width=width)
+    contexts = np.atleast_2d(contexts)
+    return env.step(env.reset(contexts), np.zeros((0, len(contexts))), 0)[1]
+
+
+def bump(c, center, width):
+    """The synthetic return of one context, written out."""
+    return SyntheticEnv.peak * np.exp(-np.sum((c - center) ** 2) / (2.0 * width**2))
+
+
 class TestSynthetic:
     def test_peak_value(self):
-        assert synthetic_value(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1.0) == 10.0
+        assert synthetic_values([1.0, 2.0], 1.0, [1.0, 2.0]) == [10.0]
 
     def test_flat_limit(self):
-        value = synthetic_value(np.array([5.0, -5.0]), np.zeros(2), 1e6)
+        (value,) = synthetic_values(np.zeros(2), 1e6, [5.0, -5.0])
         assert value == pytest.approx(10.0, abs=1e-8)
 
     def test_unit_distance(self):
-        assert synthetic_value(np.array([1.0]), np.array([0.0]), 1.0) == pytest.approx(
-            10.0 * math.exp(-0.5)
-        )
+        (value,) = synthetic_values([0.0], 1.0, [1.0])
+        assert value == pytest.approx(10.0 * math.exp(-0.5))
 
     def test_monotone_in_distance(self):
         env = SyntheticEnv(difficulty_center=np.zeros(2), width=1.5)
@@ -286,4 +296,4 @@ class TestSynthetic:
             contexts = rng.normal(0.0, 3.0, (int(rng.integers(2, 65)), d))
             _, values, _, _ = env.step(env.reset(contexts), np.zeros((0, len(contexts))), 0)
             for c, v in zip(contexts, values):
-                assert v == synthetic_value(c, env.difficulty_center, env.width)
+                assert v == bump(c, env.difficulty_center, env.width)

@@ -19,10 +19,10 @@ import pytest
 import spgl.cli
 import spgl.harness
 import spgl.verification
+from digest import perturbed_closed_forms
 from spgl.cli import EXIT_CONFIG, EXIT_WARNINGS, main
 from spgl.config import RETIRED, ConfigError, available_presets, load_config, preset_path
 from spgl.harness import (
-    evaluate,
     evaluate_run,
     records_to_csv,
     run_multi_seed,
@@ -31,8 +31,7 @@ from spgl.harness import (
     verify,
     welch_p_value,
 )
-from spgl.envs import PointMassEnv, SyntheticEnv
-from spgl.gaussian import TargetSpec
+from spgl.envs import SyntheticEnv
 from spgl.learner import init_policy
 from spgl.update import CurriculumError, update
 from spgl.verification import run_fd_suite, run_timing_suite
@@ -214,6 +213,18 @@ class TestConfig:
                 "[learner]\nlearning_rate = nan\n[curriculum]",
                 r"\[learner\] learning_rate is retired",
             ),
+            # malformed files and values
+            ("mu = 1.0, -0.8", "mu = 1.0, east", r"could not parse vector 'target.mu'"),
+            ("epsilon = 0.05\n", "", r"missing option \[curriculum\] epsilon"),
+            ("k_contexts = 8", "k_contexts = eight", r"bad value for \[curriculum\] k_contexts"),
+            (
+                "k_contexts = 8",
+                "k_contexts = 8\nthis line has no value",
+                r"could not parse \S*bad\.ini",
+            ),
+            ("[initial]\nmu = 0.0, 0.0\ntheta = 0.5, 0.25\n", "", r"missing section \[initial\]"),
+            ("curriculum = spgl", "curriculum = spdl", r"unknown curriculum mode 'spdl'"),
+            ("iterations = 5", "iterations = 0", r"iterations must be >= 1"),
         ],
     )
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, old, new, message):
@@ -226,6 +237,13 @@ class TestConfig:
         assert main(["train", "--config", str(path), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
+
+    def test_evaluation_section_is_optional(self, tmp_path):
+        path = tmp_path / "no_eval.ini"
+        text = SYNTH_CONFIG.format(iterations=5)
+        assert "[evaluation]\nepisodes = 8\n" in text
+        path.write_text(text.replace("[evaluation]\nepisodes = 8\n", ""))
+        assert load_config(path).eval_episodes == 50
 
     def test_synthetic_width_is_read(self, tmp_path):
         path = tmp_path / "narrow.ini"
@@ -415,27 +433,30 @@ class TestRunTraining:
 
 
 class TestEvaluate:
+    @staticmethod
+    def point_mass(episodes):
+        config = load_config(preset_path("point_mass_setup1"))
+        return dataclasses.replace(config, eval_episodes=episodes)
+
     def test_single_episode_warns_zero_se(self):
-        env = PointMassEnv()
+        config = self.point_mass(1)
+        env = config.make_environment()
         policy = init_policy(env.observation_dim, env.action_dim)
-        target = TargetSpec(mu_tilde=np.array([0.0, 4.0, 0.0]), sigma_tilde_diag=np.full(3, 1e-4))
-        with pytest.warns(RuntimeWarning):
-            (result,) = evaluate([policy], target, env, 1, [np.random.default_rng(0)])
+        with pytest.warns(RuntimeWarning, match="single-episode"):
+            (result,) = evaluate_run(config, [policy], [0])
         assert result.return_se == 0.0 and result.success_se == 0.0
 
     def test_seeded_repeatability(self):
-        env = PointMassEnv()
-        policy = init_policy(env.observation_dim, env.action_dim)
-        target = TargetSpec(mu_tilde=np.array([0.0, 4.0, 0.0]), sigma_tilde_diag=np.full(3, 1e-4))
-        a = evaluate([policy], target, env, 10, [np.random.default_rng(5)])
-        b = evaluate([policy], target, env, 10, [np.random.default_rng(5)])
-        assert a == b
-
-    def test_success_rate_is_percentage(self, synth_config):
-        config = synth_config(iterations=5)
+        config = self.point_mass(10)
         env = config.make_environment()
         policy = init_policy(env.observation_dim, env.action_dim)
-        (result,) = evaluate([policy], config.target, env, 16, [np.random.default_rng(1)])
+        assert evaluate_run(config, [policy], [5]) == evaluate_run(config, [policy], [5])
+
+    def test_success_rate_is_percentage(self, synth_config):
+        config = dataclasses.replace(synth_config(iterations=5), eval_episodes=16)
+        env = config.make_environment()
+        policy = init_policy(env.observation_dim, env.action_dim)
+        (result,) = evaluate_run(config, [policy], [1])
         assert result.success_rate == 100.0
         assert result.success_se == 0.0
 
@@ -633,8 +654,13 @@ class TestVerify:
         assert report.fd_max_error <= 1e-4
 
     def test_perturbed_closed_forms_fail(self):
-        report = verify(seed=0, instance_count=6, perturb=1e-3, include_timing=False)
+        # every closed form the oracle suite compares, moved by 1e-3
+        # relative, fails against the oracle
+        with perturbed_closed_forms(lambda x: x + 1e-3 * (1.0 + np.abs(x))):
+            report = verify(seed=0, instance_count=6, include_timing=False)
         assert not report.passed
+        labels = {f.split("[")[0] for f in report.failures}
+        assert {"perf-mu", "perf-theta", "conv-mu", "conv-theta"} <= labels
 
     @pytest.mark.parametrize("block, label", [(0, "perf-mu["), (1, "perf-theta[")])
     def test_checks_the_shipped_performance_step(self, monkeypatch, block, label):
@@ -652,8 +678,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", ["u_bar", "psi_bar", "omega"])
     def test_fd_suite_fails_on_a_wrong_statistic(self, monkeypatch, name):
-        # --perturb corrupts only the closed forms; this corrupts one
-        # statistic, which only its own finite differences may catch
+        # this corrupts one statistic, which only its own finite
+        # differences may catch
         real = spgl.verification.compute_stats
 
         def scaled(batch):
@@ -985,14 +1011,13 @@ class TestCli:
 
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--instances", "6", "--no-timing", "--quiet"]) == 0
-        assert (
-            main(["verify", "--instances", "4", "--no-timing", "--perturb", "1e-3", "--quiet"])
-            == 2
-        )
+        with perturbed_closed_forms(lambda x: x + 1e-3 * (1.0 + np.abs(x))):
+            assert main(["verify", "--instances", "4", "--no-timing", "--quiet"]) == 2
 
     def test_verify_fails_on_nan(self, capsys):
         # a nan error fails its check and stays in the reported maximum
-        assert main(["verify", "--instances", "3", "--no-timing", "--perturb", "nan"]) == 2
+        with perturbed_closed_forms(lambda x: np.full_like(x, np.nan)):
+            assert main(["verify", "--instances", "3", "--no-timing"]) == 2
         out = capsys.readouterr().out
         assert "max parameter error nan" in out
         assert "all verification suites passed" not in out

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spgl.envs import PointMassEnv, SyntheticEnv, synthetic_value
-from spgl.gaussian import TargetSpec
-from spgl.harness import evaluate
+from spgl.config import load_config, preset_path
+from spgl.envs import PointMassEnv, SyntheticEnv
+from spgl.harness import evaluate_run
 from spgl.learner import (
     GRAD_CLIP,
     NOISE_MIN,
@@ -100,7 +100,7 @@ class TestRollout:
         contexts = np.random.default_rng(0).normal(0.0, 1.5, (16, 2))
         episodes = collect_one(policy, env, contexts, 0, 0)
         for c, v, ok in zip(contexts, episodes.values, episodes.successes):
-            assert v == synthetic_value(c, env.difficulty_center, env.width)
+            assert v == env.peak * np.exp(-np.sum(c**2) / (2.0 * env.width**2))
             assert ok == (v >= env.success_threshold)
         assert np.array_equal(episodes.lengths, np.ones(16, dtype=int))
         assert episodes.actions.shape == (16, 1, 0)
@@ -455,6 +455,8 @@ class TestPersistence:
         save_policy(policy, path)
         loaded = load_policy(path)
         assert loaded.weights.shape == (0, 1) and loaded.log_action_noise.shape == (0,)
-        target = TargetSpec(mu_tilde=np.zeros(2), sigma_tilde_diag=np.ones(2))
-        (ev,) = evaluate([loaded], target, env, 8, [np.random.default_rng(0)])
+        config = dataclasses.replace(
+            load_config(preset_path("synthetic_convergence")), eval_episodes=8
+        )
+        (ev,) = evaluate_run(config, [loaded], [0])
         assert 0.0 < ev.mean_return <= env.peak

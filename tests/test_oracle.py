@@ -40,7 +40,7 @@ from spgl.oracle import (
     solve_numeric,
 )
 from spgl.stats import RolloutBatch
-from spgl.update import CurriculumConfig, project_to_ball, update
+from spgl.update import PERF_ACTIVE, CurriculumConfig, project_to_ball, update
 from spgl.verification import run_timing_suite
 
 
@@ -208,6 +208,29 @@ class TestSolveNumeric:
             )
         )
         assert np.array_equal(sol.x, center)
+
+    def test_zero_gradient_with_an_infeasible_center_steps_onto_the_bound(self):
+        # any feasible point is optimal, but the center violates the
+        # performance bound, so the solver steps along M^-1 a onto it
+        center = np.array([1.0, -1.0])
+        metric = np.array([2.0, 0.5])
+        a, b0 = np.array([1.0, 2.0]), -0.5
+        sol = solve_numeric(
+            LinearizedSubproblem(
+                center=center,
+                objective_gradient=np.zeros(2),
+                metric_diag=metric,
+                radius_sq=1.0,
+                performance=(a, b0),
+            )
+        )
+        assert sol.active_case == PERF_ACTIVE
+        assert max(sol.residuals.values()) <= 1e-10
+        delta = sol.x - center
+        assert float(np.sum(delta**2 * metric)) <= 1.0
+        assert b0 + float(np.dot(a, delta)) >= 0.0
+        norm_a_sq = float(np.sum(a**2 / metric))
+        assert np.allclose(delta, (-b0 / norm_a_sq) * a / metric, rtol=1e-12)
 
     def test_quadratic_interior_optimum(self):
         sol = solve_numeric(
