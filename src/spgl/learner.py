@@ -48,6 +48,11 @@ class PolicyParameters:
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
         noise = np.maximum(np.asarray(self.log_action_noise, dtype=float), np.log(NOISE_MIN))
+        if weights.ndim != 2 or noise.shape != weights.shape[:1]:
+            raise ValueError(
+                "policy weights need shape (A, F) and log_action_noise shape (A,), "
+                f"got {weights.shape} and {noise.shape}"
+            )
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(noise))):
             raise ValueError("policy parameters must be finite")
         object.__setattr__(self, "weights", weights)
@@ -103,16 +108,20 @@ def _rollout_noise(policies, master_seeds, iteration: int, k: int, horizon: int,
 
     Run ``r`` draws ``standard_normal((K, T, A))`` from one generator,
     ``default_rng([master_seeds[r], iteration, 1])``; row ``i`` is episode
-    ``i``, column ``r * K + i`` of the block.  The trailing ``1`` tags the
-    noise streams: ``SeedSequence`` pads keys with zeros, so no noise key
-    equals a context key such as ``[seed, 0]`` (training) or
-    ``[seed, 10_000]`` (evaluation)."""
+    ``i``, column ``r * K + i`` of the block.  Runs that share a seed share
+    one draw, made once per call, which each scales by its own action
+    noise.  The trailing ``1`` tags the noise streams: ``SeedSequence`` pads
+    keys with zeros, so no noise key equals a context key such as
+    ``[seed, 0]`` (training) or ``[seed, 10_000]`` (evaluation)."""
     noise = np.empty((horizon, action_dim, len(policies) * k))
+    draws = {}
     for r, (policy, seed) in enumerate(zip(policies, master_seeds)):
-        draws = np.random.default_rng([seed, iteration, 1]).standard_normal((k, horizon, action_dim))
+        if seed not in draws:
+            rng = np.random.default_rng([seed, iteration, 1])
+            draws[seed] = rng.standard_normal((k, horizon, action_dim)).reshape(k, -1)
         # scale and transpose in one pass, as (T * A, K) rows
         np.multiply(
-            draws.reshape(k, horizon * action_dim).T,
+            draws[seed].T,
             np.tile(policy.action_noise, horizon)[:, None],
             out=noise.reshape(horizon * action_dim, len(policies) * k)[:, r * k : (r + 1) * k],
         )
@@ -131,6 +140,9 @@ class Episodes:
         lengths: Steps taken per episode, shape ``(K,)``.
         features: Policy features per step, shape ``(K, T, F)``.
         actions: Executed actions per step, shape ``(K, T, A)``.
+        means: The policy's mean actions per step, ``features @ weights.T``,
+            shape ``(K, T, A)``; without noise (deterministic mode, or no
+            action dimensions) the same memory as ``actions``.
 
     Histories are zero past ``lengths``.
     """
@@ -141,6 +153,7 @@ class Episodes:
     lengths: np.ndarray
     features: np.ndarray
     actions: np.ndarray
+    means: np.ndarray
 
 
 def collect_rollouts(
@@ -161,21 +174,24 @@ def collect_rollouts(
     action dimension and feature count, else ``ValueError``.  Run ``r``
     draws the noise of all its episodes at once, ``(K, T, A)`` standard
     normals from ``default_rng([master_seeds[r], iteration, 1])``, row ``i``
-    for episode ``i`` (see :func:`_rollout_noise`).  Each run's action
-    product is a ``(K, F) @ (F, A)`` matrix product as if the run were
-    stepped alone, so a run's episodes do not depend on the other runs, the
-    other rows of its batch or the execution order.  With ``deterministic``
-    the mean action is executed (evaluation mode) and no noise is drawn.
+    for episode ``i``; runs that share a seed share the draw, made once
+    (see :func:`_rollout_noise`).  Each run's mean action is a
+    ``(K, F) @ (F, A)`` matrix product as if the run were stepped alone, so
+    a run's episodes do not depend on the other runs, the other rows of its
+    batch or the execution order.  The executed action is the mean plus the
+    scaled noise; both are kept, as ``actions`` and ``means``.  With
+    ``deterministic`` the mean action is executed (evaluation mode), no
+    noise is drawn and ``actions`` and ``means`` share one array.
 
     The environment sees one column-major batch: an ``(S, R * K)`` state,
     ``(n, R * K)`` observations and ``(A, R * K)`` actions, column
     ``r * K + i`` for episode ``i`` of run ``r``.  The histories are written
-    in place each step, features as the rows the action product reads and
-    actions as the rows whose transpose the environment steps.  Finished
-    episodes keep being stepped, as columns never interact: their returns,
-    lengths and successes are masked, their histories zeroed after the
-    loop, so their states are never read.  While every episode is alive the
-    masks are skipped.
+    in place each step, features as the rows the mean product reads, means
+    as the rows it writes and actions as the rows whose transpose the
+    environment steps.  Finished episodes keep being stepped, as columns
+    never interact: their returns, lengths and successes are masked, their
+    histories zeroed after the loop, so their states are never read.  While
+    every episode is alive the masks are skipped.
     """
     contexts = np.asarray(contexts, dtype=float)
     if contexts.ndim != 3 or not len(policies) == len(master_seeds) == contexts.shape[0]:
@@ -204,18 +220,20 @@ def collect_rollouts(
     lengths = np.zeros(rows, dtype=int)
     successes = np.zeros(rows, dtype=bool)
     feats_hist = np.zeros((runs, k, horizon, n_features))
-    actions_hist = np.zeros((runs, k, horizon, action_dim))
+    means_hist = np.zeros((runs, k, horizon, action_dim))
+    actions_hist = means_hist if noise is None else np.zeros_like(means_hist)
     feats_rows = feats_hist.reshape(rows, horizon, n_features)
+    means_rows = means_hist.reshape(rows, horizon, action_dim)
     actions_rows = actions_hist.reshape(rows, horizon, action_dim)
 
     # every row's histories are written at every step; the steps after a
     # row finished are zeroed once after the loop
     for t in range(horizon):
         policy_features(env.observe(state), out=feats_rows[:, t])
-        np.matmul(feats_hist[:, :, t], weights_t, out=actions_hist[:, :, t])
+        np.matmul(feats_hist[:, :, t], weights_t, out=means_hist[:, :, t])
         actions = actions_rows[:, t].T
         if noise is not None:
-            actions += noise[t]
+            np.add(means_rows[:, t].T, noise[t], out=actions)
         state, rewards, terminated, success = env.step(state, actions, t)
         rewards *= discount
         if n_alive == rows:
@@ -236,7 +254,9 @@ def collect_rollouts(
     if np.any(lengths < steps):
         finished = np.arange(steps) >= lengths[:, None]
         feats_rows[:, :steps][finished] = 0.0
-        actions_rows[:, :steps][finished] = 0.0
+        means_rows[:, :steps][finished] = 0.0
+        if noise is not None:
+            actions_rows[:, :steps][finished] = 0.0
 
     def per_run(a):
         return a.reshape(runs, k)
@@ -250,6 +270,7 @@ def collect_rollouts(
             per_run(lengths),
             feats_hist,
             actions_hist,
+            means_hist,
         )
     ]
 
@@ -257,12 +278,18 @@ def collect_rollouts(
 def improve(policy: PolicyParameters, episodes: Episodes) -> PolicyParameters:
     """One likelihood-ratio policy-gradient step with a mean-return baseline.
 
-    Exploration noise is held fixed; only the mean weights move.  The
-    gradient is one matrix product over every step of every episode: past an
-    episode's length its features and actions are zero, so its score there
-    is zero too.  Episodes without actions (analytic environments) leave the
-    policy unchanged, and a non-finite gradient skips the step with a
-    warning.
+    ``episodes`` must have been collected with ``policy``: the score reads
+    their recorded mean actions instead of recomputing
+    ``features @ weights.T``.  At the point-mass presets' shapes the two
+    are the same bits; at some other K, BLAS can round a row of the
+    rollout's ``(K, F)`` product differently from the same row of a
+    ``(T, F)`` product, so the step may differ from the recomputed one in
+    the last bits.  Exploration noise is held fixed; only the mean weights
+    move.  The gradient is one matrix product over every step of every
+    episode: past an episode's length its features, actions and means are
+    zero, so its score there is zero too.  Episodes without actions
+    (analytic environments) leave the policy unchanged, and a non-finite
+    gradient skips the step with a warning.
     """
     if episodes.actions.size == 0:
         return policy
@@ -271,7 +298,11 @@ def improve(policy: PolicyParameters, episodes: Episodes) -> PolicyParameters:
     var = policy.action_noise**2
     n_actions, n_features = policy.weights.shape
     feats = episodes.features
-    score = (episodes.actions - feats @ policy.weights.T) / var
+    score = episodes.actions - episodes.means
+    # one column at a time: broadcasting over a last axis of length A runs
+    # an A-long inner loop
+    for j in range(n_actions):
+        score[..., j] /= var[j]
     score *= advantages[:, None, None]
     grad = score.reshape(-1, n_actions).T @ feats.reshape(-1, n_features)
     grad /= len(advantages)

@@ -930,6 +930,27 @@ class TestCli:
         assert err.startswith("configuration error: policy ") and message in err
 
     @pytest.mark.parametrize(
+        "weights, log_noise",
+        [
+            # three noise entries for two actions used to evaluate silently
+            (np.zeros((2, 15)), np.zeros(3)),
+            (np.zeros(15), np.zeros(15)),
+        ],
+    )
+    def test_eval_policy_of_mismatched_shapes_is_a_config_error(
+        self, tmp_path, capsys, weights, log_noise
+    ):
+        policy_path = tmp_path / "policy.npz"
+        np.savez(policy_path, weights=weights, log_action_noise=log_noise)
+        code = main(
+            ["eval", "--config", "point_mass_setup1", "--policy", str(policy_path), "--episodes", "2"]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: policy {policy_path}: ")
+        assert "need shape (A, F) and log_action_noise shape (A,)" in err
+
+    @pytest.mark.parametrize(
         "name, save, message",
         [
             # these used to die in KeyError and TypeError tracebacks

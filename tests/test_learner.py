@@ -4,6 +4,7 @@ finite differences, and a learning smoke test on easy point-mass contexts."""
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,11 +75,12 @@ def reference_improve(policy, episodes):
     return dataclasses.replace(policy, weights=policy.weights + LEARNING_RATE * grad)
 
 
-def random_episodes(rng, lengths, horizon=30, observation_dim=4, action_dim=2, scale=1.0):
-    """Episodes with random histories, zero past ``lengths``."""
+def random_episodes(rng, lengths, policy, horizon=30, scale=1.0):
+    """Episodes with random histories, zero past ``lengths``, whose mean
+    actions are those of ``policy``, as if it had collected them."""
     lengths = np.asarray(lengths)
     k = len(lengths)
-    n_features = feature_dim(observation_dim)
+    action_dim, n_features = policy.weights.shape
     alive = np.arange(horizon) < lengths[:, None]
     features = rng.normal(0.0, 1.0, (k, horizon, n_features)) * alive[:, :, None]
     features[:, :, 0] = alive
@@ -90,7 +92,18 @@ def random_episodes(rng, lengths, horizon=30, observation_dim=4, action_dim=2, s
         lengths=lengths,
         features=features,
         actions=actions,
+        means=features @ policy.weights.T,
     )
+
+
+EPISODE_FIELDS = [field.name for field in dataclasses.fields(Episodes)]
+
+
+def assert_same_episodes(a, b):
+    """Every field of two :class:`Episodes`, byte for byte."""
+    for name in EPISODE_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 class TestRollout:
@@ -166,10 +179,7 @@ class TestRollout:
             assert len(together) == 3
             assert together[0].lengths.max() < env.horizon == together[1].lengths.max()
             for policy, ctx, seed, block in zip(policies, contexts, seeds, together):
-                alone = collect_one(policy, env, ctx, seed, 2)
-                for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
-                    a, b = getattr(block, name), getattr(alone, name)
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                assert_same_episodes(block, collect_one(policy, env, ctx, seed, 2))
 
     @given(
         exit=st.sampled_from(["horizon", "staggered", "early"]),
@@ -185,14 +195,15 @@ class TestRollout:
     @example(exit="early", runs=4, k=8, seed=2, deterministic=True, visible=False)
     def test_run_blocks_match_runs_alone_property(self, exit, runs, k, seed, deterministic, visible):
         # the three ways the loop ends: every row alive to the horizon, rows
-        # finishing at different steps, every row done before the horizon
+        # finishing at different steps, every row done before the horizon;
+        # seeds come from a pool of two, so runs share one noise draw
         assume(exit != "staggered" or runs * k > 1)
         env = PointMassEnv(context_visible=visible)
         rng = np.random.default_rng(seed)
         n_features = feature_dim(env.observation_dim)
         weights = rng.normal(0.0, 0.05, (runs, env.action_dim, n_features))
         log_noise = rng.uniform(-3.0, -1.0, (runs, env.action_dim))
-        seeds = [int(s) for s in rng.integers(0, 2**40, runs)]
+        seeds = [int(s) for s in rng.choice(rng.integers(0, 2**40, 2), runs)]
         # wide gates around x = 0, and narrow gates far off it that crash
         wide = rng.uniform([-1.0, 2.5, 0.0], [1.0, 4.0, 0.5], (runs, k, 3))
         narrow = rng.uniform([2.5, 0.05, 0.0], [3.5, 0.2, 0.2], (runs, k, 3))
@@ -222,12 +233,53 @@ class TestRollout:
             assert lengths.min() < lengths.max()
         for policy, ctx, seed_r, block in zip(policies, contexts, seeds, together):
             alone = collect_one(policy, env, ctx, seed_r, 4, deterministic=deterministic)
-            for name in ("contexts", "values", "successes", "lengths", "features", "actions"):
-                a, b = getattr(block, name), getattr(alone, name)
-                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-            for feats, actions, n in zip(block.features, block.actions, block.lengths):
-                assert not np.any(feats[n:]) and not np.any(actions[n:])
+            assert_same_episodes(block, alone)
+            for feats, actions, means, n in zip(
+                block.features, block.actions, block.means, block.lengths
+            ):
+                assert not np.any(feats[n:]) and not np.any(actions[n:]) and not np.any(means[n:])
                 assert np.all(feats[:n, 0] == 1.0)
+
+    @pytest.mark.parametrize("preset", ["point_mass_setup1", "point_mass_setup2"])
+    @pytest.mark.parametrize("runs", [1, 4, 10])
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_means_are_the_policy_product_of_the_features(self, preset, runs, deterministic):
+        # improve reads the recorded means in place of the (K, T, F) @ (F, A)
+        # product it used to compute: at the presets' K, on every live step,
+        # they are the same bits for weights of any scale, and improve gives
+        # the bits of the formula that recomputes them.  The product over the
+        # whole history is the reference: BLAS may round the last rows of a
+        # product differently, so a slice features[i, :n] is not one
+        config = load_config(preset_path(preset))
+        env = config.make_environment()
+        rng = np.random.default_rng([runs, deterministic])
+        policies = [
+            make_policy(env, scale=10.0 ** rng.uniform(-3.0, 1.0), seed=r) for r in range(runs)
+        ]
+        k = config.curriculum.k_contexts
+        contexts = rng.uniform([-3.0, 0.05, 0.0], [3.0, 4.0, 1.0], (runs, k, 3))
+        seeds = [int(s) for s in rng.integers(0, 3, runs)]
+        together = collect_rollouts(policies, env, contexts, seeds, 7, deterministic)
+        for policy, episodes in zip(policies, together):
+            assert np.shares_memory(episodes.actions, episodes.means) == deterministic
+            product = episodes.features @ policy.weights.T
+            for i, n in enumerate(episodes.lengths):
+                assert episodes.means[i, :n].tobytes() == product[i, :n].tobytes(), i
+            assert not np.any(episodes.means[np.arange(env.horizon) >= episodes.lengths[:, None]])
+            if deterministic:
+                continue
+            advantages = episodes.values - float(np.mean(episodes.values))
+            var = policy.action_noise**2
+            score = (episodes.actions - product) / var
+            score *= advantages[:, None, None]
+            feats = episodes.features.reshape(-1, episodes.features.shape[-1])
+            grad = score.reshape(-1, env.action_dim).T @ feats
+            grad /= len(advantages)
+            norm = float(np.linalg.norm(grad))
+            if norm > GRAD_CLIP:
+                grad *= GRAD_CLIP / norm
+            expected = policy.weights + LEARNING_RATE * grad
+            assert improve(policy, episodes).weights.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("iteration", [0, 5, 10_000])
     def test_noise_is_the_documented_stream(self, iteration):
@@ -248,6 +300,15 @@ class TestRollout:
             for i, n in enumerate(episodes.lengths):
                 expected = policy.action_noise * draws[i]
                 assert np.array_equal(episodes.actions[i, :n], expected[:n])
+
+    def test_runs_that_share_a_seed_share_one_draw(self):
+        env = PointMassEnv()
+        policy = make_policy(env, scale=0.1)
+        contexts = np.stack([np.array([EASY, [2.5, 0.1, 0.0]])] * 4)
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+            runs = collect_rollouts([policy] * 4, env, contexts, [4, 9, 4, 4], 3)
+        assert [c.args[0] for c in rng.call_args_list] == [[4, 3, 1], [9, 3, 1]]
+        assert np.array_equal(runs[0].actions, runs[3].actions)
 
     def test_noise_differs_from_the_evaluation_context_stream(self):
         # SeedSequence pads keys with zeros, so an untagged key [seed, 10_000]
@@ -281,8 +342,7 @@ class TestRollout:
         contexts = np.array([EASY, [1.0, 2.0, 0.3]])
         a = collect_one(policy, env, contexts, master_seed=9, iteration=1)
         b = collect_one(policy, env, contexts, master_seed=9, iteration=1)
-        for name in ("values", "successes", "lengths", "features", "actions"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert_same_episodes(a, b)
 
     def test_histories_are_zero_past_lengths(self):
         env = PointMassEnv()
@@ -330,14 +390,14 @@ class TestImprove:
         }[case]
         for trial in range(50):
             scale = 100.0 if case == "clipped" else 1.0
-            episodes = random_episodes(rng, lengths, horizon, scale=scale)
-            if case == "zero_advantages":
-                episodes = dataclasses.replace(episodes, values=np.full(len(lengths), -2.5))
             zero = init_policy(4)
             policy = type(zero)(
                 weights=rng.normal(0.0, 0.5, zero.weights.shape),
                 log_action_noise=rng.normal(-0.5, 0.3, 2),
             )
+            episodes = random_episodes(rng, lengths, policy, horizon, scale=scale)
+            if case == "zero_advantages":
+                episodes = dataclasses.replace(episodes, values=np.full(len(lengths), -2.5))
             new = improve(policy, episodes)
             ref = reference_improve(policy, episodes)
             assert np.allclose(new.weights, ref.weights, rtol=1e-12, atol=1e-12), trial
@@ -434,6 +494,29 @@ class TestImprove:
                 policy = improve(policy, episodes)
             gains.append(last / max(first, 1e-9))
         assert float(np.median(gains)) >= 1.10
+
+
+class TestPolicyParameters:
+    @pytest.mark.parametrize(
+        "weights, log_noise",
+        [
+            # a noise vector longer than the action rows used to be accepted,
+            # and a noisy rollout then died in a broadcast error
+            (np.zeros((2, 15)), np.zeros(3)),
+            (np.zeros((2, 15)), np.zeros(1)),
+            (np.zeros((2, 15)), np.zeros((1, 2))),
+            (np.zeros(15), np.zeros(1)),
+            (np.zeros((1, 2, 15)), np.zeros(1)),
+        ],
+    )
+    def test_shapes_are_checked(self, weights, log_noise):
+        with pytest.raises(ValueError, match=r"need shape \(A, F\)"):
+            PolicyParameters(weights, log_noise)
+
+    def test_matching_shapes_are_accepted(self):
+        for action_dim, n_features in [(2, 15), (0, 1)]:
+            policy = PolicyParameters(np.zeros((action_dim, n_features)), np.zeros(action_dim))
+            assert policy.action_noise.shape == (action_dim,)
 
 
 class TestPersistence:
