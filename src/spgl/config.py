@@ -202,8 +202,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("iterations must be >= 1")
     if config.eval_episodes < 1:
         raise ConfigError("[evaluation] episodes must be >= 1")
-    if not 0.0 < config.width < np.inf:
-        raise ConfigError("[environment] width must be positive and finite")
+    _build("environment", config.make_environment)
     try:
         config.initial_distribution()
     except ValueError as exc:

@@ -11,17 +11,17 @@ All covariances here are diagonal, which keeps every density, importance
 ratio and KL divergence in closed form as simple vector expressions.  Each
 formula exists once, as an array-level function on raw parameters: the log
 density (:func:`log_density_params`), the clamped importance-weighted batch
-value (:func:`sampled_value`) and the two KLs (:func:`kl_params`,
-:func:`kl_to_target_params`).  The distribution-level KLs check the family
-and call them; the closed-form update, its joint-KL backtrack, the exact
-solver in :mod:`spgl.oracle` and the finite-difference suite in
-:mod:`spgl.verification` call them directly.  They reduce over the last
-axis with ``np.add.reduce``, the reduction that ``np.sum`` and the ndarray
-``.sum()`` method both end in, without their Python-level wrappers on the
-exact solver's hot path.  So each serves one set of parameters or a stack
-of rows of them, and a row of the stack gets the same bits as the one-row
-call: the exact solver projects and scores the step halvings of one
-direction as blocks of rows.
+value (:func:`sampled_value`) and the two KLs (:func:`kl_params`, whose
+scale part is :func:`kl_scale_terms`, and :func:`kl_to_target_params`).
+The distribution-level KLs check the family and call them; the closed-form
+update, its joint-KL backtrack, the exact solver in :mod:`spgl.oracle` and
+the finite-difference suite in :mod:`spgl.verification` call them directly.
+They reduce over the last axis with ``np.add.reduce``, the reduction that
+``np.sum`` and the ndarray ``.sum()`` method both end in, without their
+Python-level wrappers on the exact solver's hot path.  So each serves one
+set of parameters or a stack of rows of them, and a row of the stack gets
+the same bits as the one-row call: the exact solver projects and scores the
+step halvings of one direction as blocks of rows.
 Distributions are immutable after construction and safe to share across
 threads; sampling takes an explicit seeded generator owned by the caller.
 """
@@ -39,6 +39,7 @@ __all__ = [
     "TargetSpec",
     "kl_between",
     "kl_params",
+    "kl_scale_terms",
     "kl_to_target",
     "kl_to_target_params",
     "log_density_params",
@@ -172,13 +173,21 @@ def sampled_value(contexts, values, log_p0, mu, var) -> np.ndarray:
     return np.mean(values * ratio, axis=-1)
 
 
+def kl_scale_terms(ratio) -> np.ndarray:
+    """The scale part ``r - 1 - ln(r)`` of the step KL per coordinate, for
+    the scale ratios ``r = theta1 / theta0``: :func:`kl_params` adds the
+    mean part to it, and the closed-form update's joint-KL backtrack sums it
+    alone along a ray in the scales."""
+    return ratio - 1.0 - np.log(ratio)
+
+
 def kl_params(mu1, theta1, mu0, theta0, sigma) -> np.ndarray:
     """``KL(N(mu1, theta1 sigma) || N(mu0, theta0 sigma))`` on raw arrays:
     ``0.5 * sum(r - 1 - ln(r) + (mu1 - mu0)^2 / (theta0 * sigma))`` with
-    ``r = theta1 / theta0``, summed over the last axis: a scalar for one set
-    of parameters, one value per row for rows ``(n, d)``."""
-    ratio = theta1 / theta0
-    terms = ratio - 1.0 - np.log(ratio) + (mu1 - mu0) ** 2 / (theta0 * sigma)
+    ``r = theta1 / theta0`` (:func:`kl_scale_terms`), summed over the last
+    axis: a scalar for one set of parameters, one value per row for rows
+    ``(n, d)``."""
+    terms = kl_scale_terms(theta1 / theta0) + (mu1 - mu0) ** 2 / (theta0 * sigma)
     return 0.5 * np.add.reduce(terms, axis=-1)
 
 

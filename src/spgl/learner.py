@@ -93,7 +93,7 @@ def policy_features(observations: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_policy(observation_dim: int, action_dim: int = 2) -> PolicyParameters:
+def init_policy(observation_dim: int, action_dim: int) -> PolicyParameters:
     """Zero-mean policy with isotropic exploration noise :data:`INITIAL_NOISE`."""
     return PolicyParameters(
         weights=np.zeros((action_dim, feature_dim(observation_dim))),

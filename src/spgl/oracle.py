@@ -87,6 +87,11 @@ MIN_RELATIVE_DECREASE = 1e-12
 RESTARTS = 8
 GRADIENT_STEPS = 500
 
+# The box of the exact solver's log-scales: each clip of ``log theta``
+# reads it, and the gradient is zero outside it.
+LOG_THETA_MIN = math.log(THETA_MIN)
+LOG_THETA_MAX = 50.0
+
 
 class InfeasibleSubproblem(RuntimeError):
     """The performance half-space excludes the whole trust region."""
@@ -368,11 +373,12 @@ class ExactSolveResult:
     feasible: bool
 
 
-def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min):
+def _objective_gradient(z, mode, contexts, values, log_p0, target):
     """Closed-form gradient of :func:`solve_exact_sampled`'s objective at
     each row of ``z`` ``(n, 2d)``, in its coordinates ``(mu, log theta)``,
-    with ``log theta`` clipped to ``[log_theta_min, 50]`` and ``var = theta
-    * sigma``; each row of the result has the bits of the one-row call.
+    with ``log theta`` clipped to ``[LOG_THETA_MIN, LOG_THETA_MAX]`` and
+    ``var = theta * sigma``; each row of the result has the bits of the
+    one-row call.
 
     * ``"convergence"``: ``KL(target || N(mu, var))``, with derivatives
       ``(mu - mu_tilde) / var`` and ``0.5 (1 - (mu - mu_tilde)^2 / var - 1/theta)``;
@@ -383,13 +389,13 @@ def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min
 
     A log-scale outside the clip bounds has derivative 0.  On a bound itself
     the one-sided derivative from inside is kept, so a start on the floor
-    ``theta = theta_min`` can still raise its scale.
+    ``theta = THETA_MIN`` can still raise its scale.
     """
     d = target.d
     sigma = target.sigma_tilde_diag
     mu = z[:, :d]
     log_theta = z[:, d:]
-    theta = np.exp(np.minimum(np.maximum(log_theta, log_theta_min), 50.0))
+    theta = np.exp(np.minimum(np.maximum(log_theta, LOG_THETA_MIN), LOG_THETA_MAX))
     var = theta * sigma
     if mode == "convergence":
         diff = mu - target.mu_tilde
@@ -409,7 +415,7 @@ def _objective_gradient(z, mode, contexts, values, log_p0, target, log_theta_min
             np.array([w @ (c * s) for w, c, s in zip(weight, diff, scaled)])
             - np.add.reduce(weight, axis=-1)[:, None]
         )
-    on_box = (log_theta >= log_theta_min) & (log_theta <= 50.0)
+    on_box = (log_theta >= LOG_THETA_MIN) & (log_theta <= LOG_THETA_MAX)
     return np.concatenate([g_mu, np.where(on_box, g_log, 0.0)], axis=1)
 
 
@@ -456,13 +462,14 @@ def solve_exact_sampled(
     the exact step-KL constraint; ``mode="convergence"`` minimizes the exact
     KL to the target under both the sampled performance constraint and the
     step-KL constraint.  Scales are optimized in log space, which keeps them
-    positive, with the log-scales clipped to ``[log THETA_MIN, 50]``.  Each
-    iteration follows the closed-form gradient ``g`` of the objective in
-    these coordinates (:func:`_objective_gradient`), which costs one pass
-    over the batch whatever the dimension, preconditioned by the inverse
-    Fisher metric of the step KL at the old parameters, ``P = diag(var0,
-    2)``: near the old parameters the step KL is half the squared length of
-    a step in the metric ``1/P``, in which every length below is measured.
+    positive, with the log-scales clipped to ``[LOG_THETA_MIN,
+    LOG_THETA_MAX]``.  Each iteration follows the closed-form gradient ``g``
+    of the objective in these coordinates (:func:`_objective_gradient`),
+    which costs one pass over the batch whatever the dimension,
+    preconditioned by the inverse Fisher metric of the step KL at the old
+    parameters, ``P = diag(var0, 2)``: near the old parameters the step KL
+    is half the squared length of a step in the metric ``1/P``, in which
+    every length below is measured.
     So the direction is ``-P g``, and the first step, ``sqrt(2 eps)``,
     reaches the KL boundary whichever way it points.  On the boundary (step
     KL at least ``eps (1 - 1e-9)``) a direction that leaves the ball loses
@@ -527,17 +534,16 @@ def solve_exact_sampled(
     var0 = theta0 * sigma
     log_p0 = log_density_params(contexts, mu0, var0)
     eps = config.epsilon
-    log_theta_min = math.log(THETA_MIN)
 
     # the hot closures clip and exponentiate the log-scales inline: a helper
     # call per evaluation is a measurable share of the trial path.  Each
     # takes one point or rows of points (``z[..., :d]`` is the mean part).
     def sampled(z):
-        theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
+        theta = np.exp(np.minimum(np.maximum(z[..., d:], LOG_THETA_MIN), LOG_THETA_MAX))
         return sampled_value(contexts, values, log_p0, z[..., :d], theta * sigma)
 
     def step_kl(z):
-        theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
+        theta = np.exp(np.minimum(np.maximum(z[..., d:], LOG_THETA_MIN), LOG_THETA_MAX))
         return kl_params(z[..., :d], theta, mu0, theta0, sigma)
 
     v_floor = config.v_lower - 1e-9 * max(1.0, abs(config.v_lower))
@@ -553,7 +559,7 @@ def solve_exact_sampled(
     else:
 
         def f(z):
-            theta = np.exp(np.minimum(np.maximum(z[..., d:], log_theta_min), 50.0))
+            theta = np.exp(np.minimum(np.maximum(z[..., d:], LOG_THETA_MIN), LOG_THETA_MAX))
             return kl_to_target_params(z[..., :d], theta, mu_tilde, sigma)
 
     rng = np.random.default_rng(seed)
@@ -637,10 +643,8 @@ def solve_exact_sampled(
         stepping = [s for s in live if not (s.ended or s.waiting)]
         if stepping:
             zs = np.array([s.z for s in stepping])
-            vs = precond * _objective_gradient(
-                zs, mode, contexts, values, log_p0, target, log_theta_min
-            )
-            theta = np.exp(np.minimum(np.maximum(zs[:, d:], log_theta_min), 50.0))
+            vs = precond * _objective_gradient(zs, mode, contexts, values, log_p0, target)
+            theta = np.exp(np.minimum(np.maximum(zs[:, d:], LOG_THETA_MIN), LOG_THETA_MAX))
             normals = np.concatenate([(zs[:, :d] - mu0) / var0, 0.5 * (theta / theta0 - 1.0)], 1)
             # on the boundary, drop the part of the step that leaves the
             # ball: the ray projection would only undo it
@@ -693,7 +697,7 @@ def solve_exact_sampled(
         if s.fz < best_f:
             best_f = s.fz
             best_z = s.z.copy()
-    theta_best = np.exp(np.minimum(np.maximum(best_z[d:], log_theta_min), 50.0))
+    theta_best = np.exp(np.minimum(np.maximum(best_z[d:], LOG_THETA_MIN), LOG_THETA_MAX))
     theta_best = np.maximum(theta_best, THETA_MIN)
     result_dist = dist.with_params(mu=best_z[:d], theta=theta_best)
     return ExactSolveResult(

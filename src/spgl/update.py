@@ -35,6 +35,7 @@ from .gaussian import (
     THETA_MIN,
     ContextDistribution,
     kl_params,
+    kl_scale_terms,
     kl_to_target,
     kl_to_target_params,
 )
@@ -632,13 +633,12 @@ def _backtrack_joint_kl(mu0, theta0, sigma, mu_new, theta_new, eps):
         theta = theta0
     else:
         # one row against a row-shaped centre, so the array operations need
-        # no broadcasting; the ray solve needs only the scale part
-        # 0.5 sum(r - 1 - ln r), as kl_params' mean term is zero along the ray
+        # no broadcasting; the ray solve needs only the scale part, as
+        # kl_params' mean term is zero along the ray
         theta_row = theta0[None]
 
         def scale_kl(theta):
-            ratio = theta / theta_row
-            return 0.5 * np.add.reduce(ratio - 1.0 - np.log(ratio), axis=-1)
+            return 0.5 * np.add.reduce(kl_scale_terms(theta / theta_row), axis=-1)
 
         theta = project_to_ball(scale_kl, theta_row, theta_new[None], budget)[0]
     return theta, float(kl_params(mu_new, theta, mu0, theta0, sigma)), mean_part, True

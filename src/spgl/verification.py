@@ -381,9 +381,9 @@ def _timing_batch(rng, dist, center, k):
     return RolloutBatch(contexts, values, dist)
 
 
-def run_timing_suite(seed: int, updates: int = 50, d: int = 3, k: int = 64) -> VerifyReport:
+def run_timing_suite(seed: int, updates: int = 50, d: int = 3) -> VerifyReport:
     """Wall-clock comparison: closed-form update vs the exact numerical
-    solver on identical batches.
+    solver on identical batches of 64 contexts.
 
     Each closed-form update is timed as the median of three calls on the
     same batch, the first call's result carrying the run on: one update
@@ -394,13 +394,13 @@ def run_timing_suite(seed: int, updates: int = 50, d: int = 3, k: int = 64) -> V
     rng = np.random.default_rng(seed)
     target = TargetSpec(mu_tilde=np.full(d, 1.5), sigma_tilde_diag=np.full(d, 0.05))
     dist = ContextDistribution(mu=np.zeros(d), theta=np.full(d, 2.0), target=target)
-    config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=k)
+    config = CurriculumConfig(epsilon=0.05, v_lower=5.0, k_contexts=64)
     center = np.zeros(d)
 
     closed_total = 0.0
     exact_total = 0.0
     for step in range(updates):
-        batch = _timing_batch(rng, dist, center, k)
+        batch = _timing_batch(rng, dist, center, config.k_contexts)
 
         results, times = [], []
         for _ in range(3):

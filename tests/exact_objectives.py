@@ -178,9 +178,11 @@ def compare(parent_path, change_path):
                 sum(row[6] for row in rows.values() if label in ("total", row[0]))
                 for rows in (parent, change)
             )
+            # a file of one mode has no CPU time in the other
+            ratio = f"{cpu_change / cpu_parent:.3f}" if cpu_parent else "n/a"
             print(
                 f"cpu_s {label}: parent {cpu_parent:.2f}, change {cpu_change:.2f}, "
-                f"ratio {cpu_change / cpu_parent:.3f}"
+                f"ratio {ratio}"
             )
 
 

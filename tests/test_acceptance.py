@@ -175,7 +175,7 @@ def test_criterion_6_closed_form_speedup():
     # 50 updates at d = 3, then 3 each in the higher-dimensional context
     # spaces where inner-loop solvers are said not to scale
     races = {
-        d: run_timing_suite(seed=606, updates=n, d=d, k=64) for d, n in [(3, 50), (16, 3), (64, 3)]
+        d: run_timing_suite(seed=606, updates=n, d=d) for d, n in [(3, 50), (16, 3), (64, 3)]
     }
     ok = all(rep.passed and rep.speedup >= 10.0 for rep in races.values())
     report(

@@ -31,6 +31,11 @@ def _preset(name, iterations=None):
     return config
 
 
+def _with_k(config, k_contexts):
+    curriculum = dataclasses.replace(config.curriculum, k_contexts=k_contexts)
+    return dataclasses.replace(config, curriculum=curriculum)
+
+
 def selfpaced_numerical():
     """The self-paced variant under the exact-solver baseline, cut short:
     the only golden that reaches the oracle's KLs and ray projection."""
@@ -40,6 +45,9 @@ def selfpaced_numerical():
 GOLDEN_RUNS = {
     "point_mass_setup1_seed0_it40": lambda: _preset("point_mass_setup1", 40),
     "point_mass_setup2_seed0_it40": lambda: _preset("point_mass_setup2", 40),
+    # K = 6 is a batch size at which BLAS rounds the per-step mean product
+    # differently from the per-episode one; the presets train only at K = 64
+    "point_mass_setup2_k6_seed0_it40": lambda: _with_k(_preset("point_mass_setup2", 40), 6),
     "synthetic_convergence_seed0": lambda: _preset("synthetic_convergence"),
     "synthetic_selfpaced_seed0": selfpaced_variant,
     "synthetic_selfpaced_numerical_seed0_it5": selfpaced_numerical,

@@ -390,7 +390,7 @@ class TestImprove:
         }[case]
         for trial in range(50):
             scale = 100.0 if case == "clipped" else 1.0
-            zero = init_policy(4)
+            zero = init_policy(4, 2)
             policy = type(zero)(
                 weights=rng.normal(0.0, 0.5, zero.weights.shape),
                 log_action_noise=rng.normal(-0.5, 0.3, 2),

@@ -462,9 +462,7 @@ class TestStackedRowsScore:
             z[:, d:] = np.where(clipped, bounds, z[:, d:])
 
             def gradient(rows):
-                return _objective_gradient(
-                    rows, mode, contexts, values, log_p0, target, log_theta_min
-                )
+                return _objective_gradient(rows, mode, contexts, values, log_p0, target)
 
             stacked = gradient(z)
             assert stacked.shape == (n, 2 * d)
@@ -691,7 +689,7 @@ def gradient_instance(rng, d, mode, log_theta_min=math.log(1e-6), clamped=False,
         return kl_to_target_params(z[:d], theta, target.mu_tilde, sigma)
 
     def grad(z):
-        rows = _objective_gradient(z[None], mode, contexts, values, log_p0, target, log_theta_min)
+        rows = _objective_gradient(z[None], mode, contexts, values, log_p0, target)
         return rows[0]
 
     return f, grad, z
@@ -712,13 +710,14 @@ class TestObjectiveGradient:
 
     @pytest.mark.parametrize("d", [3, 16, 64])
     @pytest.mark.parametrize("mode", ["performance", "convergence"])
-    def test_clipped_log_scales(self, mode, d):
+    def test_clipped_log_scales(self, mode, d, monkeypatch):
         # a third of the log-scales below the floor (flat: derivative 0), a
         # third on it (the one-sided derivative from above) and the rest
         # inside; central differences straddling the floor would see half
         # the slope there
         rng = np.random.default_rng(100 + d)
         log_theta_min = math.log(0.8)
+        monkeypatch.setattr(spgl.oracle, "LOG_THETA_MIN", log_theta_min)
         f, grad, z = gradient_instance(rng, d, mode, log_theta_min)
         below = np.arange(d) % 3 == 0
         on_floor = np.arange(d) % 3 == 1

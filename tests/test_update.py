@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spgl.update as update_module
+from digest import update_instance
 from spgl.gaussian import (
     THETA_MIN,
     ContextDistribution,
@@ -676,6 +677,20 @@ class TestUpdateAtExtremeInputs:
         except CurriculumError:
             return
         assert report.kl_step <= config.epsilon + 1e-12
+        assert np.all(new_dist.theta >= THETA_MIN)
+
+    @pytest.mark.xfail(strict=True, raises=CurriculumError)
+    def test_mean_subproblem_near_its_rounding_floor(self):
+        # tests/digest.py updates instance 17 (d = 32, K = 64, eps 1.3e-4),
+        # one of the 2,229 digest calls that raise "no KKT case matched the
+        # mean subproblem" (ROADMAP item 2; the FOUND on solve_mu_block in
+        # CHANGES.md): the mean step rounds away when mu + a / lambda2 is
+        # stored.  A mend of that raise turns this test into a pass
+        batch, config = update_instance(17)
+        new_dist, report = update(batch, config)
+        assert report.kind == "convergence"
+        assert report.kl_step <= config.epsilon + 1e-12
+        assert kl_between(new_dist, batch.source_distribution) <= config.epsilon + 1e-12
         assert np.all(new_dist.theta >= THETA_MIN)
 
     @pytest.mark.parametrize("return_scale", [1e160, 1e300, 1.5e308])
