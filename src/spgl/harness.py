@@ -293,8 +293,8 @@ def evaluate_run(config: ExperimentConfig, policies, seeds) -> list[EvalResult]:
     Policy ``r`` draws its contexts from a generator keyed on
     ``[seeds[r], 10_000]``; the seeds must be non-negative integers.  All
     policies' episodes are stepped in one batch.  Evaluation executes the
-    mean action, so no exploration noise is drawn and the rollout seeds are
-    unused.
+    mean action, so no exploration noise is drawn, the rollout seeds are
+    unused and the episodes carry no policy-gradient sums.
     """
     for seed in seeds:
         _check_seed(seed)

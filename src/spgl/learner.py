@@ -80,7 +80,9 @@ def _upper_pairs(n: int):
 def policy_features(observations: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Degree-<=2 polynomial features of ``(n, k)`` observations, one column
     per episode as ``observe`` returns them: constant, linear and pairwise
-    terms, written into ``out`` of shape ``(k, F)``, which is returned."""
+    terms, written into ``out`` of shape ``(k, F)``, one row per episode.
+    Returns the same features as an ``(F, k)`` array, one contiguous row
+    per feature."""
     obs = np.asarray(observations, dtype=float)
     n, k = obs.shape
     iu, ju = _upper_pairs(n)
@@ -90,7 +92,7 @@ def policy_features(observations: np.ndarray, out: np.ndarray) -> np.ndarray:
     columns[1 : n + 1] = obs
     np.multiply(obs.take(iu, axis=0), obs.take(ju, axis=0), out=columns[n + 1 :])
     out[...] = columns.T
-    return out
+    return columns
 
 
 def init_policy(observation_dim: int, action_dim: int) -> PolicyParameters:
@@ -138,22 +140,21 @@ class Episodes:
         values: Discounted Monte Carlo returns, shape ``(K,)``.
         successes: Whether each episode ended in success, shape ``(K,)``.
         lengths: Steps taken per episode, shape ``(K,)``.
-        features: Policy features per step, shape ``(K, T, F)``.
-        actions: Executed actions per step, shape ``(K, T, A)``.
-        means: The policy's mean actions per step, ``features @ weights.T``,
-            shape ``(K, T, A)``; without noise (deterministic mode, or no
-            action dimensions) the same memory as ``actions``.
+        score_features: Per episode, the sum over its live steps ``t`` of
+            ``((a_t - m_t) / sigma^2) ⊗ phi_t``, shape ``(K, A, F)``: the
+            score of the executed action, whose deviation from the mean
+            action is the drawn noise, times the step's features.  ``None``
+            when no noise was drawn (deterministic mode, or no action
+            dimensions).
 
-    Histories are zero past ``lengths``.
+    Nothing here has a time axis, so the bytes do not grow with the horizon.
     """
 
     contexts: np.ndarray
     values: np.ndarray
     successes: np.ndarray
     lengths: np.ndarray
-    features: np.ndarray
-    actions: np.ndarray
-    means: np.ndarray
+    score_features: np.ndarray | None
 
 
 def collect_rollouts(
@@ -179,18 +180,17 @@ def collect_rollouts(
     ``(K, F) @ (F, A)`` matrix product as if the run were stepped alone, so
     a run's episodes do not depend on the other runs, the other rows of its
     batch or the execution order.  The executed action is the mean plus the
-    scaled noise; both are kept, as ``actions`` and ``means``.  With
-    ``deterministic`` the mean action is executed (evaluation mode), no
-    noise is drawn and ``actions`` and ``means`` share one array.
+    scaled noise, and each live step adds the noise over the policy's
+    variance, times the step's features, to its episode's
+    ``score_features``.  With ``deterministic`` the mean action is executed
+    (evaluation mode), no noise is drawn and nothing is summed.
 
     The environment sees one column-major batch: an ``(S, R * K)`` state,
     ``(n, R * K)`` observations and ``(A, R * K)`` actions, column
-    ``r * K + i`` for episode ``i`` of run ``r``.  The histories are written
-    in place each step, features as the rows the mean product reads, means
-    as the rows it writes and actions as the rows whose transpose the
-    environment steps.  Finished episodes keep being stepped, as columns
-    never interact: their returns, lengths and successes are masked, their
-    histories zeroed after the loop, so their states are never read.  While
+    ``r * K + i`` for episode ``i`` of run ``r``.  Each step's features and
+    means are written over the previous step's.  Finished episodes keep
+    being stepped, as columns never interact: their returns, lengths,
+    successes and sums are masked, so their states are never read.  While
     every episode is alive the masks are skipped.
     """
     contexts = np.asarray(contexts, dtype=float)
@@ -208,9 +208,20 @@ def collect_rollouts(
                 f"the environment needs {(action_dim, n_features)}"
             )
     weights_t = np.stack([p.weights for p in policies]).transpose(0, 2, 1)
-    noise = None
+    features = np.empty((runs, k, n_features))
+    means = np.empty((runs, k, action_dim))
+    feature_rows = features.reshape(rows, n_features)
+    mean_columns = means.reshape(rows, action_dim).T
+    actions = mean_columns
+    noise = sums = None
     if not deterministic and action_dim:
         noise = _rollout_noise(policies, master_seeds, iteration, k, horizon, action_dim)
+        var = np.repeat(np.stack([p.action_noise**2 for p in policies]).T, k, axis=1)
+        actions = np.empty((action_dim, rows))
+        score = np.empty((action_dim, rows))
+        # (A, F, R * K), so each elementwise call runs along rows of R * K
+        terms = np.empty((action_dim, n_features, rows))
+        sums = np.zeros_like(terms)
 
     state = env.reset(contexts.reshape(rows, d))
     alive = np.ones(rows, dtype=bool)
@@ -219,21 +230,18 @@ def collect_rollouts(
     discount = 1.0
     lengths = np.zeros(rows, dtype=int)
     successes = np.zeros(rows, dtype=bool)
-    feats_hist = np.zeros((runs, k, horizon, n_features))
-    means_hist = np.zeros((runs, k, horizon, action_dim))
-    actions_hist = means_hist if noise is None else np.zeros_like(means_hist)
-    feats_rows = feats_hist.reshape(rows, horizon, n_features)
-    means_rows = means_hist.reshape(rows, horizon, action_dim)
-    actions_rows = actions_hist.reshape(rows, horizon, action_dim)
 
-    # every row's histories are written at every step; the steps after a
-    # row finished are zeroed once after the loop
     for t in range(horizon):
-        policy_features(env.observe(state), out=feats_rows[:, t])
-        np.matmul(feats_hist[:, :, t], weights_t, out=means_hist[:, :, t])
-        actions = actions_rows[:, t].T
+        columns = policy_features(env.observe(state), out=feature_rows)
+        np.matmul(features, weights_t, out=means)
         if noise is not None:
-            np.add(means_rows[:, t].T, noise[t], out=actions)
+            np.add(mean_columns, noise[t], out=actions)
+            np.divide(noise[t], var, out=score)
+            if n_alive < rows:
+                # a finished row adds zeros, whatever its features became
+                columns = np.where(alive, columns, 0.0)
+            np.multiply(score[:, None], columns, out=terms)
+            sums += terms
         state, rewards, terminated, success = env.step(state, actions, t)
         rewards *= discount
         if n_alive == rows:
@@ -250,13 +258,8 @@ def collect_rollouts(
             break
         discount *= GAMMA
 
-    steps = lengths.max(initial=0)
-    if np.any(lengths < steps):
-        finished = np.arange(steps) >= lengths[:, None]
-        feats_rows[:, :steps][finished] = 0.0
-        means_rows[:, :steps][finished] = 0.0
-        if noise is not None:
-            actions_rows[:, :steps][finished] = 0.0
+    if sums is not None:
+        sums = sums.reshape(action_dim, n_features, runs, k).transpose(2, 3, 0, 1).copy()
 
     def per_run(a):
         return a.reshape(runs, k)
@@ -268,9 +271,7 @@ def collect_rollouts(
             per_run(values),
             per_run(successes),
             per_run(lengths),
-            feats_hist,
-            actions_hist,
-            means_hist,
+            [None] * runs if sums is None else sums,
         )
     ]
 
@@ -278,34 +279,21 @@ def collect_rollouts(
 def improve(policy: PolicyParameters, episodes: Episodes) -> PolicyParameters:
     """One likelihood-ratio policy-gradient step with a mean-return baseline.
 
-    ``episodes`` must have been collected with ``policy``: the score reads
-    their recorded mean actions instead of recomputing
-    ``features @ weights.T``.  At the point-mass presets' shapes the two
-    are the same bits; at some other K, BLAS can round a row of the
-    rollout's ``(K, F)`` product differently from the same row of a
-    ``(T, F)`` product, so the step may differ from the recomputed one in
-    the last bits.  Exploration noise is held fixed; only the mean weights
-    move.  The gradient is one matrix product over every step of every
-    episode: past an episode's length its features, actions and means are
-    zero, so its score there is zero too.  Episodes without actions
-    (analytic environments) leave the policy unchanged, and a non-finite
-    gradient skips the step with a warning.
+    The gradient is ``advantages @ score_features / K``: each episode's
+    summed score times features, weighted by its return minus the batch
+    mean.  The sums hold the variance of the policy that collected the
+    episodes, so ``episodes`` must come from ``policy``.  Exploration noise
+    is held fixed; only the mean weights move.  Episodes without sums
+    (deterministic rollouts, analytic environments) leave the policy
+    unchanged, and a non-finite gradient skips the step with a warning.
     """
-    if episodes.actions.size == 0:
+    if episodes.score_features is None:
         return policy
 
     advantages = episodes.values - float(np.mean(episodes.values))
-    var = policy.action_noise**2
-    n_actions, n_features = policy.weights.shape
-    feats = episodes.features
-    score = episodes.actions - episodes.means
-    # one column at a time: broadcasting over a last axis of length A runs
-    # an A-long inner loop
-    for j in range(n_actions):
-        score[..., j] /= var[j]
-    score *= advantages[:, None, None]
-    grad = score.reshape(-1, n_actions).T @ feats.reshape(-1, n_features)
-    grad /= len(advantages)
+    k = len(advantages)
+    grad = (advantages @ episodes.score_features.reshape(k, -1)).reshape(policy.weights.shape)
+    grad /= k
     if not np.all(np.isfinite(grad)):
         warnings.warn("non-finite policy gradient; step skipped", RuntimeWarning)
         return policy

@@ -18,14 +18,15 @@ change meant to move only the point-mass bits shows which groups moved.
 Parts (NumPy and hashlib only; this is a script, not a pytest module):
 
 * ``rollouts``: the :class:`~spgl.learner.Episodes` fields ``contexts``,
-  ``values``, ``successes``, ``lengths``, ``features`` and ``actions`` of
+  ``values``, ``successes`` and ``lengths`` of
   :func:`spgl.learner.collect_rollouts` on the point mass with hidden and
   with visible context, in noisy and deterministic mode, at ``R * K`` of 1,
   256 (4 x 64) and 640 (10 x 64) rows, with contexts that mix wide gates,
   narrow offset gates that crash and raw draws that need clamping; then the
-  synthetic environment.  The ``means`` field of the same calls is hashed
-  on its own sub-line, outside the part's digest, which therefore matches
-  trees whose ``Episodes`` had no ``means``;
+  synthetic environment.  The ``score_features`` sums of the same calls
+  are hashed on their own sub-line, outside the part's digest, which
+  therefore matches trees whose ``Episodes`` held ``(K, T, .)`` histories
+  in place of the sums (such a tree hashes no sums on that line);
 * ``training``: every record's floats, ``step_kind`` and ``active_case``,
   and each run's final policy weights, action noise and distribution, for
   the self-paced synthetic variant (seeds 0-39, 413, 1007), the
@@ -204,18 +205,20 @@ def rollout_runs():
 
 
 def digest_rollouts(h):
-    n, groups, means = 0, {}, hashlib.sha256()
+    n, groups, sums = 0, {}, hashlib.sha256()
     for i, (label, env, runs, k, deterministic) in enumerate(rollout_runs()):
         group = groups.setdefault(label, hashlib.sha256())
         policies, contexts, seeds = rollout_inputs(env, runs, k, i)
         episodes = collect_rollouts(policies, env, contexts, seeds, i + 1, deterministic)
         for e in episodes:
-            _floats(_Tee(h, group), e.contexts, e.values, e.successes, e.lengths, e.features, e.actions)
-            _floats(means, e.means)
+            _floats(_Tee(h, group), e.contexts, e.values, e.successes, e.lengths)
+            score_features = getattr(e, "score_features", None)
+            if score_features is not None:
+                _floats(sums, score_features)
             n += 1
     for label, group in groups.items():
         print(f"  {label} {group.hexdigest()}")
-    print(f"  means {means.hexdigest()}")
+    print(f"  score_features {sums.hexdigest()}")
     return n
 
 

@@ -1,5 +1,6 @@
 """Learner tests: batched rollout determinism and identities, the noise
-stream, the batched policy gradient against a per-episode reference and
+stream and the summed score terms against a step-by-step reference loop,
+the policy gradient against the per-episode formula over step histories and
 finite differences, and a learning smoke test on easy point-mass contexts."""
 
 import dataclasses
@@ -26,6 +27,7 @@ from spgl.learner import (
     improve,
     init_policy,
     load_policy,
+    policy_features,
     save_policy,
 )
 
@@ -50,20 +52,113 @@ def make_policy(env, scale=0.0, seed=0):
     return policy
 
 
-def reference_improve(policy, episodes):
+def documented_draws(seed, iteration, k, env):
+    """The standard normals of a run's episodes as documented: one
+    ``(K, T, A)`` draw from ``default_rng([seed, iteration, 1])``, row ``i``
+    for episode ``i``."""
+    shape = (k, env.horizon, env.action_dim)
+    return np.random.default_rng([seed, iteration, 1]).standard_normal(shape)
+
+
+@dataclasses.dataclass
+class History:
+    """One run stepped by :func:`reference_rollout`: per episode and step
+    the features, mean and executed actions, score ``(a - m) / sigma^2``
+    and whether the episode was alive; every history is zero where it was
+    not."""
+
+    values: np.ndarray
+    successes: np.ndarray
+    lengths: np.ndarray
+    features: np.ndarray
+    means: np.ndarray
+    actions: np.ndarray
+    score: np.ndarray
+    alive: np.ndarray
+
+
+def reference_rollout(policy, env, contexts, draws=None):
+    """One run stepped alone with the standard normals ``draws`` (the mean
+    action when ``None``), recording every step: the loop that
+    :func:`collect_rollouts` must match, with a ``(K, F) @ (F, A)`` mean
+    product per step and the score taken as the scaled noise over the
+    variance."""
+    contexts = np.asarray(contexts, dtype=float)
+    k, horizon, action_dim = len(contexts), env.horizon, env.action_dim
+    n_features = feature_dim(env.observation_dim)
+    noise = None if draws is None else policy.action_noise * draws
+    var = policy.action_noise**2
+    features = np.zeros((k, horizon, n_features))
+    means = np.zeros((k, horizon, action_dim))
+    actions = np.zeros_like(means)
+    score = np.zeros_like(means)
+    alive = np.zeros((k, horizon), dtype=bool)
+    values = np.zeros(k)
+    lengths = np.zeros(k, dtype=int)
+    successes = np.zeros(k, dtype=bool)
+    live = np.ones(k, dtype=bool)
+    state = env.reset(contexts)
+    discount = 1.0
+    feats = np.empty((k, n_features))
+    for t in range(horizon):
+        policy_features(env.observe(state), out=feats)
+        mean = feats @ policy.weights.T
+        action = mean if noise is None else mean + noise[:, t]
+        alive[:, t] = live
+        features[live, t], means[live, t], actions[live, t] = feats[live], mean[live], action[live]
+        if noise is not None:
+            score[live, t] = noise[live, t] / var
+        state, rewards, terminated, success = env.step(state, action.T, t)
+        values[live] += rewards[live] * discount
+        lengths += live
+        successes |= live & success
+        live &= ~terminated
+        if not live.any():
+            break
+        discount *= GAMMA
+    return History(values, successes, lengths, features, means, actions, score, alive)
+
+
+def summed(history):
+    """The score terms of ``history`` added up step by step over live
+    steps, as ``(K, A, F)``."""
+    k, horizon, action_dim = history.score.shape
+    sums = np.zeros((k, action_dim, history.features.shape[2]))
+    for t in range(horizon):
+        live = history.alive[:, t]
+        sums[live] += history.score[live, t, :, None] * history.features[live, t, None, :]
+    return sums
+
+
+def episodes_of(history, contexts):
+    """The :class:`Episodes` of a noisy ``history``."""
+    return Episodes(
+        contexts, history.values, history.successes, history.lengths, summed(history)
+    )
+
+
+def history_gradient(policy, history):
+    """The policy gradient as one matrix product over the step histories,
+    features, actions and means, zero past each episode's length."""
+    advantages = history.values - float(np.mean(history.values))
+    score = (history.actions - history.means) / policy.action_noise**2
+    score *= advantages[:, None, None]
+    n_features = history.features.shape[-1]
+    grad = score.reshape(-1, score.shape[-1]).T @ history.features.reshape(-1, n_features)
+    return grad / len(advantages)
+
+
+def reference_improve(policy, history):
     """The policy-gradient step as one term per episode, added in episode
     order to a zero gradient: the definition :func:`improve` must match to
     rounding."""
-    if episodes.actions.size == 0:
-        return policy
-    advantages = episodes.values - float(np.mean(episodes.values))
+    advantages = history.values - float(np.mean(history.values))
     var = policy.action_noise**2
     grad = np.zeros_like(policy.weights)
-    for adv, feats, actions, n in zip(
-        advantages, episodes.features, episodes.actions, episodes.lengths
+    for adv, feats, actions, means, n in zip(
+        advantages, history.features, history.actions, history.means, history.lengths
     ):
-        mean = feats[:n] @ policy.weights.T
-        score = (actions[:n] - mean) / var
+        score = (actions[:n] - means[:n]) / var
         grad += adv * score.T @ feats[:n]
     grad /= len(advantages)
     if not np.all(np.isfinite(grad)):
@@ -75,9 +170,9 @@ def reference_improve(policy, episodes):
     return dataclasses.replace(policy, weights=policy.weights + LEARNING_RATE * grad)
 
 
-def random_episodes(rng, lengths, policy, horizon=30, scale=1.0):
-    """Episodes with random histories, zero past ``lengths``, whose mean
-    actions are those of ``policy``, as if it had collected them."""
+def random_history(rng, lengths, policy, horizon=30, scale=1.0):
+    """A history with random features and actions, zero past ``lengths``,
+    whose mean actions are those of ``policy``, as if it had collected it."""
     lengths = np.asarray(lengths)
     k = len(lengths)
     action_dim, n_features = policy.weights.shape
@@ -85,14 +180,16 @@ def random_episodes(rng, lengths, policy, horizon=30, scale=1.0):
     features = rng.normal(0.0, 1.0, (k, horizon, n_features)) * alive[:, :, None]
     features[:, :, 0] = alive
     actions = rng.normal(0.0, 1.0, (k, horizon, action_dim)) * alive[:, :, None]
-    return Episodes(
-        contexts=rng.normal(0.0, 1.0, (k, 3)),
+    means = features @ policy.weights.T
+    return History(
         values=scale * rng.normal(0.0, 1.0, k),
         successes=np.zeros(k, dtype=bool),
         lengths=lengths,
         features=features,
+        means=means,
         actions=actions,
-        means=features @ policy.weights.T,
+        score=(actions - means) / policy.action_noise**2,
+        alive=alive,
     )
 
 
@@ -103,7 +200,19 @@ def assert_same_episodes(a, b):
     """Every field of two :class:`Episodes`, byte for byte."""
     for name in EPISODE_FIELDS:
         x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+            continue
         assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def assert_matches_reference(policy, env, contexts, seed, iteration, episodes):
+    """``episodes`` are the reference loop's for the documented draws,
+    byte for byte, sums included."""
+    draws = documented_draws(seed, iteration, len(contexts), env)
+    history = reference_rollout(policy, env, contexts, draws)
+    assert_same_episodes(episodes, episodes_of(history, np.asarray(contexts, dtype=float)))
+    return history
 
 
 class TestRollout:
@@ -116,19 +225,20 @@ class TestRollout:
             assert v == env.peak * np.exp(-np.sum(c**2) / (2.0 * env.width**2))
             assert ok == (v >= env.success_threshold)
         assert np.array_equal(episodes.lengths, np.ones(16, dtype=int))
-        assert episodes.actions.shape == (16, 1, 0)
+        assert episodes.score_features is None
 
     def test_two_step_return_is_discounted_by_gamma(self):
         # with a horizon of two the value is the first reward plus GAMMA
-        # times the second, replayed from the recorded actions
+        # times the second, replayed from the reference loop's actions
         env = PointMassEnv()
         env.horizon = 2
         policy = make_policy(env, scale=0.1)
         contexts = np.array([EASY, [1.0, 2.0, 0.3]])
         episodes = collect_one(policy, env, contexts, 1, 0)
+        history = assert_matches_reference(policy, env, contexts, 1, 0, episodes)
         assert np.array_equal(episodes.lengths, [2, 2])
-        state, first, _, _ = env.step(env.reset(contexts), episodes.actions[:, 0].T, 0)
-        _, second, _, _ = env.step(state, episodes.actions[:, 1].T, 1)
+        state, first, _, _ = env.step(env.reset(contexts), history.actions[:, 0].T, 0)
+        _, second, _, _ = env.step(state, history.actions[:, 1].T, 1)
         assert np.array_equal(episodes.values, first + GAMMA * second)
 
     def test_seeded_repeatability(self):
@@ -139,10 +249,10 @@ class TestRollout:
         b = collect_one(policy, env, contexts, master_seed=7, iteration=0)
         c = collect_one(policy, env, contexts, master_seed=8, iteration=0)
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.actions, b.actions)
+        assert np.array_equal(a.score_features, b.score_features)
         # each row draws its own noise, and the seed changes it
-        assert not np.array_equal(a.actions[0], a.actions[1])
-        assert not np.array_equal(a.actions, c.actions)
+        assert not np.array_equal(a.score_features[0], a.score_features[1])
+        assert not np.array_equal(a.score_features, c.score_features)
 
     def test_collect_matches_prefix_batches(self):
         # row i of a K-batch equals row i of the batch of its first i + 1
@@ -156,7 +266,7 @@ class TestRollout:
             assert prefix.values[i] == pytest.approx(full.values[i], rel=1e-9)
             assert prefix.lengths[i] == full.lengths[i]
             assert prefix.successes[i] == full.successes[i]
-            assert np.allclose(prefix.actions[i], full.actions[i], atol=1e-9)
+            assert np.allclose(prefix.score_features[i], full.score_features[i], atol=1e-9)
 
     def test_run_blocks_match_runs_alone(self):
         # block r of an R-run call equals run r collected alone, bit for bit,
@@ -234,72 +344,78 @@ class TestRollout:
         for policy, ctx, seed_r, block in zip(policies, contexts, seeds, together):
             alone = collect_one(policy, env, ctx, seed_r, 4, deterministic=deterministic)
             assert_same_episodes(block, alone)
-            for feats, actions, means, n in zip(
-                block.features, block.actions, block.means, block.lengths
-            ):
-                assert not np.any(feats[n:]) and not np.any(actions[n:]) and not np.any(means[n:])
-                assert np.all(feats[:n, 0] == 1.0)
+            if not deterministic:
+                assert_matches_reference(policy, env, ctx, seed_r, 4, block)
 
     @pytest.mark.parametrize("preset", ["point_mass_setup1", "point_mass_setup2"])
     @pytest.mark.parametrize("runs", [1, 4, 10])
     @pytest.mark.parametrize("deterministic", [False, True])
-    def test_means_are_the_policy_product_of_the_features(self, preset, runs, deterministic):
-        # improve reads the recorded means in place of the (K, T, F) @ (F, A)
-        # product it used to compute: at the presets' K, on every live step,
-        # they are the same bits for weights of any scale, and improve gives
-        # the bits of the formula that recomputes them.  The product over the
-        # whole history is the reference: BLAS may round the last rows of a
-        # product differently, so a slice features[i, :n] is not one
+    def test_sums_match_the_reference_loop(self, preset, runs, deterministic):
+        # at the presets' K, every run of a lock-step call equals the
+        # reference loop stepping that run alone, sums byte for byte, and
+        # improve's gradient is the history formula's to rounding.  Run 0
+        # steers home through wide gates, crashes into narrow gates off
+        # centre and stalls to the horizon under heavy friction; the other
+        # runs draw weights of any scale.  Deterministic rollouts sum
+        # nothing and leave the policy unchanged
         config = load_config(preset_path(preset))
         env = config.make_environment()
         rng = np.random.default_rng([runs, deterministic])
         policies = [
             make_policy(env, scale=10.0 ** rng.uniform(-3.0, 1.0), seed=r) for r in range(runs)
         ]
+        steering = rng.normal(0.0, 0.05, policies[0].weights.shape)
+        steering[0, [1, 3]] += [-12.0, -15.0]
+        steering[1, [0, 2, 4]] += [-9.0, -12.0, -15.0]
+        policies[0] = PolicyParameters(steering, np.full(env.action_dim, -1.5))
         k = config.curriculum.k_contexts
-        contexts = rng.uniform([-3.0, 0.05, 0.0], [3.0, 4.0, 1.0], (runs, k, 3))
+        wide = rng.uniform([-1.0, 2.0, 0.0], [1.0, 6.0, 0.5], (runs, k, 3))
+        narrow = rng.uniform([2.5, 0.05, 0.0], [3.8, 0.3, 0.2], (runs, k, 3))
+        narrow[..., 0] *= rng.choice([-1.0, 1.0], (runs, k))
+        sticky = rng.uniform([-1.0, 2.0, 20.0], [1.0, 6.0, 35.0], (runs, k, 3))
+        contexts = np.choose(rng.integers(0, 3, (runs, k, 1)), [wide, narrow, sticky])
         seeds = [int(s) for s in rng.integers(0, 3, runs)]
         together = collect_rollouts(policies, env, contexts, seeds, 7, deterministic)
-        for policy, episodes in zip(policies, together):
-            assert np.shares_memory(episodes.actions, episodes.means) == deterministic
-            product = episodes.features @ policy.weights.T
-            for i, n in enumerate(episodes.lengths):
-                assert episodes.means[i, :n].tobytes() == product[i, :n].tobytes(), i
-            assert not np.any(episodes.means[np.arange(env.horizon) >= episodes.lengths[:, None]])
+        first = together[0]
+        assert np.any(first.successes)
+        assert np.any((first.lengths < env.horizon) & ~first.successes)
+        assert np.any((first.lengths == env.horizon) & ~first.successes)
+        for policy, ctx, seed, episodes in zip(policies, contexts, seeds, together):
             if deterministic:
+                history = reference_rollout(policy, env, ctx)
+                assert episodes.score_features is None
+                expected = Episodes(ctx, history.values, history.successes, history.lengths, None)
+                assert_same_episodes(episodes, expected)
+                assert improve(policy, episodes) is policy
                 continue
-            advantages = episodes.values - float(np.mean(episodes.values))
-            var = policy.action_noise**2
-            score = (episodes.actions - product) / var
-            score *= advantages[:, None, None]
-            feats = episodes.features.reshape(-1, episodes.features.shape[-1])
-            grad = score.reshape(-1, env.action_dim).T @ feats
-            grad /= len(advantages)
+            history = assert_matches_reference(policy, env, ctx, seed, 7, episodes)
+            # improve reads the weights only to add its step, so from zero
+            # weights it returns LEARNING_RATE times the clipped gradient
+            zero = dataclasses.replace(policy, weights=np.zeros_like(policy.weights))
+            step = improve(zero, episodes).weights
+            grad = history_gradient(policy, history)
             norm = float(np.linalg.norm(grad))
-            if norm > GRAD_CLIP:
-                grad *= GRAD_CLIP / norm
-            expected = policy.weights + LEARNING_RATE * grad
-            assert improve(policy, episodes).weights.tobytes() == expected.tobytes()
+            expected = LEARNING_RATE * grad * min(1.0, GRAD_CLIP / norm)
+            assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("iteration", [0, 5, 10_000])
     def test_noise_is_the_documented_stream(self, iteration):
-        # with zero weights the recorded actions are the scaled noise itself:
-        # row i of run r is row i of one (K, T, A) draw from
+        # row i of run r is episode i of one (K, T, A) draw from
         # default_rng([seed_r, iteration, 1]), seeds of more than one 32-bit
-        # word included
+        # word included: the sums are the reference loop's on those draws,
+        # and not on the draws with episodes swapped
         env = PointMassEnv()
         seeds = [0, 7, 2**40 + 3]
-        policy = make_policy(env)
+        policy = make_policy(env, scale=0.1)
         contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY])
         runs = collect_rollouts(
             [policy] * 3, env, np.stack([contexts] * 3), seeds, iteration
         )
-        shape = (len(contexts), env.horizon, env.action_dim)
         for seed, episodes in zip(seeds, runs):
-            draws = np.random.default_rng([seed, iteration, 1]).standard_normal(shape)
-            for i, n in enumerate(episodes.lengths):
-                expected = policy.action_noise * draws[i]
-                assert np.array_equal(episodes.actions[i, :n], expected[:n])
+            assert_matches_reference(policy, env, contexts, seed, iteration, episodes)
+            swapped = documented_draws(seed, iteration, len(contexts), env)[[1, 0, 2, 3]]
+            history = reference_rollout(policy, env, contexts, swapped)
+            assert not np.array_equal(summed(history)[0], episodes.score_features[0])
 
     def test_runs_that_share_a_seed_share_one_draw(self):
         env = PointMassEnv()
@@ -308,7 +424,7 @@ class TestRollout:
         with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
             runs = collect_rollouts([policy] * 4, env, contexts, [4, 9, 4, 4], 3)
         assert [c.args[0] for c in rng.call_args_list] == [[4, 3, 1], [9, 3, 1]]
-        assert np.array_equal(runs[0].actions, runs[3].actions)
+        assert_same_episodes(runs[0], runs[3])
 
     def test_noise_differs_from_the_evaluation_context_stream(self):
         # SeedSequence pads keys with zeros, so an untagged key [seed, 10_000]
@@ -317,9 +433,11 @@ class TestRollout:
         policy = make_policy(env)
         contexts = np.array([EASY, EASY])
         (episodes,) = collect_rollouts([policy], env, contexts[None], [3], 10_000)
+        assert_matches_reference(policy, env, contexts, 3, 10_000, episodes)
         shape = (len(contexts), env.horizon, env.action_dim)
         context_draws = np.random.default_rng([3, 10_000]).standard_normal(shape)
-        assert not np.any(episodes.actions[:, 0] == policy.action_noise * context_draws[:, 0])
+        untagged = reference_rollout(policy, env, contexts, context_draws)
+        assert not np.any(summed(untagged) == episodes.score_features)
 
     def test_policy_shape_is_checked(self):
         # a synthetic policy has no actions; the point mass needs (2, F)
@@ -344,18 +462,32 @@ class TestRollout:
         b = collect_one(policy, env, contexts, master_seed=9, iteration=1)
         assert_same_episodes(a, b)
 
-    def test_histories_are_zero_past_lengths(self):
+    def test_sums_stop_at_lengths(self):
+        # rows that crash early add nothing after their last step, although
+        # the loop keeps stepping them
         env = PointMassEnv()
         policy = make_policy(env, scale=0.3, seed=2)
         # a narrow, offset gate crashes some rows early
         contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY])
         episodes = collect_one(policy, env, contexts, 3, 0)
-        assert episodes.features.shape == (4, env.horizon, episodes.features.shape[2])
+        assert episodes.score_features.shape == (4, env.action_dim, 15)
         assert episodes.lengths.min() < env.horizon
-        for feats, actions, n in zip(episodes.features, episodes.actions, episodes.lengths):
+        history = assert_matches_reference(policy, env, contexts, 3, 0, episodes)
+        for alive, n in zip(history.alive, episodes.lengths):
             assert 1 <= n <= env.horizon
-            assert not np.any(feats[n:]) and not np.any(actions[n:])
-            assert np.all(feats[:n, 0] == 1.0)
+            assert np.array_equal(alive, np.arange(env.horizon) < n)
+
+    def test_episode_bytes_do_not_grow_with_the_horizon(self):
+        # nothing returned has a time axis: a policy that holds still runs
+        # every episode to the horizon, T or 4T steps, in the same bytes
+        sizes = []
+        for horizon in (25, 100):
+            env = PointMassEnv()
+            env.horizon = horizon
+            episodes = collect_one(make_policy(env), env, np.tile(EASY, (8, 1)), 0, 0)
+            assert np.all(episodes.lengths == horizon)
+            sizes.append(sum(getattr(episodes, name).nbytes for name in EPISODE_FIELDS))
+        assert sizes[0] == sizes[1]
 
     def test_raw_contexts_are_kept(self):
         env = PointMassEnv()
@@ -395,11 +527,12 @@ class TestImprove:
                 weights=rng.normal(0.0, 0.5, zero.weights.shape),
                 log_action_noise=rng.normal(-0.5, 0.3, 2),
             )
-            episodes = random_episodes(rng, lengths, policy, horizon, scale=scale)
+            history = random_history(rng, lengths, policy, horizon, scale=scale)
             if case == "zero_advantages":
-                episodes = dataclasses.replace(episodes, values=np.full(len(lengths), -2.5))
-            new = improve(policy, episodes)
-            ref = reference_improve(policy, episodes)
+                history.values = np.full(len(lengths), -2.5)
+            contexts = rng.normal(0.0, 1.0, (len(lengths), 3))
+            new = improve(policy, episodes_of(history, contexts))
+            ref = reference_improve(policy, history)
             assert np.allclose(new.weights, ref.weights, rtol=1e-12, atol=1e-12), trial
             if case == "clipped":
                 step = np.linalg.norm(ref.weights - policy.weights) / LEARNING_RATE
@@ -413,9 +546,10 @@ class TestImprove:
         contexts = np.array([EASY, [2.5, 0.1, 0.0], [-2.0, 0.2, 0.5], EASY] * 4)
         for it in range(5):
             episodes = collect_one(policy, env, contexts, 3, it)
+            history = assert_matches_reference(policy, env, contexts, 3, it, episodes)
             assert len(np.unique(episodes.lengths)) > 1
             new = improve(policy, episodes)
-            ref = reference_improve(policy, episodes)
+            ref = reference_improve(policy, history)
             assert np.allclose(new.weights, ref.weights, rtol=1e-12, atol=1e-12)
             policy = new
 
@@ -434,6 +568,7 @@ class TestImprove:
         episodes = collect_one(
             policy, env, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), 0, 0
         )
+        assert episodes.score_features is None
         assert improve(policy, episodes) is policy
 
     def test_gradient_matches_finite_differences(self):
@@ -441,6 +576,7 @@ class TestImprove:
         policy = make_policy(env, scale=0.05)
         contexts = np.tile(EASY, (6, 1))
         episodes = collect_one(policy, env, contexts, 3, 0)
+        history = assert_matches_reference(policy, env, contexts, 3, 0, episodes)
         baseline = float(np.mean(episodes.values))
         var = policy.action_noise**2
 
@@ -452,7 +588,7 @@ class TestImprove:
         def surrogate(weights):
             total = 0.0
             for value, feats, actions, n in zip(
-                episodes.values, episodes.features, episodes.actions, episodes.lengths
+                episodes.values, history.features, history.actions, episodes.lengths
             ):
                 logp = log_prob(weights, feats[:n], actions[:n])
                 total += (value - baseline) * float(np.sum(logp))

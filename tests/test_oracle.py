@@ -30,6 +30,8 @@ from spgl.gaussian import (
 )
 from spgl.harness import verify
 from spgl.oracle import (
+    LOG_THETA_MAX,
+    LOG_THETA_MIN,
     InfeasibleSubproblem,
     LinearizedSubproblem,
     _bisect,
@@ -282,17 +284,17 @@ class TestSolveNumeric:
             assert max(sol.residuals.values()) <= 1e-10
 
 
-def ray_kl(rng, d, theta_min=1e-6):
+def ray_kl(rng, d):
     """Step KL around a random centre in the exact solver's (mu, log theta)
-    coordinates, with its clip of log theta to [log theta_min, 50]; like the
-    solver's, it takes one point or rows of points."""
+    coordinates, with its clip of log theta to [LOG_THETA_MIN,
+    LOG_THETA_MAX]; like the solver's, it takes one point or rows of
+    points."""
     sigma = rng.uniform(0.05, 2.0, d)
     mu0 = rng.normal(size=d)
     theta0 = np.exp(rng.uniform(-3.0, 3.0, d))
-    log_theta_min = math.log(theta_min)
 
     def kl(z):
-        theta = np.exp(np.clip(z[..., d:], log_theta_min, 50.0))
+        theta = np.exp(np.clip(z[..., d:], LOG_THETA_MIN, LOG_THETA_MAX))
         return kl_params(z[..., :d], theta, mu0, theta0, sigma)
 
     return kl, np.concatenate([mu0, np.log(theta0)])
@@ -404,7 +406,6 @@ class TestStackedRowsScore:
         # other rows: each row matches its one-row call bit for bit, with
         # log-ratios on and past the clamp among them
         rng = np.random.default_rng(400 + d)
-        log_theta_min = math.log(1e-6)
         for _ in range(12):
             k = int(rng.integers(1, 65))
             n = int(rng.integers(1, 97))
@@ -420,7 +421,7 @@ class TestStackedRowsScore:
             z = np.concatenate([mu0, np.log(var0 / sigma)]) + offsets
 
             def scores(rows):
-                theta = np.exp(np.minimum(np.maximum(rows[:, d:], log_theta_min), 50.0))
+                theta = np.exp(np.minimum(np.maximum(rows[:, d:], LOG_THETA_MIN), LOG_THETA_MAX))
                 kl = kl_to_target_params(rows[:, :d], theta, mu_tilde, sigma)
                 value = sampled_value(contexts, values, log_p0, rows[:, :d], theta * sigma)
                 return kl, value
@@ -441,7 +442,6 @@ class TestStackedRowsScore:
         # below, on and above both clip bounds and log-ratios past the clamp
         # among them
         rng = np.random.default_rng(500 + d)
-        log_theta_min = math.log(1e-6)
         for _ in range(8):
             k = int(rng.integers(1, 65))
             n = int(rng.integers(2, 17))
@@ -458,7 +458,9 @@ class TestStackedRowsScore:
             offsets = rng.normal(size=(n, 2 * d)) * 10.0 ** rng.uniform(-3.0, 1.5, (n, 1))
             z = np.concatenate([mu0, np.log(var0 / sigma)]) + offsets
             clipped = rng.random((n, d)) < 0.3
-            bounds = rng.choice([log_theta_min - 5.0, log_theta_min, 50.0, 55.0], size=(n, d))
+            bounds = rng.choice(
+                [LOG_THETA_MIN - 5.0, LOG_THETA_MIN, LOG_THETA_MAX, LOG_THETA_MAX + 5.0], size=(n, d)
+            )
             z[:, d:] = np.where(clipped, bounds, z[:, d:])
 
             def gradient(rows):
@@ -659,7 +661,7 @@ def rel_error(candidate, reference):
     return float(np.linalg.norm(candidate - reference)) / float(np.linalg.norm(reference))
 
 
-def gradient_instance(rng, d, mode, log_theta_min=math.log(1e-6), clamped=False, drop=False):
+def gradient_instance(rng, d, mode, log_theta_min=LOG_THETA_MIN, clamped=False, drop=False):
     """The exact solver's objective on a random batch of 32, as ``f(z)`` on
     ``z = (mu, log theta)`` with the solver's clip of ``log theta``, its
     closed-form gradient and a point ``z`` near the batch's distribution.
@@ -683,7 +685,7 @@ def gradient_instance(rng, d, mode, log_theta_min=math.log(1e-6), clamped=False,
     z[d:] += 0.1 * rng.normal(size=d)
 
     def f(z):
-        theta = np.exp(np.clip(z[d:], log_theta_min, 50.0))
+        theta = np.exp(np.clip(z[d:], log_theta_min, LOG_THETA_MAX))
         if mode == "performance":
             return -sampled_value(contexts, values, log_p0, z[:d], theta * sigma)
         return kl_to_target_params(z[:d], theta, target.mu_tilde, sigma)

@@ -1,13 +1,15 @@
-"""Smoke tests of the comparison modes of the scripts under ``tests/`` that
-no other test imports, so that a stale script fails here and not when a
-change needs it."""
+"""Smoke tests of the scripts under ``tests/`` that no other test imports:
+their comparison modes and the seed sweep's training path, so that a stale
+script fails here and not when a change needs it."""
 
+import dataclasses
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import seed_sweep
+from spgl.harness import evaluate_run, run_training
 
 TESTS = Path(__file__).parent
 SWEEP_BASELINE = TESTS / "sweep" / "per_run_streams.csv"
@@ -23,6 +25,30 @@ def test_seed_sweep_compare_of_a_file_with_itself_shows_no_difference(capsys):
         match = re.search(r": (\d+) -> (\d+), Fisher exact p = (\S+)$", line)
         assert match, line
         assert match[1] == match[2] and float(match[3]) == 1.0, line
+
+
+def test_seed_sweep_trains_evaluates_and_writes_one_row_per_run(monkeypatch):
+    # two seeds cut to three iterations: lock-step training, the batched
+    # deterministic evaluation and the noisy rollouts of noisy_success
+    load_config = seed_sweep.load_config
+    short = lambda path: dataclasses.replace(load_config(path), iterations=3)
+    monkeypatch.setattr(seed_sweep, "SEEDS", (5, 6))
+    monkeypatch.setattr(seed_sweep, "load_config", short)
+    preset = seed_sweep.PRESETS[1]
+    rows = seed_sweep.sweep_preset(preset)
+    assert [(row["mode"], row["seed"]) for row in rows] == [
+        (mode, seed) for mode in seed_sweep.MODES for seed in (5, 6)
+    ]
+    config = short(seed_sweep.preset_path(preset))
+    for row in rows:
+        assert set(row) == set(seed_sweep.FIELDS) and row["preset"] == preset
+        # each run's evaluation is that of the same run trained alone
+        policy = run_training(config, row["seed"], row["mode"]).policy
+        (alone,) = evaluate_run(config, [policy], [row["seed"]])
+        assert row["det_success"] == f"{alone.success_rate:.9g}"
+        episodes = float(row["noisy_success"]) * config.eval_episodes / 100.0
+        assert episodes == round(episodes) and 0 <= episodes <= config.eval_episodes
+        assert 0.0 <= float(row["train_success_last50"]) <= 100.0
 
 
 def exact_csv(path, objectives):
